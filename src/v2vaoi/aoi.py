@@ -1,6 +1,7 @@
 """Information age of each link: communication plus computation delay,
 snapped onto the sensor sampling grid by expectation-preserving rounding."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,15 +25,16 @@ class AoiConfig:
     per_vehicle_compute_delay_s: tuple = None
 
     def __post_init__(self):
-        if not (self.sample_period_s > 0):
-            raise DomainError("sample_period_s must be positive")
-        if self.compute_delay_s < 0:
-            raise DomainError("compute_delay_s must be nonnegative")
-        if self.looptime_s < self.sample_period_s:
-            raise DomainError("looptime_s must be at least one sample period")
+        # written so that NaN fails every test
+        if not (0 < self.sample_period_s < math.inf):
+            raise DomainError("sample_period_s must be positive and finite")
+        if not (0 <= self.compute_delay_s < math.inf):
+            raise DomainError("compute_delay_s must be nonnegative and finite")
+        if not (self.sample_period_s <= self.looptime_s < math.inf):
+            raise DomainError("looptime_s must be finite and at least one sample period")
         if self.per_vehicle_compute_delay_s is not None:
-            if any(v < 0 for v in self.per_vehicle_compute_delay_s):
-                raise DomainError("per-vehicle compute delays must be nonnegative")
+            if not all(0 <= v < math.inf for v in self.per_vehicle_compute_delay_s):
+                raise DomainError("per-vehicle compute delays must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

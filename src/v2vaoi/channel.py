@@ -224,22 +224,18 @@ def compute_snr_matrix(
         raise DimensionMismatchError(
             f"distance matrix is {dist.n}x{dist.n} but power matrix is {power.n}x{power.n}"
         )
-    attenuation = dist.d ** params.alpha
-    np.fill_diagonal(attenuation, 1.0)  # diagonal powers are 0, keep 0/1 = 0
-    gain = power.p / attenuation
-    incoming = gain.sum(axis=0)  # per receiver j: sum over all transmitters
-    interference = incoming[np.newaxis, :] - gain  # drop the k = i term
-    return gain / (interference + params.noise_w)
+    return compute_snr_batch(params, dist, power.p[np.newaxis])[0]
 
 
 def compute_snr_batch(
     params: ChannelParams, dist: DistanceMatrix, powers: np.ndarray
 ) -> np.ndarray:
-    """Vectorized compute_snr_matrix over a stack of power matrices.
+    """compute_snr_matrix over a stack of power matrices.
 
     powers has shape (m, n, n) with zero diagonals; returns (m, n, n).
-    Used by the population-based solver and the grid oracle; agrees with
-    compute_snr_matrix entry for entry.
+    The one implementation of the SNR formula: compute_snr_matrix runs it
+    on a stack of one, and the population-based solver and the grid oracle
+    on whole populations and grids.
     """
     powers = np.asarray(powers, dtype=np.float64)
     if powers.ndim != 3 or powers.shape[1:] != (dist.n, dist.n):
@@ -247,10 +243,10 @@ def compute_snr_batch(
             f"expected power stack of shape (m, {dist.n}, {dist.n}), got {powers.shape}"
         )
     attenuation = dist.d ** params.alpha
-    np.fill_diagonal(attenuation, 1.0)
+    np.fill_diagonal(attenuation, 1.0)  # diagonal powers are 0, keep 0/1 = 0
     gain = powers / attenuation
-    incoming = gain.sum(axis=1)
-    interference = incoming[:, np.newaxis, :] - gain
+    incoming = gain.sum(axis=1)  # per receiver j: sum over all transmitters
+    interference = incoming[:, np.newaxis, :] - gain  # drop the k = i term
     return gain / (interference + params.noise_w)
 
 

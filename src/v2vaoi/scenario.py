@@ -18,6 +18,7 @@ File formats (comments start with '#', blank lines ignored):
       3.0 4.0
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -54,9 +55,10 @@ class ScenarioSpec:
         if not (self.min_separation_m > 0):
             raise DomainError("min_separation_m must be positive")
         if self.coordinates is None:
-            if not (self.box_side_m > 2 * self.min_separation_m):
+            if not (2 * self.min_separation_m < self.box_side_m < math.inf):
                 raise DomainError(
-                    "box_side_m must exceed twice min_separation_m for random placement"
+                    "box_side_m must be finite and exceed twice min_separation_m "
+                    "for random placement"
                 )
         elif len(self.coordinates) != self.n_vehicles:
             raise DomainError(

@@ -150,6 +150,15 @@ def test_config_validation():
         AoiConfig(compute_delay_s=-0.1)
     with pytest.raises(DomainError):
         AoiConfig(looptime_s=0.05, sample_period_s=0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            AoiConfig(compute_delay_s=bad)
+        with pytest.raises(DomainError):
+            AoiConfig(sample_period_s=bad)
+        with pytest.raises(DomainError):
+            AoiConfig(looptime_s=bad)
+        with pytest.raises(DomainError):
+            AoiConfig(per_vehicle_compute_delay_s=(0.1, bad))
 
 
 # --- summary -----------------------------------------------------------------

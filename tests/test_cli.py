@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from v2vaoi.cli import main
+from v2vaoi.cli import _config_record, _resolve, build_parser, main
 
 
 def run_cli(args):
@@ -229,3 +229,95 @@ def test_text_format_writes_report(tmp_path):
     )
     assert code == 0
     assert "power matrix" in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--rate-factor", "-1"],
+        ["solve", "--rate-factor", "nan"],
+        ["aoi", "--rate-factor", "0"],
+        ["compare", "--n", "3,x"],
+        ["compare", "--n", ","],
+        ["compare", "--scene", "{scene}"],
+        ["compare", "--jobs", "0"],
+        ["verify", "--instances", "0"],
+        ["verify", "--scene", "{scene}", "--instances", "2"],
+        ["aoi", "--compute-delay", "nan"],
+        ["aoi", "--looptime", "nan"],
+        ["solve", "--box-side", "inf"],
+        ["solve", "--epochs", "20", "--out", "{tmp}/missing/x.jsonl"],
+        ["compare", "--n", "2", "--trials", "1", "--epochs", "20", "--generations", "20",
+         "--plot-out", "{tmp}/missing/plot.txt"],
+        ["solve", "--n", "abc"],
+        ["solve", "--no-such-flag"],
+        ["solve", "--config", "{tmp}/string_seed.json"],
+        ["solve", "--config", "{tmp}/bool_p_max.json"],
+        ["solve", "--config", "{tmp}/number.json"],
+        ["solve", "--config", "{tmp}/latin1.json"],
+        ["solve", "--config", "{tmp}/bad_strategy.json"],
+    ],
+)
+def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
+    (tmp_path / "string_seed.json").write_text('{"seed": "abc"}')
+    (tmp_path / "bool_p_max.json").write_text('{"p_max": true}')
+    (tmp_path / "number.json").write_text("3")
+    (tmp_path / "latin1.json").write_bytes(b'{"scene": "\xe9"}')
+    (tmp_path / "bad_strategy.json").write_text('{"strategy": "annealing"}')
+    argv = [a.format(tmp=tmp_path, scene=two_vehicle_scene) for a in args]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    assert run_cli(["--help"]) == 0
+    assert run_cli(["compare", "--help"]) == 0
+    assert "--plot-out" in capsys.readouterr().out
+
+
+_DEFAULT_CONFIG = {
+    "alpha": 3.0,
+    "bandwidth": 10000000.0,
+    "box_side": 100.0,
+    "epochs": 5000,
+    "generations": 100000,
+    "learn_rate": 0.05,
+    "min_sep": 5.0,
+    "n": 3,
+    "noise": 4.14e-14,
+    "p_max": 23.0,
+    "p_min": 1e-06,
+    "payload": 8480000.0,
+    "population": 50,
+    "rate_factor": 1.0,
+    "scene": None,
+    "seed": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "command, own",
+    [
+        ("solve", {"strategy": "greedy"}),
+        ("compare", {"n": "3,4,5", "epochs": None, "trials": 15}),
+        ("aoi", {"compute_delay": 0.0, "looptime": 0.1, "period": 0.1}),
+        ("verify", {"gap_threshold": 0.05, "grid": 20, "instances": 10}),
+    ],
+)
+def test_default_config_record(command, own):
+    cfg, _ = _resolve(build_parser().parse_args([command]))
+    expected = {"type": "config", "command": command, **_DEFAULT_CONFIG, **own}
+    # compared as JSON so that 23 and 23.0, or 1 and true, differ
+    assert json.dumps(_config_record(cfg), sort_keys=True) == json.dumps(
+        expected, sort_keys=True
+    )
+
+
+def test_config_file_integers_echoed_as_given(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "p_max": 23, "seed": 5}))
+    out = tmp_path / "r.jsonl"
+    assert run_cli(["solve", "--config", cfg, "--epochs", 20, "--out", out]) == 0
+    assert '"p_max": 23,' in out.read_text().splitlines()[0]

@@ -71,6 +71,8 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         ScenarioSpec(3, box_side_m=9.0, min_separation_m=5.0)
     with pytest.raises(DomainError):
+        ScenarioSpec(3, box_side_m=float("inf"))
+    with pytest.raises(DomainError):
         ScenarioSpec(3, coordinates=((0.0, 0.0), (1.0, 1.0)))  # count mismatch
 
 
