@@ -9,9 +9,9 @@ from .allocator import (
     GreedyConfig,
     check_feasible,
     default_pa,
+    exact_pa,
     genetic_pa,
     greedy_pa,
-    oracle_pa,
     project_to_feasible,
 )
 from .aoi import AoiConfig, AoIRecord, AoiSummary, aoi_summary, build_aoi_records, probabilistic_round

@@ -11,7 +11,7 @@ Four strategies:
                 reprojecting onto the constraints each epoch.
   genetic_pa  - real-coded GA over the off-diagonal power vector with
                 fitness = minimum SNR.
-  oracle_pa   - exhaustive grid search for tiny instances; a ground-truth
+  exact_pa    - the exact optimum by bisection on the target SNR; the
                 reference for testing and the `verify` command.
 """
 
@@ -30,13 +30,14 @@ from .channel import (
     offdiag_mask,
     offdiag_values,
 )
-from .errors import CapacityError, DomainError, FeasibilityError
+from .errors import DomainError, FeasibilityError
 
 # Absolute slack, in watts, used by every constraint check.
 FEASIBILITY_SLACK_W = 1e-9
 
-ORACLE_MAX_VEHICLES = 3
-ORACLE_MAX_POINTS = 1e8
+# exact_pa's bisection stops once its bracket on the target SNR is this
+# narrow, relative to the upper end.
+EXACT_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,17 +89,14 @@ class GreedyConfig:
 class GeneticConfig:
     """Knobs for genetic_pa.
 
-    Individuals whose fitness falls below fitness_threshold are discarded
-    and redrawn; the default of 0 never fires because min-SNR is always
-    positive.  The run stops at max_generations or after stagnation_limit
-    generations without improvement, whichever comes first.
+    The run stops at max_generations or after stagnation_limit generations
+    without improvement, whichever comes first.
     """
 
     population_size: int = 50
     crossover_rate: float = 0.8
     mutation_rate: float = 0.05
     max_generations: int = 100_000
-    fitness_threshold: float = 0.0
     rng_seed: int = 0
     stagnation_limit: int = 500
     creep_sigma: float = 0.25
@@ -385,19 +383,8 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     def random_genes(count: int) -> np.ndarray:
         return project(np.exp(rng.uniform(ln_lo, ln_hi, size=(count, n_genes))))
 
-    def evaluate(genes: np.ndarray) -> np.ndarray:
-        fit = fitness(genes)
-        # below-threshold individuals are discarded and redrawn (bounded retry)
-        for _ in range(50):
-            bad = fit < cfg.fitness_threshold
-            if not np.any(bad):
-                break
-            genes[bad] = random_genes(int(bad.sum()))
-            fit[bad] = fitness(genes[bad])
-        return fit
-
     pop = random_genes(pop_size)
-    fit = evaluate(pop)
+    fit = fitness(pop)
     best_idx = int(np.argmax(fit))
     best_fit = float(fit[best_idx])
     best_genes = pop[best_idx].copy()
@@ -432,7 +419,7 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
         children = project(np.clip(children, params.p_min_w, params.p_max_w))
         children[0] = best_genes  # elitism
         pop = children
-        fit = evaluate(pop)
+        fit = fitness(pop)
         gen_best = int(np.argmax(fit))
         if float(fit[gen_best]) > best_fit:
             best_fit = float(fit[gen_best])
@@ -460,118 +447,63 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# exhaustive grid oracle
+# exact max-min solver
 # ---------------------------------------------------------------------------
 
+def exact_pa(problem: AllocationProblem) -> AllocationResult:
+    """Maximum of the worst link's SNR, by bisection on a target SNR.
 
-def _oracle_levels(problem: AllocationProblem, grid_points: int) -> np.ndarray:
-    """Log-spaced power levels plus the even-split point, sorted unique."""
-    params = problem.params
-    levels = np.geomspace(params.p_min_w, params.p_max_w, grid_points)
-    share = params.p_max_w / (problem.n - 1)
-    return np.unique(np.concatenate([levels, [share]]))
+    For a target gamma every link needs g_ij >= beta * (S_j + N), with
+    g_ij = P_ij / D_ij**alpha its received gain, S_j the total gain arriving
+    at receiver j, N the noise and beta = gamma / (1 + gamma).  Receiver j's
+    smallest gains are g_ij = max(f_ij, c_j), where f_ij is the gain at the
+    per-link floor p_min_w and c_j is the least solution of
+    c = beta * (sum_i max(f_ij, c) + N).  Flooring the k largest f_ij of the
+    column gives the candidate beta * (F_k + N) / (1 - (n-1-k) * beta), the
+    fixed point of a function that lower-bounds the true one, so c_j is the
+    largest candidate.  That point is componentwise minimal, and the budgets
+    only cap sums of powers, so gamma is achievable exactly when every row
+    of the minimal powers fits the budget.
 
-
-def oracle_pa(problem: AllocationProblem, grid_points_per_link: int = 20) -> AllocationResult:
-    """Exhaustive grid search over feasible power matrices for n <= 3.
-
-    Evaluates every combination of log-spaced per-link power levels (the
-    even-split level is always in the grid), discards combinations that
-    break a row budget, and returns the best surviving point by min-SNR.
-    Intended for testing and the `verify` command, not production solving.
+    The bracket runs from the even split's objective (achieved) to
+    1/(n-2), which no allocation reaches: the weakest sender into a
+    receiver is drowned out by the n-2 others, each at least as strong, so
+    its SNR is below g / ((n-2) * g) = 1/(n-2).  The returned allocation is the
+    minimal point at the achieved end, or the even split itself if no
+    higher target was feasible.  With two vehicles there is no
+    interference and the even split (both links at p_max_w) is optimal.
     """
-    if grid_points_per_link < 2:
-        raise DomainError("need at least 2 grid points per link")
+    params = problem.params
     n = problem.n
-    if n > ORACLE_MAX_VEHICLES:
-        raise CapacityError(f"oracle supports n <= {ORACLE_MAX_VEHICLES}, got n = {n}")
-    levels = _oracle_levels(problem, grid_points_per_link)
-    n_links = n * (n - 1)
-    total = float(len(levels)) ** n_links
-    if total > ORACLE_MAX_POINTS:
-        raise CapacityError(
-            f"{len(levels)}^{n_links} = {total:.3g} grid points exceeds the "
-            f"{ORACLE_MAX_POINTS:.0e} cap"
-        )
-    if n == 2:
-        p = _oracle_search_n2(problem, levels)
-    else:
-        p = _oracle_search_n3(problem, levels)
-    return _finish(
-        problem,
-        p,
-        epochs_used=int(total),
-        converged=True,
-        strategy_name="oracle",
-    )
+    best = _uniform_power(problem)
+    steps = 0
+    if n > 2:
+        mask = offdiag_mask(n)
+        atten = problem.dist.d ** params.alpha
+        floors = np.zeros((n, n))
+        floors[mask] = params.p_min_w / atten[mask]
+        # column j's floors without the diagonal, largest first; prefix sums
+        # F_0 = 0 .. F_{n-2} of the k largest
+        cols = -np.sort(-floors.T[mask].reshape(n, n - 1), axis=1)
+        prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(cols[:, :-1], axis=1)], axis=1)
+        unfloored = np.arange(n - 1, 0, -1)  # n-1-k for k = 0 .. n-2
 
+        def minimal_power(gamma: float) -> np.ndarray:
+            beta = gamma / (1.0 + gamma)
+            c = (beta * (prefix + params.noise_w) / (1.0 - unfloored * beta)).max(axis=1)
+            p = np.maximum(floors, c[np.newaxis, :]) * atten
+            np.fill_diagonal(p, 0.0)
+            return p
 
-def _oracle_search_n2(problem: AllocationProblem, levels: np.ndarray) -> np.ndarray:
-    a, b = np.meshgrid(levels, levels, indexing="ij")
-    stack = np.zeros((a.size, 2, 2))
-    stack[:, 0, 1] = a.ravel()
-    stack[:, 1, 0] = b.ravel()
-    snr = compute_snr_batch(problem.params, problem.dist, stack)
-    objective = np.minimum(snr[:, 0, 1], snr[:, 1, 0])
-    return stack[int(np.argmax(objective))]
-
-
-def _oracle_search_n3(problem: AllocationProblem, levels: np.ndarray) -> np.ndarray:
-    """Grid search for n = 3, organized by receiver.
-
-    A receiver's SNRs depend only on the powers addressed to it (its column
-    of the power matrix), so each column's level pairs can be scored once;
-    the scan over column combinations then only has to check row budgets
-    and take minima.  This is an exact reorganization of the full
-    level**6 enumeration.
-    """
-    params = problem.params
-    d = problem.dist.d
-    noise = params.noise_w
-    budget = params.p_max_w + FEASIBILITY_SLACK_W
-    la, lb = np.meshgrid(levels, levels, indexing="ij")
-    pa, pb = la.ravel(), lb.ravel()  # powers of a column's two senders
-
-    senders = [[k for k in range(3) if k != j] for j in range(3)]
-    col_score = []
-    for j in range(3):
-        s0, s1 = senders[j]
-        g0 = pa / d[s0, j] ** params.alpha
-        g1 = pb / d[s1, j] ** params.alpha
-        col_score.append(np.minimum(g0 / (g1 + noise), g1 / (g0 + noise)))
-    f0, f1, f2 = col_score
-
-    # row budget masks; column j's combo contributes pa to its first sender's
-    # row and pb to its second sender's row
-    row0 = pa[:, np.newaxis] + pa[np.newaxis, :] <= budget  # P[0,1] + P[0,2]
-    row1_c0 = pa  # P[1,0]
-    row1_c2 = pb  # P[1,2]
-    row2_c0 = pb  # P[2,0]
-    row2_c1 = pb  # P[2,1]
-
-    f12 = np.minimum(f1[:, np.newaxis], f2[np.newaxis, :])
-    best_obj = -1.0
-    best_combo = None
-    order = np.argsort(f0)[::-1]
-    for c0 in order:
-        if f0[c0] <= best_obj:
-            break  # f0 sorted descending; nothing better remains
-        feasible = (
-            row0
-            & (row1_c0[c0] + row1_c2[np.newaxis, :] <= budget)
-            & (row2_c0[c0] + row2_c1[:, np.newaxis] <= budget)
-        )
-        obj = np.where(feasible, np.minimum(f0[c0], f12), -1.0)
-        flat = int(np.argmax(obj))
-        if obj.ravel()[flat] > best_obj:
-            best_obj = float(obj.ravel()[flat])
-            c1, c2 = divmod(flat, obj.shape[1])
-            best_combo = (int(c0), int(c1), int(c2))
-    if best_combo is None:
-        raise FeasibilityError("no grid point satisfied the row budgets")
-    p = np.zeros((3, 3))
-    for j, c in zip(range(3), best_combo):
-        s0, s1 = senders[j]
-        p[s0, j] = pa[c]
-        p[s1, j] = pb[c]
-    return p
+        snr = compute_snr_matrix(params, problem.dist, PowerMatrix(best))
+        lo = float(offdiag_values(snr).min())
+        hi = 1.0 / (n - 2)
+        while hi - lo > EXACT_REL_TOL * hi:
+            steps += 1
+            mid = 0.5 * (lo + hi)
+            p = minimal_power(mid)
+            if np.all(p.sum(axis=1) <= params.p_max_w):
+                lo, best = mid, p
+            else:
+                hi = mid
+    return _finish(problem, best, epochs_used=steps, converged=True, strategy_name="exact")

@@ -65,10 +65,11 @@ class AoiSummary:
 
 
 def _round_offset(delay_s: float, period_s: float, rng: np.random.Generator) -> int:
-    if delay_s < 0:
-        raise DomainError(f"delay must be nonnegative, got {delay_s}")
-    if not (period_s > 0):
-        raise DomainError(f"period must be positive, got {period_s}")
+    # written so that NaN fails every test
+    if not (0 <= delay_s < math.inf):
+        raise DomainError(f"delay must be nonnegative and finite, got {delay_s}")
+    if not (0 < period_s < math.inf):
+        raise DomainError(f"period must be positive and finite, got {period_s}")
     quotient = delay_s / period_s
     base = int(np.floor(quotient))
     frac = quotient - base

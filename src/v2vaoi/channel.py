@@ -234,8 +234,8 @@ def compute_snr_batch(
 
     powers has shape (m, n, n) with zero diagonals; returns (m, n, n).
     The one implementation of the SNR formula: compute_snr_matrix runs it
-    on a stack of one, and the population-based solver and the grid oracle
-    on whole populations and grids.
+    on a stack of one, and the population-based solver on whole
+    populations.
     """
     powers = np.asarray(powers, dtype=np.float64)
     if powers.ndim != 3 or powers.shape[1:] != (dist.n, dist.n):

@@ -4,7 +4,7 @@ Four commands:
   solve    - one scene, one strategy; prints power/SNR/delay matrices.
   compare  - repeated trials of every strategy with summary statistics.
   aoi      - information-age and proxy perception report per mode.
-  verify   - heuristics against the exhaustive grid oracle on small scenes.
+  verify   - heuristics against the exact optimum on random or given scenes.
 
 Every report embeds the fully resolved configuration.  Machine-readable
 output is line-delimited JSON; with a fixed master seed it is byte-identical
@@ -24,9 +24,9 @@ from .allocator import (
     GeneticConfig,
     GreedyConfig,
     default_pa,
+    exact_pa,
     genetic_pa,
     greedy_pa,
-    oracle_pa,
 )
 from .aoi import AoiConfig, aoi_summary, build_aoi_records
 from .channel import ChannelParams
@@ -76,7 +76,6 @@ _FLAGS = (
     ("period", float, AoiConfig.sample_period_s, "sensor sampling period [s]", ("aoi",)),
     ("compute_delay", float, AoiConfig.compute_delay_s, None, ("aoi",)),
     ("instances", int, 10, None, ("verify",)),
-    ("grid", int, 20, "oracle grid points per link", ("verify",)),
     ("gap_threshold", float, 0.05, None, ("verify",)),
 )
 
@@ -455,13 +454,13 @@ def cmd_verify(cfg: dict, solvers: ComparisonConfig) -> int:
         else:
             dist, _ = generate_scene(_scene_spec(cfg, cfg["n"], k, 0))
         problem = AllocationProblem(solvers.params, dist)
-        oracle = oracle_pa(problem, cfg["grid"])
+        exact = exact_pa(problem)
         greedy = greedy_pa(problem, solvers.greedy)
         genetic = genetic_pa(
             problem, replace(solvers.genetic, rng_seed=derive_seed(cfg["seed"], k, 1))
         )
         gaps = {
-            name: max(0.0, (oracle.objective_min_snr - obj) / oracle.objective_min_snr)
+            name: max(0.0, (exact.objective_min_snr - obj) / exact.objective_min_snr)
             for name, obj in (
                 ("greedy", greedy.objective_min_snr),
                 ("genetic", genetic.objective_min_snr),
@@ -471,7 +470,7 @@ def cmd_verify(cfg: dict, solvers: ComparisonConfig) -> int:
         rows.append(
             (
                 k,
-                f"{oracle.objective_min_snr:.6g}",
+                f"{exact.objective_min_snr:.6g}",
                 f"{greedy.objective_min_snr:.6g}",
                 f"{gaps['greedy']:.4%}",
                 f"{genetic.objective_min_snr:.6g}",
@@ -482,7 +481,7 @@ def cmd_verify(cfg: dict, solvers: ComparisonConfig) -> int:
             {
                 "type": "verify_instance",
                 "instance": k,
-                "oracle_min_snr": oracle.objective_min_snr,
+                "oracle_min_snr": exact.objective_min_snr,
                 "greedy_min_snr": greedy.objective_min_snr,
                 "greedy_gap": gaps["greedy"],
                 "genetic_min_snr": genetic.objective_min_snr,
@@ -492,7 +491,7 @@ def cmd_verify(cfg: dict, solvers: ComparisonConfig) -> int:
     verdict = worst_greedy_gap <= cfg["gap_threshold"]
     text = (
         _fmt_table(
-            ("instance", "oracle", "greedy", "greedy_gap", "genetic", "genetic_gap"),
+            ("instance", "exact", "greedy", "greedy_gap", "genetic", "genetic_gap"),
             rows,
         )
         + f"\nworst greedy gap {worst_greedy_gap:.4%} vs threshold "
@@ -514,7 +513,7 @@ _COMMANDS = {
     "solve": (cmd_solve, "solve one scene with one strategy"),
     "compare": (cmd_compare, "strategy comparison over repeated trials"),
     "aoi": (cmd_aoi, "information-age and proxy perception report"),
-    "verify": (cmd_verify, "check heuristics against the grid oracle"),
+    "verify": (cmd_verify, "check heuristics against the exact optimum"),
 }
 
 

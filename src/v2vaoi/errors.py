@@ -17,10 +17,6 @@ class FeasibilityError(SimulationError):
     """The power constraints cannot be satisfied (or a solver broke them)."""
 
 
-class CapacityError(SimulationError):
-    """A request exceeds the supported problem scale."""
-
-
 class SceneLoadError(SimulationError):
     """Base class for distance-matrix ingestion problems."""
 

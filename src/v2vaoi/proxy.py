@@ -39,6 +39,8 @@ class DegradationCurve:
             )
         delays = s[:, 0]
         aps = s[:, 1:]
+        if np.any(np.isnan(s)):
+            raise DomainError("curve samples must not be NaN")
         if np.any(delays < 0):
             raise DomainError("sample delays must be nonnegative")
         if np.any(np.diff(delays) <= 0):
@@ -106,7 +108,7 @@ def estimate_ap(curve: DegradationCurve, delay_value: float) -> tuple:
     Queries at a sample return that row exactly; queries past the last
     sample clamp to it.
     """
-    if delay_value < 0:
+    if not (delay_value >= 0):  # NaN fails too
         raise DomainError(f"delay must be nonnegative, got {delay_value}")
     s = curve.samples
     delays = s[:, 0]

@@ -138,7 +138,7 @@ def load_distance_matrix(path) -> DistanceMatrix:
     rows = [_parse_floats(line, path) for line in lines]
     if len(rows[0]) == 1:  # header line with the vehicle count
         declared = rows[0][0]
-        if declared != int(declared):
+        if not (math.isfinite(declared) and declared == int(declared)):
             raise SceneParseError(f"{path}: header count {declared!r} is not an integer")
         rows = rows[1:]
         if len(rows) != int(declared):

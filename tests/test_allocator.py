@@ -1,4 +1,4 @@
-"""Allocation strategies, the constraint projection, and the grid oracle."""
+"""Allocation strategies, the constraint projection, and the exact solver."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,9 @@ from v2vaoi.allocator import (
     GreedyConfig,
     check_feasible,
     default_pa,
+    exact_pa,
     genetic_pa,
     greedy_pa,
-    oracle_pa,
     project_to_feasible,
 )
 from v2vaoi.channel import (
@@ -22,11 +22,12 @@ from v2vaoi.channel import (
     DistanceMatrix,
     PowerMatrix,
     compute_delay_matrix,
+    compute_snr_batch,
     compute_snr_matrix,
     offdiag_mask,
     offdiag_values,
 )
-from v2vaoi.errors import CapacityError, DomainError, FeasibilityError
+from v2vaoi.errors import DomainError, FeasibilityError
 from v2vaoi.scenario import ScenarioSpec, generate_scene
 
 PARAMS = ChannelParams()
@@ -186,11 +187,11 @@ def test_greedy_equilateral_matches_uniform():
     assert result.objective_min_snr == pytest.approx(uniform_obj, rel=0.01)
 
 
-def test_greedy_beats_oracle_threshold_on_lopsided_triangle():
+def test_greedy_within_5pct_of_exact_on_lopsided_triangle():
     prob = problem_for(triangle_10_30_50())
-    oracle = oracle_pa(prob, 20)
+    exact = exact_pa(prob)
     result = greedy_pa(prob)
-    assert result.objective_min_snr >= 0.95 * oracle.objective_min_snr
+    assert result.objective_min_snr >= 0.95 * exact.objective_min_snr
 
 
 def test_greedy_history_monotone_and_deterministic():
@@ -274,24 +275,40 @@ def test_genetic_history_monotone():
     assert np.all(np.diff(np.array(result.history)) >= 0)
 
 
-# --- oracle -------------------------------------------------------------------
+# --- exact ---------------------------------------------------------------------
 
 
-def test_oracle_two_vehicles_monotone_optimum():
+def best_random_objective(prob, count, seed):
+    """Best min-SNR over projected random allocations, log-uniform per link."""
+    params = prob.params
+    rng = np.random.default_rng(seed)
+    n = prob.n
+    raw = np.exp(
+        rng.uniform(np.log(params.p_min_w), np.log(params.p_max_w), size=(count, n, n))
+    )
+    raw[:, np.arange(n), np.arange(n)] = 0.0
+    snr = compute_snr_batch(params, prob.dist, project_to_feasible(raw, params))
+    return float(snr[:, offdiag_mask(n)].min(axis=1).max())
+
+
+def test_exact_two_vehicles_at_cap():
     prob = problem_for(DistanceMatrix([[0.0, 10.0], [10.0, 0.0]]))
-    result = oracle_pa(prob, 12)
+    result = exact_pa(prob)
     np.testing.assert_array_equal(result.power.p, [[0.0, 23.0], [23.0, 0.0]])
+    assert result.strategy_name == "exact" and result.converged
 
 
-def test_oracle_dominates_uniform_on_equilateral():
+def test_exact_matches_uniform_on_equilateral():
     prob = problem_for(equilateral())
-    oracle = oracle_pa(prob, 20)
-    assert oracle.objective_min_snr >= default_pa(prob).objective_min_snr
+    exact = exact_pa(prob)
+    assert exact.objective_min_snr == pytest.approx(
+        default_pa(prob).objective_min_snr, rel=1e-12
+    )
 
 
-def test_oracle_objective_matches_channel_recompute():
+def test_exact_objective_matches_channel_recompute():
     prob = problem_for(triangle_10_30_50())
-    result = oracle_pa(prob, 10)
+    result = exact_pa(prob)
     snr = compute_snr_matrix(PARAMS, prob.dist, result.power)
     assert result.objective_min_snr == pytest.approx(
         offdiag_values(snr).min(), rel=1e-12
@@ -299,45 +316,31 @@ def test_oracle_objective_matches_channel_recompute():
     assert check_feasible(result.power, PARAMS).ok
 
 
-def test_oracle_dominance_within_grid_resolution():
-    # rounding any feasible allocation down to the nearest grid level keeps
-    # it feasible and costs at most one level ratio in min-SNR, so the grid
-    # optimum can trail a heuristic by at most that factor
-    grid = 20
-    ratio = (PARAMS.p_max_w / PARAMS.p_min_w) ** (1.0 / (grid - 1))
-    for seed in range(3):
-        prob = random_problem(seed, 3)
-        oracle_obj = oracle_pa(prob, grid).objective_min_snr
-        for heuristic in (
-            greedy_pa(prob).objective_min_snr,
-            genetic_pa(prob, GeneticConfig(rng_seed=seed)).objective_min_snr,
-        ):
-            assert oracle_obj >= heuristic / ratio
+def test_exact_dominates_heuristics_and_random_search():
+    # no allocation beats the optimum, and none reaches 1/(n-2); the
+    # bisection stops 1e-12 (relative) short of its upper end
+    for params in (PARAMS, ChannelParams(p_min_w=5.0)):
+        for n in (3, 4, 5):
+            for seed in range(2):
+                dist, _ = generate_scene(ScenarioSpec(n, rng_seed=100 * n + seed))
+                prob = AllocationProblem(params, dist)
+                exact = exact_pa(prob).objective_min_snr
+                for heuristic in (
+                    default_pa(prob),
+                    greedy_pa(prob),
+                    genetic_pa(prob, GeneticConfig(rng_seed=seed)),
+                ):
+                    assert exact >= heuristic.objective_min_snr * (1 - 1e-12)
+                assert exact >= best_random_objective(prob, 20_000, seed)
+                assert exact <= 1.0 / (n - 2) * (1 + 1e-9)
 
 
-def test_genetic_threshold_redraws_individuals():
-    # an unreachable threshold exercises the discard-and-redraw path; the
-    # solver still has to return a valid, feasible allocation
-    prob = random_problem(2, 3)
-    cfg = GeneticConfig(
-        rng_seed=0,
-        population_size=6,
-        max_generations=2,
-        stagnation_limit=2,
-        fitness_threshold=float("inf"),
-    )
-    result = genetic_pa(prob, cfg)
+def test_exact_at_max_scale():
+    prob = random_problem(1, 64)
+    result = exact_pa(prob)
     assert check_feasible(result.power, PARAMS).ok
-    assert result.objective_min_snr > 0
-
-
-def test_oracle_scale_guards():
-    with pytest.raises(CapacityError):
-        oracle_pa(random_problem(1, 4), 5)  # n too large
-    with pytest.raises(CapacityError):
-        oracle_pa(random_problem(1, 3), 25)  # 26^6 > 1e8 with the split point
-    with pytest.raises(DomainError):
-        oracle_pa(random_problem(1, 2), 1)
+    assert default_pa(prob).objective_min_snr <= result.objective_min_snr
+    assert result.objective_min_snr <= 1.0 / 62 * (1 + 1e-9)
 
 
 # --- cross-strategy properties ------------------------------------------------

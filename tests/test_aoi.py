@@ -40,6 +40,11 @@ def test_negative_delay_rejected():
         probabilistic_round(-0.1, 0.1, rng)
     with pytest.raises(DomainError):
         probabilistic_round(0.1, 0.0, rng)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            probabilistic_round(bad, 0.1, rng)
+        with pytest.raises(DomainError):
+            build_aoi_records([[0.0, bad], [0.5, 0.0]], AoiConfig())
 
 
 @settings(max_examples=100, deadline=None)

@@ -148,7 +148,7 @@ def test_verify_two_vehicles_zero_gap(tmp_path, capsys):
     code = run_cli(
         [
             "verify", "--n", 2, "--instances", 2, "--seed", 1,
-            "--grid", 8, "--epochs", 100, "--generations", 150, "--out", out,
+            "--epochs", 100, "--generations", 150, "--out", out,
         ]
     )
     assert code == 0
@@ -194,7 +194,7 @@ def test_verify_gap_threshold_exit_code(tmp_path):
     # an absurdly tight threshold plus a weak greedy forces the failure path
     code = run_cli(
         [
-            "verify", "--n", 3, "--instances", 1, "--seed", 4, "--grid", 6,
+            "verify", "--n", 3, "--instances", 1, "--seed", 4,
             "--epochs", 1, "--generations", 100, "--gap-threshold", 1e-12,
         ]
     )
@@ -256,6 +256,7 @@ def test_text_format_writes_report(tmp_path):
         ["solve", "--config", "{tmp}/number.json"],
         ["solve", "--config", "{tmp}/latin1.json"],
         ["solve", "--config", "{tmp}/bad_strategy.json"],
+        ["solve", "--scene", "{tmp}/nan_header.txt"],
     ],
 )
 def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
@@ -264,6 +265,7 @@ def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
     (tmp_path / "number.json").write_text("3")
     (tmp_path / "latin1.json").write_bytes(b'{"scene": "\xe9"}')
     (tmp_path / "bad_strategy.json").write_text('{"strategy": "annealing"}')
+    (tmp_path / "nan_header.txt").write_text("nan\n0 10\n10 0\n")
     argv = [a.format(tmp=tmp_path, scene=two_vehicle_scene) for a in args]
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
@@ -303,7 +305,7 @@ _DEFAULT_CONFIG = {
         ("solve", {"strategy": "greedy"}),
         ("compare", {"n": "3,4,5", "epochs": None, "trials": 15}),
         ("aoi", {"compute_delay": 0.0, "looptime": 0.1, "period": 0.1}),
-        ("verify", {"gap_threshold": 0.05, "grid": 20, "instances": 10}),
+        ("verify", {"gap_threshold": 0.05, "instances": 10}),
     ],
 )
 def test_default_config_record(command, own):

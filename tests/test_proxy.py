@@ -49,6 +49,8 @@ def test_clamps_beyond_last_sample():
 def test_negative_delay_rejected():
     with pytest.raises(DomainError):
         estimate_ap(BACKBONE_CURVE, -0.1)
+    with pytest.raises(DomainError):
+        estimate_ap(BACKBONE_CURVE, float("nan"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -74,7 +76,7 @@ def test_interpolation_monotone_non_increasing(lo, hi):
         assert all(x >= y - 1e-12 for x, y in zip(a, b))
 
 
-def test_curve_validation_rejects_bad_data():
+def test_curve_validation_rejects_bad_data(tmp_path):
     with pytest.raises(DomainError):
         DegradationCurve("bad", [[0.0, 0.5, 0.6, 0.4]])  # ap30 < ap50
     with pytest.raises(DomainError):
@@ -83,6 +85,14 @@ def test_curve_validation_rejects_bad_data():
         DegradationCurve("bad", [[0.1, 0.9, 0.8, 0.7], [0.1, 0.9, 0.8, 0.7]])
     with pytest.raises(DomainError):
         DegradationCurve("bad", [[0.0, 1.2, 0.8, 0.7]])
+    with pytest.raises(DomainError):
+        DegradationCurve("bad", [[0.0, 0.9, 0.8, 0.7], [0.1, float("nan"), 0.8, 0.7]])
+    with pytest.raises(DomainError):
+        DegradationCurve("bad", [[float("nan"), 0.9, 0.8, 0.7]])
+    path = tmp_path / "curve.txt"
+    path.write_text("0.0 0.9 0.8 0.7\n0.1 0.9 nan 0.7\n")
+    with pytest.raises(DomainError):
+        load_curve(path)
 
 
 # --- scene estimate ------------------------------------------------------------

@@ -124,6 +124,9 @@ def test_load_zero_offdiagonal_rejected(tmp_path):
         "2\n0 10\n",
         "0 ten\nten 0\n",
         "coords\n1 2 3\n4 5 6\n",
+        "nan\n0 10\n10 0\n",
+        "inf\n0 10\n10 0\n",
+        "1e400\n0 10\n10 0\n",
     ],
 )
 def test_load_parse_errors(tmp_path, content):
