@@ -24,11 +24,12 @@ from .channel import (
     DistanceMatrix,
     LinkMetrics,
     PowerMatrix,
+    _snr,
     compute_snr_batch,
-    compute_snr_matrix,
     link_metrics,
     offdiag_mask,
     offdiag_values,
+    path_loss,
 )
 from .errors import DomainError, FeasibilityError
 
@@ -278,16 +279,14 @@ def default_pa(problem: AllocationProblem) -> AllocationResult:
     )
 
 
-def _extreme_links(snr: np.ndarray):
-    """Worst and best off-diagonal links, ties broken lexicographically."""
-    n = snr.shape[0]
-    lo = snr.copy()
-    np.fill_diagonal(lo, np.inf)
-    c, d = divmod(int(np.argmin(lo)), n)
-    hi = snr.copy()
-    np.fill_diagonal(hi, -np.inf)
-    a, b = divmod(int(np.argmax(hi)), n)
-    return (c, d), (a, b)
+def _off_fixed_point(rows: np.ndarray, p_min: float, p_max: float) -> np.ndarray:
+    """Per row: would _project_offdiag_rows change it?
+
+    A row with every entry in [p_min, p_max] and a sum within p_max passes
+    through the projection bit-identically; any other row may not.
+    """
+    outside = ((rows < p_min) | (rows > p_max)).any(axis=-1)
+    return outside | (rows.sum(axis=-1) > p_max)
 
 
 def greedy_pa(problem: AllocationProblem, cfg: GreedyConfig | None = None) -> AllocationResult:
@@ -295,28 +294,54 @@ def greedy_pa(problem: AllocationProblem, cfg: GreedyConfig | None = None) -> Al
 
     Starts from the even split.  Each epoch multiplies the minimum-SNR
     link's power by (1 + learn_rate) and the maximum-SNR link's by
-    (1 - learn_rate), then reprojects onto the constraints.  The best
-    allocation seen so far (by min-SNR) is returned, so the objective
-    history is non-decreasing.  Fully deterministic.
+    (1 - learn_rate), then reprojects onto the constraints.  Ties go to
+    the first link in row-major order.  The best allocation seen so far
+    (by min-SNR) is returned, so the objective history is non-decreasing.
+    Fully deterministic.
+
+    The path loss is computed once per solve.  An epoch reprojects only
+    the two rows it changed and any row the last projection left off its
+    fixed point, which gives the same powers as reprojecting every row.
+    The returned allocation is validated once, in _finish.
     """
     cfg = cfg or GreedyConfig()
     params = problem.params
+    p_min, p_max = params.p_min_w, params.p_max_w
+    n = problem.n
+    loss = path_loss(params, problem.dist)
     p = _uniform_power(problem)
-    snr = compute_snr_matrix(params, problem.dist, PowerMatrix(p))
-    best_obj = float(offdiag_values(snr).min())
+    # rows[i] holds vehicle i's n-1 outgoing powers and row_flat their flat
+    # indices in p; links[k] is the k-th off-diagonal entry in row-major
+    # order, the order of snr_off, so argmin and argmax break ties as a
+    # row-major scan of the matrix would
+    row_flat = np.flatnonzero(offdiag_mask(n)).reshape(n, n - 1)
+    rows = p.take(row_flat)
+    links = rows.reshape(-1)
+    snr_off = _snr(loss, p, params.noise_w).take(row_flat).reshape(-1)
+    worst = int(np.argmin(snr_off))
+    best_obj = float(snr_off[worst])
     best_p = p.copy()
+    # the even split is not always a fixed point: (n-1) * (p_max/(n-1))
+    # can round above p_max
+    pending = np.ones(n, dtype=bool)
     history = []
     stall = 0
     converged = False
     epochs_used = 0
     for epoch in range(1, cfg.max_epochs + 1):
         epochs_used = epoch
-        (c, d), (a, b) = _extreme_links(snr)
-        p[c, d] *= 1.0 + cfg.learn_rate
-        p[a, b] *= 1.0 - cfg.learn_rate
-        p = project_to_feasible(p, params)
-        snr = compute_snr_matrix(params, problem.dist, PowerMatrix(p))
-        obj = float(offdiag_values(snr).min())
+        strongest = int(np.argmax(snr_off))
+        links[worst] *= 1.0 + cfg.learn_rate
+        links[strongest] *= 1.0 - cfg.learn_rate
+        pending[worst // (n - 1)] = pending[strongest // (n - 1)] = True
+        touched = np.flatnonzero(pending)
+        fresh = _project_offdiag_rows(rows[touched], p_min, p_max)
+        rows[touched] = fresh
+        p.put(row_flat[touched], fresh)
+        pending[touched] = _off_fixed_point(fresh, p_min, p_max)
+        snr_off = _snr(loss, p, params.noise_w).take(row_flat).reshape(-1)
+        worst = int(np.argmin(snr_off))
+        obj = float(snr_off[worst])
         if obj > best_obj:
             rel_gain = (obj - best_obj) / best_obj
             best_obj = obj
@@ -479,7 +504,7 @@ def exact_pa(problem: AllocationProblem) -> AllocationResult:
     steps = 0
     if n > 2:
         mask = offdiag_mask(n)
-        atten = problem.dist.d ** params.alpha
+        atten = path_loss(params, problem.dist)
         floors = np.zeros((n, n))
         floors[mask] = params.p_min_w / atten[mask]
         # column j's floors without the diagonal, largest first; prefix sums
@@ -495,8 +520,7 @@ def exact_pa(problem: AllocationProblem) -> AllocationResult:
             np.fill_diagonal(p, 0.0)
             return p
 
-        snr = compute_snr_matrix(params, problem.dist, PowerMatrix(best))
-        lo = float(offdiag_values(snr).min())
+        lo = float(offdiag_values(_snr(atten, best, params.noise_w)).min())
         hi = 1.0 / (n - 2)
         while hi - lo > EXACT_REL_TOL * hi:
             steps += 1

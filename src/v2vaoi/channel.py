@@ -206,6 +206,36 @@ class LinkMetrics:
         return float(offdiag_values(self.delay_s).max())
 
 
+def path_loss(params: ChannelParams, dist: DistanceMatrix) -> np.ndarray:
+    """Path loss D_ij**alpha of every ordered pair, as a read-only array.
+
+    The diagonal is 1, so a zero diagonal power divides to a zero gain.
+    Raises DomainError when an off-diagonal loss is 0 or infinite in
+    float64: no SNR could be evaluated for such a scene.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        loss = dist.d ** params.alpha
+    np.fill_diagonal(loss, 1.0)
+    # the unit diagonal is in range, so min and max test the off-diagonal
+    if not (loss.min() > 0 and loss.max() < np.inf):
+        d = offdiag_values(dist.d)
+        raise DomainError(
+            f"path loss D**alpha out of float range at alpha={params.alpha} "
+            f"over distances {d.min():.3g}..{d.max():.3g} m"
+        )
+    loss.flags.writeable = False
+    return loss
+
+
+def _snr(loss: np.ndarray, powers: np.ndarray, noise_w: float) -> np.ndarray:
+    """The one implementation of the SNR formula, on one (n, n) power
+    matrix or a stack (m, n, n), given the path loss of the scene."""
+    gain = powers / loss
+    incoming = gain.sum(axis=-2, keepdims=True)  # per receiver j: sum over all transmitters
+    interference = incoming - gain  # drop the k = i term
+    return gain / (interference + noise_w)
+
+
 def compute_snr_matrix(
     params: ChannelParams, dist: DistanceMatrix, power: PowerMatrix
 ) -> np.ndarray:
@@ -233,21 +263,15 @@ def compute_snr_batch(
     """compute_snr_matrix over a stack of power matrices.
 
     powers has shape (m, n, n) with zero diagonals; returns (m, n, n).
-    The one implementation of the SNR formula: compute_snr_matrix runs it
-    on a stack of one, and the population-based solver on whole
-    populations.
+    compute_snr_matrix runs it on a stack of one, and the population-based
+    solver on whole populations.
     """
     powers = np.asarray(powers, dtype=np.float64)
     if powers.ndim != 3 or powers.shape[1:] != (dist.n, dist.n):
         raise DimensionMismatchError(
             f"expected power stack of shape (m, {dist.n}, {dist.n}), got {powers.shape}"
         )
-    attenuation = dist.d ** params.alpha
-    np.fill_diagonal(attenuation, 1.0)  # diagonal powers are 0, keep 0/1 = 0
-    gain = powers / attenuation
-    incoming = gain.sum(axis=1)  # per receiver j: sum over all transmitters
-    interference = incoming[:, np.newaxis, :] - gain  # drop the k = i term
-    return gain / (interference + params.noise_w)
+    return _snr(path_loss(params, dist), powers, params.noise_w)
 
 
 def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ from v2vaoi.allocator import (
     FEASIBILITY_SLACK_W,
     GeneticConfig,
     GreedyConfig,
+    _finish,
+    _uniform_power,
     check_feasible,
     default_pa,
     exact_pa,
@@ -223,6 +225,86 @@ def test_greedy_objectives_consistent():
     result = greedy_pa(random_problem(9, 3))
     assert result.objective_min_snr == offdiag_values(result.metrics.snr).min()
     assert result.objective_max_delay_s == offdiag_values(result.metrics.delay_s).max()
+
+
+def _extreme_links(snr):
+    """Worst and best off-diagonal links, ties broken lexicographically."""
+    n = snr.shape[0]
+    lo = snr.copy()
+    np.fill_diagonal(lo, np.inf)
+    c, d = divmod(int(np.argmin(lo)), n)
+    hi = snr.copy()
+    np.fill_diagonal(hi, -np.inf)
+    a, b = divmod(int(np.argmax(hi)), n)
+    return (c, d), (a, b)
+
+
+def _greedy_reference(problem, cfg=None):
+    """greedy_pa as a plain loop: every epoch reprojects the whole matrix,
+    recomputes the path loss and validates a PowerMatrix."""
+    cfg = cfg or GreedyConfig()
+    params = problem.params
+    p = _uniform_power(problem)
+    snr = compute_snr_matrix(params, problem.dist, PowerMatrix(p))
+    best_obj = float(offdiag_values(snr).min())
+    best_p = p.copy()
+    history = []
+    stall = 0
+    converged = False
+    epochs_used = 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        epochs_used = epoch
+        (c, d), (a, b) = _extreme_links(snr)
+        p[c, d] *= 1.0 + cfg.learn_rate
+        p[a, b] *= 1.0 - cfg.learn_rate
+        p = project_to_feasible(p, params)
+        snr = compute_snr_matrix(params, problem.dist, PowerMatrix(p))
+        obj = float(offdiag_values(snr).min())
+        if obj > best_obj:
+            rel_gain = (obj - best_obj) / best_obj
+            best_obj = obj
+            best_p = p.copy()
+            stall = 0 if rel_gain >= cfg.convergence_tol else stall + 1
+        else:
+            stall += 1
+        history.append(best_obj)
+        if stall >= cfg.convergence_window:
+            converged = True
+            break
+    return _finish(
+        problem,
+        best_p,
+        epochs_used=epochs_used,
+        converged=converged,
+        strategy_name="greedy",
+        history=tuple(history),
+    )
+
+
+@pytest.mark.parametrize(
+    "n, params, cfg",
+    [
+        *[
+            pytest.param(n, PARAMS, GreedyConfig(max_epochs=300), id=f"n{n}")
+            for n in (2, 3, 5, 8, 13, 16, 64)
+        ],
+        pytest.param(3, ChannelParams(p_min_w=5.0), GreedyConfig(max_epochs=300), id="n3-floors"),
+        pytest.param(4, ChannelParams(p_min_w=5.0), GreedyConfig(max_epochs=300), id="n4-floors"),
+        pytest.param(
+            5, PARAMS, GreedyConfig(learn_rate=0.3, max_epochs=300), id="n5-learn-rate-0.3"
+        ),
+    ],
+)
+def test_greedy_matches_reference_bit_for_bit(n, params, cfg):
+    dist, _ = generate_scene(ScenarioSpec(n, rng_seed=3))
+    prob = AllocationProblem(params, dist)
+    got = greedy_pa(prob, cfg)
+    want = _greedy_reference(prob, cfg)
+    assert got.power.p.tobytes() == want.power.p.tobytes()
+    assert got.metrics.snr.tobytes() == want.metrics.snr.tobytes()
+    assert got.history == want.history
+    assert got.epochs_used == want.epochs_used
+    assert got.converged == want.converged
 
 
 # --- genetic ------------------------------------------------------------------

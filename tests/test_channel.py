@@ -151,6 +151,18 @@ def test_snr_dimension_mismatch():
         compute_snr_matrix(PARAMS, dist, power)
 
 
+@pytest.mark.parametrize(
+    "params, side_m",
+    [(ChannelParams(alpha=400.0), 10.0), (ChannelParams(alpha=200.0), 0.001)],
+    ids=["overflow", "underflow"],
+)
+def test_path_loss_out_of_float_range(params, side_m):
+    d = np.full((3, 3), side_m)
+    np.fill_diagonal(d, 0.0)
+    with pytest.raises(DomainError, match="out of float range"):
+        compute_snr_matrix(params, DistanceMatrix(d), PowerMatrix(uniform_power(3)))
+
+
 # --- delay -----------------------------------------------------------------
 
 

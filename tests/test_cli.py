@@ -257,6 +257,8 @@ def test_text_format_writes_report(tmp_path):
         ["solve", "--config", "{tmp}/latin1.json"],
         ["solve", "--config", "{tmp}/bad_strategy.json"],
         ["solve", "--scene", "{tmp}/nan_header.txt"],
+        ["solve", "--n", "3", "--alpha", "400"],
+        ["solve", "--n", "3", "--min-sep", "0.0001", "--box-side", "0.01", "--alpha", "200"],
     ],
 )
 def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
