@@ -14,7 +14,7 @@ from .allocator import (
     greedy_pa,
     project_to_feasible,
 )
-from .aoi import AoiConfig, AoIRecord, AoiSummary, aoi_summary, build_aoi_records, probabilistic_round
+from .aoi import AoiAges, AoiConfig, AoiSummary, aoi_summary, build_aoi_records, probabilistic_round
 from .channel import (
     ChannelParams,
     DistanceMatrix,

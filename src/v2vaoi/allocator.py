@@ -25,7 +25,6 @@ from .channel import (
     LinkMetrics,
     PowerMatrix,
     _snr,
-    compute_snr_batch,
     link_metrics,
     offdiag_mask,
     offdiag_values,
@@ -386,7 +385,6 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     """
     cfg = cfg or GeneticConfig()
     params = problem.params
-    dist = problem.dist
     n = problem.n
     n_genes = n * (n - 1)
     pop_size = cfg.population_size
@@ -394,6 +392,7 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     ln_lo = np.log(params.p_min_w)
     ln_hi = np.log(params.p_max_w)
     mask = offdiag_mask(n)
+    loss = path_loss(params, problem.dist)
 
     def project(genes: np.ndarray) -> np.ndarray:
         rows = _project_offdiag_rows(
@@ -402,7 +401,7 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
         return rows.reshape(genes.shape[0], n_genes)
 
     def fitness(genes: np.ndarray) -> np.ndarray:
-        snr = compute_snr_batch(params, dist, _rows_to_matrices(_genes_to_rows(genes, n), n))
+        snr = _snr(loss, _rows_to_matrices(_genes_to_rows(genes, n), n), params.noise_w)
         return snr[:, mask].min(axis=1)
 
     def random_genes(count: int) -> np.ndarray:

@@ -37,20 +37,23 @@ class AoiConfig:
                 raise DomainError("per-vehicle compute delays must be nonnegative and finite")
 
 
-@dataclass(frozen=True)
-class AoIRecord:
-    """Age bookkeeping for one directed link (sender, receiver).
+# eq=False: a generated __eq__ would ask arrays for a single truth value
+@dataclass(frozen=True, eq=False)
+class AoiAges:
+    """Age bookkeeping of every directed link (sender i, receiver j) as
+    read-only (n, n) arrays, self-links included.
 
-    total_delay_s always equals comm_delay_s + compute_delay_s, and
-    snapped_age_s always equals timestamp_offset * the sampling period.
+    total_delay_s[i, j] is the transmission delay (0 on the diagonal) plus
+    sender i's computation delay; snapped_age_s always equals
+    timestamp_offset * the sampling period.  len() counts the links, n * n.
     """
 
-    link: tuple
-    comm_delay_s: float
-    compute_delay_s: float
-    total_delay_s: float
-    snapped_age_s: float
-    timestamp_offset: int
+    total_delay_s: np.ndarray
+    timestamp_offset: np.ndarray
+    snapped_age_s: np.ndarray
+
+    def __len__(self) -> int:
+        return self.snapped_age_s.size
 
 
 @dataclass(frozen=True)
@@ -64,18 +67,27 @@ class AoiSummary:
     effective_mean_age_s: float
 
 
-def _round_offset(delay_s: float, period_s: float, rng: np.random.Generator) -> int:
+def _round_offsets(
+    delay_s: np.ndarray, period_s: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Grid offsets of an array of delays, as whole float64 numbers.
+
+    An entry rounds up with probability equal to its fractional part.  One
+    uniform is drawn per entry with a nonzero fractional part, in row-major
+    order; exact multiples draw nothing.
+    """
     # written so that NaN fails every test
-    if not (0 <= delay_s < math.inf):
-        raise DomainError(f"delay must be nonnegative and finite, got {delay_s}")
+    bad = ~((delay_s >= 0) & (delay_s < math.inf))
+    if bad.any():
+        raise DomainError(f"delay must be nonnegative and finite, got {delay_s[bad][0]}")
     if not (0 < period_s < math.inf):
         raise DomainError(f"period must be positive and finite, got {period_s}")
     quotient = delay_s / period_s
-    base = int(np.floor(quotient))
-    frac = quotient - base
-    if frac > 0 and rng.random() < frac:
-        base += 1
-    return base
+    offset = np.floor(quotient)
+    frac = quotient - offset
+    up = frac > 0
+    up[up] = rng.random(np.count_nonzero(up)) < frac[up]
+    return offset + up
 
 
 def probabilistic_round(
@@ -87,11 +99,12 @@ def probabilistic_round(
     grid point up with probability f, where f is the fractional part, so the
     expected value equals the input delay.  Exact multiples never move.
     """
-    return _round_offset(delay_s, period_s, rng) * period_s
+    offset = _round_offsets(np.array([delay_s], dtype=np.float64), period_s, rng)[0]
+    return float(offset * period_s)
 
 
-def build_aoi_records(metrics, cfg: AoiConfig) -> list:
-    """One age record per ordered vehicle pair, self-links included.
+def build_aoi_records(metrics, cfg: AoiConfig) -> AoiAges:
+    """Ages of every ordered vehicle pair, self-links included.
 
     metrics may be a LinkMetrics or a raw square delay matrix in seconds
     (the latter covers the zero-delay mode, which bypasses the channel).
@@ -113,32 +126,28 @@ def build_aoi_records(metrics, cfg: AoiConfig) -> list:
         raise DimensionMismatchError(
             f"{len(overrides)} per-vehicle compute delays for {n} vehicles"
         )
-    rng = np.random.default_rng(cfg.rng_seed)
-    records = []
-    for i in range(n):
-        compute = overrides[i] if overrides is not None else cfg.compute_delay_s
-        for j in range(n):
-            comm = 0.0 if i == j else float(delay[i, j])
-            total = comm + compute
-            offset = _round_offset(total, cfg.sample_period_s, rng)
-            records.append(
-                AoIRecord(
-                    link=(i, j),
-                    comm_delay_s=comm,
-                    compute_delay_s=compute,
-                    total_delay_s=total,
-                    snapped_age_s=offset * cfg.sample_period_s,
-                    timestamp_offset=offset,
-                )
-            )
-    return records
+    compute = np.array(
+        cfg.compute_delay_s if overrides is None else overrides, dtype=np.float64
+    )
+    comm = np.array(delay, dtype=np.float64)
+    np.fill_diagonal(comm, 0.0)
+    total = comm + compute.reshape(-1, 1)  # row i is sender i
+    offset = _round_offsets(total, cfg.sample_period_s, np.random.default_rng(cfg.rng_seed))
+    if not np.all(offset < 2.0**63):
+        raise DomainError("an age beyond 2**63 sampling periods has no int64 offset")
+    snapped = offset * cfg.sample_period_s
+    offset = offset.astype(np.int64)
+    for a in (total, offset, snapped):
+        a.flags.writeable = False
+    return AoiAges(total_delay_s=total, timestamp_offset=offset, snapped_age_s=snapped)
 
 
-def aoi_summary(records, looptime_s: float) -> AoiSummary:
+def aoi_summary(snapped_ages, looptime_s: float) -> AoiSummary:
     """Exact aggregates over snapped ages; staleness is strict exceedance."""
-    if not records:
-        raise DomainError("cannot summarize an empty record list")
-    ages = np.array([r.snapped_age_s for r in records])
+    # flattened, so the reductions run in row-major link order whatever the strides
+    ages = np.asarray(snapped_ages, dtype=np.float64).ravel()
+    if ages.size == 0:
+        raise DomainError("cannot summarize an empty age array")
     max_age = float(ages.max())
     mean_age = float(ages.mean())
     # identical ages have exactly zero variance; np.var would leak the

@@ -210,14 +210,17 @@ def path_loss(params: ChannelParams, dist: DistanceMatrix) -> np.ndarray:
     """Path loss D_ij**alpha of every ordered pair, as a read-only array.
 
     The diagonal is 1, so a zero diagonal power divides to a zero gain.
-    Raises DomainError when an off-diagonal loss is 0 or infinite in
-    float64: no SNR could be evaluated for such a scene.
+    Raises DomainError when an off-diagonal loss is infinite in float64, or
+    so small that the largest gain p_max_w / loss, or a receiver's sum of n
+    such gains, is not finite: no SNR could be evaluated for such a scene.
     """
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
         loss = dist.d ** params.alpha
-    np.fill_diagonal(loss, 1.0)
-    # the unit diagonal is in range, so min and max test the off-diagonal
-    if not (loss.min() > 0 and loss.max() < np.inf):
+        np.fill_diagonal(loss, 1.0)
+        # the unit diagonal is in range, so min and max test the off-diagonal;
+        # a zero loss makes the gain bound infinite too
+        gain_sum_bound = dist.n * (params.p_max_w / loss.min())
+    if not (loss.max() < np.inf and gain_sum_bound < np.inf):
         d = offdiag_values(dist.d)
         raise DomainError(
             f"path loss D**alpha out of float range at alpha={params.alpha} "

@@ -389,9 +389,9 @@ def cmd_aoi(cfg: dict, solvers: ComparisonConfig) -> int:
     rows = []
     records = [_config_record(cfg)]
     for mode, delays in modes:
-        recs = build_aoi_records(delays, aoi_cfg)
-        summary = aoi_summary(recs, aoi_cfg.looptime_s)
-        estimate = estimate_scene_ap(recs)
+        ages = build_aoi_records(delays, aoi_cfg).snapped_age_s
+        summary = aoi_summary(ages, aoi_cfg.looptime_s)
+        estimate = estimate_scene_ap(ages)
         rows.append(
             (
                 mode,

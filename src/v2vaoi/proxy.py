@@ -131,7 +131,7 @@ def estimate_ap(curve: DegradationCurve, delay_value: float) -> tuple:
 
 @dataclass(frozen=True)
 class SceneApEstimate:
-    """Proxy AP estimate for one scene's age records.
+    """Proxy AP estimate for one scene's link ages.
 
     The constant part of the ages (their mean) is scored on the constant
     transmission curve and the asynchrony (max minus min age) on the linear
@@ -152,14 +152,14 @@ class SceneApEstimate:
 
 
 def estimate_scene_ap(
-    records,
+    snapped_ages,
     constant_curve: DegradationCurve = CONSTANT_TRANSMISSION_CURVE,
     spread_curve: DegradationCurve = LINEAR_COEFFICIENT_CURVE,
 ) -> SceneApEstimate:
-    """Score a scene's snapped ages; deterministic in the records."""
-    if not records:
-        raise DomainError("cannot estimate AP for an empty record list")
-    ages = np.array([r.snapped_age_s for r in records])
+    """Score a scene's snapped ages (any shape); deterministic in the ages."""
+    ages = np.asarray(snapped_ages, dtype=np.float64).ravel()
+    if ages.size == 0:
+        raise DomainError("cannot estimate AP for an empty age array")
     mean_age = float(ages.mean())
     spread = float(ages.max() - ages.min())
     constant = estimate_ap(constant_curve, mean_age)

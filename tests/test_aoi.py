@@ -1,18 +1,24 @@
-"""Probabilistic rounding to the sampling grid and per-link age records."""
+"""Probabilistic rounding to the sampling grid and per-link age arrays."""
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from v2vaoi.allocator import AllocationProblem, default_pa
 from v2vaoi.aoi import (
     AoiConfig,
     aoi_summary,
     build_aoi_records,
     probabilistic_round,
 )
-from v2vaoi.channel import LinkMetrics
+from v2vaoi.channel import ChannelParams, LinkMetrics
 from v2vaoi.errors import DimensionMismatchError, DomainError
+from v2vaoi.proxy import estimate_scene_ap
+from v2vaoi.scenario import ScenarioSpec, generate_scene
 
 
 def test_exact_multiple_never_moves():
@@ -70,7 +76,7 @@ def test_expectation_preservation_bound():
         assert abs(mean - delay) < 3 * period * np.sqrt(0.25 / n_draws)
 
 
-# --- records -----------------------------------------------------------------
+# --- ages ---------------------------------------------------------------------
 
 
 def delay_matrix_3():
@@ -86,66 +92,215 @@ def delay_matrix_3():
 
 def test_records_cover_all_ordered_pairs_with_self_links():
     cfg = AoiConfig(compute_delay_s=0.1, rng_seed=3)
-    records = build_aoi_records(delay_matrix_3(), cfg)
-    assert len(records) == 9
-    links = [r.link for r in records]
-    assert links == [(i, j) for i in range(3) for j in range(3)]
-    for r in records:
-        i, j = r.link
-        assert r.compute_delay_s == 0.1
-        if i == j:
-            assert r.comm_delay_s == 0.0
-        assert r.total_delay_s == r.comm_delay_s + r.compute_delay_s
-        assert r.snapped_age_s == r.timestamp_offset * cfg.sample_period_s
-        assert abs(r.snapped_age_s - r.total_delay_s) < cfg.sample_period_s
+    d = delay_matrix_3()
+    np.fill_diagonal(d, 0.9)  # a raw diagonal is ignored: self-links carry compute only
+    ages = build_aoi_records(d, cfg)
+    assert len(ages) == 9
+    for a in (ages.total_delay_s, ages.timestamp_offset, ages.snapped_age_s):
+        assert a.shape == (3, 3)
+        assert not a.flags.writeable
+    assert ages.timestamp_offset.dtype == np.int64
+    comm = d.copy()
+    np.fill_diagonal(comm, 0.0)
+    np.testing.assert_array_equal(ages.total_delay_s, comm + 0.1)
+    np.testing.assert_array_equal(np.diag(ages.total_delay_s), [0.1, 0.1, 0.1])
+    np.testing.assert_array_equal(
+        ages.snapped_age_s, ages.timestamp_offset * cfg.sample_period_s
+    )
+    assert np.all(np.abs(ages.snapped_age_s - ages.total_delay_s) < cfg.sample_period_s)
 
 
 def test_records_half_period_split():
-    cfg = AoiConfig(rng_seed=11)
     seen = set()
+    off_diagonal = ~np.eye(2, dtype=bool)
     for seed in range(40):
-        records = build_aoi_records(
+        ages = build_aoi_records(
             np.array([[0.0, 0.05], [0.05, 0.0]]), AoiConfig(rng_seed=seed)
         )
-        for r in records:
-            if r.link[0] != r.link[1]:
-                seen.add(r.timestamp_offset)
+        seen.update(ages.timestamp_offset[off_diagonal].tolist())
     assert seen == {0, 1}
 
 
 def test_records_exact_compute_delay():
-    records = build_aoi_records(np.zeros((2, 2)), AoiConfig(compute_delay_s=0.1))
-    assert all(r.snapped_age_s == 0.1 for r in records)
+    ages = build_aoi_records(np.zeros((2, 2)), AoiConfig(compute_delay_s=0.1))
+    assert np.all(ages.snapped_age_s == 0.1)
 
 
 def test_records_all_zero():
-    records = build_aoi_records(np.zeros((3, 3)), AoiConfig())
-    assert all(r.snapped_age_s == 0.0 and r.timestamp_offset == 0 for r in records)
+    ages = build_aoi_records(np.zeros((3, 3)), AoiConfig())
+    assert np.all(ages.snapped_age_s == 0.0)
+    assert np.all(ages.timestamp_offset == 0)
 
 
 def test_records_deterministic_per_seed():
     cfg = AoiConfig(rng_seed=21)
     a = build_aoi_records(delay_matrix_3(), cfg)
     b = build_aoi_records(delay_matrix_3(), cfg)
-    assert a == b
+    for x, y in (
+        (a.total_delay_s, b.total_delay_s),
+        (a.timestamp_offset, b.timestamp_offset),
+        (a.snapped_age_s, b.snapped_age_s),
+    ):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_records_accept_link_metrics():
     snr = np.array([[0.0, 2.0], [3.0, 0.0]])
     delay = np.array([[0.0, 0.4], [0.3, 0.0]])
     metrics = LinkMetrics(snr=snr, delay_s=delay)
-    records = build_aoi_records(metrics, AoiConfig(rng_seed=0))
-    assert records[1].comm_delay_s == 0.4
+    ages = build_aoi_records(metrics, AoiConfig(rng_seed=0))
+    assert ages.total_delay_s[0, 1] == 0.4
 
 
 def test_records_per_vehicle_override():
     cfg = AoiConfig(per_vehicle_compute_delay_s=(0.1, 0.3), rng_seed=0)
-    records = build_aoi_records(np.zeros((2, 2)), cfg)
-    by_link = {r.link: r for r in records}
-    assert by_link[(0, 1)].compute_delay_s == 0.1
-    assert by_link[(1, 0)].compute_delay_s == 0.3
+    ages = build_aoi_records(np.zeros((2, 2)), cfg)
+    assert ages.total_delay_s[0, 1] == 0.1
+    assert ages.total_delay_s[1, 0] == 0.3
     with pytest.raises(DimensionMismatchError):
         build_aoi_records(np.zeros((3, 3)), cfg)
+
+
+def test_records_reject_bad_matrices():
+    with pytest.raises(DimensionMismatchError):
+        build_aoi_records(np.zeros((2, 3)), AoiConfig())
+    with pytest.raises(DomainError):
+        build_aoi_records([[0.0, -0.1], [0.1, 0.0]], AoiConfig())
+    with pytest.raises(DomainError):  # 1e301 sampling periods: no int64 offset
+        build_aoi_records(np.zeros((2, 2)), AoiConfig(compute_delay_s=1e300))
+
+
+# --- the per-link loop the arrays replaced, kept as the reference -------------
+
+
+@dataclass(frozen=True)
+class _AoIRecord:
+    link: tuple
+    comm_delay_s: float
+    compute_delay_s: float
+    total_delay_s: float
+    snapped_age_s: float
+    timestamp_offset: int
+
+
+def _round_offset(delay_s: float, period_s: float, rng: np.random.Generator) -> int:
+    # written so that NaN fails every test
+    if not (0 <= delay_s < math.inf):
+        raise DomainError(f"delay must be nonnegative and finite, got {delay_s}")
+    if not (0 < period_s < math.inf):
+        raise DomainError(f"period must be positive and finite, got {period_s}")
+    quotient = delay_s / period_s
+    base = int(np.floor(quotient))
+    frac = quotient - base
+    if frac > 0 and rng.random() < frac:
+        base += 1
+    return base
+
+
+def _aoi_reference(metrics, cfg: AoiConfig) -> list:
+    """build_aoi_records as one record object per ordered pair, in a loop."""
+    if isinstance(metrics, LinkMetrics):
+        delay = metrics.delay_s
+    else:
+        delay = np.asarray(metrics, dtype=np.float64)
+        if delay.ndim != 2 or delay.shape[0] != delay.shape[1]:
+            raise DimensionMismatchError(
+                f"expected a square delay matrix, got shape {delay.shape}"
+            )
+        if np.any(delay < 0):
+            raise DomainError("delays must be nonnegative")
+    n = delay.shape[0]
+    overrides = cfg.per_vehicle_compute_delay_s
+    if overrides is not None and len(overrides) != n:
+        raise DimensionMismatchError(
+            f"{len(overrides)} per-vehicle compute delays for {n} vehicles"
+        )
+    rng = np.random.default_rng(cfg.rng_seed)
+    records = []
+    for i in range(n):
+        compute = overrides[i] if overrides is not None else cfg.compute_delay_s
+        for j in range(n):
+            comm = 0.0 if i == j else float(delay[i, j])
+            total = comm + compute
+            offset = _round_offset(total, cfg.sample_period_s, rng)
+            records.append(
+                _AoIRecord(
+                    link=(i, j),
+                    comm_delay_s=comm,
+                    compute_delay_s=compute,
+                    total_delay_s=total,
+                    snapped_age_s=offset * cfg.sample_period_s,
+                    timestamp_offset=offset,
+                )
+            )
+    return records
+
+
+def _reference_delays(n, seed):
+    """Random delays with exact grid multiples (0.2 s) and zeros mixed in."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.0, 0.5, size=(n, n))
+    d[rng.random((n, n)) < 0.25] = 0.2
+    d[rng.random((n, n)) < 0.1] = 0.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _channel_delays(n, seed):
+    dist, _ = generate_scene(ScenarioSpec(n, rng_seed=seed))
+    return default_pa(AllocationProblem(ChannelParams(), dist)).metrics
+
+
+_REFERENCE_CASES = [
+    *[
+        pytest.param(n, seed, compute, None, _reference_delays, id=f"n{n}-seed{seed}-c{compute}")
+        for n in (2, 3, 8, 64)
+        for seed in (0, 1)
+        for compute in (0.0, 0.1, 0.037, 0.05)
+    ],
+    pytest.param(2, 5, 0.0, (0.1, 0.037), _reference_delays, id="n2-overrides"),
+    pytest.param(3, 6, 0.0, (0.0, 0.2, 0.05), _reference_delays, id="n3-overrides"),
+    pytest.param(
+        8, 7, 0.05, (0.0, 0.1, 0.037, 0.05, 0.2, 0.0, 0.013, 0.1), _reference_delays,
+        id="n8-overrides",
+    ),
+    pytest.param(3, 8, 0.037, None, _channel_delays, id="n3-link-metrics"),
+    pytest.param(8, 9, 0.05, None, _channel_delays, id="n8-link-metrics"),
+    pytest.param(64, 10, 0.1, None, _channel_delays, id="n64-link-metrics"),
+]
+
+
+@pytest.mark.parametrize("n, seed, compute, overrides, source", _REFERENCE_CASES)
+def test_ages_match_reference_bit_for_bit(n, seed, compute, overrides, source):
+    delays = source(n, seed)
+    cfg = AoiConfig(
+        compute_delay_s=compute, rng_seed=seed, per_vehicle_compute_delay_s=overrides
+    )
+    ages = build_aoi_records(delays, cfg)
+    want = _aoi_reference(delays, cfg)
+    assert len(ages) == len(want) == n * n
+    assert [r.link for r in want] == [(i, j) for i in range(n) for j in range(n)]
+    total = np.array([r.total_delay_s for r in want]).reshape(n, n)
+    offset = np.array([r.timestamp_offset for r in want], dtype=np.int64).reshape(n, n)
+    snapped = np.array([r.snapped_age_s for r in want]).reshape(n, n)
+    assert ages.total_delay_s.tobytes() == total.tobytes()
+    assert ages.timestamp_offset.tobytes() == offset.tobytes()
+    assert ages.snapped_age_s.tobytes() == snapped.tobytes()
+    flat = np.array([r.snapped_age_s for r in want])
+    assert aoi_summary(ages.snapped_age_s, 0.1) == aoi_summary(flat, 0.1)
+    assert estimate_scene_ap(ages.snapped_age_s) == estimate_scene_ap(flat)
+
+
+def test_scalar_round_matches_reference():
+    delays = np.concatenate([_reference_delays(16, 4).ravel(), [0.1, 0.3, 7.25, 1e20]])
+    got_rng = np.random.default_rng(12)
+    want_rng = np.random.default_rng(12)
+    for delay in delays.tolist():
+        got = probabilistic_round(delay, 0.1, got_rng)
+        want = _round_offset(delay, 0.1, want_rng) * 0.1
+        assert type(got) is float
+        assert got == want
+    assert got_rng.random() == want_rng.random()
 
 
 def test_config_validation():
@@ -169,33 +324,14 @@ def test_config_validation():
 # --- summary -----------------------------------------------------------------
 
 
-def _records_with_ages(ages):
-    cfg = AoiConfig()
-    records = build_aoi_records(np.zeros((len(ages), len(ages))), cfg)
-    out = []
-    for r, age in zip(records[: len(ages)], ages):
-        offset = round(age / 0.1)
-        out.append(
-            type(r)(
-                link=r.link,
-                comm_delay_s=age,
-                compute_delay_s=0.0,
-                total_delay_s=age,
-                snapped_age_s=age,
-                timestamp_offset=offset,
-            )
-        )
-    return out
-
-
 def test_summary_single_record():
-    s = aoi_summary(_records_with_ages([0.1, 0.1]), looptime_s=0.1)
+    s = aoi_summary(np.array([0.1, 0.1]), looptime_s=0.1)
     assert s.max_age_s == 0.1 and s.mean_age_s == 0.1
     assert s.age_variance == 0.0 and s.stale_count == 0
 
 
 def test_summary_mixed_ages():
-    s = aoi_summary(_records_with_ages([0.1, 0.3]), looptime_s=0.2)
+    s = aoi_summary(np.array([[0.1], [0.3]]), looptime_s=0.2)
     assert s.max_age_s == 0.3
     assert s.mean_age_s == pytest.approx(0.2)
     assert s.stale_count == 1  # strict exceedance only
@@ -204,11 +340,13 @@ def test_summary_mixed_ages():
 
 
 def test_summary_equal_ages_zero_variance():
-    s = aoi_summary(_records_with_ages([0.2, 0.2, 0.2]), looptime_s=0.1)
+    s = aoi_summary(np.full((3, 3), 0.2), looptime_s=0.1)
     assert s.age_variance == 0.0
-    assert s.stale_count == 3
+    assert s.stale_count == 9
 
 
 def test_summary_rejects_empty():
     with pytest.raises(DomainError):
         aoi_summary([], looptime_s=0.1)
+    with pytest.raises(DomainError):
+        aoi_summary(np.zeros((0, 0)), looptime_s=0.1)

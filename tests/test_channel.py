@@ -153,8 +153,13 @@ def test_snr_dimension_mismatch():
 
 @pytest.mark.parametrize(
     "params, side_m",
-    [(ChannelParams(alpha=400.0), 10.0), (ChannelParams(alpha=200.0), 0.001)],
-    ids=["overflow", "underflow"],
+    [
+        (ChannelParams(alpha=400.0), 10.0),
+        (ChannelParams(alpha=200.0), 0.001),
+        # a subnormal loss (about 3e-309): p_max_w / loss overflows
+        (ChannelParams(alpha=1025.0), 0.5),
+    ],
+    ids=["overflow", "underflow", "subnormal"],
 )
 def test_path_loss_out_of_float_range(params, side_m):
     d = np.full((3, 3), side_m)

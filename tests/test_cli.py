@@ -259,6 +259,8 @@ def test_text_format_writes_report(tmp_path):
         ["solve", "--scene", "{tmp}/nan_header.txt"],
         ["solve", "--n", "3", "--alpha", "400"],
         ["solve", "--n", "3", "--min-sep", "0.0001", "--box-side", "0.01", "--alpha", "200"],
+        ["solve", "--scene", "{tmp}/tri_half_metre.txt", "--alpha", "1025"],
+        ["aoi", "--compute-delay", "1e300"],
     ],
 )
 def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
@@ -268,6 +270,7 @@ def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
     (tmp_path / "latin1.json").write_bytes(b'{"scene": "\xe9"}')
     (tmp_path / "bad_strategy.json").write_text('{"strategy": "annealing"}')
     (tmp_path / "nan_header.txt").write_text("nan\n0 10\n10 0\n")
+    (tmp_path / "tri_half_metre.txt").write_text("0 0.5 0.5\n0.5 0 0.5\n0.5 0.5 0\n")
     argv = [a.format(tmp=tmp_path, scene=two_vehicle_scene) for a in args]
     assert run_cli(argv) == 1
     err = capsys.readouterr().err

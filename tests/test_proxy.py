@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2vaoi.aoi import AoIRecord
 from v2vaoi.errors import DomainError, SceneParseError
 from v2vaoi.proxy import (
     BACKBONE_CURVE,
@@ -17,17 +16,6 @@ from v2vaoi.proxy import (
     load_curve,
     save_curve,
 )
-
-
-def record_with_age(age, link=(0, 1)):
-    return AoIRecord(
-        link=link,
-        comm_delay_s=age,
-        compute_delay_s=0.0,
-        total_delay_s=age,
-        snapped_age_s=age,
-        timestamp_offset=round(age / 0.1),
-    )
 
 
 def test_every_sample_reproduced_bit_exactly():
@@ -99,27 +87,19 @@ def test_curve_validation_rejects_bad_data(tmp_path):
 
 
 def test_scene_all_fresh():
-    est = estimate_scene_ap([record_with_age(0.0), record_with_age(0.0, (1, 0))])
+    est = estimate_scene_ap(np.zeros((2, 2)))
     assert (est.ap30, est.ap50, est.ap70) == (0.864, 0.859, 0.805)
 
 
 def test_scene_uniform_delay_uses_constant_curve():
-    records = [record_with_age(0.2), record_with_age(0.2, (1, 0))]
-    est = estimate_scene_ap(records)
+    est = estimate_scene_ap(np.full((2, 2), 0.2))
     assert est.age_spread_s == 0.0
     assert (est.ap30, est.ap50, est.ap70) == (0.750, 0.481, 0.227)
 
 
 def test_scene_spread_takes_entrywise_minimum():
     # mean 0.1 scores (0.860, 0.810, 0.435); spread 0.5 scores (0.643, 0.440, 0.253)
-    records = [
-        record_with_age(0.5),
-        record_with_age(0.0, (1, 0)),
-        record_with_age(0.0, (1, 2)),
-        record_with_age(0.0, (2, 1)),
-        record_with_age(0.0, (2, 0)),
-    ]
-    est = estimate_scene_ap(records)
+    est = estimate_scene_ap(np.array([0.5, 0.0, 0.0, 0.0, 0.0]))
     assert est.mean_age_s == pytest.approx(0.1)
     assert est.age_spread_s == pytest.approx(0.5)
     assert (est.ap30, est.ap50, est.ap70) == pytest.approx((0.643, 0.440, 0.253))
@@ -130,6 +110,8 @@ def test_scene_spread_takes_entrywise_minimum():
 def test_scene_estimate_rejects_empty():
     with pytest.raises(DomainError):
         estimate_scene_ap([])
+    with pytest.raises(DomainError):
+        estimate_scene_ap(np.zeros((0, 0)))
 
 
 # --- files ----------------------------------------------------------------------
