@@ -79,8 +79,8 @@ class GreedyConfig:
             raise DomainError(f"learn_rate must be in (0, 1), got {self.learn_rate}")
         if self.max_epochs < 1:
             raise DomainError("max_epochs must be at least 1")
-        if not (self.convergence_tol > 0):
-            raise DomainError("convergence_tol must be positive")
+        if not (0 < self.convergence_tol < np.inf):
+            raise DomainError("convergence_tol must be positive and finite")
         if self.convergence_window < 1:
             raise DomainError("convergence_window must be at least 1")
 
@@ -112,8 +112,8 @@ class GeneticConfig:
             raise DomainError("max_generations must be at least 1")
         if self.stagnation_limit < 1:
             raise DomainError("stagnation_limit must be at least 1")
-        if not (self.creep_sigma > 0):
-            raise DomainError("creep_sigma must be positive")
+        if not (0 < self.creep_sigma < np.inf):
+            raise DomainError("creep_sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def _project_offdiag_rows(rows: np.ndarray, p_min: float, p_max: float) -> np.nd
     out = np.clip(rows, p_min, p_max)
     sums = out.sum(axis=-1)
     over = sums > p_max
-    if np.any(over):
+    if over.any():
         scaled = out[over] * (p_max / sums[over])[..., np.newaxis]
         scaled = np.maximum(scaled, p_min)
         out[over] = _cap_rows_to_budget(scaled, p_max)
@@ -362,19 +362,6 @@ def greedy_pa(problem: AllocationProblem, cfg: GreedyConfig | None = None) -> Al
     )
 
 
-def _genes_to_rows(genes: np.ndarray, n: int) -> np.ndarray:
-    # chromosome = off-diagonal powers, row-major, so each consecutive block
-    # of n-1 genes is one vehicle's outgoing row
-    return genes.reshape(genes.shape[0], n, n - 1)
-
-
-def _rows_to_matrices(rows: np.ndarray, n: int) -> np.ndarray:
-    mask = offdiag_mask(n)
-    out = np.zeros((rows.shape[0], n, n))
-    out[:, mask] = rows.reshape(rows.shape[0], n * (n - 1))
-    return out
-
-
 def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> AllocationResult:
     """Real-coded GA over the off-diagonal power vector, fitness = min SNR.
 
@@ -382,34 +369,64 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     mutation that either resamples log-uniformly over [p_min_w, p_max_w]
     or creeps multiplicatively (50/50), elitism of one, and projection onto
     the constraints after every variation.  Deterministic for a fixed seed.
+
+    A chromosome holds the off-diagonal powers in row-major order, so each
+    consecutive block of n-1 genes is one vehicle's outgoing row.  What a
+    seed reproduces is this draw order.  With P individuals, G genes and
+    P // 2 crossover pairs, the generator first draws the initial
+    population, P * G log-uniform powers.  Each generation then draws:
+      1. the tournament entrants, integers of shape (P, 3);
+      2. one block of uniforms, read in order as the crossover gate per
+         pair (P // 2), the swap coin per pair and gene (P // 2 * G), the
+         mutate coin, the reset-or-creep choice and the reset value (each
+         P * G), the last mapped to ln p_min + (ln p_max - ln p_min) * u as
+         Generator.uniform maps it;
+      3. P * G standard normals, scaled by creep_sigma.
+    Every value is drawn whether or not it is used, and an odd last child
+    is never crossed.  The path loss is computed and the work buffers are
+    allocated once per solve; the returned allocation is validated once,
+    in _finish.
     """
     cfg = cfg or GeneticConfig()
     params = problem.params
+    p_min, p_max = params.p_min_w, params.p_max_w
     n = problem.n
     n_genes = n * (n - 1)
     pop_size = cfg.population_size
+    n_pairs = pop_size // 2
     rng = np.random.default_rng(cfg.rng_seed)
-    ln_lo = np.log(params.p_min_w)
-    ln_hi = np.log(params.p_max_w)
-    mask = offdiag_mask(n)
+    ln_lo = np.log(p_min)
+    ln_hi = np.log(p_max)
+    ln_span = ln_hi - ln_lo  # Generator.uniform's range
     loss = path_loss(params, problem.dist)
+    # gene g of individual k sits at flat index at[k, g] of the zeroed
+    # (pop, n, n) power stack; the diagonal is never written.  The SNRs are
+    # read back gene-major, so the min over genes runs across individuals.
+    genes_at = np.flatnonzero(offdiag_mask(n))
+    at = np.arange(pop_size)[:, np.newaxis] * (n * n) + genes_at
+    put_at = at.reshape(-1)
+    take_at = at.T.reshape(-1)
+    stack = np.zeros((pop_size, n, n))
+    # one generation's uniforms, sliced in draw order, and its normals
+    u = np.empty(n_pairs + n_pairs * n_genes + 3 * pop_size * n_genes)
+    cross_u = u[:n_pairs]
+    swap_u = u[n_pairs : n_pairs * (1 + n_genes)].reshape(n_pairs, 1, n_genes)
+    mutate_u, reset_u, reset_v = u[n_pairs * (1 + n_genes) :].reshape(3, pop_size, n_genes)
+    z = np.empty((pop_size, n_genes))
+    first_entrant = 3 * np.arange(pop_size)  # flat index in entrants of each tournament
 
     def project(genes: np.ndarray) -> np.ndarray:
-        rows = _project_offdiag_rows(
-            _genes_to_rows(genes, n), params.p_min_w, params.p_max_w
-        )
-        return rows.reshape(genes.shape[0], n_genes)
+        rows = _project_offdiag_rows(genes.reshape(-1, n, n - 1), p_min, p_max)
+        return rows.reshape(-1, n_genes)
 
     def fitness(genes: np.ndarray) -> np.ndarray:
-        snr = _snr(loss, _rows_to_matrices(_genes_to_rows(genes, n), n), params.noise_w)
-        return snr[:, mask].min(axis=1)
+        stack.put(put_at, genes)
+        snr = _snr(loss, stack, params.noise_w)
+        return snr.take(take_at).reshape(n_genes, pop_size).min(axis=0)
 
-    def random_genes(count: int) -> np.ndarray:
-        return project(np.exp(rng.uniform(ln_lo, ln_hi, size=(count, n_genes))))
-
-    pop = random_genes(pop_size)
+    pop = project(np.exp(rng.uniform(ln_lo, ln_hi, size=(pop_size, n_genes))))
     fit = fitness(pop)
-    best_idx = int(np.argmax(fit))
+    best_idx = int(fit.argmax())
     best_fit = float(fit[best_idx])
     best_genes = pop[best_idx].copy()
     history = [best_fit]
@@ -421,30 +438,27 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
         generations += 1
         # tournament selection, size 3
         entrants = rng.integers(0, pop_size, size=(pop_size, 3))
-        winners = entrants[np.arange(pop_size), np.argmax(fit[entrants], axis=1)]
-        children = pop[winners].copy()
-        # uniform crossover on consecutive pairs
-        n_pairs = pop_size // 2
-        do_cross = rng.random(n_pairs) < cfg.crossover_rate
-        swap = rng.random((n_pairs, n_genes)) < 0.5
-        swap &= do_cross[:, np.newaxis]
-        first = children[0 : 2 * n_pairs : 2]
-        second = children[1 : 2 * n_pairs : 2]
-        tmp = first[swap]
-        first[swap] = second[swap]
-        second[swap] = tmp
-        # mutation: log-uniform reset or multiplicative creep, half and half
-        mutate = rng.random((pop_size, n_genes)) < cfg.mutation_rate
-        use_reset = rng.random((pop_size, n_genes)) < 0.5
-        resets = np.exp(rng.uniform(ln_lo, ln_hi, size=(pop_size, n_genes)))
-        creeps = children * np.exp(rng.normal(0.0, cfg.creep_sigma, size=(pop_size, n_genes)))
-        mutated = np.where(use_reset, resets, creeps)
-        children = np.where(mutate, mutated, children)
-        children = project(np.clip(children, params.p_min_w, params.p_max_w))
+        winners = entrants.take(first_entrant + fit.take(entrants).argmax(axis=1))
+        children = pop.take(winners, axis=0)
+        rng.random(out=u)
+        rng.standard_normal(out=z)
+        # uniform crossover on consecutive pairs: swap the two rows of a
+        # (pairs, 2, genes) view wherever the pair's gate and the gene's
+        # coin both say so
+        swap = (swap_u < 0.5) & (cross_u < cfg.crossover_rate)[:, np.newaxis, np.newaxis]
+        pairs = children[: 2 * n_pairs].reshape(n_pairs, 2, n_genes)
+        children[: 2 * n_pairs] = np.where(swap, pairs[:, ::-1], pairs).reshape(-1, n_genes)
+        # mutation: log-uniform reset or multiplicative creep, half and half,
+        # evaluated only at the mutated genes
+        hit = np.flatnonzero(mutate_u < cfg.mutation_rate)
+        resets = np.exp(ln_lo + ln_span * reset_v.take(hit))
+        creeps = children.take(hit) * np.exp(cfg.creep_sigma * z.take(hit))
+        children.put(hit, np.where(reset_u.take(hit) < 0.5, resets, creeps))
+        children = project(children)
         children[0] = best_genes  # elitism
         pop = children
         fit = fitness(pop)
-        gen_best = int(np.argmax(fit))
+        gen_best = int(fit.argmax())
         if float(fit[gen_best]) > best_fit:
             best_fit = float(fit[gen_best])
             best_genes = pop[gen_best].copy()
@@ -456,13 +470,11 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
             converged = True
             break
 
-    best_rows = _project_offdiag_rows(
-        best_genes[np.newaxis].reshape(1, n, n - 1), params.p_min_w, params.p_max_w
-    )
-    best_matrix = _rows_to_matrices(best_rows, n)[0]
+    best = np.zeros(n * n)
+    best[genes_at] = project(best_genes[np.newaxis])[0]
     return _finish(
         problem,
-        best_matrix,
+        best.reshape(n, n),
         epochs_used=generations,
         converged=converged,
         strategy_name="genetic",

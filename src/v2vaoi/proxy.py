@@ -114,19 +114,18 @@ def estimate_ap(curve: DegradationCurve, delay_value: float) -> tuple:
     delays = s[:, 0]
     x = float(delay_value)
     if x <= delays[0]:
-        row = s[0]
-        return (row[1], row[2], row[3])
-    if x >= delays[-1]:
-        row = s[-1]
-        return (row[1], row[2], row[3])
-    hi = int(np.searchsorted(delays, x))
-    if delays[hi] == x:  # exact sample: return it untouched
-        row = s[hi]
-        return (row[1], row[2], row[3])
-    lo = hi - 1
-    t = (x - delays[lo]) / (delays[hi] - delays[lo])
-    row = s[lo, 1:] + t * (s[hi, 1:] - s[lo, 1:])
-    return (float(row[0]), float(row[1]), float(row[2]))
+        row = s[0, 1:]
+    elif x >= delays[-1]:
+        row = s[-1, 1:]
+    else:
+        hi = int(np.searchsorted(delays, x))
+        if delays[hi] == x:  # exact sample: return it untouched
+            row = s[hi, 1:]
+        else:
+            lo = hi - 1
+            t = (x - delays[lo]) / (delays[hi] - delays[lo])
+            row = s[lo, 1:] + t * (s[hi, 1:] - s[lo, 1:])
+    return tuple(row.tolist())
 
 
 @dataclass(frozen=True)

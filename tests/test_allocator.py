@@ -11,6 +11,7 @@ from v2vaoi.allocator import (
     GeneticConfig,
     GreedyConfig,
     _finish,
+    _project_offdiag_rows,
     _uniform_power,
     check_feasible,
     default_pa,
@@ -23,11 +24,13 @@ from v2vaoi.channel import (
     ChannelParams,
     DistanceMatrix,
     PowerMatrix,
+    _snr,
     compute_delay_matrix,
     compute_snr_batch,
     compute_snr_matrix,
     offdiag_mask,
     offdiag_values,
+    path_loss,
 )
 from v2vaoi.errors import DomainError, FeasibilityError
 from v2vaoi.scenario import ScenarioSpec, generate_scene
@@ -75,6 +78,13 @@ def test_config_validation():
         GeneticConfig(population_size=1)
     with pytest.raises(DomainError):
         GeneticConfig(mutation_rate=1.5)
+    # a non-finite setting would stop greedy early or turn every creep into
+    # a jump to a bound
+    for bad in (np.inf, np.nan, 0.0):
+        with pytest.raises(DomainError):
+            GreedyConfig(convergence_tol=bad)
+        with pytest.raises(DomainError):
+            GeneticConfig(creep_sigma=bad)
 
 
 # --- default_pa --------------------------------------------------------------
@@ -355,6 +365,151 @@ def test_genetic_history_monotone():
         GeneticConfig(rng_seed=0, max_generations=300, stagnation_limit=300),
     )
     assert np.all(np.diff(np.array(result.history)) >= 0)
+
+
+def _genetic_reference(problem, cfg=None):
+    """genetic_pa as the plain generation loop: seven draws per generation,
+    crossover by boolean-mask swaps, a fresh zeroed power stack per
+    fitness call."""
+    cfg = cfg or GeneticConfig()
+    params = problem.params
+    n = problem.n
+    n_genes = n * (n - 1)
+    pop_size = cfg.population_size
+    rng = np.random.default_rng(cfg.rng_seed)
+    ln_lo = np.log(params.p_min_w)
+    ln_hi = np.log(params.p_max_w)
+    mask = offdiag_mask(n)
+    loss = path_loss(params, problem.dist)
+
+    def _genes_to_rows(genes, n):
+        return genes.reshape(genes.shape[0], n, n - 1)
+
+    def _rows_to_matrices(rows, n):
+        out = np.zeros((rows.shape[0], n, n))
+        out[:, mask] = rows.reshape(rows.shape[0], n * (n - 1))
+        return out
+
+    def project(genes):
+        rows = _project_offdiag_rows(
+            _genes_to_rows(genes, n), params.p_min_w, params.p_max_w
+        )
+        return rows.reshape(genes.shape[0], n_genes)
+
+    def fitness(genes):
+        snr = _snr(loss, _rows_to_matrices(_genes_to_rows(genes, n), n), params.noise_w)
+        return snr[:, mask].min(axis=1)
+
+    def random_genes(count):
+        return project(np.exp(rng.uniform(ln_lo, ln_hi, size=(count, n_genes))))
+
+    pop = random_genes(pop_size)
+    fit = fitness(pop)
+    best_idx = int(np.argmax(fit))
+    best_fit = float(fit[best_idx])
+    best_genes = pop[best_idx].copy()
+    history = [best_fit]
+    stagnation = 0
+    converged = False
+    generations = 0
+
+    for _ in range(cfg.max_generations):
+        generations += 1
+        # tournament selection, size 3
+        entrants = rng.integers(0, pop_size, size=(pop_size, 3))
+        winners = entrants[np.arange(pop_size), np.argmax(fit[entrants], axis=1)]
+        children = pop[winners].copy()
+        # uniform crossover on consecutive pairs
+        n_pairs = pop_size // 2
+        do_cross = rng.random(n_pairs) < cfg.crossover_rate
+        swap = rng.random((n_pairs, n_genes)) < 0.5
+        swap &= do_cross[:, np.newaxis]
+        first = children[0 : 2 * n_pairs : 2]
+        second = children[1 : 2 * n_pairs : 2]
+        tmp = first[swap]
+        first[swap] = second[swap]
+        second[swap] = tmp
+        # mutation: log-uniform reset or multiplicative creep, half and half
+        mutate = rng.random((pop_size, n_genes)) < cfg.mutation_rate
+        use_reset = rng.random((pop_size, n_genes)) < 0.5
+        resets = np.exp(rng.uniform(ln_lo, ln_hi, size=(pop_size, n_genes)))
+        creeps = children * np.exp(rng.normal(0.0, cfg.creep_sigma, size=(pop_size, n_genes)))
+        mutated = np.where(use_reset, resets, creeps)
+        children = np.where(mutate, mutated, children)
+        children = project(np.clip(children, params.p_min_w, params.p_max_w))
+        children[0] = best_genes  # elitism
+        pop = children
+        fit = fitness(pop)
+        gen_best = int(np.argmax(fit))
+        if float(fit[gen_best]) > best_fit:
+            best_fit = float(fit[gen_best])
+            best_genes = pop[gen_best].copy()
+            stagnation = 0
+        else:
+            stagnation += 1
+        history.append(best_fit)
+        if stagnation >= cfg.stagnation_limit:
+            converged = True
+            break
+
+    best_rows = _project_offdiag_rows(
+        best_genes[np.newaxis].reshape(1, n, n - 1), params.p_min_w, params.p_max_w
+    )
+    best_matrix = _rows_to_matrices(best_rows, n)[0]
+    return _finish(
+        problem,
+        best_matrix,
+        epochs_used=generations,
+        converged=converged,
+        strategy_name="genetic",
+        history=tuple(history),
+    )
+
+
+def _short(**kw):
+    return GeneticConfig(**{"max_generations": 60, "stagnation_limit": 60, **kw})
+
+
+@pytest.mark.parametrize(
+    "n, params, cfg, stops",
+    [
+        *[
+            pytest.param(n, PARAMS, _short(rng_seed=n), None, id=f"n{n}")
+            for n in (2, 3, 5, 8)
+        ],
+        pytest.param(64, PARAMS, _short(max_generations=15), None, id="n64"),
+        *[
+            pytest.param(4, PARAMS, _short(population_size=size, rng_seed=size), None, id=f"pop{size}")
+            for size in (2, 3, 7)
+        ],
+        pytest.param(4, PARAMS, _short(crossover_rate=0.0), None, id="crossover-0"),
+        pytest.param(4, PARAMS, _short(crossover_rate=1.0), None, id="crossover-1"),
+        pytest.param(4, PARAMS, _short(mutation_rate=0.0), None, id="mutation-0"),
+        pytest.param(4, PARAMS, _short(mutation_rate=1.0), None, id="mutation-1"),
+        pytest.param(3, ChannelParams(p_min_w=5.0), _short(), None, id="n3-floors"),
+        pytest.param(4, ChannelParams(p_min_w=5.0), _short(), None, id="n4-floors"),
+        pytest.param(
+            3, PARAMS, GeneticConfig(max_generations=5000, stagnation_limit=40), True,
+            id="stagnation",
+        ),
+        pytest.param(
+            5, PARAMS, GeneticConfig(rng_seed=9, max_generations=200), False, id="budget"
+        ),
+    ],
+)
+def test_genetic_matches_reference_bit_for_bit(n, params, cfg, stops):
+    dist, _ = generate_scene(ScenarioSpec(n, rng_seed=3))
+    prob = AllocationProblem(params, dist)
+    got = genetic_pa(prob, cfg)
+    want = _genetic_reference(prob, cfg)
+    assert got.power.p.tobytes() == want.power.p.tobytes()
+    assert got.metrics.snr.tobytes() == want.metrics.snr.tobytes()
+    assert got.history == want.history
+    assert got.epochs_used == want.epochs_used
+    assert got.converged == want.converged
+    if stops is not None:  # the case reaches the stop it is named for
+        assert got.converged is stops
+        assert (got.epochs_used < cfg.max_generations) is stops
 
 
 # --- exact ---------------------------------------------------------------------

@@ -34,6 +34,24 @@ def test_clamps_beyond_last_sample():
     assert estimate_ap(CONSTANT_TRANSMISSION_CURVE, 99.0) == (0.500, 0.332, 0.196)
 
 
+@pytest.mark.parametrize(
+    "delay",
+    [
+        pytest.param(0.05, id="below-first-sample"),
+        pytest.param(0.2, id="at-a-sample"),
+        pytest.param(0.25, id="between-samples"),
+        pytest.param(3.0, id="past-last-sample"),
+    ],
+)
+def test_estimate_returns_python_floats(delay):
+    curve = DegradationCurve(
+        "offset", [[0.1, 0.9, 0.8, 0.7], [0.2, 0.8, 0.6, 0.5], [0.3, 0.4, 0.3, 0.2]]
+    )
+    ap = estimate_ap(curve, delay)
+    assert len(ap) == 3
+    assert all(type(v) is float for v in ap)
+
+
 def test_negative_delay_rejected():
     with pytest.raises(DomainError):
         estimate_ap(BACKBONE_CURVE, -0.1)
