@@ -22,7 +22,6 @@ from .channel import (
     PowerMatrix,
     SnrClampWarning,
     compute_delay_matrix,
-    compute_snr_batch,
     compute_snr_matrix,
     link_metrics,
     offdiag_mask,
@@ -39,14 +38,11 @@ from .metrics import (
 from .proxy import (
     BACKBONE_CURVE,
     CONSTANT_TRANSMISSION_CURVE,
-    DEFAULT_CURVES,
     LINEAR_COEFFICIENT_CURVE,
     DegradationCurve,
     SceneApEstimate,
     estimate_ap,
     estimate_scene_ap,
-    load_curve,
-    save_curve,
 )
 from .scenario import (
     ScenarioSpec,

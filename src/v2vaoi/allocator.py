@@ -16,6 +16,7 @@ Four strategies:
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -38,6 +39,15 @@ FEASIBILITY_SLACK_W = 1e-9
 # exact_pa's bisection stops once its bracket on the target SNR is this
 # narrow, relative to the upper end.
 EXACT_REL_TOL = 1e-12
+
+
+def _check_integers(cfg, *fields: str) -> None:
+    """The fields must hold integers, numpy integers included and bool not;
+    a float count would fail inside the solve or act as the next integer up."""
+    for name in fields:
+        value = getattr(cfg, name)
+        if not isinstance(value, Integral) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,7 @@ class GreedyConfig:
     convergence_window: int = 20
 
     def __post_init__(self):
+        _check_integers(self, "max_epochs", "convergence_window")
         if not (0 < self.learn_rate < 1):
             raise DomainError(f"learn_rate must be in (0, 1), got {self.learn_rate}")
         if self.max_epochs < 1:
@@ -102,6 +113,9 @@ class GeneticConfig:
     creep_sigma: float = 0.25
 
     def __post_init__(self):
+        _check_integers(
+            self, "population_size", "max_generations", "stagnation_limit", "rng_seed"
+        )
         if self.population_size < 2:
             raise DomainError("population_size must be at least 2")
         if not (0 <= self.crossover_rate <= 1):
@@ -112,6 +126,8 @@ class GeneticConfig:
             raise DomainError("max_generations must be at least 1")
         if self.stagnation_limit < 1:
             raise DomainError("stagnation_limit must be at least 1")
+        if self.rng_seed < 0:
+            raise DomainError("rng_seed must be nonnegative")
         if not (0 < self.creep_sigma < np.inf):
             raise DomainError("creep_sigma must be positive and finite")
 

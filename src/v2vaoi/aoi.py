@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkMetrics
 from .errors import DimensionMismatchError, DomainError
 
 
@@ -103,23 +102,19 @@ def probabilistic_round(
     return float(offset * period_s)
 
 
-def build_aoi_records(metrics, cfg: AoiConfig) -> AoiAges:
+def build_aoi_records(delay_s, cfg: AoiConfig) -> AoiAges:
     """Ages of every ordered vehicle pair, self-links included.
 
-    metrics may be a LinkMetrics or a raw square delay matrix in seconds
-    (the latter covers the zero-delay mode, which bypasses the channel).
-    Self-links carry computation delay only.  Deterministic per seed.
+    delay_s is a square matrix of transmission delays in seconds, such as
+    LinkMetrics.delay_s or all zeros for the zero-delay mode; its diagonal
+    is ignored.  Self-links carry computation delay only.  Deterministic
+    per seed.
     """
-    if isinstance(metrics, LinkMetrics):
-        delay = metrics.delay_s
-    else:
-        delay = np.asarray(metrics, dtype=np.float64)
-        if delay.ndim != 2 or delay.shape[0] != delay.shape[1]:
-            raise DimensionMismatchError(
-                f"expected a square delay matrix, got shape {delay.shape}"
-            )
-        if np.any(delay < 0):
-            raise DomainError("delays must be nonnegative")
+    delay = np.asarray(delay_s, dtype=np.float64)
+    if delay.ndim != 2 or delay.shape[0] != delay.shape[1]:
+        raise DimensionMismatchError(f"expected a square delay matrix, got shape {delay.shape}")
+    if np.any(delay < 0):
+        raise DomainError("delays must be nonnegative")
     n = delay.shape[0]
     overrides = cfg.per_vehicle_compute_delay_s
     if overrides is not None and len(overrides) != n:

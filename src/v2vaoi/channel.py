@@ -54,12 +54,6 @@ def offdiag_values(m: np.ndarray) -> np.ndarray:
     return m[offdiag_mask(m.shape[0])]
 
 
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, order="C")
-    out.flags.writeable = False
-    return out
-
-
 def _check_square(a: np.ndarray, what: str) -> int:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{what} must be square, got shape {a.shape}")
@@ -257,24 +251,7 @@ def compute_snr_matrix(
         raise DimensionMismatchError(
             f"distance matrix is {dist.n}x{dist.n} but power matrix is {power.n}x{power.n}"
         )
-    return compute_snr_batch(params, dist, power.p[np.newaxis])[0]
-
-
-def compute_snr_batch(
-    params: ChannelParams, dist: DistanceMatrix, powers: np.ndarray
-) -> np.ndarray:
-    """compute_snr_matrix over a stack of power matrices.
-
-    powers has shape (m, n, n) with zero diagonals; returns (m, n, n).
-    compute_snr_matrix runs it on a stack of one, and the population-based
-    solver on whole populations.
-    """
-    powers = np.asarray(powers, dtype=np.float64)
-    if powers.ndim != 3 or powers.shape[1:] != (dist.n, dist.n):
-        raise DimensionMismatchError(
-            f"expected power stack of shape (m, {dist.n}, {dist.n}), got {powers.shape}"
-        )
-    return _snr(path_loss(params, dist), powers, params.noise_w)
+    return _snr(path_loss(params, dist), power.p, params.noise_w)
 
 
 def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:

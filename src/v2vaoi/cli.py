@@ -159,6 +159,8 @@ def _resolve(args: argparse.Namespace) -> tuple:
             raise DomainError(f"{key} must be at least 1, got {cfg[key]}")
     if command == "verify" and cfg["scene"] and cfg["instances"] != 1:
         raise DomainError("use --instances 1 with a fixed --scene file")
+    if command == "verify" and not (0 <= cfg["gap_threshold"] <= 1):
+        raise DomainError(f"gap_threshold must be in [0, 1], got {cfg['gap_threshold']}")
 
     epochs = cfg["epochs"]
     solvers = ComparisonConfig(

@@ -86,7 +86,6 @@ class StrategyTrial:
 class TrialRecord:
     trial_index: int
     scene_seed: int
-    distances: np.ndarray
     strategies: tuple
 
 
@@ -136,10 +135,7 @@ def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> TrialRe
             )
         )
     return TrialRecord(
-        trial_index=trial,
-        scene_seed=scene_seed,
-        distances=dist.d,
-        strategies=tuple(strategies),
+        trial_index=trial, scene_seed=scene_seed, strategies=tuple(strategies)
     )
 
 

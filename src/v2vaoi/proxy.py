@@ -5,17 +5,16 @@ bundled measurement samples of a LiDAR object detector degrading under
 three delay regimes: constant per-vehicle computation delay ("backbone"),
 a constant transmission delay applied to every collaborator, and a delay
 spread growing linearly with distance.  Queries interpolate linearly
-between samples; every output is labeled a proxy estimate.
-
-Curve files are plain text: optional '# comments', an optional
-"type <name>" line, then one "delay ap30 ap50 ap70" row per sample.
+between samples; every output is labeled a proxy estimate.  To score
+against other measurements, build a DegradationCurve from their samples and
+pass it to estimate_scene_ap.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SceneParseError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -96,11 +95,6 @@ LINEAR_COEFFICIENT_CURVE = DegradationCurve(
     ),
 )
 
-DEFAULT_CURVES = {
-    c.delay_type: c
-    for c in (BACKBONE_CURVE, CONSTANT_TRANSMISSION_CURVE, LINEAR_COEFFICIENT_CURVE)
-}
-
 
 def estimate_ap(curve: DegradationCurve, delay_value: float) -> tuple:
     """AP triple at a delay, interpolated linearly between samples.
@@ -173,40 +167,3 @@ def estimate_scene_ap(
         constant_component=constant,
         spread_component=spread_est,
     )
-
-
-def load_curve(path, delay_type: str | None = None) -> DegradationCurve:
-    """Read a degradation curve from a text file (format in module docstring)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise SceneParseError(f"cannot read curve file {path}: {exc}") from exc
-    rows = []
-    name = delay_type
-    for line in raw.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.lower().startswith("type"):
-            parts = line.split(None, 1)
-            if len(parts) == 2 and name is None:
-                name = parts[1].strip()
-            continue
-        toks = line.replace(",", " ").split()
-        if len(toks) != 4:
-            raise SceneParseError(f"{path}: expected 'delay ap30 ap50 ap70', got {line!r}")
-        try:
-            rows.append([float(t) for t in toks])
-        except ValueError as exc:
-            raise SceneParseError(f"{path}: bad numeric token in {line!r}") from exc
-    if not rows:
-        raise SceneParseError(f"{path}: no sample rows")
-    return DegradationCurve(name or "custom", np.array(rows))
-
-
-def save_curve(curve: DegradationCurve, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"type {curve.delay_type}\n")
-        for row in curve.samples:
-            fh.write(" ".join("%.17g" % v for v in row) + "\n")

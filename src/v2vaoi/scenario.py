@@ -34,18 +34,17 @@ _MAX_PLACEMENT_ATTEMPTS = 10_000
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Recipe for one scene.
+    """Recipe for one random scene.
 
-    With coordinates set, placement is fixed; otherwise vehicles are placed
-    uniformly at random in a square box, rejecting draws closer than
-    min_separation_m to an existing vehicle.
+    Vehicles are placed uniformly at random in a square box, rejecting draws
+    closer than min_separation_m to an existing vehicle.  Fixed placements
+    come from a coords scene file instead (load_distance_matrix).
     """
 
     n_vehicles: int
     box_side_m: float = 100.0
     min_separation_m: float = 5.0
     rng_seed: int = 0
-    coordinates: tuple = None
 
     def __post_init__(self):
         if self.n_vehicles < 2:
@@ -54,15 +53,9 @@ class ScenarioSpec:
             raise DomainError(f"supported scale is n <= {MAX_VEHICLES}")
         if not (self.min_separation_m > 0):
             raise DomainError("min_separation_m must be positive")
-        if self.coordinates is None:
-            if not (2 * self.min_separation_m < self.box_side_m < math.inf):
-                raise DomainError(
-                    "box_side_m must be finite and exceed twice min_separation_m "
-                    "for random placement"
-                )
-        elif len(self.coordinates) != self.n_vehicles:
+        if not (2 * self.min_separation_m < self.box_side_m < math.inf):
             raise DomainError(
-                f"{len(self.coordinates)} coordinates given for {self.n_vehicles} vehicles"
+                "box_side_m must be finite and exceed twice min_separation_m"
             )
 
 
@@ -78,9 +71,6 @@ def generate_scene(spec: ScenarioSpec):
     Deterministic per seed.  Raises PackingError when rejection sampling
     cannot fit all vehicles at the requested separation.
     """
-    if spec.coordinates is not None:
-        coords = np.asarray(spec.coordinates, dtype=np.float64)
-        return _distances_from_coords(coords), coords
     rng = np.random.default_rng(spec.rng_seed)
     placed = []
     attempts = 0

@@ -26,7 +26,12 @@ from v2vaoi.channel import (
 )
 from v2vaoi.cli import main
 from v2vaoi.metrics import ComparisonConfig, run_comparison
-from v2vaoi.proxy import DEFAULT_CURVES, estimate_ap
+from v2vaoi.proxy import (
+    BACKBONE_CURVE,
+    CONSTANT_TRANSMISSION_CURVE,
+    LINEAR_COEFFICIENT_CURVE,
+    estimate_ap,
+)
 from v2vaoi.scenario import ScenarioSpec, generate_scene
 from v2vaoi.seeds import derive_seed
 
@@ -168,13 +173,14 @@ def test_criterion_6_probabilistic_rounding_statistics():
 
 
 def test_criterion_7_proxy_knots_and_ordering():
+    curves = (BACKBONE_CURVE, CONSTANT_TRANSMISSION_CURVE, LINEAR_COEFFICIENT_CURVE)
     knot_ok = True
-    for curve in DEFAULT_CURVES.values():
+    for curve in curves:
         for row in curve.samples:
             knot_ok = knot_ok and estimate_ap(curve, row[0]) == (row[1], row[2], row[3])
     queries = np.linspace(0.0, 1.5, 301)
     order_ok, monotone_ok = True, True
-    for curve in DEFAULT_CURVES.values():
+    for curve in curves:
         prev = None
         for q in queries:
             ap30, ap50, ap70 = estimate_ap(curve, q)

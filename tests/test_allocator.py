@@ -26,7 +26,6 @@ from v2vaoi.channel import (
     PowerMatrix,
     _snr,
     compute_delay_matrix,
-    compute_snr_batch,
     compute_snr_matrix,
     offdiag_mask,
     offdiag_values,
@@ -85,6 +84,25 @@ def test_config_validation():
             GreedyConfig(convergence_tol=bad)
         with pytest.raises(DomainError):
             GeneticConfig(creep_sigma=bad)
+    # a float count would die in range() or round up silently
+    for bad in (2.5, 3.0):
+        for field in ("max_epochs", "convergence_window"):
+            with pytest.raises(DomainError, match=field):
+                GreedyConfig(**{field: bad})
+        for field in ("population_size", "max_generations", "stagnation_limit", "rng_seed"):
+            with pytest.raises(DomainError, match=field):
+                GeneticConfig(**{field: bad})
+    with pytest.raises(DomainError, match="max_epochs"):
+        GreedyConfig(max_epochs=True)
+    with pytest.raises(DomainError):
+        GeneticConfig(rng_seed=-1)
+    # numpy integers are integers
+    assert GreedyConfig(max_epochs=np.int64(7), convergence_window=np.int32(3)).max_epochs == 7
+    genetic = GeneticConfig(
+        population_size=np.int64(4), max_generations=np.uint16(9),
+        stagnation_limit=np.int8(2), rng_seed=np.uint64(2**64 - 1),
+    )
+    assert genetic.rng_seed == 2**64 - 1
 
 
 # --- default_pa --------------------------------------------------------------
@@ -524,7 +542,7 @@ def best_random_objective(prob, count, seed):
         rng.uniform(np.log(params.p_min_w), np.log(params.p_max_w), size=(count, n, n))
     )
     raw[:, np.arange(n), np.arange(n)] = 0.0
-    snr = compute_snr_batch(params, prob.dist, project_to_feasible(raw, params))
+    snr = _snr(path_loss(params, prob.dist), project_to_feasible(raw, params), params.noise_w)
     return float(snr[:, offdiag_mask(n)].min(axis=1).max())
 
 

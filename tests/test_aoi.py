@@ -15,7 +15,7 @@ from v2vaoi.aoi import (
     build_aoi_records,
     probabilistic_round,
 )
-from v2vaoi.channel import ChannelParams, LinkMetrics
+from v2vaoi.channel import ChannelParams
 from v2vaoi.errors import DimensionMismatchError, DomainError
 from v2vaoi.proxy import estimate_scene_ap
 from v2vaoi.scenario import ScenarioSpec, generate_scene
@@ -144,14 +144,6 @@ def test_records_deterministic_per_seed():
         assert x.tobytes() == y.tobytes()
 
 
-def test_records_accept_link_metrics():
-    snr = np.array([[0.0, 2.0], [3.0, 0.0]])
-    delay = np.array([[0.0, 0.4], [0.3, 0.0]])
-    metrics = LinkMetrics(snr=snr, delay_s=delay)
-    ages = build_aoi_records(metrics, AoiConfig(rng_seed=0))
-    assert ages.total_delay_s[0, 1] == 0.4
-
-
 def test_records_per_vehicle_override():
     cfg = AoiConfig(per_vehicle_compute_delay_s=(0.1, 0.3), rng_seed=0)
     ages = build_aoi_records(np.zeros((2, 2)), cfg)
@@ -197,18 +189,15 @@ def _round_offset(delay_s: float, period_s: float, rng: np.random.Generator) -> 
     return base
 
 
-def _aoi_reference(metrics, cfg: AoiConfig) -> list:
+def _aoi_reference(delay_s, cfg: AoiConfig) -> list:
     """build_aoi_records as one record object per ordered pair, in a loop."""
-    if isinstance(metrics, LinkMetrics):
-        delay = metrics.delay_s
-    else:
-        delay = np.asarray(metrics, dtype=np.float64)
-        if delay.ndim != 2 or delay.shape[0] != delay.shape[1]:
-            raise DimensionMismatchError(
-                f"expected a square delay matrix, got shape {delay.shape}"
-            )
-        if np.any(delay < 0):
-            raise DomainError("delays must be nonnegative")
+    delay = np.asarray(delay_s, dtype=np.float64)
+    if delay.ndim != 2 or delay.shape[0] != delay.shape[1]:
+        raise DimensionMismatchError(
+            f"expected a square delay matrix, got shape {delay.shape}"
+        )
+    if np.any(delay < 0):
+        raise DomainError("delays must be nonnegative")
     n = delay.shape[0]
     overrides = cfg.per_vehicle_compute_delay_s
     if overrides is not None and len(overrides) != n:
@@ -248,7 +237,7 @@ def _reference_delays(n, seed):
 
 def _channel_delays(n, seed):
     dist, _ = generate_scene(ScenarioSpec(n, rng_seed=seed))
-    return default_pa(AllocationProblem(ChannelParams(), dist)).metrics
+    return default_pa(AllocationProblem(ChannelParams(), dist)).metrics.delay_s
 
 
 _REFERENCE_CASES = [

@@ -11,11 +11,12 @@ from v2vaoi.channel import (
     LinkMetrics,
     PowerMatrix,
     SnrClampWarning,
+    _snr,
     compute_delay_matrix,
-    compute_snr_batch,
     compute_snr_matrix,
     link_metrics,
     offdiag_values,
+    path_loss,
 )
 from v2vaoi.errors import (
     AsymmetryError,
@@ -131,13 +132,14 @@ def test_scale_covariance(scale):
 
 
 def test_batch_agrees_with_single():
+    # the GA's fitness runs _snr on a whole population stack
     rng = np.random.default_rng(5)
     dist, _ = random_instance(rng, 4)
     stack = []
     for _ in range(7):
         _, power = random_instance(rng, 4)
         stack.append(power.p)
-    batch = compute_snr_batch(PARAMS, dist, np.array(stack))
+    batch = _snr(path_loss(PARAMS, dist), np.array(stack), PARAMS.noise_w)
     for k, p in enumerate(stack):
         np.testing.assert_array_equal(
             batch[k], compute_snr_matrix(PARAMS, dist, PowerMatrix(p))

@@ -261,6 +261,8 @@ def test_text_format_writes_report(tmp_path):
         ["solve", "--n", "3", "--min-sep", "0.0001", "--box-side", "0.01", "--alpha", "200"],
         ["solve", "--scene", "{tmp}/tri_half_metre.txt", "--alpha", "1025"],
         ["aoi", "--compute-delay", "1e300"],
+        ["verify", "--n", "3", "--instances", "1", "--gap-threshold", "-0.5"],
+        ["verify", "--n", "3", "--instances", "1", "--gap-threshold", "1.5"],
     ],
 )
 def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):

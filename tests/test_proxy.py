@@ -5,21 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2vaoi.errors import DomainError, SceneParseError
+from v2vaoi.errors import DomainError
 from v2vaoi.proxy import (
     BACKBONE_CURVE,
     CONSTANT_TRANSMISSION_CURVE,
-    DEFAULT_CURVES,
+    LINEAR_COEFFICIENT_CURVE,
     DegradationCurve,
     estimate_ap,
     estimate_scene_ap,
-    load_curve,
-    save_curve,
 )
+
+CURVES = (BACKBONE_CURVE, CONSTANT_TRANSMISSION_CURVE, LINEAR_COEFFICIENT_CURVE)
 
 
 def test_every_sample_reproduced_bit_exactly():
-    for curve in DEFAULT_CURVES.values():
+    for curve in CURVES:
         for row in curve.samples:
             assert estimate_ap(curve, row[0]) == (row[1], row[2], row[3])
 
@@ -62,7 +62,7 @@ def test_negative_delay_rejected():
 @settings(max_examples=200, deadline=None)
 @given(delay=st.floats(min_value=0.0, max_value=3.0))
 def test_interpolation_preserves_iou_ordering(delay):
-    for curve in DEFAULT_CURVES.values():
+    for curve in CURVES:
         ap30, ap50, ap70 = estimate_ap(curve, delay)
         assert ap30 >= ap50 >= ap70
         assert 0.0 <= ap70 and ap30 <= 1.0
@@ -76,13 +76,13 @@ def test_interpolation_preserves_iou_ordering(delay):
 def test_interpolation_monotone_non_increasing(lo, hi):
     if lo > hi:
         lo, hi = hi, lo
-    for curve in DEFAULT_CURVES.values():
+    for curve in CURVES:
         a = estimate_ap(curve, lo)
         b = estimate_ap(curve, hi)
         assert all(x >= y - 1e-12 for x, y in zip(a, b))
 
 
-def test_curve_validation_rejects_bad_data(tmp_path):
+def test_curve_validation_rejects_bad_data():
     with pytest.raises(DomainError):
         DegradationCurve("bad", [[0.0, 0.5, 0.6, 0.4]])  # ap30 < ap50
     with pytest.raises(DomainError):
@@ -95,10 +95,6 @@ def test_curve_validation_rejects_bad_data(tmp_path):
         DegradationCurve("bad", [[0.0, 0.9, 0.8, 0.7], [0.1, float("nan"), 0.8, 0.7]])
     with pytest.raises(DomainError):
         DegradationCurve("bad", [[float("nan"), 0.9, 0.8, 0.7]])
-    path = tmp_path / "curve.txt"
-    path.write_text("0.0 0.9 0.8 0.7\n0.1 0.9 nan 0.7\n")
-    with pytest.raises(DomainError):
-        load_curve(path)
 
 
 # --- scene estimate ------------------------------------------------------------
@@ -132,32 +128,17 @@ def test_scene_estimate_rejects_empty():
         estimate_scene_ap(np.zeros((0, 0)))
 
 
-# --- files ----------------------------------------------------------------------
 
-
-def test_curve_file_round_trip(tmp_path):
-    path = tmp_path / "curve.txt"
-    save_curve(BACKBONE_CURVE, path)
-    loaded = load_curve(path)
-    assert loaded.delay_type == "backbone"
-    np.testing.assert_array_equal(loaded.samples, BACKBONE_CURVE.samples)
-
-
-def test_curve_file_parse(tmp_path):
-    path = tmp_path / "curve.txt"
-    path.write_text("# my measurements\ntype custom_stack\n0 0.9 0.8 0.7\n0.5 0.5 0.4 0.3\n")
-    curve = load_curve(path)
-    assert curve.delay_type == "custom_stack"
-    assert estimate_ap(curve, 0.0) == (0.9, 0.8, 0.7)
-
-
-def test_curve_file_errors(tmp_path):
-    path = tmp_path / "curve.txt"
-    path.write_text("0 0.9 0.8\n")
-    with pytest.raises(SceneParseError):
-        load_curve(path)
-    path.write_text("")
-    with pytest.raises(SceneParseError):
-        load_curve(path)
-    with pytest.raises(SceneParseError):
-        load_curve("/nonexistent/curve.txt")
+def test_scene_estimate_takes_custom_curves():
+    # own measurements go in as DegradationCurve objects, not files
+    flat = DegradationCurve("flat", [[0.0, 0.9, 0.8, 0.7], [1.0, 0.9, 0.8, 0.7]])
+    steep = DegradationCurve("steep", [[0.0, 0.6, 0.5, 0.4], [0.5, 0.2, 0.1, 0.0]])
+    ages = np.array([[0.0, 0.5], [0.25, 0.0]])
+    est = estimate_scene_ap(ages, constant_curve=flat, spread_curve=steep)
+    assert est.constant_component == (0.9, 0.8, 0.7)
+    assert est.spread_component == (0.2, 0.1, 0.0)
+    assert (est.ap30, est.ap50, est.ap70) == (0.2, 0.1, 0.0)
+    # mean age 0.1875 lies 3/8 of the way along steep's only segment
+    est = estimate_scene_ap(ages, constant_curve=steep, spread_curve=flat)
+    assert est.constant_component == pytest.approx((0.45, 0.35, 0.25), rel=1e-12)
+    assert (est.ap30, est.ap50, est.ap70) == est.constant_component

@@ -1,5 +1,7 @@
 """Scene generation and distance-matrix file handling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,18 +20,24 @@ from v2vaoi.scenario import (
 )
 
 
-def test_fixed_coordinates_3_4_5():
-    spec = ScenarioSpec(2, coordinates=((0.0, 0.0), (3.0, 4.0)))
-    dist, coords = generate_scene(spec)
+# fixed placements come from coords scene files
+
+
+def test_fixed_coordinates_3_4_5(tmp_path):
+    path = tmp_path / "scene.txt"
+    path.write_text("coords\n1 -2\n4 2\n")
+    dist = load_distance_matrix(path)
+    assert dist.n == 2
     assert dist.d[0, 1] == 5.0
     assert dist.d[1, 0] == 5.0
-    assert coords.shape == (2, 2)
+    assert dist.d[0, 0] == dist.d[1, 1] == 0.0
 
 
-def test_fixed_equilateral():
-    h = 20.0 * np.sqrt(3) / 2
-    spec = ScenarioSpec(3, coordinates=((0.0, 0.0), (20.0, 0.0), (10.0, h)))
-    dist, _ = generate_scene(spec)
+def test_fixed_equilateral(tmp_path):
+    h = 10.0 * math.sqrt(3)
+    path = tmp_path / "scene.txt"
+    path.write_text(f"coords\n0 0\n20 0\n10 {h!r}\n")
+    dist = load_distance_matrix(path)
     off = dist.d[~np.eye(3, dtype=bool)]
     np.testing.assert_allclose(off, 20.0, rtol=1e-12)
 
@@ -72,8 +80,6 @@ def test_spec_validation():
         ScenarioSpec(3, box_side_m=9.0, min_separation_m=5.0)
     with pytest.raises(DomainError):
         ScenarioSpec(3, box_side_m=float("inf"))
-    with pytest.raises(DomainError):
-        ScenarioSpec(3, coordinates=((0.0, 0.0), (1.0, 1.0)))  # count mismatch
 
 
 # --- files -------------------------------------------------------------------
