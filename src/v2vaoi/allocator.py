@@ -16,7 +16,6 @@ Four strategies:
 """
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .channel import (
     offdiag_values,
     path_loss,
 )
-from .errors import DomainError, FeasibilityError
+from .errors import DomainError, FeasibilityError, check_integers
 
 # Absolute slack, in watts, used by every constraint check.
 FEASIBILITY_SLACK_W = 1e-9
@@ -39,15 +38,6 @@ FEASIBILITY_SLACK_W = 1e-9
 # exact_pa's bisection stops once its bracket on the target SNR is this
 # narrow, relative to the upper end.
 EXACT_REL_TOL = 1e-12
-
-
-def _check_integers(cfg, *fields: str) -> None:
-    """The fields must hold integers, numpy integers included and bool not;
-    a float count would fail inside the solve or act as the next integer up."""
-    for name in fields:
-        value = getattr(cfg, name)
-        if not isinstance(value, Integral) or isinstance(value, bool):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +75,7 @@ class GreedyConfig:
     convergence_window: int = 20
 
     def __post_init__(self):
-        _check_integers(self, "max_epochs", "convergence_window")
+        check_integers(self, "max_epochs", "convergence_window")
         if not (0 < self.learn_rate < 1):
             raise DomainError(f"learn_rate must be in (0, 1), got {self.learn_rate}")
         if self.max_epochs < 1:
@@ -113,7 +103,7 @@ class GeneticConfig:
     creep_sigma: float = 0.25
 
     def __post_init__(self):
-        _check_integers(
+        check_integers(
             self, "population_size", "max_generations", "stagnation_limit", "rng_seed"
         )
         if self.population_size < 2:
@@ -191,22 +181,20 @@ def _cap_rows_to_budget(rows: np.ndarray, budget: float) -> np.ndarray:
     """Lower each row's largest entries to a common level so it sums to budget.
 
     Entries below the level are untouched.  Rows already within budget come
-    back unchanged.  Shape (..., m).
+    back unchanged.  Shape (k, m), entries finite.
     """
-    u = np.sort(rows, axis=-1)[..., ::-1]
-    m = rows.shape[-1]
-    csum = np.cumsum(u, axis=-1)
-    total = csum[..., -1:]
-    tail = total - csum  # sum of entries strictly after the k-th largest
-    ks = np.arange(1, m + 1, dtype=np.float64)
-    level = (budget - tail) / ks
-    # smallest k whose level lands at or above the next entry down
-    nxt = np.concatenate(
-        [u[..., 1:], np.full((*u.shape[:-1], 1), -np.inf)], axis=-1
-    )
-    first_ok = np.argmax(level >= nxt, axis=-1)
-    w = np.take_along_axis(level, first_ok[..., np.newaxis], axis=-1)
-    return np.minimum(rows, w)
+    k, m = rows.shape
+    u = np.sort(rows, axis=1)[:, ::-1]
+    csum = np.cumsum(u, axis=1)
+    tail = csum[:, -1:] - csum  # sum of entries strictly after the j-th largest
+    level = (budget - tail) / np.arange(1, m + 1, dtype=np.float64)
+    # smallest j whose level lands at or above the next entry down; the
+    # smallest entry has none below it, so the last column always qualifies
+    ok = np.empty((k, m), dtype=bool)
+    np.greater_equal(level[:, :-1], u[:, 1:], out=ok[:, :-1])
+    ok[:, -1] = True
+    w = level[np.arange(k), ok.argmax(axis=1)]
+    return np.minimum(rows, w[:, np.newaxis])
 
 
 def _project_offdiag_rows(rows: np.ndarray, p_min: float, p_max: float) -> np.ndarray:

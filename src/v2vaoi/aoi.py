@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, check_integers
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,9 @@ class AoiConfig:
     per_vehicle_compute_delay_s: tuple = None
 
     def __post_init__(self):
+        check_integers(self, "rng_seed")
+        if self.rng_seed < 0:
+            raise DomainError("rng_seed must be nonnegative")
         # written so that NaN fails every test
         if not (0 < self.sample_period_s < math.inf):
             raise DomainError("sample_period_s must be positive and finite")

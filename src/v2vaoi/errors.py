@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule that
+every config applies to its counts and seeds."""
+
+from numbers import Integral
 
 
 class SimulationError(Exception):
@@ -35,3 +38,12 @@ class PositivityError(SceneLoadError):
 
 class PackingError(SimulationError):
     """Random placement could not satisfy the minimum separation."""
+
+
+def check_integers(cfg, *fields: str) -> None:
+    """The fields must hold integers, numpy integers included and bool not;
+    a float count would fail inside the solve or act as the next integer up."""
+    for name in fields:
+        value = getattr(cfg, name)
+        if not isinstance(value, Integral) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer, got {value!r}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MAX_VEHICLES, DistanceMatrix
-from .errors import DomainError, PackingError, SceneParseError
+from .errors import DomainError, PackingError, SceneParseError, check_integers
 
 _SPLIT = re.compile(r"[,\s]+")
 
@@ -47,6 +47,7 @@ class ScenarioSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, "n_vehicles", "rng_seed")
         if self.n_vehicles < 2:
             raise DomainError("need at least 2 vehicles")
         if self.n_vehicles > MAX_VEHICLES:
@@ -57,6 +58,8 @@ class ScenarioSpec:
             raise DomainError(
                 "box_side_m must be finite and exceed twice min_separation_m"
             )
+        if self.rng_seed < 0:
+            raise DomainError("rng_seed must be nonnegative")
 
 
 def _distances_from_coords(coords: np.ndarray) -> DistanceMatrix:
@@ -68,26 +71,30 @@ def _distances_from_coords(coords: np.ndarray) -> DistanceMatrix:
 def generate_scene(spec: ScenarioSpec):
     """Produce a scene's distance matrix plus the coordinates behind it.
 
-    Deterministic per seed.  Raises PackingError when rejection sampling
-    cannot fit all vehicles at the requested separation.
+    What a seed reproduces is this draw order: each placement attempt draws
+    two uniforms on [0, box_side_m), x then y, from default_rng(rng_seed).
+    The candidate is accepted when it lies at least min_separation_m from
+    every vehicle placed so far, and becomes the next vehicle.  Raises
+    PackingError once 10,000 attempts have not placed all vehicles.
     """
+    n = spec.n_vehicles
     rng = np.random.default_rng(spec.rng_seed)
-    placed = []
+    coords = np.empty((n, 2))
+    placed = 0
     attempts = 0
-    while len(placed) < spec.n_vehicles:
+    while placed < n:
         attempts += 1
         if attempts > _MAX_PLACEMENT_ATTEMPTS:
             raise PackingError(
-                f"could not place {spec.n_vehicles} vehicles at "
+                f"could not place {n} vehicles at "
                 f"{spec.min_separation_m} m separation in a "
                 f"{spec.box_side_m} m box after {_MAX_PLACEMENT_ATTEMPTS} attempts"
             )
         candidate = rng.uniform(0.0, spec.box_side_m, size=2)
-        if all(
-            np.hypot(*(candidate - p)) >= spec.min_separation_m for p in placed
-        ):
-            placed.append(candidate)
-    coords = np.array(placed)
+        gap = candidate - coords[:placed]
+        if (np.hypot(gap[:, 0], gap[:, 1]) >= spec.min_separation_m).all():
+            coords[placed] = candidate
+            placed += 1
     return _distances_from_coords(coords), coords
 
 

@@ -10,6 +10,7 @@ from v2vaoi.allocator import (
     FEASIBILITY_SLACK_W,
     GeneticConfig,
     GreedyConfig,
+    _cap_rows_to_budget,
     _finish,
     _project_offdiag_rows,
     _uniform_power,
@@ -196,6 +197,58 @@ def test_projection_batch_matches_single():
     batch = project_to_feasible(stack, PARAMS)
     for k in range(5):
         np.testing.assert_array_equal(batch[k], project_to_feasible(stack[k], PARAMS))
+
+
+def _cap_rows_to_budget_reference(rows, budget):
+    """_cap_rows_to_budget as it stood with a -inf sentinel column and a
+    take_along_axis gather."""
+    u = np.sort(rows, axis=-1)[..., ::-1]
+    m = rows.shape[-1]
+    csum = np.cumsum(u, axis=-1)
+    total = csum[..., -1:]
+    tail = total - csum  # sum of entries strictly after the k-th largest
+    ks = np.arange(1, m + 1, dtype=np.float64)
+    level = (budget - tail) / ks
+    # smallest k whose level lands at or above the next entry down
+    nxt = np.concatenate(
+        [u[..., 1:], np.full((*u.shape[:-1], 1), -np.inf)], axis=-1
+    )
+    first_ok = np.argmax(level >= nxt, axis=-1)
+    w = np.take_along_axis(level, first_ok[..., np.newaxis], axis=-1)
+    return np.minimum(rows, w)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 15, 31, 63])
+def test_cap_rows_matches_reference_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    p_min = 1e-3
+    for _ in range(200):
+        k = int(rng.integers(1, 9))
+        rows = rng.uniform(p_min, 2.0 / m, size=(k, m))
+        # ties: some entries copy the row's first entry
+        tie = rng.random((k, m)) < 0.3
+        rows[tie] = np.broadcast_to(rows[:, :1], (k, m))[tie]
+        # floor entries, as the rescale-and-reclamp in the projection leaves them
+        rows[rng.random((k, m)) < 0.2] = p_min
+        sums = rows.sum(axis=1)
+        # budgets from well below every row sum to above every row sum, so
+        # some rows are already within budget
+        for budget in (
+            float(rng.uniform(0.1, 1.0) * sums.min()),
+            float(np.median(sums)),
+            float(sums.max() * 1.5),
+            float(sums[0]),
+        ):
+            got = _cap_rows_to_budget(rows, budget)
+            want = _cap_rows_to_budget_reference(rows, budget)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        # rows rescaled to the budget and reclamped to the floor, the
+        # projection's own input to the cap
+        budget = 1.0
+        scaled = np.maximum(rows * (budget / sums)[:, np.newaxis], p_min)
+        got = _cap_rows_to_budget(scaled, budget)
+        assert got.tobytes() == _cap_rows_to_budget_reference(scaled, budget).tobytes()
 
 
 # --- greedy -------------------------------------------------------------------

@@ -308,6 +308,11 @@ def test_config_validation():
             AoiConfig(looptime_s=bad)
         with pytest.raises(DomainError):
             AoiConfig(per_vehicle_compute_delay_s=(0.1, bad))
+    for bad in (2.5, 3.0, True, -1):
+        with pytest.raises(DomainError):
+            AoiConfig(rng_seed=bad)
+    cfg = AoiConfig(compute_delay_s=0.05, rng_seed=np.int64(4))
+    assert len(build_aoi_records(np.zeros((2, 2)), cfg)) == 4
 
 
 # --- summary -----------------------------------------------------------------

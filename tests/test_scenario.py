@@ -73,6 +73,62 @@ def test_packing_error_when_box_too_crowded():
         generate_scene(spec)
 
 
+def _generate_scene_reference(spec):
+    """generate_scene as a plain loop: one scalar hypot per (candidate,
+    placed vehicle) pair."""
+    rng = np.random.default_rng(spec.rng_seed)
+    placed = []
+    attempts = 0
+    while len(placed) < spec.n_vehicles:
+        attempts += 1
+        if attempts > 10_000:
+            raise PackingError(
+                f"could not place {spec.n_vehicles} vehicles at "
+                f"{spec.min_separation_m} m separation in a "
+                f"{spec.box_side_m} m box after 10000 attempts"
+            )
+        candidate = rng.uniform(0.0, spec.box_side_m, size=2)
+        if all(
+            np.hypot(*(candidate - p)) >= spec.min_separation_m for p in placed
+        ):
+            placed.append(candidate)
+    coords = np.array(placed)
+    diff = coords[:, np.newaxis, :] - coords[np.newaxis, :, :]
+    return np.sqrt((diff**2).sum(axis=-1)), coords
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *[
+            pytest.param(ScenarioSpec(n, rng_seed=seed), id=f"n{n}-seed{seed}")
+            for n in (2, 3, 5, 8, 16, 32, 64)
+            for seed in (0, 7, 12345)
+        ],
+        # crowded: most candidates are rejected
+        pytest.param(ScenarioSpec(64, box_side_m=60.0, rng_seed=1), id="n64-box60"),
+        pytest.param(ScenarioSpec(64, box_side_m=60.0, rng_seed=2), id="n64-box60-seed2"),
+        # cannot be packed: both sides must give up with the same message
+        pytest.param(
+            ScenarioSpec(20, box_side_m=21.0, min_separation_m=10.0, rng_seed=0),
+            id="packing-failure",
+        ),
+    ],
+)
+def test_generation_matches_reference_bit_for_bit(spec):
+    try:
+        want_d, want_coords = _generate_scene_reference(spec)
+    except PackingError as exc:
+        with pytest.raises(PackingError) as got:
+            generate_scene(spec)
+        assert str(got.value) == str(exc)
+        return
+    dist, coords = generate_scene(spec)
+    assert coords.shape == want_coords.shape
+    assert coords.tobytes() == want_coords.tobytes()
+    assert dist.d.tobytes() == want_d.tobytes()
+
+
 def test_spec_validation():
     with pytest.raises(DomainError):
         ScenarioSpec(1)
@@ -80,6 +136,15 @@ def test_spec_validation():
         ScenarioSpec(3, box_side_m=9.0, min_separation_m=5.0)
     with pytest.raises(DomainError):
         ScenarioSpec(3, box_side_m=float("inf"))
+    # counts and seeds must be integers, as in the solver configs
+    for bad in (2.5, 3.0):
+        with pytest.raises(DomainError):
+            ScenarioSpec(bad)
+    for bad in (2.5, 3.0, True, -1):
+        with pytest.raises(DomainError):
+            ScenarioSpec(3, rng_seed=bad)
+    spec = ScenarioSpec(np.int64(3), rng_seed=np.uint64(2**63))
+    assert generate_scene(spec)[1].shape == (3, 2)
 
 
 # --- files -------------------------------------------------------------------
