@@ -15,7 +15,7 @@ Four strategies:
                 reference for testing and the `verify` command.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,12 +25,13 @@ from .channel import (
     LinkMetrics,
     PowerMatrix,
     _snr,
+    from_offdiag_rows,
     link_metrics,
     offdiag_mask,
-    offdiag_values,
+    offdiag_rows,
     path_loss,
 )
-from .errors import DomainError, FeasibilityError, check_integers
+from .errors import DomainError, FeasibilityError, check_integers, is_integer
 
 # Absolute slack, in watts, used by every constraint check.
 FEASIBILITY_SLACK_W = 1e-9
@@ -75,15 +76,11 @@ class GreedyConfig:
     convergence_window: int = 20
 
     def __post_init__(self):
-        check_integers(self, "max_epochs", "convergence_window")
+        check_integers(self, "max_epochs", "convergence_window", least=1)
         if not (0 < self.learn_rate < 1):
             raise DomainError(f"learn_rate must be in (0, 1), got {self.learn_rate}")
-        if self.max_epochs < 1:
-            raise DomainError("max_epochs must be at least 1")
         if not (0 < self.convergence_tol < np.inf):
             raise DomainError("convergence_tol must be positive and finite")
-        if self.convergence_window < 1:
-            raise DomainError("convergence_window must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -103,19 +100,13 @@ class GeneticConfig:
     creep_sigma: float = 0.25
 
     def __post_init__(self):
-        check_integers(
-            self, "population_size", "max_generations", "stagnation_limit", "rng_seed"
-        )
-        if self.population_size < 2:
-            raise DomainError("population_size must be at least 2")
+        check_integers(self, "population_size", least=2)
+        check_integers(self, "max_generations", "stagnation_limit", least=1)
+        check_integers(self, "rng_seed")
         if not (0 <= self.crossover_rate <= 1):
             raise DomainError("crossover_rate must be in [0, 1]")
         if not (0 <= self.mutation_rate <= 1):
             raise DomainError("mutation_rate must be in [0, 1]")
-        if self.max_generations < 1:
-            raise DomainError("max_generations must be at least 1")
-        if self.stagnation_limit < 1:
-            raise DomainError("stagnation_limit must be at least 1")
         if self.rng_seed < 0:
             raise DomainError("rng_seed must be nonnegative")
         if not (0 < self.creep_sigma < np.inf):
@@ -134,6 +125,7 @@ class AllocationResult:
     converged: bool
     strategy_name: str
     history: tuple = ()  # best-so-far objective after each epoch/generation
+    rungs: tuple = ()  # greedy_pa's results at its rungs, in their order
 
 
 @dataclass(frozen=True)
@@ -197,37 +189,32 @@ def _cap_rows_to_budget(rows: np.ndarray, budget: float) -> np.ndarray:
     return np.minimum(rows, w[:, np.newaxis])
 
 
-def _project_offdiag_rows(rows: np.ndarray, p_min: float, p_max: float) -> np.ndarray:
+def _project_offdiag_rows(rows: np.ndarray, p_min: float, p_max: float) -> tuple:
     """Project rows of outgoing-link powers onto the constraint set.
 
     Clamp to the per-link bounds; rows over budget are rescaled
     multiplicatively, entries pushed under the floor are clamped back up,
     and the residual excess is absorbed by capping the largest entries.
-    Feasible rows pass through bit-identically.
+    Feasible rows pass through bit-identically.  Returns the projected rows
+    and, per row, whether it was over budget after the clamp; a row that
+    was not is a fixed point of the projection.
     """
-    out = np.clip(rows, p_min, p_max)
-    sums = out.sum(axis=-1)
+    out = np.maximum(rows, p_min)
+    np.minimum(out, p_max, out=out)
+    sums = np.add.reduce(out, axis=-1)
     over = sums > p_max
     if over.any():
         scaled = out[over] * (p_max / sums[over])[..., np.newaxis]
         scaled = np.maximum(scaled, p_min)
         out[over] = _cap_rows_to_budget(scaled, p_max)
-    return out
+    return out, over
 
 
 def project_to_feasible(power: np.ndarray, params: ChannelParams) -> np.ndarray:
     """Project raw power matrices (n, n) or a stack (m, n, n) onto the
     constraint set, keeping diagonals at zero."""
-    power = np.asarray(power, dtype=np.float64)
-    square = power.ndim == 2
-    stack = power[np.newaxis] if square else power
-    n = stack.shape[-1]
-    mask = offdiag_mask(n)
-    rows = stack[:, mask].reshape(stack.shape[0], n, n - 1)
-    rows = _project_offdiag_rows(rows, params.p_min_w, params.p_max_w)
-    out = np.zeros_like(stack)
-    out[:, mask] = rows.reshape(stack.shape[0], n * (n - 1))
-    return out[0] if square else out
+    rows = offdiag_rows(np.asarray(power, dtype=np.float64))
+    return from_offdiag_rows(_project_offdiag_rows(rows, params.p_min_w, params.p_max_w)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +269,9 @@ def default_pa(problem: AllocationProblem) -> AllocationResult:
     )
 
 
-def _off_fixed_point(rows: np.ndarray, p_min: float, p_max: float) -> np.ndarray:
-    """Per row: would _project_offdiag_rows change it?
-
-    A row with every entry in [p_min, p_max] and a sum within p_max passes
-    through the projection bit-identically; any other row may not.
-    """
-    outside = ((rows < p_min) | (rows > p_max)).any(axis=-1)
-    return outside | (rows.sum(axis=-1) > p_max)
-
-
-def greedy_pa(problem: AllocationProblem, cfg: GreedyConfig | None = None) -> AllocationResult:
+def greedy_pa(
+    problem: AllocationProblem, cfg: GreedyConfig | None = None, *, rungs: tuple = ()
+) -> AllocationResult:
     """Shift power toward the worst link, away from the best, epoch by epoch.
 
     Starts from the even split.  Each epoch multiplies the minimum-SNR
@@ -302,68 +281,69 @@ def greedy_pa(problem: AllocationProblem, cfg: GreedyConfig | None = None) -> Al
     (by min-SNR) is returned, so the objective history is non-decreasing.
     Fully deterministic.
 
-    The path loss is computed once per solve.  An epoch reprojects only
-    the two rows it changed and any row the last projection left off its
-    fixed point, which gives the same powers as reprojecting every row.
-    The returned allocation is validated once, in _finish.
+    rungs are epoch budgets up to cfg.max_epochs.  result.rungs holds, in
+    their order, exactly what a separate solve with max_epochs = rung
+    returns: the best allocation, epochs_used, converged and history after
+    that epoch, or the final ones if the run stopped at or before it.
+
+    The solve holds only the (n, n-1) off-diagonal rows.  An epoch
+    reprojects the two rows it changed and any row the last projection
+    found over budget, which gives the same powers as reprojecting all.
     """
     cfg = cfg or GreedyConfig()
+    if not all(is_integer(r) and 1 <= r <= cfg.max_epochs for r in rungs):
+        raise DomainError(f"rungs must be integers in 1..max_epochs, got {rungs!r}")
     params = problem.params
     p_min, p_max = params.p_min_w, params.p_max_w
     n = problem.n
-    loss = path_loss(params, problem.dist)
-    p = _uniform_power(problem)
-    # rows[i] holds vehicle i's n-1 outgoing powers and row_flat their flat
-    # indices in p; links[k] is the k-th off-diagonal entry in row-major
-    # order, the order of snr_off, so argmin and argmax break ties as a
-    # row-major scan of the matrix would
-    row_flat = np.flatnonzero(offdiag_mask(n)).reshape(n, n - 1)
-    rows = p.take(row_flat)
+    loss = offdiag_rows(path_loss(params, problem.dist))
+    # rows[i] holds vehicle i's n-1 outgoing powers; links[k] is the k-th
+    # off-diagonal entry in row-major order, the order of snr, so argmin and
+    # argmax break ties as a row-major scan of the matrix would
+    rows = offdiag_rows(_uniform_power(problem))
     links = rows.reshape(-1)
-    snr_off = _snr(loss, p, params.noise_w).take(row_flat).reshape(-1)
-    worst = int(np.argmin(snr_off))
-    best_obj = float(snr_off[worst])
-    best_p = p.copy()
+    snr = _snr(loss, rows, params.noise_w).reshape(-1)
+    worst = int(np.argmin(snr))
+    best_obj = float(snr[worst])
+    best_rows = rows.copy()  # replaced on improvement, never written
     # the even split is not always a fixed point: (n-1) * (p_max/(n-1))
     # can round above p_max
     pending = np.ones(n, dtype=bool)
-    history = []
+    snapshots = dict.fromkeys(rungs)
+    history = []  # one entry per epoch run
     stall = 0
-    converged = False
-    epochs_used = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        epochs_used = epoch
-        strongest = int(np.argmax(snr_off))
+        strongest = int(np.argmax(snr))
         links[worst] *= 1.0 + cfg.learn_rate
         links[strongest] *= 1.0 - cfg.learn_rate
         pending[worst // (n - 1)] = pending[strongest // (n - 1)] = True
-        touched = np.flatnonzero(pending)
-        fresh = _project_offdiag_rows(rows[touched], p_min, p_max)
-        rows[touched] = fresh
-        p.put(row_flat[touched], fresh)
-        pending[touched] = _off_fixed_point(fresh, p_min, p_max)
-        snr_off = _snr(loss, p, params.noise_w).take(row_flat).reshape(-1)
-        worst = int(np.argmin(snr_off))
-        obj = float(snr_off[worst])
+        touched = pending.nonzero()[0]
+        rows[touched], pending[touched] = _project_offdiag_rows(rows[touched], p_min, p_max)
+        snr = _snr(loss, rows, params.noise_w).reshape(-1)
+        worst = int(np.argmin(snr))
+        obj = float(snr[worst])
         if obj > best_obj:
             rel_gain = (obj - best_obj) / best_obj
             best_obj = obj
-            best_p = p.copy()
+            best_rows = rows.copy()
             stall = 0 if rel_gain >= cfg.convergence_tol else stall + 1
         else:
             stall += 1
         history.append(best_obj)
         if stall >= cfg.convergence_window:
-            converged = True
             break
-    return _finish(
-        problem,
-        best_p,
-        epochs_used=epochs_used,
-        converged=converged,
-        strategy_name="greedy",
-        history=tuple(history),
-    )
+        if epoch in snapshots:
+            snapshots[epoch] = best_rows
+
+    def finish(best: np.ndarray, epochs: int, stopped: bool) -> AllocationResult:
+        return _finish(problem, from_offdiag_rows(best), epochs_used=epochs, converged=stopped,
+                       strategy_name="greedy", history=tuple(history[:epochs]))
+
+    epochs_used = len(history)
+    final = finish(best_rows, epochs_used, stall >= cfg.convergence_window)
+    return replace(final, rungs=tuple(
+        final if r >= epochs_used else finish(snapshots[r], r, False) for r in rungs
+    ))
 
 
 def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> AllocationResult:
@@ -402,44 +382,33 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     ln_lo = np.log(p_min)
     ln_hi = np.log(p_max)
     ln_span = ln_hi - ln_lo  # Generator.uniform's range
-    loss = path_loss(params, problem.dist)
-    # gene g of individual k sits at flat index at[k, g] of the zeroed
-    # (pop, n, n) power stack; the diagonal is never written.  The SNRs are
-    # read back gene-major, so the min over genes runs across individuals.
-    genes_at = np.flatnonzero(offdiag_mask(n))
-    at = np.arange(pop_size)[:, np.newaxis] * (n * n) + genes_at
-    put_at = at.reshape(-1)
-    take_at = at.T.reshape(-1)
-    stack = np.zeros((pop_size, n, n))
+    loss = offdiag_rows(path_loss(params, problem.dist))
+    # the SNRs are read back gene-major, so the min over genes runs across
+    # individuals: far fewer reduce steps than a min along each short row
+    gene_major = np.arange(pop_size * n_genes).reshape(pop_size, n_genes).T.reshape(-1)
     # one generation's uniforms, sliced in draw order, and its normals
     u = np.empty(n_pairs + n_pairs * n_genes + 3 * pop_size * n_genes)
-    cross_u = u[:n_pairs]
+    cross_u = u[:n_pairs].reshape(n_pairs, 1, 1)
     swap_u = u[n_pairs : n_pairs * (1 + n_genes)].reshape(n_pairs, 1, n_genes)
-    mutate_u, reset_u, reset_v = u[n_pairs * (1 + n_genes) :].reshape(3, pop_size, n_genes)
+    mutate_u, reset_u, reset_v = u[n_pairs * (1 + n_genes) :].reshape(3, pop_size * n_genes)
     z = np.empty((pop_size, n_genes))
     first_entrant = 3 * np.arange(pop_size)  # flat index in entrants of each tournament
 
-    def project(genes: np.ndarray) -> np.ndarray:
-        rows = _project_offdiag_rows(genes.reshape(-1, n, n - 1), p_min, p_max)
-        return rows.reshape(-1, n_genes)
-
     def fitness(genes: np.ndarray) -> np.ndarray:
-        stack.put(put_at, genes)
-        snr = _snr(loss, stack, params.noise_w)
-        return snr.take(take_at).reshape(n_genes, pop_size).min(axis=0)
+        snr = _snr(loss, genes, params.noise_w)
+        return snr.take(gene_major).reshape(n_genes, pop_size).min(axis=0)
 
-    pop = project(np.exp(rng.uniform(ln_lo, ln_hi, size=(pop_size, n_genes))))
+    # each individual is held as its (n, n-1) off-diagonal rows
+    pop = np.exp(rng.uniform(ln_lo, ln_hi, size=(pop_size, n, n - 1)))
+    pop = _project_offdiag_rows(pop, p_min, p_max)[0]
     fit = fitness(pop)
     best_idx = int(fit.argmax())
     best_fit = float(fit[best_idx])
     best_genes = pop[best_idx].copy()
-    history = [best_fit]
+    history = [best_fit]  # the initial best, then one entry per generation
     stagnation = 0
-    converged = False
-    generations = 0
 
     for _ in range(cfg.max_generations):
-        generations += 1
         # tournament selection, size 3
         entrants = rng.integers(0, pop_size, size=(pop_size, 3))
         winners = entrants.take(first_entrant + fit.take(entrants).argmax(axis=1))
@@ -449,16 +418,16 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
         # uniform crossover on consecutive pairs: swap the two rows of a
         # (pairs, 2, genes) view wherever the pair's gate and the gene's
         # coin both say so
-        swap = (swap_u < 0.5) & (cross_u < cfg.crossover_rate)[:, np.newaxis, np.newaxis]
+        swap = (swap_u < 0.5) & (cross_u < cfg.crossover_rate)
         pairs = children[: 2 * n_pairs].reshape(n_pairs, 2, n_genes)
-        children[: 2 * n_pairs] = np.where(swap, pairs[:, ::-1], pairs).reshape(-1, n_genes)
+        children[: 2 * n_pairs] = np.where(swap, pairs[:, ::-1], pairs).reshape(-1, n, n - 1)
         # mutation: log-uniform reset or multiplicative creep, half and half,
         # evaluated only at the mutated genes
-        hit = np.flatnonzero(mutate_u < cfg.mutation_rate)
+        hit = (mutate_u < cfg.mutation_rate).nonzero()[0]
         resets = np.exp(ln_lo + ln_span * reset_v.take(hit))
         creeps = children.take(hit) * np.exp(cfg.creep_sigma * z.take(hit))
         children.put(hit, np.where(reset_u.take(hit) < 0.5, resets, creeps))
-        children = project(children)
+        children = _project_offdiag_rows(children, p_min, p_max)[0]
         children[0] = best_genes  # elitism
         pop = children
         fit = fitness(pop)
@@ -471,16 +440,13 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
             stagnation += 1
         history.append(best_fit)
         if stagnation >= cfg.stagnation_limit:
-            converged = True
             break
 
-    best = np.zeros(n * n)
-    best[genes_at] = project(best_genes[np.newaxis])[0]
     return _finish(
         problem,
-        best.reshape(n, n),
-        epochs_used=generations,
-        converged=converged,
+        from_offdiag_rows(_project_offdiag_rows(best_genes, p_min, p_max)[0]),
+        epochs_used=len(history) - 1,
+        converged=stagnation >= cfg.stagnation_limit,
         strategy_name="genetic",
         history=tuple(history),
     )
@@ -518,13 +484,11 @@ def exact_pa(problem: AllocationProblem) -> AllocationResult:
     best = _uniform_power(problem)
     steps = 0
     if n > 2:
-        mask = offdiag_mask(n)
         atten = path_loss(params, problem.dist)
-        floors = np.zeros((n, n))
-        floors[mask] = params.p_min_w / atten[mask]
+        floors = from_offdiag_rows(params.p_min_w / offdiag_rows(atten))
         # column j's floors without the diagonal, largest first; prefix sums
         # F_0 = 0 .. F_{n-2} of the k largest
-        cols = -np.sort(-floors.T[mask].reshape(n, n - 1), axis=1)
+        cols = -np.sort(-offdiag_rows(floors.T), axis=1)
         prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(cols[:, :-1], axis=1)], axis=1)
         unfloored = np.arange(n - 1, 0, -1)  # n-1-k for k = 0 .. n-2
 
@@ -535,7 +499,7 @@ def exact_pa(problem: AllocationProblem) -> AllocationResult:
             np.fill_diagonal(p, 0.0)
             return p
 
-        lo = float(offdiag_values(_snr(atten, best, params.noise_w)).min())
+        lo = float(_snr(offdiag_rows(atten), offdiag_rows(best), params.noise_w).min())
         hi = 1.0 / (n - 2)
         while hi - lo > EXACT_REL_TOL * hi:
             steps += 1

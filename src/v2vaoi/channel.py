@@ -9,6 +9,7 @@ All operations are pure functions; the value types are frozen dataclasses
 holding read-only float64 arrays, safe to share across threads.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -224,12 +225,48 @@ def path_loss(params: ChannelParams, dist: DistanceMatrix) -> np.ndarray:
     return loss
 
 
+def offdiag_rows(m: np.ndarray) -> np.ndarray:
+    """m[i, j] for every j != i as row i, in order of j: the off-diagonal
+    layout (n, n-1) the solvers work in; a stack (..., n, n) maps likewise."""
+    n = m.shape[-1]
+    return m[..., offdiag_mask(n)].reshape(*m.shape[:-2], n, n - 1)
+
+
+def from_offdiag_rows(rows: np.ndarray) -> np.ndarray:
+    """The (n, n) matrix, or (m, n, n) stack, with a zero diagonal whose
+    off-diagonal rows are rows, shape (n, n-1) or (m, n, n-1)."""
+    n = rows.shape[-2]
+    out = np.zeros((*rows.shape[:-2], n, n))
+    out[..., offdiag_mask(n)] = rows.reshape(*rows.shape[:-2], -1)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _receivers(count: int, n: int) -> np.ndarray:
+    """Flat index, over count stacked scenes, of the receiver of every link
+    in off-diagonal row layout: link (i, k) of scene s reaches s*n + j with
+    j = k + (k >= i)."""
+    k = np.arange(n - 1)
+    recv = (np.arange(count)[:, None, None] * n + k + (k >= np.arange(n)[:, None])).reshape(-1)
+    recv.flags.writeable = False
+    return recv
+
+
 def _snr(loss: np.ndarray, powers: np.ndarray, noise_w: float) -> np.ndarray:
-    """The one implementation of the SNR formula, on one (n, n) power
-    matrix or a stack (m, n, n), given the path loss of the scene."""
+    """The one implementation of the SNR formula, on one scene's powers or
+    a stack of them in off-diagonal row layout (..., n, n-1) (offdiag_rows),
+    given the scene's path loss in the same layout.
+
+    Each receiver's incoming gain is one np.bincount over the links in
+    row-major order, which adds a receiver's senders one by one in sender
+    order: the order of a sum over axis -2 of the full matrix, whose
+    diagonal adds exact zeros.  So the sums are bit-identical to that reduce.
+    """
     gain = powers / loss
-    incoming = gain.sum(axis=-2, keepdims=True)  # per receiver j: sum over all transmitters
-    interference = incoming - gain  # drop the k = i term
+    n = gain.shape[-2]
+    recv = _receivers(gain.size // (n * (n - 1)), n)
+    incoming = np.bincount(recv, weights=gain.reshape(-1))
+    interference = incoming.take(recv).reshape(gain.shape) - gain  # drop the k = i term
     return gain / (interference + noise_w)
 
 
@@ -251,7 +288,8 @@ def compute_snr_matrix(
         raise DimensionMismatchError(
             f"distance matrix is {dist.n}x{dist.n} but power matrix is {power.n}x{power.n}"
         )
-    return _snr(path_loss(params, dist), power.p, params.noise_w)
+    loss = offdiag_rows(path_loss(params, dist))
+    return from_offdiag_rows(_snr(loss, offdiag_rows(power.p), params.noise_w))
 
 
 def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
@@ -263,8 +301,7 @@ def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
     """
     snr = np.asarray(snr, dtype=np.float64)
     n = _check_square(snr, "SNR matrix")
-    mask = offdiag_mask(n)
-    vals = snr[mask]
+    vals = snr[offdiag_mask(n)]
     if not np.all(np.isfinite(vals)):
         raise DomainError("off-diagonal SNR entries must be finite")
     if np.any(vals <= 0):
@@ -278,9 +315,7 @@ def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
         vals = np.maximum(vals, SNR_FLOOR)
     # log1p keeps the achievable rate accurate when 1 + snr would round to 1.
     rate_bps = params.bandwidth_hz * (np.log1p(vals) / _LN2)
-    out = np.zeros((n, n))
-    out[mask] = params.payload_bits / rate_bps
-    return out
+    return from_offdiag_rows((params.payload_bits / rate_bps).reshape(n, n - 1))
 
 
 def link_metrics(

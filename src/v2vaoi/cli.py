@@ -204,11 +204,12 @@ def _make_scene(cfg: dict):
     return dist, f"generated (n={cfg['n']}, seed={cfg['seed']})"
 
 
+_FMT_CELL = "{:>12.6g}".format
+
+
 def _fmt_matrix(m: np.ndarray, title: str) -> str:
-    lines = [title]
-    for row in m:
-        lines.append("  " + "  ".join(f"{v:>12.6g}" for v in row))
-    return "\n".join(lines)
+    rows = ("  " + "  ".join(map(_FMT_CELL, row)) for row in m.tolist())
+    return "\n".join([title, *rows])
 
 
 def _fmt_table(headers, rows) -> str:

@@ -40,10 +40,17 @@ class PackingError(SimulationError):
     """Random placement could not satisfy the minimum separation."""
 
 
-def check_integers(cfg, *fields: str) -> None:
-    """The fields must hold integers, numpy integers included and bool not;
-    a float count would fail inside the solve or act as the next integer up."""
+def is_integer(value) -> bool:
+    """An integer, numpy integers included and bool not; a float count would
+    fail inside the solve or act as the next integer up."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_integers(cfg, *fields: str, least: int | None = None) -> None:
+    """The fields must hold integers, by is_integer, and none below least."""
     for name in fields:
         value = getattr(cfg, name)
-        if not isinstance(value, Integral) or isinstance(value, bool):
+        if not is_integer(value):
             raise DomainError(f"{name} must be an integer, got {value!r}")
+        if least is not None and value < least:
+            raise DomainError(f"{name} must be at least {least}")

@@ -19,7 +19,7 @@ from .allocator import (
     greedy_pa,
 )
 from .channel import ChannelParams, offdiag_values
-from .errors import DimensionMismatchError, DomainError, SimulationError
+from .errors import DimensionMismatchError, DomainError, SimulationError, is_integer
 from .scenario import ScenarioSpec, generate_scene
 from .seeds import derive_seed
 
@@ -55,9 +55,11 @@ def delay_mean(d: np.ndarray) -> float:
 class ComparisonConfig:
     """Solver settings for one comparison batch.
 
-    The greedy solver runs once per entry of greedy_epoch_ladder so the
-    epoch-count ablation lands in the same table.  rate_factor rescales
-    every delay after solving (delay is exactly linear in payload size).
+    Every entry of greedy_epoch_ladder, a distinct integer of at least 1,
+    gets a greedy row of its own so the epoch-count ablation lands in the
+    same table; one greedy solve per trial serves them all.  rate_factor
+    rescales every delay after solving (delay is exactly linear in payload
+    size).
     """
 
     params: ChannelParams = ChannelParams()
@@ -69,8 +71,13 @@ class ComparisonConfig:
     def __post_init__(self):
         if not (0 < self.rate_factor <= 1):
             raise DomainError(f"rate_factor must be in (0, 1], got {self.rate_factor}")
-        if not self.greedy_epoch_ladder:
+        ladder = self.greedy_epoch_ladder
+        if not ladder:
             raise DomainError("greedy_epoch_ladder must not be empty")
+        if not all(is_integer(e) and e >= 1 for e in ladder):
+            raise DomainError(f"greedy_epoch_ladder entries must be integers >= 1, got {ladder!r}")
+        if len(set(ladder)) != len(ladder):
+            raise DomainError(f"greedy_epoch_ladder has duplicate entries: {ladder!r}")
 
 
 @dataclass(frozen=True)
@@ -112,10 +119,10 @@ def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> TrialRe
     problem = AllocationProblem(cfg.params, dist)
 
     results = {"default": default_pa(problem)}
-    for epochs in cfg.greedy_epoch_ladder:
-        results[f"greedy_epoch{epochs}"] = greedy_pa(
-            problem, replace(cfg.greedy, max_epochs=epochs)
-        )
+    ladder = cfg.greedy_epoch_ladder
+    greedy = greedy_pa(problem, replace(cfg.greedy, max_epochs=max(ladder)), rungs=ladder)
+    for epochs, result in zip(ladder, greedy.rungs):
+        results[f"greedy_epoch{epochs}"] = result
     genetic_seed = derive_seed(spec.rng_seed, trial, 1)
     results[REFERENCE_STRATEGY] = genetic_pa(
         problem, replace(cfg.genetic, rng_seed=genetic_seed)

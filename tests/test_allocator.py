@@ -25,7 +25,6 @@ from v2vaoi.channel import (
     ChannelParams,
     DistanceMatrix,
     PowerMatrix,
-    _snr,
     compute_delay_matrix,
     compute_snr_matrix,
     offdiag_mask,
@@ -49,6 +48,37 @@ def triangle_10_30_50():
     return DistanceMatrix(
         [[0.0, 10.0, 30.0], [10.0, 0.0, 50.0], [30.0, 50.0, 0.0]]
     )
+
+
+def _snr_reference(loss, powers, noise_w):
+    """channel._snr as it stood on full (n, n) matrices or (m, n, n) stacks,
+    kept verbatim so the solver references do not run the live kernels."""
+    gain = powers / loss
+    incoming = gain.sum(axis=-2, keepdims=True)  # per receiver j: sum over all transmitters
+    interference = incoming - gain  # drop the k = i term
+    return gain / (interference + noise_w)
+
+
+def _project_offdiag_rows_reference(rows, p_min, p_max):
+    """allocator._project_offdiag_rows as it stood with np.clip, kept verbatim."""
+    out = np.clip(rows, p_min, p_max)
+    sums = out.sum(axis=-1)
+    over = sums > p_max
+    if over.any():
+        scaled = out[over] * (p_max / sums[over])[..., np.newaxis]
+        scaled = np.maximum(scaled, p_min)
+        out[over] = _cap_rows_to_budget(scaled, p_max)
+    return out
+
+
+def _project_matrix_reference(p, params):
+    """Every off-diagonal row of p through the frozen projection."""
+    n = p.shape[0]
+    mask = offdiag_mask(n)
+    out = np.zeros_like(p)
+    rows = p[mask].reshape(n, n - 1)
+    out[mask] = _project_offdiag_rows_reference(rows, params.p_min_w, params.p_max_w).reshape(-1)
+    return out
 
 
 def problem_for(dist):
@@ -321,12 +351,18 @@ def _extreme_links(snr):
 
 
 def _greedy_reference(problem, cfg=None):
-    """greedy_pa as a plain loop: every epoch reprojects the whole matrix,
-    recomputes the path loss and validates a PowerMatrix."""
+    """greedy_pa as a plain loop over full matrices, on the frozen kernels:
+    every epoch reprojects the whole matrix, recomputes the path loss and
+    validates a PowerMatrix."""
     cfg = cfg or GreedyConfig()
     params = problem.params
+
+    def snr_of(p):
+        loss = path_loss(params, problem.dist)
+        return _snr_reference(loss, PowerMatrix(p).p, params.noise_w)
+
     p = _uniform_power(problem)
-    snr = compute_snr_matrix(params, problem.dist, PowerMatrix(p))
+    snr = snr_of(p)
     best_obj = float(offdiag_values(snr).min())
     best_p = p.copy()
     history = []
@@ -338,8 +374,8 @@ def _greedy_reference(problem, cfg=None):
         (c, d), (a, b) = _extreme_links(snr)
         p[c, d] *= 1.0 + cfg.learn_rate
         p[a, b] *= 1.0 - cfg.learn_rate
-        p = project_to_feasible(p, params)
-        snr = compute_snr_matrix(params, problem.dist, PowerMatrix(p))
+        p = _project_matrix_reference(p, params)
+        snr = snr_of(p)
         obj = float(offdiag_values(snr).min())
         if obj > best_obj:
             rel_gain = (obj - best_obj) / best_obj
@@ -386,6 +422,60 @@ def test_greedy_matches_reference_bit_for_bit(n, params, cfg):
     assert got.history == want.history
     assert got.epochs_used == want.epochs_used
     assert got.converged == want.converged
+
+
+def _assert_same_solve(got, want):
+    assert got.power.p.tobytes() == want.power.p.tobytes()
+    assert got.metrics.snr.tobytes() == want.metrics.snr.tobytes()
+    assert got.history == want.history
+    assert got.epochs_used == want.epochs_used
+    assert got.converged == want.converged
+
+
+@pytest.mark.parametrize("n, seed", [(3, 3), (4, 1), (5, 2)])
+def test_greedy_rungs_match_separate_solves(n, seed):
+    prob = random_problem(seed, n)
+    stop = greedy_pa(prob).epochs_used  # the plateau stop of the full solve
+    assert greedy_pa(prob).converged and stop > 20
+    ladders = {
+        "stops before the smallest rung": (stop + 300, stop + 1),
+        "stops between rungs": (stop + 50, stop // 2, 7),
+        "stops at a rung": (stop, stop - 1, 3),
+        "runs to the largest rung": (stop - 1, 10, 1),
+    }
+    for case, ladder in ladders.items():
+        cfg = GreedyConfig(max_epochs=max(ladder))
+        result = greedy_pa(prob, cfg, rungs=ladder)
+        assert result.converged is (max(ladder) >= stop), case
+        _assert_same_solve(result, greedy_pa(prob, cfg))
+        assert len(result.rungs) == len(ladder)
+        for rung, got in zip(ladder, result.rungs):
+            _assert_same_solve(got, greedy_pa(prob, GreedyConfig(max_epochs=rung)))
+            assert got.rungs == ()
+
+
+def test_greedy_rungs_validated():
+    prob = random_problem(1, 3)
+    for bad in ((0,), (-5,), (2.5,), (True,), (101,)):
+        with pytest.raises(DomainError, match="rungs"):
+            greedy_pa(prob, GreedyConfig(max_epochs=100), rungs=bad)
+    assert greedy_pa(prob, GreedyConfig(max_epochs=5)).rungs == ()
+
+
+def test_projection_matches_frozen_and_flags_over_budget_rows():
+    rng = np.random.default_rng(11)
+    for params in (PARAMS, ChannelParams(p_min_w=5.0)):
+        for n in (2, 3, 4, 8, 64):
+            for _ in range(20):
+                rows = np.exp(rng.uniform(-16, 4, size=(int(rng.integers(1, 6)), n, n - 1)))
+                got, over = _project_offdiag_rows(rows, params.p_min_w, params.p_max_w)
+                want = _project_offdiag_rows_reference(rows, params.p_min_w, params.p_max_w)
+                assert got.tobytes() == want.tobytes()
+                clamped = np.clip(rows, params.p_min_w, params.p_max_w)
+                np.testing.assert_array_equal(over, clamped.sum(axis=-1) > params.p_max_w)
+                # a row that was within budget is a fixed point
+                again, _ = _project_offdiag_rows(got[~over], params.p_min_w, params.p_max_w)
+                assert again.tobytes() == got[~over].tobytes()
 
 
 # --- genetic ------------------------------------------------------------------
@@ -441,7 +531,7 @@ def test_genetic_history_monotone():
 def _genetic_reference(problem, cfg=None):
     """genetic_pa as the plain generation loop: seven draws per generation,
     crossover by boolean-mask swaps, a fresh zeroed power stack per
-    fitness call."""
+    fitness call, on the frozen kernels."""
     cfg = cfg or GeneticConfig()
     params = problem.params
     n = problem.n
@@ -462,13 +552,15 @@ def _genetic_reference(problem, cfg=None):
         return out
 
     def project(genes):
-        rows = _project_offdiag_rows(
+        rows = _project_offdiag_rows_reference(
             _genes_to_rows(genes, n), params.p_min_w, params.p_max_w
         )
         return rows.reshape(genes.shape[0], n_genes)
 
     def fitness(genes):
-        snr = _snr(loss, _rows_to_matrices(_genes_to_rows(genes, n), n), params.noise_w)
+        snr = _snr_reference(
+            loss, _rows_to_matrices(_genes_to_rows(genes, n), n), params.noise_w
+        )
         return snr[:, mask].min(axis=1)
 
     def random_genes(count):
@@ -523,7 +615,7 @@ def _genetic_reference(problem, cfg=None):
             converged = True
             break
 
-    best_rows = _project_offdiag_rows(
+    best_rows = _project_offdiag_rows_reference(
         best_genes[np.newaxis].reshape(1, n, n - 1), params.p_min_w, params.p_max_w
     )
     best_matrix = _rows_to_matrices(best_rows, n)[0]
@@ -595,7 +687,9 @@ def best_random_objective(prob, count, seed):
         rng.uniform(np.log(params.p_min_w), np.log(params.p_max_w), size=(count, n, n))
     )
     raw[:, np.arange(n), np.arange(n)] = 0.0
-    snr = _snr(path_loss(params, prob.dist), project_to_feasible(raw, params), params.noise_w)
+    snr = _snr_reference(
+        path_loss(params, prob.dist), project_to_feasible(raw, params), params.noise_w
+    )
     return float(snr[:, offdiag_mask(n)].min(axis=1).max())
 
 

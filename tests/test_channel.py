@@ -15,6 +15,8 @@ from v2vaoi.channel import (
     compute_delay_matrix,
     compute_snr_matrix,
     link_metrics,
+    offdiag_mask,
+    offdiag_rows,
     offdiag_values,
     path_loss,
 )
@@ -131,19 +133,39 @@ def test_scale_covariance(scale):
     np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
 
+def _snr_full_matrix(loss, powers, noise_w):
+    """_snr as it stood on full (n, n) matrices or (m, n, n) stacks, kept
+    verbatim as the reference for the off-diagonal row kernel."""
+    gain = powers / loss
+    incoming = gain.sum(axis=-2, keepdims=True)  # per receiver j: sum over all transmitters
+    interference = incoming - gain  # drop the k = i term
+    return gain / (interference + noise_w)
+
+
 def test_batch_agrees_with_single():
-    # the GA's fitness runs _snr on a whole population stack
+    # the GA's fitness runs _snr on a whole population stack, greedy on one
+    # scene's rows; both must equal the full-matrix formula bit for bit
     rng = np.random.default_rng(5)
-    dist, _ = random_instance(rng, 4)
-    stack = []
-    for _ in range(7):
-        _, power = random_instance(rng, 4)
-        stack.append(power.p)
-    batch = _snr(path_loss(PARAMS, dist), np.array(stack), PARAMS.noise_w)
-    for k, p in enumerate(stack):
-        np.testing.assert_array_equal(
-            batch[k], compute_snr_matrix(PARAMS, dist, PowerMatrix(p))
-        )
+    for n in (2, 3, 5, 8, 16, 64):
+        mask = offdiag_mask(n)
+        for _ in range(4):
+            dist, _ = random_instance(rng, n)
+            loss = path_loss(PARAMS, dist)
+            # log-uniform powers over the whole per-link range, so incoming
+            # sums mix magnitudes and rounding order shows in the last bit
+            stack = np.exp(
+                rng.uniform(np.log(PARAMS.p_min_w), np.log(PARAMS.p_max_w), size=(8, n, n))
+            )
+            stack[:, ~mask] = 0.0
+            want = _snr_full_matrix(loss, stack, PARAMS.noise_w)
+            rows = stack[:, mask].reshape(8, n, n - 1)
+            batch = _snr(offdiag_rows(loss), rows, PARAMS.noise_w)
+            assert batch.tobytes() == want[:, mask].tobytes()
+            for k in range(8):
+                single = _snr(offdiag_rows(loss), rows[k], PARAMS.noise_w)
+                assert single.tobytes() == batch[k].tobytes()
+                matrix = compute_snr_matrix(PARAMS, dist, PowerMatrix(stack[k]))
+                assert matrix.tobytes() == want[k].tobytes()
 
 
 def test_snr_dimension_mismatch():

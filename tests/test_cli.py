@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from v2vaoi.cli import _config_record, _resolve, build_parser, main
+from v2vaoi.cli import _config_record, _fmt_matrix, _resolve, build_parser, main
 
 
 def run_cli(args):
@@ -330,3 +330,23 @@ def test_config_file_integers_echoed_as_given(tmp_path):
     out = tmp_path / "r.jsonl"
     assert run_cli(["solve", "--config", cfg, "--epochs", 20, "--out", out]) == 0
     assert '"p_max": 23,' in out.read_text().splitlines()[0]
+
+
+def _fmt_matrix_reference(m, title):
+    """_fmt_matrix as it stood, formatting every numpy scalar on its own."""
+    lines = [title]
+    for row in m:
+        lines.append("  " + "  ".join(f"{v:>12.6g}" for v in row))
+    return "\n".join(lines)
+
+
+def test_fmt_matrix_text_unchanged():
+    rng = np.random.default_rng(4)
+    for n in range(2, 65):
+        m = 10.0 ** rng.uniform(-323.3, 300.0, size=(n, n))
+        m *= rng.choice([-1.0, 1.0], size=(n, n))
+        m[rng.random((n, n)) < 0.1] = 0.0
+        m[rng.random((n, n)) < 0.05] = -0.0
+        m[0, 0] = 5e-324
+        np.fill_diagonal(m[1:], [np.inf, -np.inf, np.nan, 1.0, 123456.5][: n - 1])
+        assert _fmt_matrix(m, "t:").encode() == _fmt_matrix_reference(m, "t:").encode()

@@ -1,9 +1,11 @@
 """Delay statistics and the multi-trial strategy comparison."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from v2vaoi.allocator import GeneticConfig, GreedyConfig
+from v2vaoi.allocator import AllocationProblem, GeneticConfig, GreedyConfig, greedy_pa
 from v2vaoi.errors import DimensionMismatchError, DomainError
 from v2vaoi.metrics import (
     ComparisonConfig,
@@ -12,7 +14,7 @@ from v2vaoi.metrics import (
     delay_variance,
     run_comparison,
 )
-from v2vaoi.scenario import ScenarioSpec
+from v2vaoi.scenario import ScenarioSpec, generate_scene
 
 FAST_CONFIG = ComparisonConfig(
     greedy=GreedyConfig(max_epochs=300),
@@ -136,3 +138,38 @@ def test_comparison_rejects_bad_inputs():
         ComparisonConfig(rate_factor=0.0)
     with pytest.raises(DomainError):
         ComparisonConfig(greedy_epoch_ladder=())
+
+
+def test_comparison_ladder_rows_match_separate_solves():
+    # one greedy solve per trial serves the whole ladder, in ladder order
+    spec = ScenarioSpec(4, rng_seed=8)
+    config = ComparisonConfig(genetic=FAST_CONFIG.genetic)
+    comp = run_comparison(spec, trials=2, config=config)
+    names = [agg.strategy_name for agg in comp.aggregates]
+    assert names == [
+        "default", "greedy_epoch5000", "greedy_epoch500", "greedy_epoch50", "genetic"
+    ]
+    for trial in comp.trials:
+        dist, _ = generate_scene(replace(spec, rng_seed=trial.scene_seed))
+        problem = AllocationProblem(config.params, dist)
+        rows = {s.strategy_name: s for s in trial.strategies}
+        for epochs in config.greedy_epoch_ladder:
+            want = greedy_pa(problem, replace(config.greedy, max_epochs=epochs))
+            got = rows[f"greedy_epoch{epochs}"]
+            assert got.epochs_used == want.epochs_used
+            assert got.min_snr == want.objective_min_snr
+            assert got.delay_s.tobytes() == want.metrics.delay_s.tobytes()
+        # the 50-epoch rung is cut short; the full solve reaches the plateau stop
+        assert rows["greedy_epoch50"].epochs_used == 50
+        assert rows["greedy_epoch5000"].epochs_used < 5000
+
+
+@pytest.mark.parametrize(
+    "ladder", [(0,), (-5,), (2.5,), (True,), (300, 300), (5000, 50, 500, 50)]
+)
+def test_comparison_config_rejects_bad_ladders(ladder):
+    # caught at construction, not as a failure inside trial 0, and never
+    # folded into fewer rows than entries
+    with pytest.raises(DomainError, match="greedy_epoch_ladder"):
+        ComparisonConfig(greedy_epoch_ladder=ladder)
+    assert ComparisonConfig(greedy_epoch_ladder=(np.int64(7), 3)).greedy_epoch_ladder == (7, 3)
