@@ -38,9 +38,13 @@ class SnrClampWarning(UserWarning):
     """An off-diagonal SNR below SNR_FLOOR was clamped before the rate log."""
 
 
+@functools.lru_cache(maxsize=MAX_VEHICLES)
 def offdiag_mask(n: int) -> np.ndarray:
-    """Boolean mask selecting the ordered pairs i != j."""
-    return ~np.eye(n, dtype=bool)
+    """Boolean mask selecting the ordered pairs i != j; read-only, shared
+    by every call with the same n."""
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def offdiag_values(m: np.ndarray) -> np.ndarray:

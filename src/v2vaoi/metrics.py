@@ -55,11 +55,11 @@ def delay_mean(d: np.ndarray) -> float:
 class ComparisonConfig:
     """Solver settings for one comparison batch.
 
-    Every entry of greedy_epoch_ladder, a distinct integer of at least 1,
-    gets a greedy row of its own so the epoch-count ablation lands in the
-    same table; one greedy solve per trial serves them all.  rate_factor
-    rescales every delay after solving (delay is exactly linear in payload
-    size).
+    Every entry of greedy_epoch_ladder, a distinct integer from 1 to
+    greedy.max_epochs, gets a greedy row of its own so the epoch-count
+    ablation lands in the same table; one greedy solve per trial, with
+    greedy as given, serves them all.  rate_factor rescales every delay
+    after solving (delay is exactly linear in payload size).
     """
 
     params: ChannelParams = ChannelParams()
@@ -78,6 +78,11 @@ class ComparisonConfig:
             raise DomainError(f"greedy_epoch_ladder entries must be integers >= 1, got {ladder!r}")
         if len(set(ladder)) != len(ladder):
             raise DomainError(f"greedy_epoch_ladder has duplicate entries: {ladder!r}")
+        if max(ladder) > self.greedy.max_epochs:
+            raise DomainError(
+                f"greedy_epoch_ladder entry {max(ladder)} exceeds greedy.max_epochs "
+                f"{self.greedy.max_epochs}"
+            )
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> TrialRe
 
     results = {"default": default_pa(problem)}
     ladder = cfg.greedy_epoch_ladder
-    greedy = greedy_pa(problem, replace(cfg.greedy, max_epochs=max(ladder)), rungs=ladder)
+    greedy = greedy_pa(problem, cfg.greedy, rungs=ladder)
     for epochs, result in zip(ladder, greedy.rungs):
         results[f"greedy_epoch{epochs}"] = result
     genetic_seed = derive_seed(spec.rng_seed, trial, 1)

@@ -10,8 +10,10 @@ from v2vaoi.allocator import (
     FEASIBILITY_SLACK_W,
     GeneticConfig,
     GreedyConfig,
+    _FEW_OVER,
     _cap_rows_to_budget,
     _finish,
+    _fit_row_to_budget,
     _project_offdiag_rows,
     _uniform_power,
     check_feasible,
@@ -59,15 +61,35 @@ def _snr_reference(loss, powers, noise_w):
     return gain / (interference + noise_w)
 
 
+def _cap_rows_to_budget_reference(rows, budget):
+    """_cap_rows_to_budget as it stood with a -inf sentinel column and a
+    take_along_axis gather."""
+    u = np.sort(rows, axis=-1)[..., ::-1]
+    m = rows.shape[-1]
+    csum = np.cumsum(u, axis=-1)
+    total = csum[..., -1:]
+    tail = total - csum  # sum of entries strictly after the k-th largest
+    ks = np.arange(1, m + 1, dtype=np.float64)
+    level = (budget - tail) / ks
+    # smallest k whose level lands at or above the next entry down
+    nxt = np.concatenate(
+        [u[..., 1:], np.full((*u.shape[:-1], 1), -np.inf)], axis=-1
+    )
+    first_ok = np.argmax(level >= nxt, axis=-1)
+    w = np.take_along_axis(level, first_ok[..., np.newaxis], axis=-1)
+    return np.minimum(rows, w)
+
+
 def _project_offdiag_rows_reference(rows, p_min, p_max):
-    """allocator._project_offdiag_rows as it stood with np.clip, kept verbatim."""
+    """allocator._project_offdiag_rows as it stood with np.clip, kept verbatim
+    but on the frozen cap."""
     out = np.clip(rows, p_min, p_max)
     sums = out.sum(axis=-1)
     over = sums > p_max
     if over.any():
         scaled = out[over] * (p_max / sums[over])[..., np.newaxis]
         scaled = np.maximum(scaled, p_min)
-        out[over] = _cap_rows_to_budget(scaled, p_max)
+        out[over] = _cap_rows_to_budget_reference(scaled, p_max)
     return out
 
 
@@ -229,23 +251,26 @@ def test_projection_batch_matches_single():
         np.testing.assert_array_equal(batch[k], project_to_feasible(stack[k], PARAMS))
 
 
-def _cap_rows_to_budget_reference(rows, budget):
-    """_cap_rows_to_budget as it stood with a -inf sentinel column and a
-    take_along_axis gather."""
-    u = np.sort(rows, axis=-1)[..., ::-1]
-    m = rows.shape[-1]
-    csum = np.cumsum(u, axis=-1)
-    total = csum[..., -1:]
-    tail = total - csum  # sum of entries strictly after the k-th largest
-    ks = np.arange(1, m + 1, dtype=np.float64)
-    level = (budget - tail) / ks
-    # smallest k whose level lands at or above the next entry down
-    nxt = np.concatenate(
-        [u[..., 1:], np.full((*u.shape[:-1], 1), -np.inf)], axis=-1
+def _cap_cases(rng, m, p_min):
+    """Rows of m links for the cap and row-fit tests, with budgets to cap
+    them at."""
+    k = int(rng.integers(1, 9))
+    rows = rng.uniform(p_min, 2.0 / m, size=(k, m))
+    # ties: some entries copy the row's first entry
+    tie = rng.random((k, m)) < 0.3
+    rows[tie] = np.broadcast_to(rows[:, :1], (k, m))[tie]
+    # floor entries, as the rescale-and-reclamp in the projection leaves them
+    rows[rng.random((k, m)) < 0.2] = p_min
+    sums = rows.sum(axis=1)
+    # budgets from well below every row sum to above every row sum, so
+    # some rows are already within budget
+    budgets = (
+        float(rng.uniform(0.1, 1.0) * sums.min()),
+        float(np.median(sums)),
+        float(sums.max() * 1.5),
+        float(sums[0]),
     )
-    first_ok = np.argmax(level >= nxt, axis=-1)
-    w = np.take_along_axis(level, first_ok[..., np.newaxis], axis=-1)
-    return np.minimum(rows, w)
+    return rows, sums, budgets
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 15, 31, 63])
@@ -253,22 +278,8 @@ def test_cap_rows_matches_reference_bit_for_bit(m):
     rng = np.random.default_rng(m)
     p_min = 1e-3
     for _ in range(200):
-        k = int(rng.integers(1, 9))
-        rows = rng.uniform(p_min, 2.0 / m, size=(k, m))
-        # ties: some entries copy the row's first entry
-        tie = rng.random((k, m)) < 0.3
-        rows[tie] = np.broadcast_to(rows[:, :1], (k, m))[tie]
-        # floor entries, as the rescale-and-reclamp in the projection leaves them
-        rows[rng.random((k, m)) < 0.2] = p_min
-        sums = rows.sum(axis=1)
-        # budgets from well below every row sum to above every row sum, so
-        # some rows are already within budget
-        for budget in (
-            float(rng.uniform(0.1, 1.0) * sums.min()),
-            float(np.median(sums)),
-            float(sums.max() * 1.5),
-            float(sums[0]),
-        ):
+        rows, sums, budgets = _cap_cases(rng, m, p_min)
+        for budget in budgets:
             got = _cap_rows_to_budget(rows, budget)
             want = _cap_rows_to_budget_reference(rows, budget)
             assert got.shape == want.shape
@@ -279,6 +290,23 @@ def test_cap_rows_matches_reference_bit_for_bit(m):
         scaled = np.maximum(rows * (budget / sums)[:, np.newaxis], p_min)
         got = _cap_rows_to_budget(scaled, budget)
         assert got.tobytes() == _cap_rows_to_budget_reference(scaled, budget).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 15, 31, 63])
+def test_fit_row_matches_reference_bit_for_bit(m):
+    # one row through the scan against the frozen cap on the same rescaled,
+    # reclamped row; m = 1 leaves the scan nothing to iterate
+    rng = np.random.default_rng(m)
+    p_min = 1e-3
+    for _ in range(200):
+        rows, totals, budgets = _cap_cases(rng, m, p_min)
+        for p_max in (*budgets, 1.0):
+            scaled = np.maximum(rows * (p_max / totals)[:, np.newaxis], p_min)
+            want = _cap_rows_to_budget_reference(scaled, p_max)
+            for row, total, want_row in zip(rows, totals, want):
+                got = row.copy()
+                _fit_row_to_budget(got, total, p_min, p_max)
+                assert got.tobytes() == want_row.tobytes()
 
 
 # --- greedy -------------------------------------------------------------------
@@ -462,20 +490,57 @@ def test_greedy_rungs_validated():
     assert greedy_pa(prob, GreedyConfig(max_epochs=5)).rungs == ()
 
 
+def _assert_projection_matches_frozen(rows, p_min, p_max):
+    before = rows.copy()
+    got = _project_offdiag_rows(rows, p_min, p_max)
+    assert rows.tobytes() == before.tobytes()  # the input is left alone
+    assert got.tobytes() == _project_offdiag_rows_reference(rows, p_min, p_max).tobytes()
+    # a row that was within budget after the clamp is a fixed point
+    within = np.clip(rows, p_min, p_max).sum(axis=-1) <= p_max
+    again = _project_offdiag_rows(got[within], p_min, p_max)
+    assert again.tobytes() == got[within].tobytes()
+
+
+def _rows_with_over_budget(rng, n, count, p_min, p_max):
+    """_FEW_OVER + 2 rows of n-1 links, exactly count of them over budget
+    after the clamp, with tied and floor-bound entries."""
+    k, m = _FEW_OVER + 2, n - 1
+    rows = rng.uniform(p_min, p_max / m, size=(k, m))
+    tie = rng.random((k, m)) < 0.3
+    rows[tie] = np.broadcast_to(rows[:, :1], (k, m))[tie]
+    rows[rng.random((k, m)) < 0.2] = p_min * rng.choice([0.5, 1.0])
+    for i in rng.choice(k, size=count, replace=False):
+        if rng.random() < 0.5:
+            rows[i, rng.integers(m)] = p_max * rng.uniform(1.0, 2.0)  # clamped to the cap
+        else:
+            # entries at the floor, which the rescale pushes back under it
+            rows[i, rng.random(m) < 0.3] = p_min
+            rows[i] *= p_max / rows[i].sum() * rng.uniform(1.01, 3.0)
+    clamped = np.clip(rows, p_min, p_max)
+    assert np.count_nonzero(clamped.sum(axis=-1) > p_max) == count
+    return rows
+
+
 def test_projection_matches_frozen_and_flags_over_budget_rows():
     rng = np.random.default_rng(11)
     for params in (PARAMS, ChannelParams(p_min_w=5.0)):
+        p_min, p_max = params.p_min_w, params.p_max_w
         for n in (2, 3, 4, 8, 64):
             for _ in range(20):
                 rows = np.exp(rng.uniform(-16, 4, size=(int(rng.integers(1, 6)), n, n - 1)))
-                got, over = _project_offdiag_rows(rows, params.p_min_w, params.p_max_w)
-                want = _project_offdiag_rows_reference(rows, params.p_min_w, params.p_max_w)
-                assert got.tobytes() == want.tobytes()
-                clamped = np.clip(rows, params.p_min_w, params.p_max_w)
-                np.testing.assert_array_equal(over, clamped.sum(axis=-1) > params.p_max_w)
-                # a row that was within budget is a fixed point
-                again, _ = _project_offdiag_rows(got[~over], params.p_min_w, params.p_max_w)
-                assert again.tobytes() == got[~over].tobytes()
+                _assert_projection_matches_frozen(rows, p_min, p_max)
+        # both sides of the one-row-at-a-time selection; a one-link row
+        # (n = 2) never exceeds the budget after the clamp, and 5 W floors
+        # leave no row within budget beyond n = 5
+        for n in (2, 3, 4, 5, 8, 64):
+            if (n - 1) * p_min > p_max:
+                continue
+            for count in (0, 1, _FEW_OVER, _FEW_OVER + 1) if n > 2 else (0,):
+                for _ in range(10):
+                    rows = _rows_with_over_budget(rng, n, count, p_min, p_max)
+                    _assert_projection_matches_frozen(rows, p_min, p_max)
+                    # a stack of scenes, as the GA projects its population
+                    _assert_projection_matches_frozen(rows.reshape(2, -1, n - 1), p_min, p_max)
 
 
 # --- genetic ------------------------------------------------------------------

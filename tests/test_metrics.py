@@ -173,3 +173,14 @@ def test_comparison_config_rejects_bad_ladders(ladder):
     with pytest.raises(DomainError, match="greedy_epoch_ladder"):
         ComparisonConfig(greedy_epoch_ladder=ladder)
     assert ComparisonConfig(greedy_epoch_ladder=(np.int64(7), 3)).greedy_epoch_ladder == (7, 3)
+
+
+def test_comparison_config_rejects_ladder_above_greedy_budget():
+    # the greedy solve runs greedy.max_epochs as given, so a rung beyond it
+    # could not be served; both values are named
+    with pytest.raises(DomainError, match="entry 5000 exceeds greedy.max_epochs 10"):
+        ComparisonConfig(greedy=GreedyConfig(max_epochs=10))
+    with pytest.raises(DomainError, match="entry 301 exceeds greedy.max_epochs 300"):
+        ComparisonConfig(greedy=GreedyConfig(max_epochs=300), greedy_epoch_ladder=(30, 301))
+    config = ComparisonConfig(greedy=GreedyConfig(max_epochs=10), greedy_epoch_ladder=(10, 5))
+    assert config.greedy_epoch_ladder == (10, 5)
