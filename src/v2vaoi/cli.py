@@ -6,9 +6,12 @@ Four commands:
   aoi      - information-age and proxy perception report per mode.
   verify   - heuristics against the exact optimum on random or given scenes.
 
-Every report embeds the fully resolved configuration.  Machine-readable
-output is line-delimited JSON; with a fixed master seed it is byte-identical
-across runs regardless of --jobs.
+Each command returns its records, the config record first, and builds no
+text: the text report is rendered from those records alone, so --format
+text and records carry the same values.  The config record embeds the
+fully resolved configuration.  Machine-readable output is line-delimited
+JSON; with a fixed master seed it is byte-identical across runs regardless
+of --jobs.
 """
 
 import argparse
@@ -85,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="V2V channel simulator with max-min-SNR power allocation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name, help=text) for name, (_, text) in _COMMANDS.items()}
+    commands = {name: sub.add_parser(name, help=text) for name, (_, _, text) in _COMMANDS.items()}
     for key, kind, _, help_text, names in _FLAGS:
         typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
         for name in names:
@@ -196,29 +199,56 @@ def _scene_spec(cfg: dict, n: int, *stream: int) -> ScenarioSpec:
     )
 
 
-def _make_scene(cfg: dict):
+def _make_scene(cfg: dict, *stream: int):
     if cfg["scene"]:
         dist = load_distance_matrix(cfg["scene"])
         return dist, f"file {cfg['scene']}"
-    dist, _ = generate_scene(_scene_spec(cfg, cfg["n"], 0))
+    dist, _ = generate_scene(_scene_spec(cfg, cfg["n"], *stream))
     return dist, f"generated (n={cfg['n']}, seed={cfg['seed']})"
 
 
 _FMT_CELL = "{:>12.6g}".format
 
 
-def _fmt_matrix(m: np.ndarray, title: str) -> str:
-    rows = ("  " + "  ".join(map(_FMT_CELL, row)) for row in m.tolist())
+def _fmt_matrix(m, title: str) -> str:
+    rows = ("  " + "  ".join(map(_FMT_CELL, row)) for row in m)
     return "\n".join([title, *rows])
 
 
-def _fmt_table(headers, rows) -> str:
-    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    out = []
-    for r in cells:
-        out.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(out)
+# a table column is (header, record key, cell format)
+_COMPARE_COLUMNS = (
+    ("strategy", "strategy", "{}"),
+    ("rmse_vs_genetic [s]", "rmse_vs_reference", "{:.6g}"),
+    ("variance [s^2]", "delay_variance", "{:.6g}"),
+    ("mean [s]", "delay_mean", "{:.6g}"),
+)
+_AOI_COLUMNS = (
+    ("mode", "mode", "{}"),
+    ("max_age [s]", "max_age_s", "{:.4g}"),
+    ("mean_age [s]", "mean_age_s", "{:.4g}"),
+    ("variance", "age_variance", "{:.4g}"),
+    ("stale", "stale_count", "{}"),
+    ("ap30*", "proxy_ap30", "{:.3f}"),
+    ("ap50*", "proxy_ap50", "{:.3f}"),
+    ("ap70*", "proxy_ap70", "{:.3f}"),
+)
+_VERIFY_COLUMNS = (
+    ("instance", "instance", "{}"),
+    ("exact", "oracle_min_snr", "{:.6g}"),
+    ("greedy", "greedy_min_snr", "{:.6g}"),
+    ("greedy_gap", "greedy_gap", "{:.4%}"),
+    ("genetic", "genetic_min_snr", "{:.6g}"),
+    ("genetic_gap", "genetic_gap", "{:.4%}"),
+)
+
+
+def _fmt_table(columns, recs) -> str:
+    cells = [[header for header, _, _ in columns]]
+    cells += [[fmt.format(rec[key]) for _, key, fmt in columns] for rec in recs]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "\n".join(
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells
+    )
 
 
 def _write_file(path, content: str) -> None:
@@ -227,14 +257,6 @@ def _write_file(path, content: str) -> None:
             fh.write(content)
     except OSError as exc:
         raise SimulationError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _write_output(cfg: dict, text: str, records: list) -> None:
-    print(text)
-    if cfg["out"] and cfg["format"] == "records":
-        _write_file(cfg["out"], "".join(json.dumps(rec) + "\n" for rec in records))
-    elif cfg["out"]:
-        _write_file(cfg["out"], text + "\n")
 
 
 # execution details that cannot change any computed number; keeping them out
@@ -248,8 +270,8 @@ def _config_record(cfg: dict) -> dict:
     return {"type": "config", **{k: cfg[k] for k in keys}}
 
 
-def cmd_solve(cfg: dict, solvers: ComparisonConfig) -> int:
-    dist, scene_desc = _make_scene(cfg)
+def cmd_solve(cfg: dict, solvers: ComparisonConfig) -> list:
+    dist, scene_desc = _make_scene(cfg, 0)
     problem = AllocationProblem(solvers.params, dist)
     strategy = cfg["strategy"]
     if strategy == "default":
@@ -260,31 +282,14 @@ def cmd_solve(cfg: dict, solvers: ComparisonConfig) -> int:
         genetic = replace(solvers.genetic, rng_seed=derive_seed(cfg["seed"], 1))
         result = genetic_pa(problem, genetic)
     delay = result.metrics.delay_s * cfg["rate_factor"]
-    max_delay = float(np.max(delay))
-
-    text = "\n".join(
-        [
-            f"scene: {scene_desc}",
-            f"strategy: {strategy} (epochs used {result.epochs_used}, "
-            f"converged {result.converged})",
-            f"objective: min SNR {result.objective_min_snr:.6g}, "
-            f"max delay {max_delay:.6g} s (rate factor {cfg['rate_factor']})",
-            "",
-            _fmt_matrix(result.power.p, "power matrix [W]:"),
-            "",
-            _fmt_matrix(result.metrics.snr, "SNR matrix:"),
-            "",
-            _fmt_matrix(delay, "delay matrix [s]:"),
-        ]
-    )
-    records = [
+    return [
         _config_record(cfg),
         {
             "type": "solve_result",
             "strategy": strategy,
             "scene": scene_desc,
             "objective_min_snr": result.objective_min_snr,
-            "objective_max_delay_s": max_delay,
+            "objective_max_delay_s": float(np.max(delay)),
             "epochs_used": result.epochs_used,
             "converged": result.converged,
             "distances_m": dist.d.tolist(),
@@ -293,38 +298,37 @@ def cmd_solve(cfg: dict, solvers: ComparisonConfig) -> int:
             "delay_s": delay.tolist(),
         },
     ]
-    _write_output(cfg, text, records)
-    return 0
 
 
-def cmd_compare(cfg: dict, solvers: ComparisonConfig) -> int:
-    specs = [_scene_spec(cfg, n, n) for n in _vehicle_counts(cfg["n"])]
-    blocks = []
-    records = [_config_record(cfg)]
-    plot_series = {}
-    for spec in specs:
-        n = spec.n_vehicles
-        comparison = run_comparison(spec, cfg["trials"], solvers, jobs=cfg["jobs"])
-        rows = [
-            (
-                agg.strategy_name,
-                f"{agg.rmse_vs_reference:.6g}",
-                f"{agg.delay_variance:.6g}",
-                f"{agg.delay_mean:.6g}",
-            )
-            for agg in comparison.aggregates
+def text_solve(records: list) -> str:
+    config, result = records
+    return "\n".join(
+        [
+            f"scene: {result['scene']}",
+            f"strategy: {result['strategy']} (epochs used {result['epochs_used']}, "
+            f"converged {result['converged']})",
+            f"objective: min SNR {result['objective_min_snr']:.6g}, "
+            f"max delay {result['objective_max_delay_s']:.6g} s "
+            f"(rate factor {config['rate_factor']})",
+            "",
+            _fmt_matrix(result["power_w"], "power matrix [W]:"),
+            "",
+            _fmt_matrix(result["snr"], "SNR matrix:"),
+            "",
+            _fmt_matrix(result["delay_s"], "delay matrix [s]:"),
         ]
-        blocks.append(
-            f"n={n} ({cfg['trials']} trials, reference {comparison.reference_strategy}, "
-            f"{comparison.variance_convention})\n"
-            + _fmt_table(
-                ("strategy", "rmse_vs_genetic [s]", "variance [s^2]", "mean [s]"), rows
-            )
-        )
+    )
+
+
+def cmd_compare(cfg: dict, solvers: ComparisonConfig) -> list:
+    specs = [_scene_spec(cfg, n, n) for n in _vehicle_counts(cfg["n"])]
+    records = [_config_record(cfg)]
+    for spec in specs:
+        comparison = run_comparison(spec, cfg["trials"], solvers, jobs=cfg["jobs"])
         records.append(
             {
                 "type": "comparison",
-                "n": n,
+                "n": spec.n_vehicles,
                 "trials": cfg["trials"],
                 "reference_strategy": comparison.reference_strategy,
                 "variance_convention": comparison.variance_convention,
@@ -355,33 +359,37 @@ def cmd_compare(cfg: dict, solvers: ComparisonConfig) -> int:
                 ],
             }
         )
-        for agg in comparison.aggregates:
-            for metric, value in (
-                ("rmse_vs_genetic", agg.rmse_vs_reference),
-                ("variance", agg.delay_variance),
-                ("mean", agg.delay_mean),
-            ):
-                plot_series.setdefault(f"{metric}.{agg.strategy_name}", []).append(
-                    (n, value)
-                )
-    if cfg["plot_out"]:
-        lines = []
-        for name in sorted(plot_series):
-            lines.append(f"# series {name}\n")
-            lines.extend(f"{x} {y!r}\n" for x, y in plot_series[name])
-        _write_file(cfg["plot_out"], "".join(lines))
-    _write_output(cfg, "\n\n".join(blocks), records)
-    return 0
+    return records
 
 
-def cmd_aoi(cfg: dict, solvers: ComparisonConfig) -> int:
+def text_compare(records: list) -> str:
+    return "\n\n".join(
+        f"n={rec['n']} ({rec['trials']} trials, reference {rec['reference_strategy']}, "
+        f"{rec['variance_convention']})\n" + _fmt_table(_COMPARE_COLUMNS, rec["aggregates"])
+        for rec in records[1:]
+    )
+
+
+def _plot_series(records: list) -> str:
+    """One x/y series per compare table column and strategy, x = n; a series
+    is named by its column header's first word and the strategy."""
+    series = {}
+    for rec in records[1:]:
+        for agg in rec["aggregates"]:
+            for header, key, _ in _COMPARE_COLUMNS[1:]:
+                name = f"{header.split()[0]}.{agg['strategy']}"
+                series.setdefault(name, []).append(f"{rec['n']} {agg[key]!r}\n")
+    return "".join(f"# series {name}\n" + "".join(series[name]) for name in sorted(series))
+
+
+def cmd_aoi(cfg: dict, solvers: ComparisonConfig) -> list:
     aoi_cfg = AoiConfig(
         compute_delay_s=cfg["compute_delay"],
         sample_period_s=cfg["period"],
         looptime_s=cfg["looptime"],
         rng_seed=derive_seed(cfg["seed"], 2),
     )
-    dist, scene_desc = _make_scene(cfg)
+    dist, scene_desc = _make_scene(cfg, 0)
     problem = AllocationProblem(solvers.params, dist)
     n = dist.n
     modes = [
@@ -389,73 +397,41 @@ def cmd_aoi(cfg: dict, solvers: ComparisonConfig) -> int:
         ("default", default_pa(problem).metrics.delay_s * cfg["rate_factor"]),
         ("greedy", greedy_pa(problem, solvers.greedy).metrics.delay_s * cfg["rate_factor"]),
     ]
-    rows = []
     records = [_config_record(cfg)]
     for mode, delays in modes:
         ages = build_aoi_records(delays, aoi_cfg).snapped_age_s
         summary = aoi_summary(ages, aoi_cfg.looptime_s)
         estimate = estimate_scene_ap(ages)
-        rows.append(
-            (
-                mode,
-                f"{summary.max_age_s:.4g}",
-                f"{summary.mean_age_s:.4g}",
-                f"{summary.age_variance:.4g}",
-                summary.stale_count,
-                f"{estimate.ap30:.3f}",
-                f"{estimate.ap50:.3f}",
-                f"{estimate.ap70:.3f}",
-            )
-        )
         records.append(
             {
                 "type": "aoi_mode",
                 "mode": mode,
                 "scene": scene_desc,
-                "max_age_s": summary.max_age_s,
-                "mean_age_s": summary.mean_age_s,
-                "age_variance": summary.age_variance,
-                "stale_count": summary.stale_count,
-                "effective_max_age_s": summary.effective_max_age_s,
-                "effective_mean_age_s": summary.effective_mean_age_s,
+                **vars(summary),  # AoiSummary's fields are record keys, in order
                 "proxy_ap30": estimate.ap30,
                 "proxy_ap50": estimate.ap50,
                 "proxy_ap70": estimate.ap70,
                 "proxy_label": estimate.label,
             }
         )
-    text = (
-        f"scene: {scene_desc}; looptime {aoi_cfg.looptime_s} s, "
-        f"period {aoi_cfg.sample_period_s} s, compute delay "
-        f"{aoi_cfg.compute_delay_s} s\n"
-        f"(AP columns are proxy estimates; effective ages add the looptime)\n"
-        + _fmt_table(
-            (
-                "mode",
-                "max_age [s]",
-                "mean_age [s]",
-                "variance",
-                "stale",
-                "ap30*",
-                "ap50*",
-                "ap70*",
-            ),
-            rows,
-        )
+    return records
+
+
+def text_aoi(records: list) -> str:
+    config, modes = records[0], records[1:]
+    return (
+        f"scene: {modes[0]['scene']}; looptime {config['looptime']} s, "
+        f"period {config['period']} s, compute delay {config['compute_delay']} s\n"
+        "(AP columns are proxy estimates; effective ages add the looptime)\n"
+        + _fmt_table(_AOI_COLUMNS, modes)
     )
-    _write_output(cfg, text, records)
-    return 0
 
 
-def cmd_verify(cfg: dict, solvers: ComparisonConfig) -> int:
-    rows = []
+def cmd_verify(cfg: dict, solvers: ComparisonConfig) -> list:
     records = [_config_record(cfg)]
     worst_greedy_gap = 0.0
     for k in range(cfg["instances"]):
-        if cfg["scene"]:
-            dist = load_distance_matrix(cfg["scene"])
-        else:
-            dist, _ = generate_scene(_scene_spec(cfg, cfg["n"], k, 0))
+        dist, _ = _make_scene(cfg, k, 0)
         problem = AllocationProblem(solvers.params, dist)
         exact = exact_pa(problem)
         greedy = greedy_pa(problem, solvers.greedy)
@@ -470,16 +446,6 @@ def cmd_verify(cfg: dict, solvers: ComparisonConfig) -> int:
             )
         }
         worst_greedy_gap = max(worst_greedy_gap, gaps["greedy"])
-        rows.append(
-            (
-                k,
-                f"{exact.objective_min_snr:.6g}",
-                f"{greedy.objective_min_snr:.6g}",
-                f"{gaps['greedy']:.4%}",
-                f"{genetic.objective_min_snr:.6g}",
-                f"{gaps['genetic']:.4%}",
-            )
-        )
         records.append(
             {
                 "type": "verify_instance",
@@ -491,32 +457,31 @@ def cmd_verify(cfg: dict, solvers: ComparisonConfig) -> int:
                 "genetic_gap": gaps["genetic"],
             }
         )
-    verdict = worst_greedy_gap <= cfg["gap_threshold"]
-    text = (
-        _fmt_table(
-            ("instance", "exact", "greedy", "greedy_gap", "genetic", "genetic_gap"),
-            rows,
-        )
-        + f"\nworst greedy gap {worst_greedy_gap:.4%} vs threshold "
-        f"{cfg['gap_threshold']:.4%}: {'OK' if verdict else 'EXCEEDED'}"
-    )
     records.append(
         {
             "type": "verify_verdict",
             "worst_greedy_gap": worst_greedy_gap,
             "gap_threshold": cfg["gap_threshold"],
-            "ok": verdict,
+            "ok": worst_greedy_gap <= cfg["gap_threshold"],
         }
     )
-    _write_output(cfg, text, records)
-    return 0 if verdict else 2
+    return records
+
+
+def text_verify(records: list) -> str:
+    *instances, verdict = records[1:]
+    return (
+        _fmt_table(_VERIFY_COLUMNS, instances)
+        + f"\nworst greedy gap {verdict['worst_greedy_gap']:.4%} vs threshold "
+        f"{verdict['gap_threshold']:.4%}: {'OK' if verdict['ok'] else 'EXCEEDED'}"
+    )
 
 
 _COMMANDS = {
-    "solve": (cmd_solve, "solve one scene with one strategy"),
-    "compare": (cmd_compare, "strategy comparison over repeated trials"),
-    "aoi": (cmd_aoi, "information-age and proxy perception report"),
-    "verify": (cmd_verify, "check heuristics against the exact optimum"),
+    "solve": (cmd_solve, text_solve, "solve one scene with one strategy"),
+    "compare": (cmd_compare, text_compare, "strategy comparison over repeated trials"),
+    "aoi": (cmd_aoi, text_aoi, "information-age and proxy perception report"),
+    "verify": (cmd_verify, text_verify, "check heuristics against the exact optimum"),
 }
 
 
@@ -527,12 +492,22 @@ def main(argv=None) -> int:
         # argparse has printed "error: ..." and exits 2; here 2 means only
         # that verify's threshold was exceeded
         return 1 if exc.code else 0
+    run, render, _ = _COMMANDS[args.command]
     try:
         cfg, solvers = _resolve(args)
-        return _COMMANDS[args.command][0](cfg, solvers)
+        records = run(cfg, solvers)
+        if cfg.get("plot_out"):  # a compare flag
+            _write_file(cfg["plot_out"], _plot_series(records))
+        text = render(records)
+        print(text)
+        if cfg["out"] and cfg["format"] == "records":
+            _write_file(cfg["out"], "".join(json.dumps(rec) + "\n" for rec in records))
+        elif cfg["out"]:
+            _write_file(cfg["out"], text + "\n")
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if records[-1].get("ok", True) else 2
 
 
 def app() -> None:

@@ -58,7 +58,8 @@ class ComparisonConfig:
     Every entry of greedy_epoch_ladder, a distinct integer from 1 to
     greedy.max_epochs, gets a greedy row of its own so the epoch-count
     ablation lands in the same table; one greedy solve per trial, with
-    greedy as given, serves them all.  rate_factor rescales every delay
+    greedy as given, serves them all.  The top entry must equal
+    greedy.max_epochs, so that no epoch is run for a row nobody reports.  rate_factor rescales every delay
     after solving (delay is exactly linear in payload size).
     """
 
@@ -82,6 +83,12 @@ class ComparisonConfig:
             raise DomainError(
                 f"greedy_epoch_ladder entry {max(ladder)} exceeds greedy.max_epochs "
                 f"{self.greedy.max_epochs}"
+            )
+        if max(ladder) < self.greedy.max_epochs:
+            # the solve would run past the top rung, and no row reports it
+            raise DomainError(
+                f"greedy.max_epochs {self.greedy.max_epochs} exceeds the top "
+                f"greedy_epoch_ladder entry {max(ladder)}"
             )
 
 

@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from v2vaoi.cli import _config_record, _fmt_matrix, _resolve, build_parser, main
+from v2vaoi.cli import (
+    _COMMANDS,
+    _config_record,
+    _fmt_matrix,
+    _plot_series,
+    _resolve,
+    build_parser,
+    main,
+)
 
 
 def run_cli(args):
@@ -330,6 +338,45 @@ def test_config_file_integers_echoed_as_given(tmp_path):
     out = tmp_path / "r.jsonl"
     assert run_cli(["solve", "--config", cfg, "--epochs", 20, "--out", out]) == 0
     assert '"p_max": 23,' in out.read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["solve", "--strategy", "default", "--n", 2], 0),
+        (["solve", "--n", 4, "--seed", 3, "--epochs", 300], 0),
+        (["solve", "--strategy", "genetic", "--n", 3, "--p-min", 1, "--generations", 300], 0),
+        (["solve", "--scene", "{tmp}/coords.txt", "--epochs", 300], 0),
+        (["compare", "--n", "2,3", "--trials", 2, "--seed", 5, "--epochs", 100,
+          "--generations", 150, "--population", 16, "--plot-out", "{tmp}/plot.txt"], 0),
+        (["aoi", "--config", "{tmp}/aoi.json", "--n", 5, "--seed", 9, "--epochs", 300], 0),
+        (["verify", "--scene", "{tmp}/coords.txt", "--instances", 1, "--epochs", 300,
+          "--generations", 300], 0),
+        (["verify", "--n", 3, "--instances", 2, "--seed", 2, "--epochs", 300,
+          "--generations", 300, "--gap-threshold", 0], 2),
+    ],
+    ids=["solve-default", "solve-greedy", "solve-genetic", "solve-scene", "compare",
+         "aoi-int-config", "verify-ok", "verify-exceeded"],
+)
+def test_text_renders_from_records(args, code, tmp_path, capsys):
+    # the text report is drawn from the records alone: reading the --out
+    # records back and rendering them reproduces stdout exactly
+    (tmp_path / "coords.txt").write_text("coords\n0 0\n30 40\n60 0\n")
+    (tmp_path / "aoi.json").write_text(
+        json.dumps({"looptime": 1, "period": 1, "compute_delay": 0, "rate_factor": 1})
+    )
+    argv = [str(a).format(tmp=tmp_path) for a in args]
+    records_out, text_out = tmp_path / "r.jsonl", tmp_path / "r.txt"
+    assert run_cli(argv + ["--out", records_out]) == code
+    stdout = capsys.readouterr().out
+    records = read_records(records_out)
+    render = _COMMANDS[argv[0]][1]
+    assert stdout == render(records) + "\n"
+    if "--plot-out" in argv:
+        assert (tmp_path / "plot.txt").read_text() == _plot_series(records)
+    assert run_cli(argv + ["--format", "text", "--out", text_out]) == code
+    assert capsys.readouterr().out == stdout
+    assert text_out.read_text() == stdout
 
 
 def _fmt_matrix_reference(m, title):

@@ -172,7 +172,10 @@ def test_comparison_config_rejects_bad_ladders(ladder):
     # folded into fewer rows than entries
     with pytest.raises(DomainError, match="greedy_epoch_ladder"):
         ComparisonConfig(greedy_epoch_ladder=ladder)
-    assert ComparisonConfig(greedy_epoch_ladder=(np.int64(7), 3)).greedy_epoch_ladder == (7, 3)
+    config = ComparisonConfig(
+        greedy=GreedyConfig(max_epochs=7), greedy_epoch_ladder=(np.int64(7), 3)
+    )
+    assert config.greedy_epoch_ladder == (7, 3)
 
 
 def test_comparison_config_rejects_ladder_above_greedy_budget():
@@ -184,3 +187,8 @@ def test_comparison_config_rejects_ladder_above_greedy_budget():
         ComparisonConfig(greedy=GreedyConfig(max_epochs=300), greedy_epoch_ladder=(30, 301))
     config = ComparisonConfig(greedy=GreedyConfig(max_epochs=10), greedy_epoch_ladder=(10, 5))
     assert config.greedy_epoch_ladder == (10, 5)
+    # nor may the solve run past the top rung: no row would report those epochs
+    with pytest.raises(DomainError, match="max_epochs 5000 exceeds the top .* entry 50"):
+        ComparisonConfig(greedy_epoch_ladder=(50,))
+    with pytest.raises(DomainError, match="max_epochs 300 exceeds the top .* entry 30"):
+        ComparisonConfig(greedy=GreedyConfig(max_epochs=300), greedy_epoch_ladder=(3, 30))
