@@ -29,7 +29,6 @@ from .channel import (
 )
 from .metrics import (
     ComparisonConfig,
-    StrategyComparison,
     delay_mean,
     delay_rmse,
     delay_variance,

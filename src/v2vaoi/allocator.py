@@ -41,6 +41,17 @@ FEASIBILITY_SLACK_W = 1e-9
 # narrow, relative to the upper end.
 EXACT_REL_TOL = 1e-12
 
+# greedy_pa's plateau stop: the best objective has improved by less than
+# GREEDY_CONVERGENCE_TOL (relative) for GREEDY_CONVERGENCE_WINDOW epochs.
+GREEDY_CONVERGENCE_TOL = 1e-6
+GREEDY_CONVERGENCE_WINDOW = 20
+
+# genetic_pa's variation: the chance that a pair is crossed, the chance that
+# a gene mutates, and the log-scale spread of a multiplicative creep.
+GA_CROSSOVER_RATE = 0.8
+GA_MUTATION_RATE = 0.05
+GA_CREEP_SIGMA = 0.25
+
 
 @dataclass(frozen=True)
 class AllocationProblem:
@@ -66,22 +77,17 @@ class GreedyConfig:
     """Knobs for greedy_pa.
 
     learn_rate is the multiplicative step applied to the worst and best
-    links' powers each epoch.  The plateau detector stops early once the
-    best objective improves by less than convergence_tol (relative) for
-    convergence_window consecutive epochs.
+    links' powers each epoch.  The run stops at max_epochs or at the
+    plateau stop set by GREEDY_CONVERGENCE_TOL and GREEDY_CONVERGENCE_WINDOW.
     """
 
     learn_rate: float = 0.05
     max_epochs: int = 5000
-    convergence_tol: float = 1e-6
-    convergence_window: int = 20
 
     def __post_init__(self):
-        check_integers(self, "max_epochs", "convergence_window", least=1)
+        check_integers(self, "max_epochs", least=1)
         if not (0 < self.learn_rate < 1):
             raise DomainError(f"learn_rate must be in (0, 1), got {self.learn_rate}")
-        if not (0 < self.convergence_tol < np.inf):
-            raise DomainError("convergence_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -93,25 +99,16 @@ class GeneticConfig:
     """
 
     population_size: int = 50
-    crossover_rate: float = 0.8
-    mutation_rate: float = 0.05
     max_generations: int = 100_000
     rng_seed: int = 0
     stagnation_limit: int = 500
-    creep_sigma: float = 0.25
 
     def __post_init__(self):
         check_integers(self, "population_size", least=2)
         check_integers(self, "max_generations", "stagnation_limit", least=1)
         check_integers(self, "rng_seed")
-        if not (0 <= self.crossover_rate <= 1):
-            raise DomainError("crossover_rate must be in [0, 1]")
-        if not (0 <= self.mutation_rate <= 1):
-            raise DomainError("mutation_rate must be in [0, 1]")
         if self.rng_seed < 0:
             raise DomainError("rng_seed must be nonnegative")
-        if not (0 < self.creep_sigma < np.inf):
-            raise DomainError("creep_sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -357,11 +354,11 @@ def greedy_pa(
             rel_gain = (obj - best_obj) / best_obj
             best_obj = obj
             best_rows = rows.copy()
-            stall = 0 if rel_gain >= cfg.convergence_tol else stall + 1
+            stall = 0 if rel_gain >= GREEDY_CONVERGENCE_TOL else stall + 1
         else:
             stall += 1
         history.append(best_obj)
-        if stall >= cfg.convergence_window:
+        if stall >= GREEDY_CONVERGENCE_WINDOW:
             break
         if epoch in snapshots:
             snapshots[epoch] = best_rows
@@ -371,7 +368,7 @@ def greedy_pa(
                        strategy_name="greedy", history=tuple(history[:epochs]))
 
     epochs_used = len(history)
-    final = finish(best_rows, epochs_used, stall >= cfg.convergence_window)
+    final = finish(best_rows, epochs_used, stall >= GREEDY_CONVERGENCE_WINDOW)
     return replace(final, rungs=tuple(
         final if r >= epochs_used else finish(snapshots[r], r, False) for r in rungs
     ))
@@ -396,7 +393,7 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
          mutate coin, the reset-or-creep choice and the reset value (each
          P * G), the last mapped to ln p_min + (ln p_max - ln p_min) * u as
          Generator.uniform maps it;
-      3. P * G standard normals, scaled by creep_sigma.
+      3. P * G standard normals, scaled by GA_CREEP_SIGMA.
     Every value is drawn whether or not it is used, and an odd last child
     is never crossed.  The path loss is computed and the work buffers are
     allocated once per solve; the returned allocation is validated once,
@@ -449,14 +446,14 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
         # uniform crossover on consecutive pairs: swap the two rows of a
         # (pairs, 2, genes) view wherever the pair's gate and the gene's
         # coin both say so
-        swap = (swap_u < 0.5) & (cross_u < cfg.crossover_rate)
+        swap = (swap_u < 0.5) & (cross_u < GA_CROSSOVER_RATE)
         pairs = children[: 2 * n_pairs].reshape(n_pairs, 2, n_genes)
         children[: 2 * n_pairs] = np.where(swap, pairs[:, ::-1], pairs).reshape(-1, n, n - 1)
         # mutation: log-uniform reset or multiplicative creep, half and half,
         # evaluated only at the mutated genes
-        hit = (mutate_u < cfg.mutation_rate).nonzero()[0]
+        hit = (mutate_u < GA_MUTATION_RATE).nonzero()[0]
         resets = np.exp(ln_lo + ln_span * reset_v.take(hit))
-        creeps = children.take(hit) * np.exp(cfg.creep_sigma * z.take(hit))
+        creeps = children.take(hit) * np.exp(GA_CREEP_SIGMA * z.take(hit))
         children.put(hit, np.where(reset_u.take(hit) < 0.5, resets, creeps))
         children = _project_offdiag_rows(children, p_min, p_max)
         children[0] = best_genes  # elitism

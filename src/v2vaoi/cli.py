@@ -152,6 +152,8 @@ def _resolve(args: argparse.Namespace) -> tuple:
     cfg["command"] = command
     for key, (kind, default) in table.items():
         _check_type(key, cfg[key], kind, default)
+    if not (0 <= cfg["seed"] < 2**64):  # derive_seed would wrap it silently
+        raise DomainError(f"seed must be in [0, 2**64), got {cfg['seed']}")
 
     if command == "compare":
         if cfg["scene"]:
@@ -322,44 +324,9 @@ def text_solve(records: list) -> str:
 
 def cmd_compare(cfg: dict, solvers: ComparisonConfig) -> list:
     specs = [_scene_spec(cfg, n, n) for n in _vehicle_counts(cfg["n"])]
-    records = [_config_record(cfg)]
-    for spec in specs:
-        comparison = run_comparison(spec, cfg["trials"], solvers, jobs=cfg["jobs"])
-        records.append(
-            {
-                "type": "comparison",
-                "n": spec.n_vehicles,
-                "trials": cfg["trials"],
-                "reference_strategy": comparison.reference_strategy,
-                "variance_convention": comparison.variance_convention,
-                "aggregates": [
-                    {
-                        "strategy": agg.strategy_name,
-                        "rmse_vs_reference": agg.rmse_vs_reference,
-                        "delay_variance": agg.delay_variance,
-                        "delay_mean": agg.delay_mean,
-                    }
-                    for agg in comparison.aggregates
-                ],
-                "per_trial": [
-                    {
-                        "trial_index": rec.trial_index,
-                        "scene_seed": rec.scene_seed,
-                        "strategies": [
-                            {
-                                "strategy": s.strategy_name,
-                                "min_snr": s.min_snr,
-                                "epochs_used": s.epochs_used,
-                                "rmse_vs_reference": s.rmse_vs_reference,
-                            }
-                            for s in rec.strategies
-                        ],
-                    }
-                    for rec in comparison.trials
-                ],
-            }
-        )
-    return records
+    return [_config_record(cfg)] + [
+        run_comparison(spec, cfg["trials"], solvers, jobs=cfg["jobs"]) for spec in specs
+    ]
 
 
 def text_compare(records: list) -> str:

@@ -59,8 +59,9 @@ class ComparisonConfig:
     greedy.max_epochs, gets a greedy row of its own so the epoch-count
     ablation lands in the same table; one greedy solve per trial, with
     greedy as given, serves them all.  The top entry must equal
-    greedy.max_epochs, so that no epoch is run for a row nobody reports.  rate_factor rescales every delay
-    after solving (delay is exactly linear in payload size).
+    greedy.max_epochs, so that no epoch is run for a row nobody reports.
+    rate_factor rescales every delay after solving (delay is exactly linear
+    in payload size).
     """
 
     params: ChannelParams = ChannelParams()
@@ -92,40 +93,8 @@ class ComparisonConfig:
             )
 
 
-@dataclass(frozen=True)
-class StrategyTrial:
-    strategy_name: str
-    delay_s: np.ndarray
-    min_snr: float
-    epochs_used: int
-    rmse_vs_reference: float
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    trial_index: int
-    scene_seed: int
-    strategies: tuple
-
-
-@dataclass(frozen=True)
-class StrategyAggregate:
-    strategy_name: str
-    rmse_vs_reference: float
-    delay_variance: float
-    delay_mean: float
-
-
-@dataclass(frozen=True)
-class StrategyComparison:
-    n_vehicles: int
-    trials: tuple
-    aggregates: tuple
-    reference_strategy: str = REFERENCE_STRATEGY
-    variance_convention: str = VARIANCE_CONVENTION
-
-
-def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> TrialRecord:
+def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> tuple:
+    """One trial's per_trial record and each strategy's scaled delay matrix."""
     scene_seed = derive_seed(spec.rng_seed, trial, 0)
     dist, _ = generate_scene(replace(spec, rng_seed=scene_seed))
     problem = AllocationProblem(cfg.params, dist)
@@ -140,22 +109,21 @@ def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> TrialRe
         problem, replace(cfg.genetic, rng_seed=genetic_seed)
     )
 
-    reference_delay = results[REFERENCE_STRATEGY].metrics.delay_s * cfg.rate_factor
-    strategies = []
-    for name, result in results.items():
-        scaled = result.metrics.delay_s * cfg.rate_factor
-        strategies.append(
-            StrategyTrial(
-                strategy_name=name,
-                delay_s=scaled,
-                min_snr=result.objective_min_snr,
-                epochs_used=result.epochs_used,
-                rmse_vs_reference=delay_rmse(scaled, reference_delay),
-            )
-        )
-    return TrialRecord(
-        trial_index=trial, scene_seed=scene_seed, strategies=tuple(strategies)
-    )
+    delays = {name: r.metrics.delay_s * cfg.rate_factor for name, r in results.items()}
+    record = {
+        "trial_index": trial,
+        "scene_seed": scene_seed,
+        "strategies": [
+            {
+                "strategy": name,
+                "min_snr": result.objective_min_snr,
+                "epochs_used": result.epochs_used,
+                "rmse_vs_reference": delay_rmse(delays[name], delays[REFERENCE_STRATEGY]),
+            }
+            for name, result in results.items()
+        ],
+    }
+    return record, delays
 
 
 def run_comparison(
@@ -163,19 +131,23 @@ def run_comparison(
     trials: int,
     config: ComparisonConfig | None = None,
     jobs: int = 1,
-) -> StrategyComparison:
+) -> dict:
     """Run every strategy over repeated scenes and average the statistics.
+
+    Returns the comparison record that `v2vaoi compare --out` writes: one
+    aggregate per strategy, in row order, and each trial's per-strategy
+    min SNR, epochs used and RMSE against the reference.
 
     Per-trial scene and solver seeds derive from spec.rng_seed (the master
     seed), so results are reproducible and, because trials are aggregated
     in index order, independent of how many worker threads run them.
     Solver errors abort the batch, tagged with the failing trial index.
     """
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
+    if not (is_integer(trials) and trials >= 1):
+        raise DomainError(f"trials must be an integer >= 1, got {trials!r}")
     config = config or ComparisonConfig()
 
-    def worker(t: int) -> TrialRecord:
+    def worker(t: int) -> tuple:
         try:
             return _run_trial(spec, config, t)
         except SimulationError as exc:
@@ -183,28 +155,28 @@ def run_comparison(
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(worker, range(trials)))
+            runs = list(pool.map(worker, range(trials)))
     else:
-        records = [worker(t) for t in range(trials)]
+        runs = [worker(t) for t in range(trials)]
 
-    names = [s.strategy_name for s in records[0].strategies]
-    aggregates = []
-    for idx, name in enumerate(names):
-        per_trial = [rec.strategies[idx] for rec in records]
-        aggregates.append(
-            StrategyAggregate(
-                strategy_name=name,
-                rmse_vs_reference=float(
-                    np.mean([s.rmse_vs_reference for s in per_trial])
-                ),
-                delay_variance=float(
-                    np.mean([delay_variance(s.delay_s) for s in per_trial])
-                ),
-                delay_mean=float(np.mean([delay_mean(s.delay_s) for s in per_trial])),
-            )
-        )
-    return StrategyComparison(
-        n_vehicles=spec.n_vehicles,
-        trials=tuple(records),
-        aggregates=tuple(aggregates),
-    )
+    per_trial = [record for record, _ in runs]
+    aggregates = [
+        {
+            "strategy": name,
+            "rmse_vs_reference": float(
+                np.mean([rec["strategies"][idx]["rmse_vs_reference"] for rec in per_trial])
+            ),
+            "delay_variance": float(np.mean([delay_variance(d[name]) for _, d in runs])),
+            "delay_mean": float(np.mean([delay_mean(d[name]) for _, d in runs])),
+        }
+        for idx, name in enumerate(runs[0][1])
+    ]
+    return {
+        "type": "comparison",
+        "n": int(spec.n_vehicles),  # numpy integers are not JSON
+        "trials": int(trials),
+        "reference_strategy": REFERENCE_STRATEGY,
+        "variance_convention": VARIANCE_CONVENTION,
+        "aggregates": aggregates,
+        "per_trial": per_trial,
+    }

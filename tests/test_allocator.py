@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from v2vaoi.allocator import (
     AllocationProblem,
     FEASIBILITY_SLACK_W,
+    GA_CREEP_SIGMA,
+    GA_CROSSOVER_RATE,
+    GA_MUTATION_RATE,
+    GREEDY_CONVERGENCE_TOL,
+    GREEDY_CONVERGENCE_WINDOW,
     GeneticConfig,
     GreedyConfig,
     _FEW_OVER,
@@ -128,20 +133,10 @@ def test_config_validation():
         GreedyConfig(max_epochs=0)
     with pytest.raises(DomainError):
         GeneticConfig(population_size=1)
-    with pytest.raises(DomainError):
-        GeneticConfig(mutation_rate=1.5)
-    # a non-finite setting would stop greedy early or turn every creep into
-    # a jump to a bound
-    for bad in (np.inf, np.nan, 0.0):
-        with pytest.raises(DomainError):
-            GreedyConfig(convergence_tol=bad)
-        with pytest.raises(DomainError):
-            GeneticConfig(creep_sigma=bad)
     # a float count would die in range() or round up silently
     for bad in (2.5, 3.0):
-        for field in ("max_epochs", "convergence_window"):
-            with pytest.raises(DomainError, match=field):
-                GreedyConfig(**{field: bad})
+        with pytest.raises(DomainError, match="max_epochs"):
+            GreedyConfig(max_epochs=bad)
         for field in ("population_size", "max_generations", "stagnation_limit", "rng_seed"):
             with pytest.raises(DomainError, match=field):
                 GeneticConfig(**{field: bad})
@@ -150,7 +145,7 @@ def test_config_validation():
     with pytest.raises(DomainError):
         GeneticConfig(rng_seed=-1)
     # numpy integers are integers
-    assert GreedyConfig(max_epochs=np.int64(7), convergence_window=np.int32(3)).max_epochs == 7
+    assert GreedyConfig(max_epochs=np.int64(7)).max_epochs == 7
     genetic = GeneticConfig(
         population_size=np.int64(4), max_generations=np.uint16(9),
         stagnation_limit=np.int8(2), rng_seed=np.uint64(2**64 - 1),
@@ -409,11 +404,11 @@ def _greedy_reference(problem, cfg=None):
             rel_gain = (obj - best_obj) / best_obj
             best_obj = obj
             best_p = p.copy()
-            stall = 0 if rel_gain >= cfg.convergence_tol else stall + 1
+            stall = 0 if rel_gain >= GREEDY_CONVERGENCE_TOL else stall + 1
         else:
             stall += 1
         history.append(best_obj)
-        if stall >= cfg.convergence_window:
+        if stall >= GREEDY_CONVERGENCE_WINDOW:
             converged = True
             break
     return _finish(
@@ -649,7 +644,7 @@ def _genetic_reference(problem, cfg=None):
         children = pop[winners].copy()
         # uniform crossover on consecutive pairs
         n_pairs = pop_size // 2
-        do_cross = rng.random(n_pairs) < cfg.crossover_rate
+        do_cross = rng.random(n_pairs) < GA_CROSSOVER_RATE
         swap = rng.random((n_pairs, n_genes)) < 0.5
         swap &= do_cross[:, np.newaxis]
         first = children[0 : 2 * n_pairs : 2]
@@ -658,10 +653,10 @@ def _genetic_reference(problem, cfg=None):
         first[swap] = second[swap]
         second[swap] = tmp
         # mutation: log-uniform reset or multiplicative creep, half and half
-        mutate = rng.random((pop_size, n_genes)) < cfg.mutation_rate
+        mutate = rng.random((pop_size, n_genes)) < GA_MUTATION_RATE
         use_reset = rng.random((pop_size, n_genes)) < 0.5
         resets = np.exp(rng.uniform(ln_lo, ln_hi, size=(pop_size, n_genes)))
-        creeps = children * np.exp(rng.normal(0.0, cfg.creep_sigma, size=(pop_size, n_genes)))
+        creeps = children * np.exp(rng.normal(0.0, GA_CREEP_SIGMA, size=(pop_size, n_genes)))
         mutated = np.where(use_reset, resets, creeps)
         children = np.where(mutate, mutated, children)
         children = project(np.clip(children, params.p_min_w, params.p_max_w))
@@ -710,10 +705,6 @@ def _short(**kw):
             pytest.param(4, PARAMS, _short(population_size=size, rng_seed=size), None, id=f"pop{size}")
             for size in (2, 3, 7)
         ],
-        pytest.param(4, PARAMS, _short(crossover_rate=0.0), None, id="crossover-0"),
-        pytest.param(4, PARAMS, _short(crossover_rate=1.0), None, id="crossover-1"),
-        pytest.param(4, PARAMS, _short(mutation_rate=0.0), None, id="mutation-0"),
-        pytest.param(4, PARAMS, _short(mutation_rate=1.0), None, id="mutation-1"),
         pytest.param(3, ChannelParams(p_min_w=5.0), _short(), None, id="n3-floors"),
         pytest.param(4, ChannelParams(p_min_w=5.0), _short(), None, id="n4-floors"),
         pytest.param(

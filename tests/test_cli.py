@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from v2vaoi.allocator import GeneticConfig, GreedyConfig
 from v2vaoi.cli import (
     _COMMANDS,
     _config_record,
@@ -14,6 +15,9 @@ from v2vaoi.cli import (
     build_parser,
     main,
 )
+from v2vaoi.metrics import ComparisonConfig, run_comparison
+from v2vaoi.scenario import ScenarioSpec
+from v2vaoi.seeds import derive_seed
 
 
 def run_cli(args):
@@ -100,6 +104,27 @@ def test_compare_byte_identical_across_jobs(tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_compare_record_is_run_comparison(tmp_path):
+    # the comparison line --out writes is run_comparison's return value
+    out = tmp_path / "cmp.jsonl"
+    code = run_cli(
+        [
+            "compare", "--n", "3", "--trials", 2, "--seed", 4,
+            "--epochs", 100, "--generations", 150, "--population", 16, "--out", out,
+        ]
+    )
+    assert code == 0
+    config = ComparisonConfig(
+        greedy=GreedyConfig(max_epochs=100),
+        genetic=GeneticConfig(population_size=16, max_generations=150),
+        greedy_epoch_ladder=(100,),
+    )
+    record = run_comparison(ScenarioSpec(3, rng_seed=derive_seed(4, 3)), 2, config)
+    line = out.read_text().splitlines()[1]
+    assert json.loads(line) == record
+    assert json.dumps(record) == line
 
 
 def test_compare_plot_series(tmp_path):
@@ -271,6 +296,9 @@ def test_text_format_writes_report(tmp_path):
         ["aoi", "--compute-delay", "1e300"],
         ["verify", "--n", "3", "--instances", "1", "--gap-threshold", "-0.5"],
         ["verify", "--n", "3", "--instances", "1", "--gap-threshold", "1.5"],
+        ["solve", "--seed", "-1"],
+        ["solve", "--seed", "18446744073709551616"],
+        ["solve", "--config", "{tmp}/negative_seed.json"],
     ],
 )
 def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
@@ -281,11 +309,22 @@ def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
     (tmp_path / "bad_strategy.json").write_text('{"strategy": "annealing"}')
     (tmp_path / "nan_header.txt").write_text("nan\n0 10\n10 0\n")
     (tmp_path / "tri_half_metre.txt").write_text("0 0.5 0.5\n0.5 0 0.5\n0.5 0.5 0\n")
+    (tmp_path / "negative_seed.json").write_text('{"seed": -1}')
     argv = [a.format(tmp=tmp_path, scene=two_vehicle_scene) for a in args]
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_largest_u64_seed_accepted(tmp_path):
+    # the seed range is [0, 2**64): the top value is a seed, not a wrap
+    top = 2**64 - 1
+    (tmp_path / "seed.json").write_text(json.dumps({"seed": top}))
+    for extra in (["--seed", top], ["--config", tmp_path / "seed.json"]):
+        out = tmp_path / "r.jsonl"
+        assert run_cli(["solve", "--n", 2, "--strategy", "default", "--out", out, *extra]) == 0
+        assert read_records(out)[0]["seed"] == top
 
 
 def test_help_exits_0(capsys):

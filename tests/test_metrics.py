@@ -1,5 +1,6 @@
 """Delay statistics and the multi-trial strategy comparison."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from v2vaoi.allocator import AllocationProblem, GeneticConfig, GreedyConfig, gre
 from v2vaoi.errors import DimensionMismatchError, DomainError
 from v2vaoi.metrics import (
     ComparisonConfig,
+    _run_trial,
     delay_mean,
     delay_rmse,
     delay_variance,
@@ -86,54 +88,51 @@ def test_aggregates_ignore_diagonal():
 
 def test_comparison_two_vehicles_all_strategies_agree():
     # with no interference every strategy lands on the unique optimum
-    comp = run_comparison(ScenarioSpec(2, rng_seed=5), trials=1, config=FAST_CONFIG)
-    for agg in comp.aggregates:
-        assert agg.rmse_vs_reference < 1e-3, agg
+    spec = ScenarioSpec(np.int64(2), rng_seed=5)
+    comp = run_comparison(spec, trials=np.int64(1), config=FAST_CONFIG)
+    for agg in comp["aggregates"]:
+        assert agg["rmse_vs_reference"] < 1e-3, agg
+    # numpy counts still give a record that JSON can write
+    assert json.loads(json.dumps(comp))["n"] == 2
 
 
 def test_comparison_structure_and_determinism():
     spec = ScenarioSpec(3, rng_seed=8)
     a = run_comparison(spec, trials=2, config=FAST_CONFIG)
     b = run_comparison(spec, trials=2, config=FAST_CONFIG, jobs=3)
-    assert a.n_vehicles == 3
-    assert [t.trial_index for t in a.trials] == [0, 1]
-    names = [agg.strategy_name for agg in a.aggregates]
+    assert a == b
+    assert list(a) == [
+        "type", "n", "trials", "reference_strategy", "variance_convention",
+        "aggregates", "per_trial",
+    ]
+    assert (a["type"], a["n"], a["trials"]) == ("comparison", 3, 2)
+    assert [t["trial_index"] for t in a["per_trial"]] == [0, 1]
+    names = [agg["strategy"] for agg in a["aggregates"]]
     assert names == ["default", "greedy_epoch300", "genetic"]
-    for agg_a, agg_b in zip(a.aggregates, b.aggregates):
-        assert agg_a == agg_b
-    for t_a, t_b in zip(a.trials, b.trials):
-        for s_a, s_b in zip(t_a.strategies, t_b.strategies):
-            assert s_a.min_snr == s_b.min_snr
-            np.testing.assert_array_equal(s_a.delay_s, s_b.delay_s)
+    for trial in a["per_trial"]:
+        assert [s["strategy"] for s in trial["strategies"]] == names
 
 
 def test_comparison_greedy_beats_default_every_trial():
     comp = run_comparison(ScenarioSpec(3, rng_seed=17), trials=3, config=FAST_CONFIG)
-    for trial in comp.trials:
-        rmse = {s.strategy_name: s.rmse_vs_reference for s in trial.strategies}
+    for trial in comp["per_trial"]:
+        rmse = {s["strategy"]: s["rmse_vs_reference"] for s in trial["strategies"]}
         assert rmse["greedy_epoch300"] < rmse["default"]
 
 
 def test_comparison_rate_factor_scales_delays_exactly():
     spec = ScenarioSpec(3, rng_seed=9)
-    base = run_comparison(spec, trials=1, config=FAST_CONFIG)
-    scaled = run_comparison(
-        spec,
-        trials=1,
-        config=ComparisonConfig(
-            greedy=FAST_CONFIG.greedy,
-            genetic=FAST_CONFIG.genetic,
-            greedy_epoch_ladder=FAST_CONFIG.greedy_epoch_ladder,
-            rate_factor=0.2154,
-        ),
-    )
-    for s_base, s_scaled in zip(base.trials[0].strategies, scaled.trials[0].strategies):
-        np.testing.assert_array_equal(s_scaled.delay_s, s_base.delay_s * 0.2154)
+    _, base = _run_trial(spec, FAST_CONFIG, 0)
+    _, scaled = _run_trial(spec, replace(FAST_CONFIG, rate_factor=0.2154), 0)
+    assert list(scaled) == list(base)
+    for name in base:
+        np.testing.assert_array_equal(scaled[name], base[name] * 0.2154)
 
 
 def test_comparison_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        run_comparison(ScenarioSpec(3, rng_seed=0), trials=0, config=FAST_CONFIG)
+    for trials in (0, 1.5):
+        with pytest.raises(DomainError, match="trials"):
+            run_comparison(ScenarioSpec(3, rng_seed=0), trials=trials, config=FAST_CONFIG)
     with pytest.raises(DomainError):
         ComparisonConfig(rate_factor=0.0)
     with pytest.raises(DomainError):
@@ -145,23 +144,25 @@ def test_comparison_ladder_rows_match_separate_solves():
     spec = ScenarioSpec(4, rng_seed=8)
     config = ComparisonConfig(genetic=FAST_CONFIG.genetic)
     comp = run_comparison(spec, trials=2, config=config)
-    names = [agg.strategy_name for agg in comp.aggregates]
+    names = [agg["strategy"] for agg in comp["aggregates"]]
     assert names == [
         "default", "greedy_epoch5000", "greedy_epoch500", "greedy_epoch50", "genetic"
     ]
-    for trial in comp.trials:
-        dist, _ = generate_scene(replace(spec, rng_seed=trial.scene_seed))
+    for t, trial in enumerate(comp["per_trial"]):
+        record, delays = _run_trial(spec, config, t)
+        assert record == trial
+        dist, _ = generate_scene(replace(spec, rng_seed=trial["scene_seed"]))
         problem = AllocationProblem(config.params, dist)
-        rows = {s.strategy_name: s for s in trial.strategies}
+        rows = {s["strategy"]: s for s in trial["strategies"]}
         for epochs in config.greedy_epoch_ladder:
             want = greedy_pa(problem, replace(config.greedy, max_epochs=epochs))
-            got = rows[f"greedy_epoch{epochs}"]
-            assert got.epochs_used == want.epochs_used
-            assert got.min_snr == want.objective_min_snr
-            assert got.delay_s.tobytes() == want.metrics.delay_s.tobytes()
+            name = f"greedy_epoch{epochs}"
+            assert rows[name]["epochs_used"] == want.epochs_used
+            assert rows[name]["min_snr"] == want.objective_min_snr
+            assert delays[name].tobytes() == want.metrics.delay_s.tobytes()
         # the 50-epoch rung is cut short; the full solve reaches the plateau stop
-        assert rows["greedy_epoch50"].epochs_used == 50
-        assert rows["greedy_epoch5000"].epochs_used < 5000
+        assert rows["greedy_epoch50"]["epochs_used"] == 50
+        assert rows["greedy_epoch5000"]["epochs_used"] < 5000
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,6 @@ PUBLIC_NAMES = {
     "ScenarioSpec",
     "SceneApEstimate",
     "SnrClampWarning",
-    "StrategyComparison",
     "aoi_summary",
     "build_aoi_records",
     "check_feasible",
