@@ -106,9 +106,7 @@ class GeneticConfig:
     def __post_init__(self):
         check_integers(self, "population_size", least=2)
         check_integers(self, "max_generations", "stagnation_limit", least=1)
-        check_integers(self, "rng_seed")
-        if self.rng_seed < 0:
-            raise DomainError("rng_seed must be nonnegative")
+        check_integers(self, "rng_seed", least=0)
 
 
 @dataclass(frozen=True)
@@ -258,10 +256,7 @@ def project_to_feasible(power: np.ndarray, params: ChannelParams) -> np.ndarray:
 
 def _uniform_power(problem: AllocationProblem) -> np.ndarray:
     n = problem.n
-    share = problem.params.p_max_w / (n - 1)
-    p = np.full((n, n), share)
-    np.fill_diagonal(p, 0.0)
-    return p
+    return from_offdiag_rows(np.full((n, n - 1), problem.params.p_max_w / (n - 1)))
 
 
 def _finish(
@@ -328,7 +323,7 @@ def greedy_pa(
         raise DomainError(f"rungs must be integers in 1..max_epochs, got {rungs!r}")
     params = problem.params
     p_min, p_max = params.p_min_w, params.p_max_w
-    loss = offdiag_rows(path_loss(params, problem.dist))
+    loss = path_loss(params, problem.dist)
     # rows[i] holds vehicle i's n-1 outgoing powers; links[k] is the k-th
     # off-diagonal entry in row-major order, the order of snr, so argmin and
     # argmax break ties as a row-major scan of the matrix would
@@ -410,7 +405,7 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     ln_lo = np.log(p_min)
     ln_hi = np.log(p_max)
     ln_span = ln_hi - ln_lo  # Generator.uniform's range
-    loss = offdiag_rows(path_loss(params, problem.dist))
+    loss = path_loss(params, problem.dist)
     # the SNRs are read back gene-major, so the min over genes runs across
     # individuals: far fewer reduce steps than a min along each short row
     gene_major = np.arange(pop_size * n_genes).reshape(pop_size, n_genes).T.reshape(-1)
@@ -512,8 +507,9 @@ def exact_pa(problem: AllocationProblem) -> AllocationResult:
     best = _uniform_power(problem)
     steps = 0
     if n > 2:
-        atten = path_loss(params, problem.dist)
-        floors = from_offdiag_rows(params.p_min_w / offdiag_rows(atten))
+        loss = path_loss(params, problem.dist)
+        atten = from_offdiag_rows(loss)  # its zero diagonal zeroes each minimal power's
+        floors = from_offdiag_rows(params.p_min_w / loss)
         # column j's floors without the diagonal, largest first; prefix sums
         # F_0 = 0 .. F_{n-2} of the k largest
         cols = -np.sort(-offdiag_rows(floors.T), axis=1)
@@ -523,11 +519,9 @@ def exact_pa(problem: AllocationProblem) -> AllocationResult:
         def minimal_power(gamma: float) -> np.ndarray:
             beta = gamma / (1.0 + gamma)
             c = (beta * (prefix + params.noise_w) / (1.0 - unfloored * beta)).max(axis=1)
-            p = np.maximum(floors, c[np.newaxis, :]) * atten
-            np.fill_diagonal(p, 0.0)
-            return p
+            return np.maximum(floors, c[np.newaxis, :]) * atten
 
-        lo = float(_snr(offdiag_rows(atten), offdiag_rows(best), params.noise_w).min())
+        lo = float(_snr(loss, offdiag_rows(best), params.noise_w).min())
         hi = 1.0 / (n - 2)
         while hi - lo > EXACT_REL_TOL * hi:
             steps += 1

@@ -24,9 +24,7 @@ class AoiConfig:
     per_vehicle_compute_delay_s: tuple = None
 
     def __post_init__(self):
-        check_integers(self, "rng_seed")
-        if self.rng_seed < 0:
-            raise DomainError("rng_seed must be nonnegative")
+        check_integers(self, "rng_seed", least=0)
         # written so that NaN fails every test
         if not (0 < self.sample_period_s < math.inf):
             raise DomainError("sample_period_s must be positive and finite")

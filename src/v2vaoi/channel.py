@@ -83,6 +83,7 @@ class ChannelParams:
         p_max_w: per-vehicle total power budget in watts (also the per-link cap).
         payload_bits: message size in bits; the default corresponds to a
             1.06e6-byte frame.
+        rate_factor: delay scale in (0, 1]; every delay scales exactly by it.
     """
 
     alpha: float = 3.0
@@ -91,6 +92,7 @@ class ChannelParams:
     p_min_w: float = 1.0e-6
     p_max_w: float = 23.0
     payload_bits: float = 8.48e6
+    rate_factor: float = 1.0
 
     def __post_init__(self):
         if not (self.alpha > 0):
@@ -106,6 +108,8 @@ class ChannelParams:
             )
         if not (self.payload_bits > 0):
             raise DomainError(f"payload_bits must be positive, got {self.payload_bits}")
+        if not (0 < self.rate_factor <= 1):
+            raise DomainError(f"rate_factor must be in (0, 1], got {self.rate_factor}")
 
 
 @dataclass(frozen=True)
@@ -206,17 +210,14 @@ class LinkMetrics:
 
 
 def path_loss(params: ChannelParams, dist: DistanceMatrix) -> np.ndarray:
-    """Path loss D_ij**alpha of every ordered pair, as a read-only array.
+    """Path loss D_ij**alpha of every ordered pair as read-only offdiag_rows.
 
-    The diagonal is 1, so a zero diagonal power divides to a zero gain.
-    Raises DomainError when an off-diagonal loss is infinite in float64, or
-    so small that the largest gain p_max_w / loss, or a receiver's sum of n
-    such gains, is not finite: no SNR could be evaluated for such a scene.
+    Raises DomainError when a loss is infinite in float64, or so small that
+    the largest gain p_max_w / loss, or a receiver's sum of n such gains, is
+    not finite: no SNR could be evaluated for such a scene.
     """
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        loss = dist.d ** params.alpha
-        np.fill_diagonal(loss, 1.0)
-        # the unit diagonal is in range, so min and max test the off-diagonal;
+        loss = offdiag_rows(dist.d) ** params.alpha
         # a zero loss makes the gain bound infinite too
         gain_sum_bound = dist.n * (params.p_max_w / loss.min())
     if not (loss.max() < np.inf and gain_sum_bound < np.inf):
@@ -292,14 +293,13 @@ def compute_snr_matrix(
         raise DimensionMismatchError(
             f"distance matrix is {dist.n}x{dist.n} but power matrix is {power.n}x{power.n}"
         )
-    loss = offdiag_rows(path_loss(params, dist))
-    return from_offdiag_rows(_snr(loss, offdiag_rows(power.p), params.noise_w))
+    return from_offdiag_rows(_snr(path_loss(params, dist), offdiag_rows(power.p), params.noise_w))
 
 
 def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
     """Transmission delay in seconds for every link: payload over Shannon rate.
 
-    Delay is exactly linear in payload_bits and strictly decreasing in SNR.
+    Delay is exactly linear in payload_bits and rate_factor, decreasing in SNR.
     Off-diagonal SNR entries must be positive; entries below SNR_FLOOR are
     clamped up (with a SnrClampWarning) so the result stays finite.
     """
@@ -319,7 +319,8 @@ def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
         vals = np.maximum(vals, SNR_FLOOR)
     # log1p keeps the achievable rate accurate when 1 + snr would round to 1.
     rate_bps = params.bandwidth_hz * (np.log1p(vals) / _LN2)
-    return from_offdiag_rows((params.payload_bits / rate_bps).reshape(n, n - 1))
+    delay = params.payload_bits / rate_bps * params.rate_factor
+    return from_offdiag_rows(delay.reshape(n, n - 1))
 
 
 def link_metrics(

@@ -52,7 +52,7 @@ _FLAGS = (
     ("seed", int, 0, "master seed (u64)", _ALL),
     ("box_side", float, ScenarioSpec.box_side_m, None, _ALL),
     ("min_sep", float, ScenarioSpec.min_separation_m, None, _ALL),
-    ("rate_factor", float, 1.0,
+    ("rate_factor", float, ChannelParams.rate_factor,
      "payload scale in (0, 1]; delays scale exactly with it", _ALL),
     ("out", str, None, "write a machine-readable report here", _ALL),
     ("format", ("text", "records"), "records", None, _ALL),
@@ -128,7 +128,7 @@ def _resolve(args: argparse.Namespace) -> tuple:
 
     Returns the merged dict, which the config record echoes, and the solver
     settings built from it; building them runs the library's own checks,
-    ComparisonConfig's rate_factor check included, for every command.
+    ChannelParams' rate_factor check included, for every command.
     """
     command = args.command
     table = {key: (kind, default) for key, kind, default, _, names in _FLAGS if command in names}
@@ -176,6 +176,7 @@ def _resolve(args: argparse.Namespace) -> tuple:
             p_min_w=cfg["p_min"],
             p_max_w=cfg["p_max"],
             payload_bits=cfg["payload"],
+            rate_factor=cfg["rate_factor"],
         ),
         greedy=GreedyConfig(
             learn_rate=cfg["learn_rate"],
@@ -187,7 +188,6 @@ def _resolve(args: argparse.Namespace) -> tuple:
         greedy_epoch_ladder=(
             ComparisonConfig.greedy_epoch_ladder if epochs is None else (epochs,)
         ),
-        rate_factor=cfg["rate_factor"],
     )
     return cfg, solvers
 
@@ -283,7 +283,6 @@ def cmd_solve(cfg: dict, solvers: ComparisonConfig) -> list:
     else:
         genetic = replace(solvers.genetic, rng_seed=derive_seed(cfg["seed"], 1))
         result = genetic_pa(problem, genetic)
-    delay = result.metrics.delay_s * cfg["rate_factor"]
     return [
         _config_record(cfg),
         {
@@ -291,13 +290,13 @@ def cmd_solve(cfg: dict, solvers: ComparisonConfig) -> list:
             "strategy": strategy,
             "scene": scene_desc,
             "objective_min_snr": result.objective_min_snr,
-            "objective_max_delay_s": float(np.max(delay)),
+            "objective_max_delay_s": result.objective_max_delay_s,
             "epochs_used": result.epochs_used,
             "converged": result.converged,
             "distances_m": dist.d.tolist(),
             "power_w": result.power.p.tolist(),
             "snr": result.metrics.snr.tolist(),
-            "delay_s": delay.tolist(),
+            "delay_s": result.metrics.delay_s.tolist(),
         },
     ]
 
@@ -361,8 +360,8 @@ def cmd_aoi(cfg: dict, solvers: ComparisonConfig) -> list:
     n = dist.n
     modes = [
         ("zero_delay", np.zeros((n, n))),
-        ("default", default_pa(problem).metrics.delay_s * cfg["rate_factor"]),
-        ("greedy", greedy_pa(problem, solvers.greedy).metrics.delay_s * cfg["rate_factor"]),
+        ("default", default_pa(problem).metrics.delay_s),
+        ("greedy", greedy_pa(problem, solvers.greedy).metrics.delay_s),
     ]
     records = [_config_record(cfg)]
     for mode, delays in modes:

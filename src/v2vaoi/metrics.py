@@ -60,19 +60,15 @@ class ComparisonConfig:
     ablation lands in the same table; one greedy solve per trial, with
     greedy as given, serves them all.  The top entry must equal
     greedy.max_epochs, so that no epoch is run for a row nobody reports.
-    rate_factor rescales every delay after solving (delay is exactly linear
-    in payload size).
+    The delay scale is params.rate_factor, applied by the channel model.
     """
 
     params: ChannelParams = ChannelParams()
     greedy: GreedyConfig = GreedyConfig()
     genetic: GeneticConfig = GeneticConfig()
-    greedy_epoch_ladder: tuple = (5000, 500, 50)
-    rate_factor: float = 1.0
+    greedy_epoch_ladder: tuple = (GreedyConfig.max_epochs, 500, 50)
 
     def __post_init__(self):
-        if not (0 < self.rate_factor <= 1):
-            raise DomainError(f"rate_factor must be in (0, 1], got {self.rate_factor}")
         ladder = self.greedy_epoch_ladder
         if not ladder:
             raise DomainError("greedy_epoch_ladder must not be empty")
@@ -94,7 +90,7 @@ class ComparisonConfig:
 
 
 def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> tuple:
-    """One trial's per_trial record and each strategy's scaled delay matrix."""
+    """One trial's per_trial record and each strategy's delay matrix."""
     scene_seed = derive_seed(spec.rng_seed, trial, 0)
     dist, _ = generate_scene(replace(spec, rng_seed=scene_seed))
     problem = AllocationProblem(cfg.params, dist)
@@ -109,7 +105,7 @@ def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> tuple:
         problem, replace(cfg.genetic, rng_seed=genetic_seed)
     )
 
-    delays = {name: r.metrics.delay_s * cfg.rate_factor for name, r in results.items()}
+    delays = {name: r.metrics.delay_s for name, r in results.items()}
     record = {
         "trial_index": trial,
         "scene_seed": scene_seed,

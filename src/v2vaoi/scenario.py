@@ -47,7 +47,8 @@ class ScenarioSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, "n_vehicles", "rng_seed")
+        check_integers(self, "n_vehicles")
+        check_integers(self, "rng_seed", least=0)
         if self.n_vehicles < 2:
             raise DomainError("need at least 2 vehicles")
         if self.n_vehicles > MAX_VEHICLES:
@@ -58,8 +59,6 @@ class ScenarioSpec:
             raise DomainError(
                 "box_side_m must be finite and exceed twice min_separation_m"
             )
-        if self.rng_seed < 0:
-            raise DomainError("rng_seed must be nonnegative")
 
 
 def _distances_from_coords(coords: np.ndarray) -> DistanceMatrix:

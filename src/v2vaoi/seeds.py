@@ -1,5 +1,7 @@
 """Deterministic seed derivation for reproducible (and parallel) experiments."""
 
+import operator
+
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -19,8 +21,9 @@ def derive_seed(master: int, *indices: int) -> int:
     Splitting rule: the master seed is scrambled once, then each index is
     xor-folded and scrambled again.  Distinct index tuples give independent
     streams, so trials can run in parallel and still reproduce exactly.
+    Numpy integers count as their Python value; the result is a Python int.
     """
-    s = splitmix64(master & _MASK)
+    s = splitmix64(operator.index(master) & _MASK)
     for idx in indices:
-        s = splitmix64(s ^ (idx & _MASK))
+        s = splitmix64(s ^ (operator.index(idx) & _MASK))
     return s

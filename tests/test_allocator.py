@@ -36,7 +36,6 @@ from v2vaoi.channel import (
     compute_snr_matrix,
     offdiag_mask,
     offdiag_values,
-    path_loss,
 )
 from v2vaoi.errors import DomainError, FeasibilityError
 from v2vaoi.scenario import ScenarioSpec, generate_scene
@@ -55,6 +54,15 @@ def triangle_10_30_50():
     return DistanceMatrix(
         [[0.0, 10.0, 30.0], [10.0, 0.0, 50.0], [30.0, 50.0, 0.0]]
     )
+
+
+def _path_loss_reference(params, dist):
+    """channel.path_loss as it stood on the full (n, n) matrix, with a unit
+    diagonal so that a zero diagonal power divides to a zero gain; kept
+    verbatim so the solver references do not run the live kernels."""
+    loss = dist.d ** params.alpha
+    np.fill_diagonal(loss, 1.0)
+    return loss
 
 
 def _snr_reference(loss, powers, noise_w):
@@ -381,7 +389,7 @@ def _greedy_reference(problem, cfg=None):
     params = problem.params
 
     def snr_of(p):
-        loss = path_loss(params, problem.dist)
+        loss = _path_loss_reference(params, problem.dist)
         return _snr_reference(loss, PowerMatrix(p).p, params.noise_w)
 
     p = _uniform_power(problem)
@@ -601,7 +609,7 @@ def _genetic_reference(problem, cfg=None):
     ln_lo = np.log(params.p_min_w)
     ln_hi = np.log(params.p_max_w)
     mask = offdiag_mask(n)
-    loss = path_loss(params, problem.dist)
+    loss = _path_loss_reference(params, problem.dist)
 
     def _genes_to_rows(genes, n):
         return genes.reshape(genes.shape[0], n, n - 1)
@@ -744,7 +752,7 @@ def best_random_objective(prob, count, seed):
     )
     raw[:, np.arange(n), np.arange(n)] = 0.0
     snr = _snr_reference(
-        path_loss(params, prob.dist), project_to_feasible(raw, params), params.noise_w
+        _path_loss_reference(params, prob.dist), project_to_feasible(raw, params), params.noise_w
     )
     return float(snr[:, offdiag_mask(n)].min(axis=1).max())
 

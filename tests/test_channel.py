@@ -14,6 +14,7 @@ from v2vaoi.channel import (
     _snr,
     compute_delay_matrix,
     compute_snr_matrix,
+    from_offdiag_rows,
     link_metrics,
     offdiag_mask,
     offdiag_rows,
@@ -151,21 +152,33 @@ def test_batch_agrees_with_single():
         for _ in range(4):
             dist, _ = random_instance(rng, n)
             loss = path_loss(PARAMS, dist)
+            # the full-matrix formula's loss: the same rows on a unit diagonal
+            full_loss = from_offdiag_rows(loss) + np.eye(n)
             # log-uniform powers over the whole per-link range, so incoming
             # sums mix magnitudes and rounding order shows in the last bit
             stack = np.exp(
                 rng.uniform(np.log(PARAMS.p_min_w), np.log(PARAMS.p_max_w), size=(8, n, n))
             )
             stack[:, ~mask] = 0.0
-            want = _snr_full_matrix(loss, stack, PARAMS.noise_w)
+            want = _snr_full_matrix(full_loss, stack, PARAMS.noise_w)
             rows = stack[:, mask].reshape(8, n, n - 1)
-            batch = _snr(offdiag_rows(loss), rows, PARAMS.noise_w)
+            batch = _snr(loss, rows, PARAMS.noise_w)
             assert batch.tobytes() == want[:, mask].tobytes()
             for k in range(8):
-                single = _snr(offdiag_rows(loss), rows[k], PARAMS.noise_w)
+                single = _snr(loss, rows[k], PARAMS.noise_w)
                 assert single.tobytes() == batch[k].tobytes()
                 matrix = compute_snr_matrix(PARAMS, dist, PowerMatrix(stack[k]))
                 assert matrix.tobytes() == want[k].tobytes()
+
+
+def test_path_loss_row_layout():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 16):
+        dist, _ = random_instance(rng, n)
+        loss = path_loss(PARAMS, dist)
+        assert loss.shape == (n, n - 1) and not loss.flags.writeable
+        # the off-diagonal of the full-matrix power, bit for bit
+        assert loss.tobytes() == offdiag_rows(dist.d**PARAMS.alpha).tobytes()
 
 
 def test_snr_dimension_mismatch():
@@ -219,6 +232,18 @@ def test_delay_linear_in_payload():
         ChannelParams(payload_bits=PARAMS.payload_bits * factor), snr
     )
     np.testing.assert_allclose(scaled, base * factor, rtol=1e-15)
+
+
+def test_delay_scales_exactly_with_rate_factor():
+    # the channel model applies the scale as one multiply after the division,
+    # so a scaled delay is bit for bit the unscaled one times the factor
+    rng = np.random.default_rng(6)
+    snr = rng.uniform(0.5, 1e6, size=(5, 5))
+    np.fill_diagonal(snr, 0.0)
+    base = compute_delay_matrix(PARAMS, snr)
+    for factor in (1.0, 0.5, 0.2154, 1e-3):
+        scaled = compute_delay_matrix(ChannelParams(rate_factor=factor), snr)
+        assert scaled.tobytes() == (base * factor).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -277,6 +302,10 @@ def test_channel_params_validation():
         ChannelParams(payload_bits=0.0)
     with pytest.raises(DomainError):
         ChannelParams(noise_w=-1.0)
+    for factor in (0.0, 1.5, -1.0, float("nan")):
+        with pytest.raises(DomainError, match=r"rate_factor must be in \(0, 1\]"):
+            ChannelParams(rate_factor=factor)
+    assert ChannelParams(rate_factor=1.0).rate_factor == 1.0
 
 
 def test_distance_matrix_validation():

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from v2vaoi.allocator import GeneticConfig, GreedyConfig
+from v2vaoi.allocator import AllocationProblem, GeneticConfig, GreedyConfig, greedy_pa
+from v2vaoi.channel import ChannelParams
 from v2vaoi.cli import (
     _COMMANDS,
     _config_record,
@@ -16,7 +17,7 @@ from v2vaoi.cli import (
     main,
 )
 from v2vaoi.metrics import ComparisonConfig, run_comparison
-from v2vaoi.scenario import ScenarioSpec
+from v2vaoi.scenario import ScenarioSpec, generate_scene
 from v2vaoi.seeds import derive_seed
 
 
@@ -66,6 +67,21 @@ def test_solve_rate_factor_scales_delays_exactly(tmp_path):
     d_base = np.array(read_records(base)[1]["delay_s"])
     d_scaled = np.array(read_records(scaled)[1]["delay_s"])
     np.testing.assert_array_equal(d_scaled, d_base * 0.2154)
+
+
+def test_library_solve_carries_the_rate_factor(tmp_path):
+    # the channel model applies the scale, so a library solve reports the
+    # delays that solve --rate-factor records
+    out = tmp_path / "solve.jsonl"
+    args = ["solve", "--n", 5, "--seed", 3, "--epochs", 300, "--rate-factor", 0.2154]
+    assert run_cli(args + ["--out", out]) == 0
+    record = read_records(out)[1]
+    dist, _ = generate_scene(ScenarioSpec(5, rng_seed=derive_seed(3, 0)))
+    problem = AllocationProblem(ChannelParams(rate_factor=0.2154), dist)
+    result = greedy_pa(problem, GreedyConfig(max_epochs=300))
+    want = {"delay_s": result.metrics.delay_s.tolist(),
+            "objective_max_delay_s": result.objective_max_delay_s}
+    assert {key: record[key] for key in want} == json.loads(json.dumps(want))
 
 
 def test_solve_asymmetric_scene_fails(tmp_path, capsys):
@@ -299,6 +315,9 @@ def test_text_format_writes_report(tmp_path):
         ["solve", "--seed", "-1"],
         ["solve", "--seed", "18446744073709551616"],
         ["solve", "--config", "{tmp}/negative_seed.json"],
+        # the scaled delays underflow to zero, which LinkMetrics rejects
+        ["solve", "--n", "3", "--epochs", "5", "--rate-factor", "5e-324"],
+        ["aoi", "--n", "3", "--epochs", "5", "--rate-factor", "5e-324"],
     ],
 )
 def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
