@@ -301,7 +301,8 @@ def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
 
     Delay is exactly linear in payload_bits and rate_factor, decreasing in SNR.
     Off-diagonal SNR entries must be positive; entries below SNR_FLOOR are
-    clamped up (with a SnrClampWarning) so the result stays finite.
+    clamped up (with a SnrClampWarning) so the result stays finite.  A
+    rate_factor so small that a delay underflows to 0 is a DomainError.
     """
     snr = np.asarray(snr, dtype=np.float64)
     n = _check_square(snr, "SNR matrix")
@@ -320,6 +321,8 @@ def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
     # log1p keeps the achievable rate accurate when 1 + snr would round to 1.
     rate_bps = params.bandwidth_hz * (np.log1p(vals) / _LN2)
     delay = params.payload_bits / rate_bps * params.rate_factor
+    if not delay.all():
+        raise DomainError(f"rate_factor {params.rate_factor!r} underflows a delay to 0")
     return from_offdiag_rows(delay.reshape(n, n - 1))
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from v2vaoi.allocator import (
     AllocationProblem,
     FEASIBILITY_SLACK_W,
+    GA_CERTIFIED_GAP,
     GA_CREEP_SIGMA,
     GA_CROSSOVER_RATE,
     GA_MUTATION_RATE,
@@ -599,7 +600,10 @@ def test_genetic_history_monotone():
 def _genetic_reference(problem, cfg=None):
     """genetic_pa as the plain generation loop: seven draws per generation,
     crossover by boolean-mask swaps, a fresh zeroed power stack per
-    fitness call, on the frozen kernels."""
+    fitness call, on the frozen kernels.  It stops as genetic_pa does:
+    certified within GA_CERTIFIED_GAP of exact_pa's upper bound, checked
+    before the first generation and after each, or by stagnation or
+    budget."""
     cfg = cfg or GeneticConfig()
     params = problem.params
     n = problem.n
@@ -641,10 +645,11 @@ def _genetic_reference(problem, cfg=None):
     best_genes = pop[best_idx].copy()
     history = [best_fit]
     stagnation = 0
-    converged = False
+    certified = (1 - GA_CERTIFIED_GAP) * exact_pa(problem).upper_bound
+    converged = best_fit >= certified
     generations = 0
 
-    for _ in range(cfg.max_generations):
+    for _ in range(0 if converged else cfg.max_generations):
         generations += 1
         # tournament selection, size 3
         entrants = rng.integers(0, pop_size, size=(pop_size, 3))
@@ -679,7 +684,7 @@ def _genetic_reference(problem, cfg=None):
         else:
             stagnation += 1
         history.append(best_fit)
-        if stagnation >= cfg.stagnation_limit:
+        if stagnation >= cfg.stagnation_limit or best_fit >= certified:
             converged = True
             break
 
@@ -716,11 +721,16 @@ def _short(**kw):
         pytest.param(3, ChannelParams(p_min_w=5.0), _short(), None, id="n3-floors"),
         pytest.param(4, ChannelParams(p_min_w=5.0), _short(), None, id="n4-floors"),
         pytest.param(
-            3, PARAMS, GeneticConfig(max_generations=5000, stagnation_limit=40), True,
-            id="stagnation",
+            3, PARAMS, GeneticConfig(max_generations=5000, stagnation_limit=40), "certified",
+            id="certified",
+        ),
+        # 1 W floors at n = 4: the GA stalls about 10% below the bound
+        pytest.param(
+            4, ChannelParams(p_min_w=1.0), GeneticConfig(rng_seed=3, stagnation_limit=40),
+            "stagnation", id="stagnation",
         ),
         pytest.param(
-            5, PARAMS, GeneticConfig(rng_seed=9, max_generations=200), False, id="budget"
+            5, PARAMS, GeneticConfig(rng_seed=9, max_generations=200), "budget", id="budget"
         ),
     ],
 )
@@ -734,9 +744,15 @@ def test_genetic_matches_reference_bit_for_bit(n, params, cfg, stops):
     assert got.history == want.history
     assert got.epochs_used == want.epochs_used
     assert got.converged == want.converged
-    if stops is not None:  # the case reaches the stop it is named for
-        assert got.converged is stops
-        assert (got.epochs_used < cfg.max_generations) is stops
+    if stops is None:
+        return
+    # the case reaches the stop it is named for
+    target = (1 - GA_CERTIFIED_GAP) * exact_pa(prob).upper_bound
+    assert got.converged is (stops != "budget")
+    assert (got.epochs_used < cfg.max_generations) is (stops != "budget")
+    assert (got.objective_min_snr >= target) is (stops == "certified")
+    if stops == "certified":  # at the first generation that reaches the target
+        assert max(got.history[:-1]) < target <= got.history[-1]
 
 
 # --- exact ---------------------------------------------------------------------
@@ -807,6 +823,48 @@ def test_exact_at_max_scale():
     assert check_feasible(result.power, PARAMS).ok
     assert default_pa(prob).objective_min_snr <= result.objective_min_snr
     assert result.objective_min_snr <= 1.0 / 62 * (1 + 1e-9)
+
+
+# Yates (1995) certificate: the gains g_ij = P_ij / D_ij**alpha of any
+# allocation whose every link reaches SNR gamma satisfy
+# g_ij >= max(f_ij, gamma * (sum_{k != i} g_kj + N)), with f_ij the gains at
+# the per-link floor.  That map is monotone, so iterating it from f gives
+# lower bounds on those gains, and the first iterate whose power rows exceed
+# p_max_w proves gamma unreachable.  It shares no code with exact_pa.
+YATES_TARGET_REL = 1e-6  # exact * (1 + this) must be proved unreachable
+YATES_MAX_STEPS = 1000
+
+
+def _yates_proves_unreachable(params, dist, gamma):
+    n = dist.n
+    mask = offdiag_mask(n)
+    atten = dist.d**params.alpha + np.eye(n)  # power per unit of received gain
+    others = 1.0 - np.eye(n)  # row i sums every transmitter k != i, no subtraction
+    floors = params.p_min_w / atten * mask
+    gains = floors
+    for _ in range(YATES_MAX_STEPS):
+        gains = np.maximum(floors, gamma * (others @ gains + params.noise_w)) * mask
+        if np.any((gains * atten).sum(axis=1) > params.p_max_w):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 16, 64])
+def test_exact_certified_by_yates(n):
+    # 1 W floors do not fit 63 links into a 23 W budget at n = 64
+    for p_min in (1e-6, 1e-3, 1e-2, 0.1, 0.3, 1.0)[: 5 if n == 64 else 6]:
+        params = ChannelParams(p_min_w=p_min)
+        dist, _ = generate_scene(ScenarioSpec(n, rng_seed=n))
+        result = exact_pa(AllocationProblem(params, dist))
+        exact = result.objective_min_snr
+        target = exact * (1 + YATES_TARGET_REL)
+        assert check_feasible(result.power, params).ok
+        assert exact <= result.upper_bound <= target
+        assert target >= 1.0 / (n - 2) or _yates_proves_unreachable(params, dist, target), (
+            f"n={n} p_min={p_min}: exact * (1 + {YATES_TARGET_REL}) not proved unreachable"
+        )
+        # the oracle is sound: it proves nothing against a target exact reaches
+        assert not _yates_proves_unreachable(params, dist, exact * (1 - YATES_TARGET_REL))
 
 
 # --- cross-strategy properties ------------------------------------------------

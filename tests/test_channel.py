@@ -246,6 +246,12 @@ def test_delay_scales_exactly_with_rate_factor():
         assert scaled.tobytes() == (base * factor).tobytes()
 
 
+def test_rate_factor_underflow_names_the_factor():
+    snr = np.array([[0.0, 2.0], [3.0, 0.0]])
+    with pytest.raises(DomainError, match=r"rate_factor 5e-324 underflows a delay to 0"):
+        compute_delay_matrix(ChannelParams(rate_factor=5e-324), snr)
+
+
 @settings(max_examples=30, deadline=None)
 @given(c=st.floats(min_value=1e-6, max_value=1e6))
 def test_delay_linearity_property(c):

@@ -315,7 +315,7 @@ def test_text_format_writes_report(tmp_path):
         ["solve", "--seed", "-1"],
         ["solve", "--seed", "18446744073709551616"],
         ["solve", "--config", "{tmp}/negative_seed.json"],
-        # the scaled delays underflow to zero, which LinkMetrics rejects
+        # the scaled delays underflow to zero, which names the rate factor
         ["solve", "--n", "3", "--epochs", "5", "--rate-factor", "5e-324"],
         ["aoi", "--n", "3", "--epochs", "5", "--rate-factor", "5e-324"],
     ],
@@ -334,6 +334,8 @@ def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+    if "5e-324" in args:
+        assert "error: rate_factor 5e-324 underflows a delay to 0" in err
 
 
 def test_largest_u64_seed_accepted(tmp_path):
