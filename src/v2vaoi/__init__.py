@@ -4,7 +4,6 @@ allocation, information-age accounting, and a perception-quality proxy."""
 from .allocator import (
     AllocationProblem,
     AllocationResult,
-    FeasibilityReport,
     GeneticConfig,
     GreedyConfig,
     check_feasible,
@@ -18,12 +17,10 @@ from .aoi import AoiAges, AoiConfig, AoiSummary, aoi_summary, build_aoi_records,
 from .channel import (
     ChannelParams,
     DistanceMatrix,
-    LinkMetrics,
     PowerMatrix,
     SnrClampWarning,
     compute_delay_matrix,
     compute_snr_matrix,
-    link_metrics,
     offdiag_mask,
     offdiag_values,
 )

@@ -28,13 +28,14 @@ import numpy as np
 from .channel import (
     ChannelParams,
     DistanceMatrix,
-    LinkMetrics,
     PowerMatrix,
     _snr,
+    compute_delay_matrix,
+    compute_snr_matrix,
     from_offdiag_rows,
-    link_metrics,
     offdiag_mask,
     offdiag_rows,
+    offdiag_values,
     path_loss,
 )
 from .errors import DomainError, FeasibilityError, check_integers, is_integer
@@ -126,14 +127,17 @@ class GeneticConfig:
 class AllocationResult:
     """Outcome of one solver run; all constraints re-verified post-solve.
 
-    converged is True when the solver stopped for a reason other than its
-    budget: greedy's plateau, the GA's stagnation or certified stop, or
+    snr and delay_s are the read-only (n, n) matrices of compute_snr_matrix
+    and compute_delay_matrix, and the objectives their off-diagonal min and
+    max.  converged is True when the solver stopped for a reason other than
+    its budget: greedy's plateau, the GA's stagnation or certified stop, or
     exact's bisection.  upper_bound is set by exact_pa alone: a min-SNR
     that no allocation reaches (the optimum itself when n = 2).
     """
 
     power: PowerMatrix
-    metrics: LinkMetrics
+    snr: np.ndarray
+    delay_s: np.ndarray
     objective_min_snr: float
     objective_max_delay_s: float
     epochs_used: int
@@ -144,40 +148,24 @@ class AllocationResult:
     upper_bound: float | None = None
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    ok: bool
-    violations: tuple = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_feasible(power: PowerMatrix, params: ChannelParams) -> FeasibilityReport:
+def check_feasible(power: PowerMatrix, params: ChannelParams) -> tuple:
     """Verify per-link bounds and per-vehicle budgets within absolute slack.
 
-    Total function: never raises, reports every violated constraint.
+    Returns one message per violated constraint, an empty tuple when the
+    allocation is feasible.  Total function: never raises.
     """
     p = power.p
-    n = power.n
-    mask = offdiag_mask(n)
-    violations = []
-    low = mask & (p < params.p_min_w - FEASIBILITY_SLACK_W)
-    for i, j in np.argwhere(low):
-        violations.append(
-            f"P[{i}][{j}]={p[i, j]:.6g} W below per-link minimum {params.p_min_w:.6g} W"
-        )
-    high = mask & (p > params.p_max_w + FEASIBILITY_SLACK_W)
-    for i, j in np.argwhere(high):
-        violations.append(
-            f"P[{i}][{j}]={p[i, j]:.6g} W above per-link maximum {params.p_max_w:.6g} W"
-        )
+    p_min, p_max = params.p_min_w, params.p_max_w
+    mask = offdiag_mask(power.n)
+    low = np.argwhere(mask & (p < p_min - FEASIBILITY_SLACK_W))
+    high = np.argwhere(mask & (p > p_max + FEASIBILITY_SLACK_W))
     row_sums = p.sum(axis=1)
-    for i in np.flatnonzero(row_sums > params.p_max_w + FEASIBILITY_SLACK_W):
-        violations.append(
-            f"row {i} sum {row_sums[i]:.6g} W exceeds budget {params.p_max_w:.6g} W"
-        )
-    return FeasibilityReport(ok=not violations, violations=tuple(violations))
+    over = np.flatnonzero(row_sums > p_max + FEASIBILITY_SLACK_W)
+    return (
+        *(f"P[{i}][{j}]={p[i, j]:.6g} W below per-link minimum {p_min:.6g} W" for i, j in low),
+        *(f"P[{i}][{j}]={p[i, j]:.6g} W above per-link maximum {p_max:.6g} W" for i, j in high),
+        *(f"row {i} sum {row_sums[i]:.6g} W exceeds budget {p_max:.6g} W" for i in over),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +278,21 @@ def _finish(
     upper_bound: float | None = None,
 ) -> AllocationResult:
     power = PowerMatrix(p)
-    report = check_feasible(power, problem.params)
-    if not report:
+    violations = check_feasible(power, problem.params)
+    if violations:
         raise FeasibilityError(
-            f"{strategy_name} produced an infeasible allocation: {report.violations[0]}"
+            f"{strategy_name} produced an infeasible allocation: {violations[0]}"
         )
-    metrics = link_metrics(problem.params, problem.dist, power)
+    snr = compute_snr_matrix(problem.params, problem.dist, power)
+    delay = compute_delay_matrix(problem.params, snr)
+    snr.flags.writeable = False
+    delay.flags.writeable = False
     return AllocationResult(
         power=power,
-        metrics=metrics,
-        objective_min_snr=metrics.min_snr(),
-        objective_max_delay_s=metrics.max_delay_s(),
+        snr=snr,
+        delay_s=delay,
+        objective_min_snr=float(offdiag_values(snr).min()),
+        objective_max_delay_s=float(offdiag_values(delay).max()),
         epochs_used=epochs_used,
         converged=converged,
         strategy_name=strategy_name,

@@ -82,7 +82,10 @@ def _round_offsets(
         raise DomainError(f"delay must be nonnegative and finite, got {delay_s[bad][0]}")
     if not (0 < period_s < math.inf):
         raise DomainError(f"period must be positive and finite, got {period_s}")
-    quotient = delay_s / period_s
+    with np.errstate(over="ignore"):
+        quotient = delay_s / period_s
+    if not np.all(np.isfinite(quotient)):
+        raise DomainError(f"a delay overflows float64 in sampling periods of {period_s!r} s")
     offset = np.floor(quotient)
     frac = quotient - offset
     up = frac > 0
@@ -107,9 +110,9 @@ def build_aoi_records(delay_s, cfg: AoiConfig) -> AoiAges:
     """Ages of every ordered vehicle pair, self-links included.
 
     delay_s is a square matrix of transmission delays in seconds, such as
-    LinkMetrics.delay_s or all zeros for the zero-delay mode; its diagonal
-    is ignored.  Self-links carry computation delay only.  Deterministic
-    per seed.
+    AllocationResult.delay_s or all zeros for the zero-delay mode; its
+    diagonal is ignored.  Self-links carry computation delay only.
+    Deterministic per seed.
     """
     delay = np.asarray(delay_s, dtype=np.float64)
     if delay.ndim != 2 or delay.shape[0] != delay.shape[1]:

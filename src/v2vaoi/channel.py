@@ -172,43 +172,6 @@ class PowerMatrix:
         return self.p.shape[0]
 
 
-@dataclass(frozen=True)
-class LinkMetrics:
-    """SNR and transmission delay for every directed link; diagonals unused."""
-
-    snr: np.ndarray
-    delay_s: np.ndarray
-
-    def __post_init__(self):
-        snr = np.array(self.snr, dtype=np.float64, order="C")
-        delay = np.array(self.delay_s, dtype=np.float64, order="C")
-        n = _check_square(snr, "SNR matrix")
-        if delay.shape != snr.shape:
-            raise DimensionMismatchError(
-                f"SNR shape {snr.shape} != delay shape {delay.shape}"
-            )
-        mask = offdiag_mask(n)
-        if np.any(snr[mask] <= 0):
-            raise DomainError("off-diagonal SNR entries must be positive")
-        dvals = delay[mask]
-        if np.any(dvals <= 0) or not np.all(np.isfinite(dvals)):
-            raise DomainError("off-diagonal delays must be positive and finite")
-        snr.flags.writeable = False
-        delay.flags.writeable = False
-        object.__setattr__(self, "snr", snr)
-        object.__setattr__(self, "delay_s", delay)
-
-    @property
-    def n(self) -> int:
-        return self.snr.shape[0]
-
-    def min_snr(self) -> float:
-        return float(offdiag_values(self.snr).min())
-
-    def max_delay_s(self) -> float:
-        return float(offdiag_values(self.delay_s).max())
-
-
 def path_loss(params: ChannelParams, dist: DistanceMatrix) -> np.ndarray:
     """Path loss D_ij**alpha of every ordered pair as read-only offdiag_rows.
 
@@ -301,8 +264,10 @@ def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
 
     Delay is exactly linear in payload_bits and rate_factor, decreasing in SNR.
     Off-diagonal SNR entries must be positive; entries below SNR_FLOOR are
-    clamped up (with a SnrClampWarning) so the result stays finite.  A
-    rate_factor so small that a delay underflows to 0 is a DomainError.
+    clamped up (with a SnrClampWarning) before the rate log.  This is where
+    every delay is checked: one that overflows float64 is a DomainError
+    naming the payload and bandwidth, and one below the smallest normal
+    float, a subnormal or 0, is a DomainError naming the rate_factor.
     """
     snr = np.asarray(snr, dtype=np.float64)
     n = _check_square(snr, "SNR matrix")
@@ -318,18 +283,19 @@ def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
             stacklevel=2,
         )
         vals = np.maximum(vals, SNR_FLOOR)
-    # log1p keeps the achievable rate accurate when 1 + snr would round to 1.
-    rate_bps = params.bandwidth_hz * (np.log1p(vals) / _LN2)
-    delay = params.payload_bits / rate_bps * params.rate_factor
-    if not delay.all():
-        raise DomainError(f"rate_factor {params.rate_factor!r} underflows a delay to 0")
+    with np.errstate(over="ignore", divide="ignore"):
+        # log1p keeps the achievable rate accurate when 1 + snr would round to 1.
+        rate_bps = params.bandwidth_hz * (np.log1p(vals) / _LN2)
+        delay = params.payload_bits / rate_bps * params.rate_factor
+    if not np.all(np.isfinite(delay)):
+        raise DomainError(
+            f"payload {params.payload_bits!r} bits over bandwidth "
+            f"{params.bandwidth_hz!r} Hz overflows a delay"
+        )
+    if not delay.min() >= np.finfo(np.float64).tiny:
+        raise DomainError(
+            f"rate_factor {params.rate_factor!r} underflows a delay to "
+            f"{delay.min():.3g} s, below the normal float range"
+        )
     return from_offdiag_rows(delay.reshape(n, n - 1))
 
-
-def link_metrics(
-    params: ChannelParams, dist: DistanceMatrix, power: PowerMatrix
-) -> LinkMetrics:
-    """SNR and delay matrices for one allocation, as an immutable bundle."""
-    snr = compute_snr_matrix(params, dist, power)
-    delay = compute_delay_matrix(params, snr)
-    return LinkMetrics(snr=snr, delay_s=delay)

@@ -295,8 +295,8 @@ def cmd_solve(cfg: dict, solvers: ComparisonConfig) -> list:
             "converged": result.converged,
             "distances_m": dist.d.tolist(),
             "power_w": result.power.p.tolist(),
-            "snr": result.metrics.snr.tolist(),
-            "delay_s": result.metrics.delay_s.tolist(),
+            "snr": result.snr.tolist(),
+            "delay_s": result.delay_s.tolist(),
         },
     ]
 
@@ -360,8 +360,8 @@ def cmd_aoi(cfg: dict, solvers: ComparisonConfig) -> list:
     n = dist.n
     modes = [
         ("zero_delay", np.zeros((n, n))),
-        ("default", default_pa(problem).metrics.delay_s),
-        ("greedy", greedy_pa(problem, solvers.greedy).metrics.delay_s),
+        ("default", default_pa(problem).delay_s),
+        ("greedy", greedy_pa(problem, solvers.greedy).delay_s),
     ]
     records = [_config_record(cfg)]
     for mode, delays in modes:

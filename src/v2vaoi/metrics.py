@@ -105,7 +105,7 @@ def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> tuple:
         problem, replace(cfg.genetic, rng_seed=genetic_seed)
     )
 
-    delays = {name: r.metrics.delay_s for name, r in results.items()}
+    delays = {name: r.delay_s for name, r in results.items()}
     record = {
         "trial_index": trial,
         "scene_seed": scene_seed,

@@ -62,8 +62,10 @@ class ScenarioSpec:
 
 
 def _distances_from_coords(coords: np.ndarray) -> DistanceMatrix:
-    diff = coords[:, np.newaxis, :] - coords[np.newaxis, :, :]
-    d = np.sqrt((diff**2).sum(axis=-1))
+    # an out-of-range distance is left to DistanceMatrix's non-finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = coords[:, np.newaxis, :] - coords[np.newaxis, :, :]
+        d = np.sqrt((diff**2).sum(axis=-1))
     return DistanceMatrix(d)
 
 

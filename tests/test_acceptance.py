@@ -219,7 +219,7 @@ def test_criterion_8_feasibility_universal():
             genetic_pa(problem, genetic_cfg),
         ):
             checked += 1
-            if not check_feasible(result.power, PARAMS).ok:
+            if check_feasible(result.power, PARAMS):
                 violations += 1
     report(
         8,

@@ -181,28 +181,24 @@ def test_default_even_split(n, share):
 
 
 def test_check_feasible_accepts_default():
-    report = check_feasible(default_pa(random_problem(1, 3)).power, PARAMS)
-    assert report.ok and report.violations == ()
-    assert bool(report)
+    assert check_feasible(default_pa(random_problem(1, 3)).power, PARAMS) == ()
 
 
 def test_check_feasible_flags_per_link_violation():
     p = np.zeros((2, 2))
     p[0, 1] = PARAMS.p_max_w + 1.0
     p[1, 0] = 1.0
-    report = check_feasible(PowerMatrix(p), PARAMS)
-    assert not report.ok
-    assert len(report.violations) == 2  # link cap and row budget both break
-    assert any("above per-link maximum" in v for v in report.violations)
+    violations = check_feasible(PowerMatrix(p), PARAMS)
+    assert len(violations) == 2  # link cap and row budget both break
+    assert any("above per-link maximum" in v for v in violations)
 
 
 def test_check_feasible_flags_row_budget():
     p = np.full((3, 3), 12.0)
     np.fill_diagonal(p, 0.0)  # row sums 24 > 23, links within bounds
-    report = check_feasible(PowerMatrix(p), PARAMS)
-    assert not report.ok
-    assert all("exceeds budget" in v for v in report.violations)
-    assert len(report.violations) == 3
+    violations = check_feasible(PowerMatrix(p), PARAMS)
+    assert all("exceeds budget" in v for v in violations)
+    assert len(violations) == 3
 
 
 # --- projection ---------------------------------------------------------------
@@ -228,8 +224,8 @@ def test_projection_always_feasible(raw):
     p = np.zeros((4, 4))
     p[offdiag_mask(4)] = raw
     out = project_to_feasible(p, PARAMS)
-    report = check_feasible(PowerMatrix(out), PARAMS)
-    assert report.ok, report.violations
+    violations = check_feasible(PowerMatrix(out), PARAMS)
+    assert violations == (), violations
 
 
 def test_projection_handles_floor_reclamp():
@@ -361,13 +357,13 @@ def test_greedy_epoch_ladder_monotone():
 def test_greedy_result_is_feasible():
     for seed in range(4):
         result = greedy_pa(random_problem(seed, 5))
-        assert check_feasible(result.power, PARAMS).ok
+        assert check_feasible(result.power, PARAMS) == ()
 
 
 def test_greedy_objectives_consistent():
     result = greedy_pa(random_problem(9, 3))
-    assert result.objective_min_snr == offdiag_values(result.metrics.snr).min()
-    assert result.objective_max_delay_s == offdiag_values(result.metrics.delay_s).max()
+    assert result.objective_min_snr == offdiag_values(result.snr).min()
+    assert result.objective_max_delay_s == offdiag_values(result.delay_s).max()
 
 
 def _extreme_links(snr):
@@ -450,7 +446,7 @@ def test_greedy_matches_reference_bit_for_bit(n, params, cfg):
     got = greedy_pa(prob, cfg)
     want = _greedy_reference(prob, cfg)
     assert got.power.p.tobytes() == want.power.p.tobytes()
-    assert got.metrics.snr.tobytes() == want.metrics.snr.tobytes()
+    assert got.snr.tobytes() == want.snr.tobytes()
     assert got.history == want.history
     assert got.epochs_used == want.epochs_used
     assert got.converged == want.converged
@@ -458,7 +454,7 @@ def test_greedy_matches_reference_bit_for_bit(n, params, cfg):
 
 def _assert_same_solve(got, want):
     assert got.power.p.tobytes() == want.power.p.tobytes()
-    assert got.metrics.snr.tobytes() == want.metrics.snr.tobytes()
+    assert got.snr.tobytes() == want.snr.tobytes()
     assert got.history == want.history
     assert got.epochs_used == want.epochs_used
     assert got.converged == want.converged
@@ -586,7 +582,7 @@ def test_genetic_result_is_feasible():
     cfg = GeneticConfig(rng_seed=5, max_generations=120, stagnation_limit=120)
     for seed in range(3):
         result = genetic_pa(random_problem(seed, 4), cfg)
-        assert check_feasible(result.power, PARAMS).ok
+        assert check_feasible(result.power, PARAMS) == ()
 
 
 def test_genetic_history_monotone():
@@ -740,7 +736,7 @@ def test_genetic_matches_reference_bit_for_bit(n, params, cfg, stops):
     got = genetic_pa(prob, cfg)
     want = _genetic_reference(prob, cfg)
     assert got.power.p.tobytes() == want.power.p.tobytes()
-    assert got.metrics.snr.tobytes() == want.metrics.snr.tobytes()
+    assert got.snr.tobytes() == want.snr.tobytes()
     assert got.history == want.history
     assert got.epochs_used == want.epochs_used
     assert got.converged == want.converged
@@ -795,7 +791,7 @@ def test_exact_objective_matches_channel_recompute():
     assert result.objective_min_snr == pytest.approx(
         offdiag_values(snr).min(), rel=1e-12
     )
-    assert check_feasible(result.power, PARAMS).ok
+    assert check_feasible(result.power, PARAMS) == ()
 
 
 def test_exact_dominates_heuristics_and_random_search():
@@ -820,7 +816,7 @@ def test_exact_dominates_heuristics_and_random_search():
 def test_exact_at_max_scale():
     prob = random_problem(1, 64)
     result = exact_pa(prob)
-    assert check_feasible(result.power, PARAMS).ok
+    assert check_feasible(result.power, PARAMS) == ()
     assert default_pa(prob).objective_min_snr <= result.objective_min_snr
     assert result.objective_min_snr <= 1.0 / 62 * (1 + 1e-9)
 
@@ -858,7 +854,7 @@ def test_exact_certified_by_yates(n):
         result = exact_pa(AllocationProblem(params, dist))
         exact = result.objective_min_snr
         target = exact * (1 + YATES_TARGET_REL)
-        assert check_feasible(result.power, params).ok
+        assert check_feasible(result.power, params) == ()
         assert exact <= result.upper_bound <= target
         assert target >= 1.0 / (n - 2) or _yates_proves_unreachable(params, dist, target), (
             f"n={n} p_min={p_min}: exact * (1 + {YATES_TARGET_REL}) not proved unreachable"
@@ -902,5 +898,5 @@ def test_all_strategies_feasible_on_random_instances():
                 greedy_pa(prob, greedy_cfg),
                 genetic_pa(prob, genetic_cfg),
             ):
-                report = check_feasible(result.power, PARAMS)
-                assert report.ok, report.violations
+                violations = check_feasible(result.power, PARAMS)
+                assert violations == (), violations

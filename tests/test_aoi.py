@@ -237,7 +237,7 @@ def _reference_delays(n, seed):
 
 def _channel_delays(n, seed):
     dist, _ = generate_scene(ScenarioSpec(n, rng_seed=seed))
-    return default_pa(AllocationProblem(ChannelParams(), dist)).metrics.delay_s
+    return default_pa(AllocationProblem(ChannelParams(), dist)).delay_s
 
 
 _REFERENCE_CASES = [

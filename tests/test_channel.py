@@ -1,21 +1,30 @@
 """Channel model: SNR under interference and Shannon-rate delay."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from v2vaoi.allocator import (
+    AllocationProblem,
+    GeneticConfig,
+    GreedyConfig,
+    default_pa,
+    exact_pa,
+    genetic_pa,
+    greedy_pa,
+)
 from v2vaoi.channel import (
     ChannelParams,
     DistanceMatrix,
-    LinkMetrics,
     PowerMatrix,
     SnrClampWarning,
     _snr,
     compute_delay_matrix,
     compute_snr_matrix,
     from_offdiag_rows,
-    link_metrics,
     offdiag_mask,
     offdiag_rows,
     offdiag_values,
@@ -252,6 +261,37 @@ def test_rate_factor_underflow_names_the_factor():
         compute_delay_matrix(ChannelParams(rate_factor=5e-324), snr)
 
 
+def test_rate_factor_subnormal_delay_names_the_factor():
+    # every delay is 0.848 s, which scales to the smallest subnormal, not to 0
+    snr = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(
+        DomainError,
+        match=r"rate_factor 5e-324 underflows a delay to 4\.94e-324 s, below the normal",
+    ):
+        compute_delay_matrix(ChannelParams(rate_factor=5e-324), snr)
+    # delays of 1.45 s stay normal at the smallest normal factor
+    tiny = np.finfo(np.float64).tiny
+    delay = compute_delay_matrix(ChannelParams(rate_factor=tiny), snr / 2)
+    assert offdiag_values(delay).min() >= tiny
+
+
+@pytest.mark.parametrize(
+    "params, snr",
+    [
+        (ChannelParams(payload_bits=1e308, bandwidth_hz=1e-300), 3.0),
+        # the rate itself underflows to 0, so the division is by zero
+        (ChannelParams(bandwidth_hz=1e-300), 1e-300),
+    ],
+    ids=["overflow", "zero_rate"],
+)
+def test_delay_overflow_names_payload_and_bandwidth(params, snr):
+    with pytest.raises(
+        DomainError,
+        match=re.escape(f"payload {params.payload_bits!r} bits over bandwidth 1e-300 Hz overflows"),
+    ):
+        compute_delay_matrix(params, np.array([[0.0, snr], [snr, 0.0]]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(c=st.floats(min_value=1e-6, max_value=1e6))
 def test_delay_linearity_property(c):
@@ -287,13 +327,23 @@ def test_delay_clamps_denormal_snr_with_warning():
     assert np.isfinite(delay[0, 1])
 
 
-def test_link_metrics_bundle():
+def test_solve_results_hold_their_link_matrices():
     rng = np.random.default_rng(7)
-    dist, power = random_instance(rng, 3)
-    m = link_metrics(PARAMS, dist, power)
-    assert m.n == 3
-    assert m.min_snr() == offdiag_values(m.snr).min()
-    assert m.max_delay_s() == offdiag_values(m.delay_s).max()
+    dist, _ = random_instance(rng, 5)
+    problem = AllocationProblem(PARAMS, dist)
+    for result in (
+        default_pa(problem),
+        greedy_pa(problem, GreedyConfig(max_epochs=200)),
+        genetic_pa(problem, GeneticConfig(max_generations=50)),
+        exact_pa(problem),
+    ):
+        assert not result.snr.flags.writeable
+        assert not result.delay_s.flags.writeable
+        snr = compute_snr_matrix(PARAMS, dist, result.power)
+        assert result.snr.tobytes() == snr.tobytes()
+        assert result.delay_s.tobytes() == compute_delay_matrix(PARAMS, snr).tobytes()
+        assert result.objective_min_snr == offdiag_values(result.snr).min()
+        assert result.objective_max_delay_s == offdiag_values(result.delay_s).max()
 
 
 # --- value types -----------------------------------------------------------
@@ -341,12 +391,3 @@ def test_matrices_are_immutable():
     with pytest.raises(ValueError):
         dist.d[0, 1] = 5.0
 
-
-def test_link_metrics_validation():
-    with pytest.raises(DomainError):
-        LinkMetrics(
-            snr=np.array([[0.0, -1.0], [1.0, 0.0]]),
-            delay_s=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        )
-    with pytest.raises(DimensionMismatchError):
-        LinkMetrics(snr=np.eye(2) + 1, delay_s=np.ones((3, 3)))

@@ -79,7 +79,7 @@ def test_library_solve_carries_the_rate_factor(tmp_path):
     dist, _ = generate_scene(ScenarioSpec(5, rng_seed=derive_seed(3, 0)))
     problem = AllocationProblem(ChannelParams(rate_factor=0.2154), dist)
     result = greedy_pa(problem, GreedyConfig(max_epochs=300))
-    want = {"delay_s": result.metrics.delay_s.tolist(),
+    want = {"delay_s": result.delay_s.tolist(),
             "objective_max_delay_s": result.objective_max_delay_s}
     assert {key: record[key] for key in want} == json.loads(json.dumps(want))
 
@@ -318,6 +318,14 @@ def test_text_format_writes_report(tmp_path):
         # the scaled delays underflow to zero, which names the rate factor
         ["solve", "--n", "3", "--epochs", "5", "--rate-factor", "5e-324"],
         ["aoi", "--n", "3", "--epochs", "5", "--rate-factor", "5e-324"],
+        ["solve", "--n", "3", "--rate-factor", "5e-324"],
+        # out-of-range values report by name, with no numpy warning first
+        ["solve", "--n", "3", "--payload", "1e308", "--bandwidth", "1e-300"],
+        ["aoi", "--n", "3", "--period", "5e-324", "--looptime", "1"],
+        ["aoi", "--n", "3", "--compute-delay", "1e308"],
+        ["solve", "--n", "3", "--box-side", "1e308", "--min-sep", "1"],
+        ["solve", "--scene", "{tmp}/huge_coords.txt"],
+        ["solve", "--scene", "{tmp}/inf_coords.txt"],
     ],
 )
 def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
@@ -329,13 +337,21 @@ def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
     (tmp_path / "nan_header.txt").write_text("nan\n0 10\n10 0\n")
     (tmp_path / "tri_half_metre.txt").write_text("0 0.5 0.5\n0.5 0 0.5\n0.5 0.5 0\n")
     (tmp_path / "negative_seed.json").write_text('{"seed": -1}')
+    (tmp_path / "huge_coords.txt").write_text("coords\n0 0\n1e308 0\n0 5\n")
+    (tmp_path / "inf_coords.txt").write_text("coords\n0 0\ninf 0\n0 5\n")
     argv = [a.format(tmp=tmp_path, scene=two_vehicle_scene) for a in args]
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
-    if "5e-324" in args:
-        assert "error: rate_factor 5e-324 underflows a delay to 0" in err
+    if "--rate-factor" in args and "5e-324" in args:
+        # after 5 greedy epochs a delay is under 0.5 s and scales to 0; after
+        # the full solve every delay scales to the smallest subnormal
+        floor = "0" if "--epochs" in args else "4.94e-324"
+        assert (
+            f"error: rate_factor 5e-324 underflows a delay to {floor} s, "
+            "below the normal float range"
+        ) in err
 
 
 def test_largest_u64_seed_accepted(tmp_path):

@@ -166,7 +166,7 @@ def test_comparison_ladder_rows_match_separate_solves():
             name = f"greedy_epoch{epochs}"
             assert rows[name]["epochs_used"] == want.epochs_used
             assert rows[name]["min_snr"] == want.objective_min_snr
-            assert delays[name].tobytes() == want.metrics.delay_s.tobytes()
+            assert delays[name].tobytes() == want.delay_s.tobytes()
         # the 50-epoch rung is cut short; the full solve reaches the plateau stop
         assert rows["greedy_epoch50"]["epochs_used"] == 50
         assert rows["greedy_epoch5000"]["epochs_used"] < 5000

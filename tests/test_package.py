@@ -18,11 +18,9 @@ PUBLIC_NAMES = {
     "ComparisonConfig",
     "DegradationCurve",
     "DistanceMatrix",
-    "FeasibilityReport",
     "GeneticConfig",
     "GreedyConfig",
     "LINEAR_COEFFICIENT_CURVE",
-    "LinkMetrics",
     "PowerMatrix",
     "ScenarioSpec",
     "SceneApEstimate",
@@ -43,7 +41,6 @@ PUBLIC_NAMES = {
     "generate_scene",
     "genetic_pa",
     "greedy_pa",
-    "link_metrics",
     "load_distance_matrix",
     "offdiag_mask",
     "offdiag_values",
