@@ -18,7 +18,6 @@ from .channel import (
     ChannelParams,
     DistanceMatrix,
     PowerMatrix,
-    SnrClampWarning,
     compute_delay_matrix,
     compute_snr_matrix,
     offdiag_mask,

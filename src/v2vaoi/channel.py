@@ -10,7 +10,6 @@ holding read-only float64 arrays, safe to share across threads.
 """
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,17 +24,9 @@ from .errors import (
 # Dense float64 matrices; scenes beyond this size are out of scope.
 MAX_VEHICLES = 64
 
-# Floor applied to off-diagonal SNR before the rate log so delays stay finite
-# even for pathological inputs.
-SNR_FLOOR = 1e-300
-
 _LN2 = float(np.log(2.0))
 
 SYMMETRY_TOL_M = 1e-9
-
-
-class SnrClampWarning(UserWarning):
-    """An off-diagonal SNR below SNR_FLOOR was clamped before the rate log."""
 
 
 @functools.lru_cache(maxsize=MAX_VEHICLES)
@@ -259,15 +250,24 @@ def compute_snr_matrix(
     return from_offdiag_rows(_snr(path_loss(params, dist), offdiag_rows(power.p), params.noise_w))
 
 
+def _check_normal(delay: np.ndarray, cause: str) -> None:
+    if not delay.min() >= np.finfo(np.float64).tiny:
+        raise DomainError(
+            f"{cause} underflows a delay to {delay.min():.3g} s, below the normal float range"
+        )
+
+
 def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
     """Transmission delay in seconds for every link: payload over Shannon rate.
 
     Delay is exactly linear in payload_bits and rate_factor, decreasing in SNR.
-    Off-diagonal SNR entries must be positive; entries below SNR_FLOOR are
-    clamped up (with a SnrClampWarning) before the rate log.  This is where
-    every delay is checked: one that overflows float64 is a DomainError
-    naming the payload and bandwidth, and one below the smallest normal
-    float, a subnormal or 0, is a DomainError naming the rate_factor.
+    Off-diagonal SNR entries must be positive; log1p keeps the rate accurate
+    down to subnormal SNRs.  This is where every delay is checked, before
+    and after the rate_factor scale, and a DomainError names the factors
+    that put it out of range: a delay that overflows float64 names the
+    payload, bandwidth and min SNR; one below the smallest normal float, a
+    subnormal or 0, names the payload and bandwidth, or the rate_factor when
+    only the scaled delay is.
     """
     snr = np.asarray(snr, dtype=np.float64)
     n = _check_square(snr, "SNR matrix")
@@ -276,26 +276,15 @@ def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
         raise DomainError("off-diagonal SNR entries must be finite")
     if np.any(vals <= 0):
         raise DomainError("off-diagonal SNR entries must be positive")
-    if np.any(vals < SNR_FLOOR):
-        warnings.warn(
-            "SNR below representable floor; clamping before the rate log",
-            SnrClampWarning,
-            stacklevel=2,
-        )
-        vals = np.maximum(vals, SNR_FLOOR)
     with np.errstate(over="ignore", divide="ignore"):
         # log1p keeps the achievable rate accurate when 1 + snr would round to 1.
         rate_bps = params.bandwidth_hz * (np.log1p(vals) / _LN2)
-        delay = params.payload_bits / rate_bps * params.rate_factor
-    if not np.all(np.isfinite(delay)):
-        raise DomainError(
-            f"payload {params.payload_bits!r} bits over bandwidth "
-            f"{params.bandwidth_hz!r} Hz overflows a delay"
-        )
-    if not delay.min() >= np.finfo(np.float64).tiny:
-        raise DomainError(
-            f"rate_factor {params.rate_factor!r} underflows a delay to "
-            f"{delay.min():.3g} s, below the normal float range"
-        )
+        unscaled = params.payload_bits / rate_bps
+    payload = f"payload {params.payload_bits!r} bits over bandwidth {params.bandwidth_hz!r} Hz"
+    if not np.all(np.isfinite(unscaled)):
+        raise DomainError(f"{payload} overflows a delay at min SNR {vals.min():.4g}")
+    _check_normal(unscaled, payload)
+    delay = unscaled * params.rate_factor
+    _check_normal(delay, f"rate_factor {params.rate_factor!r}")
     return from_offdiag_rows(delay.reshape(n, n - 1))
 

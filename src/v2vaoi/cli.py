@@ -6,6 +6,9 @@ Four commands:
   aoi      - information-age and proxy perception report per mode.
   verify   - heuristics against the exact optimum on random or given scenes.
 
+Every command solves through metrics.solve_scene, which looks strategies up
+in metrics.STRATEGIES and derives each scene and GA seed by one rule.
+
 Each command returns its records, the config record first, and builds no
 text: the text report is rendered from those records alone, so --format
 text and records carry the same values.  The config record embeds the
@@ -18,23 +21,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .allocator import (
-    AllocationProblem,
-    GeneticConfig,
-    GreedyConfig,
-    default_pa,
-    exact_pa,
-    genetic_pa,
-    greedy_pa,
-)
+from .allocator import GeneticConfig, GreedyConfig
+from .allocator import greedy_pa  # noqa: F401  perfbench's tracer test reads cli.greedy_pa
 from .aoi import AoiConfig, aoi_summary, build_aoi_records
 from .channel import ChannelParams
 from .errors import DomainError, SimulationError
-from .metrics import ComparisonConfig, run_comparison
+from .metrics import STRATEGIES, ComparisonConfig, run_comparison, scene_seed, solve_scene
 from .proxy import estimate_scene_ap
 from .scenario import ScenarioSpec, generate_scene, load_distance_matrix
 from .seeds import derive_seed
@@ -71,7 +66,7 @@ _FLAGS = (
     ("payload", float, ChannelParams.payload_bits, "payload size [bits]", _ALL),
     ("n", int, 3, None, ("solve", "aoi", "verify")),
     ("n", str, "3,4,5", "comma-separated vehicle counts, e.g. 3,4,5", ("compare",)),
-    ("strategy", ("default", "greedy", "genetic"), "greedy", None, ("solve",)),
+    ("strategy", tuple(STRATEGIES), "greedy", None, ("solve",)),
     ("trials", int, 15, None, ("compare",)),
     ("jobs", int, 1, "worker threads over trials", ("compare",)),
     ("plot_out", str, None, "write x/y series for external plotting", ("compare",)),
@@ -192,20 +187,16 @@ def _resolve(args: argparse.Namespace) -> tuple:
     return cfg, solvers
 
 
-def _scene_spec(cfg: dict, n: int, *stream: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        n_vehicles=n,
-        box_side_m=cfg["box_side"],
-        min_separation_m=cfg["min_sep"],
-        rng_seed=derive_seed(cfg["seed"], *stream),
-    )
+def _scene_spec(cfg: dict, n: int, rng_seed: int) -> ScenarioSpec:
+    return ScenarioSpec(n, cfg["box_side"], cfg["min_sep"], rng_seed)
 
 
 def _make_scene(cfg: dict, *stream: int):
+    """The scene file, or the scene drawn for the seed stream."""
     if cfg["scene"]:
         dist = load_distance_matrix(cfg["scene"])
         return dist, f"file {cfg['scene']}"
-    dist, _ = generate_scene(_scene_spec(cfg, cfg["n"], *stream))
+    dist, _ = generate_scene(_scene_spec(cfg, cfg["n"], scene_seed(*stream)))
     return dist, f"generated (n={cfg['n']}, seed={cfg['seed']})"
 
 
@@ -273,16 +264,9 @@ def _config_record(cfg: dict) -> dict:
 
 
 def cmd_solve(cfg: dict, solvers: ComparisonConfig) -> list:
-    dist, scene_desc = _make_scene(cfg, 0)
-    problem = AllocationProblem(solvers.params, dist)
+    dist, scene_desc = _make_scene(cfg, cfg["seed"])
     strategy = cfg["strategy"]
-    if strategy == "default":
-        result = default_pa(problem)
-    elif strategy == "greedy":
-        result = greedy_pa(problem, solvers.greedy)
-    else:
-        genetic = replace(solvers.genetic, rng_seed=derive_seed(cfg["seed"], 1))
-        result = genetic_pa(problem, genetic)
+    result = solve_scene(solvers, dist, (strategy,), cfg["seed"])[strategy]
     return [
         _config_record(cfg),
         {
@@ -322,7 +306,7 @@ def text_solve(records: list) -> str:
 
 
 def cmd_compare(cfg: dict, solvers: ComparisonConfig) -> list:
-    specs = [_scene_spec(cfg, n, n) for n in _vehicle_counts(cfg["n"])]
+    specs = [_scene_spec(cfg, n, derive_seed(cfg["seed"], n)) for n in _vehicle_counts(cfg["n"])]
     return [_config_record(cfg)] + [
         run_comparison(spec, cfg["trials"], solvers, jobs=cfg["jobs"]) for spec in specs
     ]
@@ -355,14 +339,10 @@ def cmd_aoi(cfg: dict, solvers: ComparisonConfig) -> list:
         looptime_s=cfg["looptime"],
         rng_seed=derive_seed(cfg["seed"], 2),
     )
-    dist, scene_desc = _make_scene(cfg, 0)
-    problem = AllocationProblem(solvers.params, dist)
-    n = dist.n
-    modes = [
-        ("zero_delay", np.zeros((n, n))),
-        ("default", default_pa(problem).delay_s),
-        ("greedy", greedy_pa(problem, solvers.greedy).delay_s),
-    ]
+    dist, scene_desc = _make_scene(cfg, cfg["seed"])
+    solved = solve_scene(solvers, dist, ("default", "greedy"), cfg["seed"])
+    modes = [("zero_delay", np.zeros((dist.n, dist.n)))]
+    modes += [(name, result.delay_s) for name, result in solved.items()]
     records = [_config_record(cfg)]
     for mode, delays in modes:
         ages = build_aoi_records(delays, aoi_cfg).snapped_age_s
@@ -397,32 +377,15 @@ def cmd_verify(cfg: dict, solvers: ComparisonConfig) -> list:
     records = [_config_record(cfg)]
     worst_greedy_gap = 0.0
     for k in range(cfg["instances"]):
-        dist, _ = _make_scene(cfg, k, 0)
-        problem = AllocationProblem(solvers.params, dist)
-        exact = exact_pa(problem)
-        greedy = greedy_pa(problem, solvers.greedy)
-        genetic = genetic_pa(
-            problem, replace(solvers.genetic, rng_seed=derive_seed(cfg["seed"], k, 1))
-        )
-        gaps = {
-            name: max(0.0, (exact.objective_min_snr - obj) / exact.objective_min_snr)
-            for name, obj in (
-                ("greedy", greedy.objective_min_snr),
-                ("genetic", genetic.objective_min_snr),
-            )
-        }
-        worst_greedy_gap = max(worst_greedy_gap, gaps["greedy"])
-        records.append(
-            {
-                "type": "verify_instance",
-                "instance": k,
-                "oracle_min_snr": exact.objective_min_snr,
-                "greedy_min_snr": greedy.objective_min_snr,
-                "greedy_gap": gaps["greedy"],
-                "genetic_min_snr": genetic.objective_min_snr,
-                "genetic_gap": gaps["genetic"],
-            }
-        )
+        dist, _ = _make_scene(cfg, cfg["seed"], k)
+        solved = solve_scene(solvers, dist, ("exact", "greedy", "genetic"), cfg["seed"], k)
+        optimum = solved.pop("exact").objective_min_snr
+        record = {"type": "verify_instance", "instance": k, "oracle_min_snr": optimum}
+        for name, result in solved.items():
+            record[f"{name}_min_snr"] = result.objective_min_snr
+            record[f"{name}_gap"] = max(0.0, (optimum - result.objective_min_snr) / optimum)
+        worst_greedy_gap = max(worst_greedy_gap, record["greedy_gap"])
+        records.append(record)
     records.append(
         {
             "type": "verify_verdict",

@@ -15,10 +15,11 @@ from .allocator import (
     GeneticConfig,
     GreedyConfig,
     default_pa,
+    exact_pa,
     genetic_pa,
     greedy_pa,
 )
-from .channel import ChannelParams, offdiag_values
+from .channel import ChannelParams, DistanceMatrix, offdiag_values
 from .errors import DimensionMismatchError, DomainError, SimulationError, is_integer
 from .scenario import ScenarioSpec, generate_scene
 from .seeds import derive_seed
@@ -89,26 +90,58 @@ class ComparisonConfig:
             )
 
 
+# Every allocation strategy: name -> (problem, config, ga_seed) -> result.
+# An entry looks its solver up in this module when it runs, so a rebinding
+# of the module's name (a tracing shim) sees every call.
+STRATEGIES = {
+    "default": lambda problem, config, ga_seed: default_pa(problem),
+    "greedy": lambda problem, config, ga_seed: greedy_pa(
+        problem, config.greedy, rungs=config.greedy_epoch_ladder
+    ),
+    "genetic": lambda problem, config, ga_seed: genetic_pa(
+        problem, replace(config.genetic, rng_seed=ga_seed)
+    ),
+    "exact": lambda problem, config, ga_seed: exact_pa(problem),
+}
+
+
+def scene_seed(*stream: int) -> int:
+    """The seed of the scene drawn for a seed stream (see solve_scene)."""
+    return derive_seed(*stream, 0)
+
+
+def solve_scene(
+    config: ComparisonConfig, dist: DistanceMatrix, names: tuple, *stream: int
+) -> dict:
+    """{name: result} of each named strategy on one scene, in the order given.
+
+    The one seed rule: seed stream `stream` draws its scene from
+    scene_seed(*stream) = derive_seed(*stream, 0) and runs the GA on
+    derive_seed(*stream, 1).  solve and aoi use (seed,), verify instance k
+    (seed, k) and compare trial t (spec.rng_seed, t).
+    """
+    problem = AllocationProblem(config.params, dist)
+    ga_seed = derive_seed(*stream, 1)
+    return {name: STRATEGIES[name](problem, config, ga_seed) for name in names}
+
+
 def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> tuple:
     """One trial's per_trial record and each strategy's delay matrix."""
-    scene_seed = derive_seed(spec.rng_seed, trial, 0)
-    dist, _ = generate_scene(replace(spec, rng_seed=scene_seed))
-    problem = AllocationProblem(cfg.params, dist)
-
-    results = {"default": default_pa(problem)}
-    ladder = cfg.greedy_epoch_ladder
-    greedy = greedy_pa(problem, cfg.greedy, rungs=ladder)
-    for epochs, result in zip(ladder, greedy.rungs):
-        results[f"greedy_epoch{epochs}"] = result
-    genetic_seed = derive_seed(spec.rng_seed, trial, 1)
-    results[REFERENCE_STRATEGY] = genetic_pa(
-        problem, replace(cfg.genetic, rng_seed=genetic_seed)
-    )
+    seed = scene_seed(spec.rng_seed, trial)
+    dist, _ = generate_scene(replace(spec, rng_seed=seed))
+    default, greedy, genetic = solve_scene(
+        cfg, dist, ("default", "greedy", REFERENCE_STRATEGY), spec.rng_seed, trial
+    ).values()
+    results = {
+        "default": default,
+        **{f"greedy_epoch{e}": r for e, r in zip(cfg.greedy_epoch_ladder, greedy.rungs)},
+        REFERENCE_STRATEGY: genetic,
+    }
 
     delays = {name: r.delay_s for name, r in results.items()}
     record = {
         "trial_index": trial,
-        "scene_seed": scene_seed,
+        "scene_seed": seed,
         "strategies": [
             {
                 "strategy": name,
@@ -134,9 +167,11 @@ def run_comparison(
     aggregate per strategy, in row order, and each trial's per-strategy
     min SNR, epochs used and RMSE against the reference.
 
-    Per-trial scene and solver seeds derive from spec.rng_seed (the master
-    seed), so results are reproducible and, because trials are aggregated
-    in index order, independent of how many worker threads run them.
+    The rows are default, one greedy_epoch<e> per greedy_epoch_ladder rung
+    and the genetic reference, each solved through STRATEGIES.  Trial t
+    follows solve_scene's seed rule on the stream (spec.rng_seed, t), so
+    results are reproducible and, because trials are aggregated in index
+    order, independent of how many worker threads run them.
     Solver errors abort the batch, tagged with the failing trial index.
     """
     if not (is_integer(trials) and trials >= 1):

@@ -1,6 +1,7 @@
 """Channel model: SNR under interference and Shannon-rate delay."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from v2vaoi.channel import (
     ChannelParams,
     DistanceMatrix,
     PowerMatrix,
-    SnrClampWarning,
     _snr,
     compute_delay_matrix,
     compute_snr_matrix,
@@ -261,6 +261,25 @@ def test_rate_factor_underflow_names_the_factor():
         compute_delay_matrix(ChannelParams(rate_factor=5e-324), snr)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [ChannelParams(payload_bits=1e-310), ChannelParams(payload_bits=5e-324),
+     ChannelParams(bandwidth_hz=1e308)],
+    ids=["subnormal_payload", "least_payload", "huge_bandwidth"],
+)
+def test_delay_underflow_names_payload_and_bandwidth(params):
+    # the unscaled delay is out of range, so the default rate factor is not
+    # to blame
+    snr = np.array([[0.0, 2.0], [3.0, 0.0]])
+    with pytest.raises(DomainError) as info:
+        compute_delay_matrix(params, snr)
+    assert str(info.value).startswith(
+        f"payload {params.payload_bits!r} bits over bandwidth {params.bandwidth_hz!r} Hz "
+        "underflows a delay to "
+    )
+    assert "rate_factor" not in str(info.value)
+
+
 def test_rate_factor_subnormal_delay_names_the_factor():
     # every delay is 0.848 s, which scales to the smallest subnormal, not to 0
     snr = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -320,11 +339,18 @@ def test_delay_rejects_nonpositive_snr():
         compute_delay_matrix(PARAMS, np.array([[0.0, -2.0], [1.0, 0.0]]))
 
 
-def test_delay_clamps_denormal_snr_with_warning():
-    snr = np.array([[0.0, 1e-320], [1.0, 0.0]])
-    with pytest.warns(SnrClampWarning):
+def test_delay_of_a_tiny_snr_is_its_true_delay():
+    # no floor under the SNR: 1e-305 gets its own delay, without a warning,
+    # and an SNR whose delay leaves float64 is an error that names it
+    snr = np.array([[0.0, 1e-305], [1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         delay = compute_delay_matrix(PARAMS, snr)
-    assert np.isfinite(delay[0, 1])
+    rate_bps = PARAMS.bandwidth_hz * (np.log1p(1e-305) / np.log(2.0))
+    assert delay[0, 1] == PARAMS.payload_bits / rate_bps
+    assert 5.8e304 < delay[0, 1] < 5.9e304
+    with pytest.raises(DomainError, match=r"overflows a delay at min SNR 1e-320$"):
+        compute_delay_matrix(PARAMS, np.array([[0.0, 1e-320], [1.0, 0.0]]))
 
 
 def test_solve_results_hold_their_link_matrices():

@@ -1,14 +1,24 @@
 """End-to-end CLI behavior: reports, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from v2vaoi.allocator import AllocationProblem, GeneticConfig, GreedyConfig, greedy_pa
+from v2vaoi.allocator import (
+    AllocationProblem,
+    GeneticConfig,
+    GreedyConfig,
+    default_pa,
+    exact_pa,
+    genetic_pa,
+    greedy_pa,
+)
 from v2vaoi.channel import ChannelParams
 from v2vaoi.cli import (
     _COMMANDS,
+    _FLAGS,
     _config_record,
     _fmt_matrix,
     _plot_series,
@@ -16,7 +26,7 @@ from v2vaoi.cli import (
     build_parser,
     main,
 )
-from v2vaoi.metrics import ComparisonConfig, run_comparison
+from v2vaoi.metrics import STRATEGIES, ComparisonConfig, run_comparison
 from v2vaoi.scenario import ScenarioSpec, generate_scene
 from v2vaoi.seeds import derive_seed
 
@@ -82,6 +92,49 @@ def test_library_solve_carries_the_rate_factor(tmp_path):
     want = {"delay_s": result.delay_s.tolist(),
             "objective_max_delay_s": result.objective_max_delay_s}
     assert {key: record[key] for key in want} == json.loads(json.dumps(want))
+
+
+def test_strategy_choices_are_the_table():
+    (choices,) = [kind for key, kind, *_ in _FLAGS if key == "strategy"]
+    assert choices == tuple(STRATEGIES) == ("default", "greedy", "genetic", "exact")
+
+
+def test_solve_strategies_follow_the_seed_rule(tmp_path):
+    # solve --strategy <name> records what the library solver gives on the
+    # scene of derive_seed(3, 0), the GA running on derive_seed(3, 1); no
+    # strategy beats exact's min SNR
+    dist, _ = generate_scene(ScenarioSpec(5, rng_seed=derive_seed(3, 0)))
+    problem = AllocationProblem(ChannelParams(), dist)
+    library = {
+        "default": default_pa(problem),
+        "greedy": greedy_pa(problem, GreedyConfig()),
+        "genetic": genetic_pa(problem, GeneticConfig(rng_seed=derive_seed(3, 1))),
+        "exact": exact_pa(problem),
+    }
+    recorded = {}
+    for name in STRATEGIES:
+        out = tmp_path / f"{name}.jsonl"
+        assert run_cli(["solve", "--strategy", name, "--n", 5, "--seed", 3, "--out", out]) == 0
+        recorded[name] = read_records(out)[1]
+        assert recorded[name]["objective_min_snr"] == library[name].objective_min_snr
+        assert recorded[name]["objective_max_delay_s"] == library[name].objective_max_delay_s
+    optimum = recorded["exact"]["objective_min_snr"]
+    assert all(optimum >= record["objective_min_snr"] for record in recorded.values())
+
+
+def test_verify_instance_is_compare_trial(tmp_path):
+    # one seed rule: verify instance k and compare trial k on
+    # ScenarioSpec(n, rng_seed=seed) solve the same scene with the same GA seed
+    out = tmp_path / "verify.jsonl"
+    args = ["verify", "--n", 5, "--instances", 3, "--seed", 2, "--epochs", 300]
+    assert run_cli(args + ["--gap-threshold", 1, "--out", out]) == 0
+    instances = [rec for rec in read_records(out) if rec["type"] == "verify_instance"]
+    config = ComparisonConfig(greedy=GreedyConfig(max_epochs=300), greedy_epoch_ladder=(300,))
+    comparison = run_comparison(ScenarioSpec(5, rng_seed=2), 3, config)
+    for instance, trial in zip(instances, comparison["per_trial"], strict=True):
+        min_snr = {row["strategy"]: row["min_snr"] for row in trial["strategies"]}
+        assert min_snr["greedy_epoch300"] == instance["greedy_min_snr"]
+        assert min_snr["genetic"] == instance["genetic_min_snr"]
 
 
 def test_solve_asymmetric_scene_fails(tmp_path, capsys):
@@ -326,6 +379,11 @@ def test_text_format_writes_report(tmp_path):
         ["solve", "--n", "3", "--box-side", "1e308", "--min-sep", "1"],
         ["solve", "--scene", "{tmp}/huge_coords.txt"],
         ["solve", "--scene", "{tmp}/inf_coords.txt"],
+        # a delay out of range before the rate factor names what put it there
+        ["solve", "--n", "3", "--payload", "1e-310"],
+        ["solve", "--n", "3", "--payload", "5e-324"],
+        ["aoi", "--n", "3", "--bandwidth", "1e308"],
+        ["aoi", "--n", "3", "--noise", "1e308"],
     ],
 )
 def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
@@ -352,6 +410,26 @@ def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
             f"error: rate_factor 5e-324 underflows a delay to {floor} s, "
             "below the normal float range"
         ) in err
+    if "--payload" in args or "--bandwidth" in args or "--noise" in args:
+        assert err.startswith("error: payload ") and err.count("\n") == 1
+        assert "rate_factor" not in err
+        if "--noise" in args:
+            assert "overflows a delay at min SNR " in err
+
+
+def test_tiny_snr_reports_its_true_delay(tmp_path, capsys):
+    # an SNR near 3e-305 is reported with its own delay, near 2e304 s, and
+    # no warning
+    out = tmp_path / "solve.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["solve", "--n", 3, "--noise", 1e300, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    result = read_records(out)[1]
+    params = ChannelParams()
+    rate_bps = params.bandwidth_hz * (np.log1p(result["objective_min_snr"]) / np.log(2.0))
+    assert result["objective_max_delay_s"] == params.payload_bits / rate_bps
+    assert 1.9e304 < result["objective_max_delay_s"] < 2.1e304
 
 
 def test_largest_u64_seed_accepted(tmp_path):

@@ -24,7 +24,6 @@ PUBLIC_NAMES = {
     "PowerMatrix",
     "ScenarioSpec",
     "SceneApEstimate",
-    "SnrClampWarning",
     "aoi_summary",
     "build_aoi_records",
     "check_feasible",

@@ -121,17 +121,17 @@ PINNED = {
     ("solve --n 3 --rate-factor 5e-324", "text"):
         (1, "e3b0c44298fc1c14", None, None, "c882b61125d1fb3e"),
     ("solve --n 3 --payload 1e308 --bandwidth 1e-300", "records"):
-        (1, "e3b0c44298fc1c14", None, None, "bd8c945745558f5d"),
+        (1, "e3b0c44298fc1c14", None, None, "ce42b972f560bb7a"),
     ("solve --n 3 --payload 1e308 --bandwidth 1e-300", "text"):
-        (1, "e3b0c44298fc1c14", None, None, "bd8c945745558f5d"),
+        (1, "e3b0c44298fc1c14", None, None, "ce42b972f560bb7a"),
     ("solve --n 3 --payload 1e-310", "records"):
-        (1, "e3b0c44298fc1c14", None, None, "aea6279c0f69f3a3"),
+        (1, "e3b0c44298fc1c14", None, None, "388517dff6aa61b7"),
     ("solve --n 3 --payload 1e-310", "text"):
-        (1, "e3b0c44298fc1c14", None, None, "aea6279c0f69f3a3"),
+        (1, "e3b0c44298fc1c14", None, None, "388517dff6aa61b7"),
     ("solve --n 3 --noise 1e300", "records"):
-        (0, "501f937e296434c5", "08e5e4749a4a0432", None, "872e0c3304fa32d0"),
+        (0, "2c9a530fcead3658", "2787ead2d9c26c2a", None, "e3b0c44298fc1c14"),
     ("solve --n 3 --noise 1e300", "text"):
-        (0, "501f937e296434c5", "501f937e296434c5", None, "872e0c3304fa32d0"),
+        (0, "2c9a530fcead3658", "2c9a530fcead3658", None, "e3b0c44298fc1c14"),
 }
 
 
