@@ -1,0 +1,133 @@
+"""Per-layer timings of the kernels the commands run through, with
+pytest-benchmark; outside the tier-1 suite.
+
+    PYTHONPATH=src python -m pytest benchmarks                          # time every layer
+    PYTHONPATH=src python -m pytest -q benchmarks --benchmark-disable   # run each once
+
+Every scene is the one `solve --n N --seed 1` solves.  Each benchmark
+asserts that it did the work its name says (epochs, generations, output
+size), so a run with --benchmark-disable is a test that the harness still
+measures what it claims.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from v2vaoi.allocator import (
+    AllocationProblem,
+    GeneticConfig,
+    GreedyConfig,
+    _project_offdiag_rows,
+    _uniform_power,
+    exact_pa,
+    genetic_pa,
+    greedy_pa,
+)
+from v2vaoi.aoi import AoiConfig, build_aoi_records
+from v2vaoi.channel import ChannelParams, _scene_snr, _snr, offdiag_rows, path_loss
+from v2vaoi.cli import _fmt_matrix, _resolve, build_parser, cmd_solve
+from v2vaoi.scenario import ScenarioSpec, generate_scene
+from v2vaoi.seeds import derive_seed
+
+PARAMS = ChannelParams()
+SIZES = pytest.mark.parametrize("n", [8, 64], ids=["n8", "n64"])
+
+
+def problem(n: int) -> AllocationProblem:
+    dist, _ = generate_scene(ScenarioSpec(n, rng_seed=derive_seed(1, 0)))
+    return AllocationProblem(PARAMS, dist)
+
+
+def log_uniform_rows(shape, seed=0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(np.log(PARAMS.p_min_w), np.log(PARAMS.p_max_w), size=shape))
+
+
+def greedy_step_rows(n: int) -> np.ndarray:
+    """The even split after one greedy step: one link raised by the default
+    learn rate, so one row is over budget, as in nearly every epoch."""
+    rows = offdiag_rows(_uniform_power(problem(n)))
+    rows[0, 0] *= 1.0 + GreedyConfig().learn_rate
+    return rows
+
+
+@SIZES
+def test_greedy_solve(benchmark, n):
+    prob = problem(n)
+    result = benchmark(greedy_pa, prob, GreedyConfig(max_epochs=1000))
+    assert result.epochs_used == 1000
+
+
+@SIZES
+def test_snr_one_scene(benchmark, n):
+    loss = path_loss(PARAMS, problem(n).dist)
+    rows = log_uniform_rows((n, n - 1))
+    assert benchmark(_snr, loss, rows, PARAMS.noise_w).shape == (n, n - 1)
+
+
+@SIZES
+def test_scene_evaluator(benchmark, n):
+    loss = path_loss(PARAMS, problem(n).dist)
+    rows = log_uniform_rows((n, n - 1))
+    evaluate = _scene_snr(loss, PARAMS.noise_w)
+    assert benchmark(evaluate, rows).shape == (n * (n - 1),)
+
+
+def test_snr_population(benchmark):
+    # the GA's fitness pass: 50 individuals at n = 5
+    loss = path_loss(PARAMS, problem(5).dist)
+    pop = log_uniform_rows((50, 5, 4))
+    assert benchmark(_snr, loss, pop, PARAMS.noise_w).shape == (50, 5, 4)
+
+
+@SIZES
+def test_project_greedy_step(benchmark, n):
+    rows = greedy_step_rows(n)
+    out = benchmark(_project_offdiag_rows, rows, PARAMS.p_min_w, PARAMS.p_max_w)
+    assert out.sum(axis=1).max() <= PARAMS.p_max_w
+
+
+def test_project_population(benchmark):
+    # a GA population after variation: most rows are over budget
+    pop = log_uniform_rows((50, 5, 4))
+    out = benchmark(_project_offdiag_rows, pop, PARAMS.p_min_w, PARAMS.p_max_w)
+    assert out.sum(axis=-1).max() <= PARAMS.p_max_w
+
+
+def test_genetic_50_generations(benchmark):
+    prob = problem(5)
+    cfg = GeneticConfig(max_generations=50, rng_seed=derive_seed(1, 1))
+    result = benchmark(genetic_pa, prob, cfg)
+    assert result.epochs_used == 50  # no certified or stagnation stop before
+
+
+def test_exact_solve(benchmark):
+    result = benchmark(exact_pa, problem(64))
+    assert result.upper_bound >= result.objective_min_snr
+
+
+def test_build_aoi_records(benchmark):
+    delay = exact_pa(problem(64)).delay_s
+    ages = benchmark(build_aoi_records, delay, AoiConfig(compute_delay_s=0.05))
+    assert len(ages) == 64 * 64
+
+
+@pytest.fixture(scope="module")
+def solve_records():
+    # exact, so that setting up the 64-vehicle records costs a few ms
+    args = build_parser().parse_args(["solve", "--strategy", "exact", "--n", "64", "--seed", "1"])
+    return cmd_solve(*_resolve(args))
+
+
+def test_fmt_matrix(benchmark, solve_records):
+    text = benchmark(_fmt_matrix, solve_records[1]["snr"], "SNR matrix:")
+    assert text.count("\n") == 64
+
+
+def test_jsonl_emit(benchmark, solve_records):
+    def emit():
+        return "".join(json.dumps(rec) + "\n" for rec in solve_records)
+
+    assert benchmark(emit).count("\n") == 2

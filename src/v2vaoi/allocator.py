@@ -29,6 +29,7 @@ from .channel import (
     ChannelParams,
     DistanceMatrix,
     PowerMatrix,
+    _scene_snr,
     _snr,
     compute_delay_matrix,
     compute_snr_matrix,
@@ -330,34 +331,35 @@ def greedy_pa(
     that epoch, or the final ones if the run stopped at or before it.
 
     The solve holds only the (n, n-1) off-diagonal rows, and every epoch
-    reprojects all of them.
+    reprojects all of them.  The path loss is computed and the SNR work
+    buffers (_scene_snr) are allocated once per solve.
     """
     cfg = cfg or GreedyConfig()
     if not all(is_integer(r) and 1 <= r <= cfg.max_epochs for r in rungs):
         raise DomainError(f"rungs must be integers in 1..max_epochs, got {rungs!r}")
     params = problem.params
     p_min, p_max = params.p_min_w, params.p_max_w
-    loss = path_loss(params, problem.dist)
+    snr_of = _scene_snr(path_loss(params, problem.dist), params.noise_w)
     # rows[i] holds vehicle i's n-1 outgoing powers; links[k] is the k-th
     # off-diagonal entry in row-major order, the order of snr, so argmin and
     # argmax break ties as a row-major scan of the matrix would
     rows = offdiag_rows(_uniform_power(problem))
     links = rows.reshape(-1)
-    snr = _snr(loss, rows, params.noise_w).reshape(-1)
-    worst = int(np.argmin(snr))
+    snr = snr_of(rows)
+    worst = int(snr.argmin())
     best_obj = float(snr[worst])
     best_rows = rows.copy()  # replaced on improvement, never written
     snapshots = dict.fromkeys(rungs)
     history = []  # one entry per epoch run
     stall = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        strongest = int(np.argmax(snr))
+        strongest = int(snr.argmax())
         links[worst] *= 1.0 + cfg.learn_rate
         links[strongest] *= 1.0 - cfg.learn_rate
         rows = _project_offdiag_rows(rows, p_min, p_max)
         links = rows.reshape(-1)
-        snr = _snr(loss, rows, params.noise_w).reshape(-1)
-        worst = int(np.argmin(snr))
+        snr = snr_of(rows)  # the evaluator's buffer, overwritten next epoch
+        worst = int(snr.argmin())
         obj = float(snr[worst])
         if obj > best_obj:
             rel_gain = (obj - best_obj) / best_obj
@@ -555,7 +557,7 @@ def _bisect_max_min(problem: AllocationProblem) -> tuple:
         steps += 1
         mid = 0.5 * (lo + hi)
         p = minimal_power(mid)
-        if np.all(p.sum(axis=1) <= params.p_max_w):
+        if (p.sum(axis=1) <= params.p_max_w).all():
             lo, best = mid, p
         else:
             hi = mid

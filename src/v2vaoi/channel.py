@@ -10,6 +10,7 @@ holding read-only float64 arrays, safe to share across threads.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,14 +213,17 @@ def _receivers(count: int, n: int) -> np.ndarray:
 
 
 def _snr(loss: np.ndarray, powers: np.ndarray, noise_w: float) -> np.ndarray:
-    """The one implementation of the SNR formula, on one scene's powers or
-    a stack of them in off-diagonal row layout (..., n, n-1) (offdiag_rows),
-    given the scene's path loss in the same layout.
+    """The SNR formula on a stack of scenes' powers (the GA's population)
+    or on one scene's, in off-diagonal row layout (..., n, n-1)
+    (offdiag_rows), given the scene's path loss in the same layout.  A
+    solver that evaluates one scene many times uses _scene_snr, which
+    gives the same bits.
 
     Each receiver's incoming gain is one np.bincount over the links in
     row-major order, which adds a receiver's senders one by one in sender
     order: the order of a sum over axis -2 of the full matrix, whose
     diagonal adds exact zeros.  So the sums are bit-identical to that reduce.
+    On a stack, this costs less than a strided column reduce per scene.
     """
     gain = powers / loss
     n = gain.shape[-2]
@@ -227,6 +231,49 @@ def _snr(loss: np.ndarray, powers: np.ndarray, noise_w: float) -> np.ndarray:
     incoming = np.bincount(recv, weights=gain.reshape(-1))
     interference = incoming.take(recv).reshape(gain.shape) - gain  # drop the k = i term
     return gain / (interference + noise_w)
+
+
+def _offdiag_view(m: np.ndarray) -> np.ndarray:
+    """A writable (n-1, n) view of a C-contiguous (n, n) matrix's
+    off-diagonal entries, in row-major order: after the first diagonal
+    entry, every n + 1 consecutive entries are n off-diagonal ones and the
+    next diagonal entry.  An (n, n-1) offdiag_rows array reshaped to
+    (n-1, n) lines up with it entry for entry."""
+    n = m.shape[0]
+    return m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+
+
+def _scene_snr(loss: np.ndarray, noise_w: float):
+    """An evaluator of _snr on one scene's (n, n-1) powers, for a solver
+    that evaluates the scene many times: evaluate(rows) returns the SNR of
+    every link as a flat vector in row-major order.
+
+    The work buffers are allocated here, once; each call makes five ufunc
+    calls into them and returns the same SNR buffer, overwritten by the
+    next call.  The gain matrix keeps a zero diagonal, so each receiver's
+    incoming gain is one reduce over axis 0 that adds its senders in sender
+    order, as _snr's np.bincount does, and the formula
+    gain / ((incoming - gain) + noise) is _snr's: the bits are the same.
+    """
+    n = loss.shape[0]
+    gain = np.zeros((n, n))
+    denom = np.empty((n, n))
+    gain_off = _offdiag_view(gain)
+    denom_off = _offdiag_view(denom)
+    loss_off = loss.reshape(n - 1, n)
+    incoming = np.empty(n)
+    snr = np.empty(n * (n - 1))
+    snr_off = snr.reshape(n - 1, n)
+
+    def evaluate(rows: np.ndarray) -> np.ndarray:
+        np.divide(rows.reshape(n - 1, n), loss_off, out=gain_off)
+        np.add.reduce(gain, axis=0, out=incoming)
+        np.subtract(incoming, gain, out=denom)  # drop the k = i term
+        np.add(denom, noise_w, out=denom)
+        np.divide(gain_off, denom_off, out=snr_off)
+        return snr
+
+    return evaluate
 
 
 def compute_snr_matrix(
@@ -264,8 +311,9 @@ def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
     Off-diagonal SNR entries must be positive; log1p keeps the rate accurate
     down to subnormal SNRs.  This is where every delay is checked, before
     and after the rate_factor scale, and a DomainError names the factors
-    that put it out of range: a delay that overflows float64 names the
-    payload, bandwidth and min SNR; one below the smallest normal float, a
+    that put it out of range.  A delay that overflows float64 names the
+    payload and bandwidth when payload_bits / bandwidth_hz alone overflows,
+    and the min SNR otherwise.  One below the smallest normal float, a
     subnormal or 0, names the payload and bandwidth, or the rate_factor when
     only the scaled delay is.
     """
@@ -282,6 +330,8 @@ def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
         unscaled = params.payload_bits / rate_bps
     payload = f"payload {params.payload_bits!r} bits over bandwidth {params.bandwidth_hz!r} Hz"
     if not np.all(np.isfinite(unscaled)):
+        if math.isfinite(params.payload_bits / params.bandwidth_hz):
+            raise DomainError(f"min SNR {vals.min():.4g} overflows a delay beyond the float range")
         raise DomainError(f"{payload} overflows a delay at min SNR {vals.min():.4g}")
     _check_normal(unscaled, payload)
     delay = unscaled * params.rate_factor

@@ -200,12 +200,9 @@ def _make_scene(cfg: dict, *stream: int):
     return dist, f"generated (n={cfg['n']}, seed={cfg['seed']})"
 
 
-_FMT_CELL = "{:>12.6g}".format
-
-
 def _fmt_matrix(m, title: str) -> str:
-    rows = ("  " + "  ".join(map(_FMT_CELL, row)) for row in m)
-    return "\n".join([title, *rows])
+    row = ("  " + "  ".join(["{:>12.6g}"] * len(m))).format  # one template per square row
+    return "\n".join([title, *(row(*cells) for cells in m)])
 
 
 # a table column is (header, record key, cell format)

@@ -431,10 +431,14 @@ def _greedy_reference(problem, cfg=None):
     [
         *[
             pytest.param(n, PARAMS, GreedyConfig(max_epochs=300), id=f"n{n}")
-            for n in (2, 3, 5, 8, 13, 16, 64)
+            for n in (2, 3, 5, 8, 13, 16, 32, 64)
         ],
         pytest.param(3, ChannelParams(p_min_w=5.0), GreedyConfig(max_epochs=300), id="n3-floors"),
         pytest.param(4, ChannelParams(p_min_w=5.0), GreedyConfig(max_epochs=300), id="n4-floors"),
+        # rows of 15 and 63 links are summed pairwise, and the budget fit
+        # clamps entries at a binding floor back up
+        pytest.param(16, ChannelParams(p_min_w=1.0), GreedyConfig(max_epochs=300), id="n16-floors"),
+        pytest.param(64, ChannelParams(p_min_w=0.3), GreedyConfig(max_epochs=300), id="n64-floors"),
         pytest.param(
             5, PARAMS, GreedyConfig(learn_rate=0.3, max_epochs=300), id="n5-learn-rate-0.3"
         ),

@@ -21,6 +21,7 @@ from v2vaoi.channel import (
     ChannelParams,
     DistanceMatrix,
     PowerMatrix,
+    _scene_snr,
     _snr,
     compute_delay_matrix,
     compute_snr_matrix,
@@ -180,6 +181,28 @@ def test_batch_agrees_with_single():
                 assert matrix.tobytes() == want[k].tobytes()
 
 
+# 100 derandomized draws: the same examples on every run, under 1 s in all
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(min_value=2, max_value=64), seed=st.integers(0, 2**32 - 1))
+def test_scene_evaluator_matches_snr_bit_for_bit(n, seed):
+    # greedy's one-scene evaluator sums each receiver's column where _snr
+    # runs a bincount; both must give the full-matrix formula's bits, call
+    # after call on the same buffers
+    rng = np.random.default_rng(seed)
+    dist, _ = random_instance(rng, n)
+    loss = path_loss(PARAMS, dist)
+    full_loss = from_offdiag_rows(loss) + np.eye(n)
+    evaluate = _scene_snr(loss, PARAMS.noise_w)
+    for _ in range(3):
+        # log-uniform over the whole per-link range, so incoming sums mix
+        # magnitudes and rounding order shows in the last bit
+        rows = np.exp(rng.uniform(np.log(PARAMS.p_min_w), np.log(PARAMS.p_max_w), size=(n, n - 1)))
+        got = evaluate(rows)
+        assert got.tobytes() == _snr(loss, rows, PARAMS.noise_w).tobytes()
+        want = _snr_full_matrix(full_loss, from_offdiag_rows(rows), PARAMS.noise_w)
+        assert got.tobytes() == offdiag_values(want).tobytes()
+
+
 def test_path_loss_row_layout():
     rng = np.random.default_rng(8)
     for n in (2, 3, 16):
@@ -298,8 +321,9 @@ def test_rate_factor_subnormal_delay_names_the_factor():
     "params, snr",
     [
         (ChannelParams(payload_bits=1e308, bandwidth_hz=1e-300), 3.0),
-        # the rate itself underflows to 0, so the division is by zero
-        (ChannelParams(bandwidth_hz=1e-300), 1e-300),
+        # the rate itself underflows to 0, so the division is by zero, and
+        # payload / bandwidth alone is 1e310
+        (ChannelParams(payload_bits=1e10, bandwidth_hz=1e-300), 1e-300),
     ],
     ids=["overflow", "zero_rate"],
 )
@@ -309,6 +333,16 @@ def test_delay_overflow_names_payload_and_bandwidth(params, snr):
         match=re.escape(f"payload {params.payload_bits!r} bits over bandwidth 1e-300 Hz overflows"),
     ):
         compute_delay_matrix(params, np.array([[0.0, snr], [snr, 0.0]]))
+
+
+def test_delay_overflow_names_min_snr():
+    # payload / bandwidth is a finite 8.48e306 bits per Hz; the rate
+    # underflows to 0 only because of the SNR
+    with pytest.raises(DomainError) as info:
+        compute_delay_matrix(
+            ChannelParams(bandwidth_hz=1e-300), np.array([[0.0, 1e-300], [1.0, 0.0]])
+        )
+    assert str(info.value) == "min SNR 1e-300 overflows a delay beyond the float range"
 
 
 @settings(max_examples=30, deadline=None)
@@ -349,7 +383,7 @@ def test_delay_of_a_tiny_snr_is_its_true_delay():
     rate_bps = PARAMS.bandwidth_hz * (np.log1p(1e-305) / np.log(2.0))
     assert delay[0, 1] == PARAMS.payload_bits / rate_bps
     assert 5.8e304 < delay[0, 1] < 5.9e304
-    with pytest.raises(DomainError, match=r"overflows a delay at min SNR 1e-320$"):
+    with pytest.raises(DomainError, match=r"^min SNR 1e-320 overflows a delay"):
         compute_delay_matrix(PARAMS, np.array([[0.0, 1e-320], [1.0, 0.0]]))
 
 
