@@ -21,12 +21,21 @@ from v2vaoi.allocator import (
     GreedyConfig,
     _project_offdiag_rows,
     _uniform_power,
+    default_pa,
     exact_pa,
     genetic_pa,
     greedy_pa,
 )
 from v2vaoi.aoi import AoiConfig, build_aoi_records
-from v2vaoi.channel import ChannelParams, _scene_snr, _snr, offdiag_rows, path_loss
+from v2vaoi.channel import (
+    ChannelParams,
+    _scene_snr,
+    _snr,
+    from_offdiag_rows,
+    offdiag_rows,
+    offdiag_values,
+    path_loss,
+)
 from v2vaoi.cli import _fmt_matrix, _resolve, build_parser, cmd_solve
 from v2vaoi.scenario import ScenarioSpec, generate_scene
 from v2vaoi.seeds import derive_seed
@@ -51,6 +60,34 @@ def greedy_step_rows(n: int) -> np.ndarray:
     rows = offdiag_rows(_uniform_power(problem(n)))
     rows[0, 0] *= 1.0 + GreedyConfig().learn_rate
     return rows
+
+
+def test_generate_scene(benchmark):
+    # aoi-fleet's scene: 64 vehicles in the default 100 m box
+    dist, coords = benchmark(generate_scene, ScenarioSpec(64, rng_seed=derive_seed(1, 0)))
+    assert dist.n == 64 and coords.shape == (64, 2)
+
+
+def test_default_pa(benchmark):
+    # the even split, so nearly all of it is _finish: the PowerMatrix and
+    # feasibility checks, the SNR on the problem's path loss and the delays
+    result = benchmark(default_pa, problem(64))
+    assert result.snr.shape == result.delay_s.shape == (64, 64)
+
+
+def test_offdiag_rows(benchmark):
+    m = log_uniform_rows((64, 64))
+    assert benchmark(offdiag_rows, m).shape == (64, 63)
+
+
+def test_from_offdiag_rows(benchmark):
+    rows = log_uniform_rows((64, 63))
+    assert benchmark(from_offdiag_rows, rows).shape == (64, 64)
+
+
+def test_offdiag_values(benchmark):
+    m = log_uniform_rows((64, 64))
+    assert benchmark(offdiag_values, m).shape == (64 * 63,)
 
 
 @SIZES

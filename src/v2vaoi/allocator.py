@@ -21,6 +21,7 @@ within 1% of the optimum or was cut by its stagnation or generation limit.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -29,14 +30,13 @@ from .channel import (
     ChannelParams,
     DistanceMatrix,
     PowerMatrix,
+    _offdiag_view,
     _scene_snr,
     _snr,
     compute_delay_matrix,
-    compute_snr_matrix,
     from_offdiag_rows,
     offdiag_mask,
     offdiag_rows,
-    offdiag_values,
     path_loss,
 )
 from .errors import DomainError, FeasibilityError, check_integers, is_integer
@@ -69,7 +69,11 @@ GA_CERTIFIED_GAP = 0.01
 
 @dataclass(frozen=True)
 class AllocationProblem:
-    """One solvable instance: channel constants plus a scene's distances."""
+    """One solvable instance: channel constants plus a scene's distances.
+
+    loss is the scene's path loss, computed on first use and then shared by
+    every solver run on the problem and by _finish.
+    """
 
     params: ChannelParams
     dist: DistanceMatrix
@@ -84,6 +88,11 @@ class AllocationProblem:
     @property
     def n(self) -> int:
         return self.dist.n
+
+    @cached_property
+    def loss(self) -> np.ndarray:
+        """channel.path_loss of the scene: read-only (n, n-1) rows."""
+        return path_loss(self.params, self.dist)
 
 
 @dataclass(frozen=True)
@@ -128,11 +137,11 @@ class GeneticConfig:
 class AllocationResult:
     """Outcome of one solver run; all constraints re-verified post-solve.
 
-    snr and delay_s are the read-only (n, n) matrices of compute_snr_matrix
-    and compute_delay_matrix, and the objectives their off-diagonal min and
-    max.  converged is True when the solver stopped for a reason other than
-    its budget: greedy's plateau, the GA's stagnation or certified stop, or
-    exact's bisection.  upper_bound is set by exact_pa alone: a min-SNR
+    snr and delay_s are the read-only (n, n) matrices that
+    compute_snr_matrix and compute_delay_matrix give, and the objectives
+    their off-diagonal min and max.  converged is True when the solver
+    stopped for a reason other than its budget: greedy's plateau, the GA's
+    stagnation or certified stop, or exact's bisection.  upper_bound is set by exact_pa alone: a min-SNR
     that no allocation reaches (the optimum itself when n = 2).
     """
 
@@ -153,15 +162,21 @@ def check_feasible(power: PowerMatrix, params: ChannelParams) -> tuple:
     """Verify per-link bounds and per-vehicle budgets within absolute slack.
 
     Returns one message per violated constraint, an empty tuple when the
-    allocation is feasible.  Total function: never raises.
+    allocation is feasible.  Total function: never raises.  A feasible
+    allocation costs one min, one max and one row-sum pass; the messages
+    are built only when one fails.
     """
     p = power.p
     p_min, p_max = params.p_min_w, params.p_max_w
-    mask = offdiag_mask(power.n)
-    low = np.argwhere(mask & (p < p_min - FEASIBILITY_SLACK_W))
-    high = np.argwhere(mask & (p > p_max + FEASIBILITY_SLACK_W))
+    floor, cap = p_min - FEASIBILITY_SLACK_W, p_max + FEASIBILITY_SLACK_W
+    off = _offdiag_view(p)
     row_sums = p.sum(axis=1)
-    over = np.flatnonzero(row_sums > p_max + FEASIBILITY_SLACK_W)
+    if off.min() >= floor and off.max() <= cap and row_sums.max() <= cap:
+        return ()
+    mask = offdiag_mask(power.n)
+    low = np.argwhere(mask & (p < floor))
+    high = np.argwhere(mask & (p > cap))
+    over = np.flatnonzero(row_sums > cap)
     return (
         *(f"P[{i}][{j}]={p[i, j]:.6g} W below per-link minimum {p_min:.6g} W" for i, j in low),
         *(f"P[{i}][{j}]={p[i, j]:.6g} W above per-link maximum {p_max:.6g} W" for i, j in high),
@@ -284,7 +299,8 @@ def _finish(
         raise FeasibilityError(
             f"{strategy_name} produced an infeasible allocation: {violations[0]}"
         )
-    snr = compute_snr_matrix(problem.params, problem.dist, power)
+    # compute_snr_matrix's bits, on the problem's path loss
+    snr = from_offdiag_rows(_snr(problem.loss, offdiag_rows(power.p), problem.params.noise_w))
     delay = compute_delay_matrix(problem.params, snr)
     snr.flags.writeable = False
     delay.flags.writeable = False
@@ -292,8 +308,8 @@ def _finish(
         power=power,
         snr=snr,
         delay_s=delay,
-        objective_min_snr=float(offdiag_values(snr).min()),
-        objective_max_delay_s=float(offdiag_values(delay).max()),
+        objective_min_snr=float(_offdiag_view(snr).min()),
+        objective_max_delay_s=float(_offdiag_view(delay).max()),
         epochs_used=epochs_used,
         converged=converged,
         strategy_name=strategy_name,
@@ -331,15 +347,15 @@ def greedy_pa(
     that epoch, or the final ones if the run stopped at or before it.
 
     The solve holds only the (n, n-1) off-diagonal rows, and every epoch
-    reprojects all of them.  The path loss is computed and the SNR work
-    buffers (_scene_snr) are allocated once per solve.
+    reprojects all of them.  The path loss is the problem's, and the SNR
+    work buffers (_scene_snr) are allocated once per solve.
     """
     cfg = cfg or GreedyConfig()
     if not all(is_integer(r) and 1 <= r <= cfg.max_epochs for r in rungs):
         raise DomainError(f"rungs must be integers in 1..max_epochs, got {rungs!r}")
     params = problem.params
     p_min, p_max = params.p_min_w, params.p_max_w
-    snr_of = _scene_snr(path_loss(params, problem.dist), params.noise_w)
+    snr_of = _scene_snr(problem.loss, params.noise_w)
     # rows[i] holds vehicle i's n-1 outgoing powers; links[k] is the k-th
     # off-diagonal entry in row-major order, the order of snr, so argmin and
     # argmax break ties as a row-major scan of the matrix would
@@ -406,9 +422,9 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
          Generator.uniform maps it;
       3. P * G standard normals, scaled by GA_CREEP_SIGMA.
     Every value is drawn whether or not it is used, and an odd last child
-    is never crossed.  The path loss is computed and the work buffers are
-    allocated once per solve; the returned allocation is validated once,
-    in _finish.
+    is never crossed.  The path loss is the problem's, and the work buffers
+    are allocated once per solve; the returned allocation is validated
+    once, in _finish.
 
     The run stops, before the first generation or after any one, at the
     first of: the best min-SNR reaches (1 - GA_CERTIFIED_GAP) times
@@ -429,7 +445,7 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     ln_lo = np.log(p_min)
     ln_hi = np.log(p_max)
     ln_span = ln_hi - ln_lo  # Generator.uniform's range
-    loss = path_loss(params, problem.dist)
+    loss = problem.loss
     # the SNRs are read back gene-major, so the min over genes runs across
     # individuals: far fewer reduce steps than a min along each short row
     gene_major = np.arange(pop_size * n_genes).reshape(pop_size, n_genes).T.reshape(-1)
@@ -534,7 +550,7 @@ def _bisect_max_min(problem: AllocationProblem) -> tuple:
     params = problem.params
     n = problem.n
     best = _uniform_power(problem)
-    loss = path_loss(params, problem.dist)
+    loss = problem.loss
     lo = float(_snr(loss, offdiag_rows(best), params.noise_w).min())
     steps = 0
     if n == 2:

@@ -33,7 +33,9 @@ SYMMETRY_TOL_M = 1e-9
 @functools.lru_cache(maxsize=MAX_VEHICLES)
 def offdiag_mask(n: int) -> np.ndarray:
     """Boolean mask selecting the ordered pairs i != j; read-only, shared
-    by every call with the same n."""
+    by every call with the same n.  The package itself reads the
+    off-diagonal entries through _offdiag_view; this is for callers that
+    index with a mask."""
     mask = ~np.eye(n, dtype=bool)
     mask.flags.writeable = False
     return mask
@@ -43,12 +45,52 @@ def offdiag_values(m: np.ndarray) -> np.ndarray:
     """Off-diagonal entries of a square matrix, row-major order.
 
     Every aggregate in this package (min, max, mean, variance, RMSE) runs
-    over these entries only; diagonals are conventions, not data.
+    over these entries only; diagonals are conventions, not data.  A fresh
+    array: one copy of _offdiag_view's strided view, flattened.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    return m[offdiag_mask(m.shape[0])]
+    return _offdiag_view(m).copy().reshape(-1)
+
+
+def _offdiag_view(m: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of an (n, n) matrix, or of each matrix of a
+    stack (..., n, n), as an (..., n-1, n) strided view in row-major order:
+    after the first diagonal entry, every n + 1 consecutive entries are n
+    off-diagonal ones and the next diagonal entry.  An (n, n-1)
+    offdiag_rows array reshaped to (n-1, n) lines up with it entry for
+    entry.
+
+    The one layout primitive: offdiag_rows, from_offdiag_rows and
+    offdiag_values are built on it, with no boolean-mask indexing.  It is a
+    view of m when m is C-contiguous; otherwise the flattening copies, and
+    writes to the result do not reach m.
+    """
+    n = m.shape[-1]
+    if m.ndim == 2:  # one matrix, in fewer numpy calls than the stack form
+        return m.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
+    lead = m.shape[:-2]
+    return m.reshape(*lead, n * n)[..., 1:].reshape(*lead, n - 1, n + 1)[..., :n]
+
+
+def offdiag_rows(m: np.ndarray) -> np.ndarray:
+    """m[i, j] for every j != i as row i, in order of j: the off-diagonal
+    layout (n, n-1) the solvers work in; a stack (..., n, n) maps likewise.
+    A fresh C-contiguous array, one copy of _offdiag_view's view."""
+    n = m.shape[-1]
+    return _offdiag_view(m).copy().reshape(*m.shape[:-2], n, n - 1)
+
+
+def from_offdiag_rows(rows: np.ndarray) -> np.ndarray:
+    """The (n, n) matrix, or (m, n, n) stack, with a zero diagonal whose
+    off-diagonal rows are rows, shape (n, n-1) or (m, n, n-1): a fresh
+    zeroed array whose _offdiag_view is assigned the rows."""
+    n = rows.shape[-2]
+    lead = rows.shape[:-2]
+    out = np.zeros((*lead, n, n))
+    _offdiag_view(out)[...] = rows.reshape(*lead, n - 1, n)
+    return out
 
 
 def _check_square(a: np.ndarray, what: str) -> int:
@@ -116,7 +158,7 @@ class DistanceMatrix:
 
     def __post_init__(self):
         d = np.array(self.d, dtype=np.float64, order="C")
-        n = _check_square(d, "distance matrix")
+        _check_square(d, "distance matrix")
         if not np.all(np.isfinite(d)):
             raise DomainError("distance matrix contains non-finite entries")
         if np.max(np.abs(d - d.T)) > SYMMETRY_TOL_M:
@@ -125,8 +167,7 @@ class DistanceMatrix:
             )
         if np.max(np.abs(np.diag(d))) > SYMMETRY_TOL_M:
             raise DomainError("distance matrix diagonal must be zero")
-        off = d[offdiag_mask(n)]
-        if np.any(off <= 0):
+        if not _offdiag_view(d).min() > 0:
             raise PositivityError("off-diagonal distances must be positive")
         d.flags.writeable = False
         object.__setattr__(self, "d", d)
@@ -150,9 +191,10 @@ class PowerMatrix:
     def __post_init__(self):
         p = np.array(self.p, dtype=np.float64, order="C")
         _check_square(p, "power matrix")
-        if not np.all(np.isfinite(p)):
-            raise DomainError("power matrix contains non-finite entries")
-        if np.any(p < 0):
+        # one min and one max pass; NaN fails the first comparison too
+        if not (p.min() >= 0 and p.max() < np.inf):
+            if not np.all(np.isfinite(p)):
+                raise DomainError("power matrix contains non-finite entries")
             raise DomainError("powers must be nonnegative")
         if np.any(np.diag(p) != 0.0):
             raise DomainError("power matrix diagonal must be exactly zero")
@@ -166,6 +208,9 @@ class PowerMatrix:
 
 def path_loss(params: ChannelParams, dist: DistanceMatrix) -> np.ndarray:
     """Path loss D_ij**alpha of every ordered pair as read-only offdiag_rows.
+
+    A solver reads it from AllocationProblem.loss, which calls this once
+    per problem; each call here recomputes the power.
 
     Raises DomainError when a loss is infinite in float64, or so small that
     the largest gain p_max_w / loss, or a receiver's sum of n such gains, is
@@ -183,22 +228,6 @@ def path_loss(params: ChannelParams, dist: DistanceMatrix) -> np.ndarray:
         )
     loss.flags.writeable = False
     return loss
-
-
-def offdiag_rows(m: np.ndarray) -> np.ndarray:
-    """m[i, j] for every j != i as row i, in order of j: the off-diagonal
-    layout (n, n-1) the solvers work in; a stack (..., n, n) maps likewise."""
-    n = m.shape[-1]
-    return m[..., offdiag_mask(n)].reshape(*m.shape[:-2], n, n - 1)
-
-
-def from_offdiag_rows(rows: np.ndarray) -> np.ndarray:
-    """The (n, n) matrix, or (m, n, n) stack, with a zero diagonal whose
-    off-diagonal rows are rows, shape (n, n-1) or (m, n, n-1)."""
-    n = rows.shape[-2]
-    out = np.zeros((*rows.shape[:-2], n, n))
-    out[..., offdiag_mask(n)] = rows.reshape(*rows.shape[:-2], -1)
-    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -231,16 +260,6 @@ def _snr(loss: np.ndarray, powers: np.ndarray, noise_w: float) -> np.ndarray:
     incoming = np.bincount(recv, weights=gain.reshape(-1))
     interference = incoming.take(recv).reshape(gain.shape) - gain  # drop the k = i term
     return gain / (interference + noise_w)
-
-
-def _offdiag_view(m: np.ndarray) -> np.ndarray:
-    """A writable (n-1, n) view of a C-contiguous (n, n) matrix's
-    off-diagonal entries, in row-major order: after the first diagonal
-    entry, every n + 1 consecutive entries are n off-diagonal ones and the
-    next diagonal entry.  An (n, n-1) offdiag_rows array reshaped to
-    (n-1, n) lines up with it entry for entry."""
-    n = m.shape[0]
-    return m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
 def _scene_snr(loss: np.ndarray, noise_w: float):
@@ -288,7 +307,9 @@ def compute_snr_matrix(
     and the receiver itself transmits nothing to itself, so the interference
     sum runs over k outside {i, j}.
 
-    Returns a fresh n x n float64 array with a zero diagonal.
+    Returns a fresh n x n float64 array with a zero diagonal.  This is the
+    matrix API; the solvers evaluate _snr on AllocationProblem.loss, which
+    gives the same bits without recomputing the path loss.
     """
     if dist.n != power.n:
         raise DimensionMismatchError(
@@ -318,11 +339,12 @@ def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
     only the scaled delay is.
     """
     snr = np.asarray(snr, dtype=np.float64)
-    n = _check_square(snr, "SNR matrix")
-    vals = snr[offdiag_mask(n)]
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("off-diagonal SNR entries must be finite")
-    if np.any(vals <= 0):
+    _check_square(snr, "SNR matrix")
+    vals = offdiag_rows(snr)
+    # one min and one max pass; NaN fails the first comparison too
+    if not (vals.min() > 0 and vals.max() < np.inf):
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("off-diagonal SNR entries must be finite")
         raise DomainError("off-diagonal SNR entries must be positive")
     with np.errstate(over="ignore", divide="ignore"):
         # log1p keeps the achievable rate accurate when 1 + snr would round to 1.
@@ -336,5 +358,5 @@ def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
     _check_normal(unscaled, payload)
     delay = unscaled * params.rate_factor
     _check_normal(delay, f"rate_factor {params.rate_factor!r}")
-    return from_offdiag_rows(delay.reshape(n, n - 1))
+    return from_offdiag_rows(delay)
 

@@ -25,11 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MAX_VEHICLES, DistanceMatrix
-from .errors import DomainError, PackingError, SceneParseError, check_integers
+from .errors import DomainError, PackingError, PositivityError, SceneParseError, check_integers
 
 _SPLIT = re.compile(r"[,\s]+")
 
 _MAX_PLACEMENT_ATTEMPTS = 10_000
+
+# generate_scene draws at least this many candidates per block, so a crowded
+# box that rejects most of them still makes few uniform calls; the
+# candidates a finished placement leaves unread cost nothing but the draw.
+_MIN_PLACEMENT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -61,12 +66,18 @@ class ScenarioSpec:
             )
 
 
-def _distances_from_coords(coords: np.ndarray) -> DistanceMatrix:
-    # an out-of-range distance is left to DistanceMatrix's non-finite check
+def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy) of every pair of (x, y) rows: the bits of
+    sqrt((diff**2).sum(-1)) on the (n, n, 2) differences, without them."""
+    x, y = coords[:, 0], coords[:, 1]
+    # an out-of-range distance is left to the caller's checks
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = coords[:, np.newaxis, :] - coords[np.newaxis, :, :]
-        d = np.sqrt((diff**2).sum(axis=-1))
-    return DistanceMatrix(d)
+        dx = x[:, np.newaxis] - x
+        dy = y[:, np.newaxis] - y
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return np.sqrt(dx, out=dx)
 
 
 def generate_scene(spec: ScenarioSpec):
@@ -74,29 +85,58 @@ def generate_scene(spec: ScenarioSpec):
 
     What a seed reproduces is this draw order: each placement attempt draws
     two uniforms on [0, box_side_m), x then y, from default_rng(rng_seed).
-    The candidate is accepted when it lies at least min_separation_m from
-    every vehicle placed so far, and becomes the next vehicle.  Raises
-    PackingError once 10,000 attempts have not placed all vehicles.
+    The candidate is accepted when it lies at least min_separation_m (by
+    np.hypot) from every vehicle placed so far, and becomes the next
+    vehicle.  Raises PackingError once 10,000 attempts have not placed all
+    vehicles, and DomainError, naming box_side_m and min_separation_m, when
+    a placement so accepted has a distance that under- or overflows.
+
+    The attempts are drawn in blocks of k candidates, one uniform call of
+    shape (k, 2) each, which is the same stream as one pair per attempt.
+    k is the number of vehicles still to place, at least
+    _MIN_PLACEMENT_BLOCK, and never reaches past the 10,000th attempt.  A
+    block's candidates are accepted in order, against the vehicles placed
+    before it and the candidates accepted earlier in it, until the last
+    vehicle is placed; so the scene, and the attempt at which PackingError
+    is raised, are those of a loop of single attempts.
     """
     n = spec.n_vehicles
+    sep = spec.min_separation_m
     rng = np.random.default_rng(spec.rng_seed)
     coords = np.empty((n, 2))
     placed = 0
     attempts = 0
     while placed < n:
-        attempts += 1
-        if attempts > _MAX_PLACEMENT_ATTEMPTS:
+        if attempts == _MAX_PLACEMENT_ATTEMPTS:
             raise PackingError(
                 f"could not place {n} vehicles at "
-                f"{spec.min_separation_m} m separation in a "
+                f"{sep} m separation in a "
                 f"{spec.box_side_m} m box after {_MAX_PLACEMENT_ATTEMPTS} attempts"
             )
-        candidate = rng.uniform(0.0, spec.box_side_m, size=2)
-        gap = candidate - coords[:placed]
-        if (np.hypot(gap[:, 0], gap[:, 1]) >= spec.min_separation_m).all():
-            coords[placed] = candidate
-            placed += 1
-    return _distances_from_coords(coords), coords
+        k = min(max(n - placed, _MIN_PLACEMENT_BLOCK), _MAX_PLACEMENT_ATTEMPTS - attempts)
+        block = rng.uniform(0.0, spec.box_side_m, size=(k, 2))
+        attempts += k
+        bx, by = block[:, 0:1], block[:, 1:2]
+        prior = coords[:placed]
+        clear = (np.hypot(bx - prior[:, 0], by - prior[:, 1]) >= sep).all(axis=1)
+        # too_near[a, b]: candidate a lies closer than sep to candidate b
+        too_near = np.hypot(bx - block[:, 0], by - block[:, 1]) < sep
+        blocked = np.zeros(k, dtype=bool)
+        for c in clear.nonzero()[0].tolist():
+            if not blocked[c]:
+                coords[placed] = block[c]
+                placed += 1
+                if placed == n:
+                    break
+                blocked |= too_near[:, c]
+    try:
+        # only a distance that under- or overflows fails these checks
+        return DistanceMatrix(_pairwise_distances(coords)), coords
+    except (DomainError, PositivityError) as exc:
+        raise DomainError(
+            f"box_side_m {spec.box_side_m!r} and min_separation_m {sep!r} "
+            f"put a distance between vehicles out of float range"
+        ) from exc
 
 
 def _data_lines(text: str):
@@ -131,7 +171,7 @@ def load_distance_matrix(path) -> DistanceMatrix:
         rows = [_parse_floats(line, path) for line in lines[1:]]
         if len(rows) < 2 or any(len(r) != 2 for r in rows):
             raise SceneParseError(f"{path}: coordinate lines must hold exactly x y")
-        return _distances_from_coords(np.array(rows))
+        return DistanceMatrix(_pairwise_distances(np.array(rows)))
 
     rows = [_parse_floats(line, path) for line in lines]
     if len(rows[0]) == 1:  # header line with the vehicle count

@@ -39,7 +39,7 @@ from v2vaoi.channel import (
     offdiag_values,
 )
 from v2vaoi.errors import DomainError, FeasibilityError
-from v2vaoi.scenario import ScenarioSpec, generate_scene
+from v2vaoi.scenario import ScenarioSpec, generate_scene, load_distance_matrix
 
 PARAMS = ChannelParams()
 
@@ -462,6 +462,25 @@ def _assert_same_solve(got, want):
     assert got.history == want.history
     assert got.epochs_used == want.epochs_used
     assert got.converged == want.converged
+
+
+# Symmetric coords scenes whose SNRs tie exactly after the first epoch, so
+# that the documented tie-break (the first link in row-major order) decides
+# the run: the square's two worst links tie after epoch 1, the rectangle's
+# worst and best links after epochs 1 and 4.
+TIED_SCENES = {
+    "square": "coords\n0 0\n10 0\n10 10\n0 10\n",
+    "rectangle": "coords\n0 0\n20 0\n20 10\n0 10\n",
+}
+
+
+@pytest.mark.parametrize("scene", TIED_SCENES)
+def test_greedy_tie_break_matches_reference_bit_for_bit(scene, tmp_path):
+    path = tmp_path / "scene.txt"
+    path.write_text(TIED_SCENES[scene])
+    prob = AllocationProblem(PARAMS, load_distance_matrix(path))
+    cfg = GreedyConfig(max_epochs=300)
+    _assert_same_solve(greedy_pa(prob, cfg), _greedy_reference(prob, cfg))
 
 
 @pytest.mark.parametrize("n, seed", [(3, 3), (4, 1), (5, 2)])

@@ -384,6 +384,11 @@ def test_text_format_writes_report(tmp_path):
         ["solve", "--n", "3", "--payload", "5e-324"],
         ["aoi", "--n", "3", "--bandwidth", "1e308"],
         ["aoi", "--n", "3", "--noise", "1e308"],
+        # the placement passes its np.hypot test, then a distance underflows
+        # to 0; the box and separation are named, not the distance matrix
+        ["solve", "--n", "3", "--box-side", "1e-300", "--min-sep", "1e-301"],
+        ["aoi", "--n", "3", "--box-side", "1e-300", "--min-sep", "1e-301"],
+        ["verify", "--n", "3", "--box-side", "1e-300", "--min-sep", "1e-301"],
     ],
 )
 def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
@@ -413,6 +418,8 @@ def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
     if "--payload" in args or "--bandwidth" in args:
         assert err.startswith("error: payload ") and err.count("\n") == 1
         assert "rate_factor" not in err
+    if "--min-sep" in args and "--alpha" not in args:
+        assert "box_side_m" in err and "min_separation_m" in err
     if "--noise" in args:
         # payload / bandwidth is finite at their defaults, so only the SNR
         # that the noise drove subnormal is named

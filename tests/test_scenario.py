@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from v2vaoi import scenario
 from v2vaoi.errors import (
     AsymmetryError,
     DomainError,
@@ -73,28 +74,33 @@ def test_packing_error_when_box_too_crowded():
         generate_scene(spec)
 
 
-def _generate_scene_reference(spec):
-    """generate_scene as a plain loop: one scalar hypot per (candidate,
-    placed vehicle) pair."""
+def _generate_scene_reference(spec, max_attempts=10_000):
+    """generate_scene before it drew its attempts in blocks, kept verbatim
+    as the reference but for the attempt cap, a parameter here: one uniform
+    pair per attempt, tested by np.hypot against the vehicles placed so
+    far, and distances from the (n, n, 2) differences.  Also returns the
+    attempts it used."""
+    n = spec.n_vehicles
     rng = np.random.default_rng(spec.rng_seed)
-    placed = []
+    coords = np.empty((n, 2))
+    placed = 0
     attempts = 0
-    while len(placed) < spec.n_vehicles:
+    while placed < n:
         attempts += 1
-        if attempts > 10_000:
+        if attempts > max_attempts:
             raise PackingError(
-                f"could not place {spec.n_vehicles} vehicles at "
+                f"could not place {n} vehicles at "
                 f"{spec.min_separation_m} m separation in a "
-                f"{spec.box_side_m} m box after 10000 attempts"
+                f"{spec.box_side_m} m box after {max_attempts} attempts"
             )
         candidate = rng.uniform(0.0, spec.box_side_m, size=2)
-        if all(
-            np.hypot(*(candidate - p)) >= spec.min_separation_m for p in placed
-        ):
-            placed.append(candidate)
-    coords = np.array(placed)
+        gap = candidate - coords[:placed]
+        if (np.hypot(gap[:, 0], gap[:, 1]) >= spec.min_separation_m).all():
+            coords[placed] = candidate
+            placed += 1
     diff = coords[:, np.newaxis, :] - coords[np.newaxis, :, :]
-    return np.sqrt((diff**2).sum(axis=-1)), coords
+    d = np.sqrt((diff**2).sum(axis=-1))
+    return d, coords, attempts
 
 
 @pytest.mark.parametrize(
@@ -113,11 +119,21 @@ def _generate_scene_reference(spec):
             ScenarioSpec(20, box_side_m=21.0, min_separation_m=10.0, rng_seed=0),
             id="packing-failure",
         ),
+        # every n in two crowded boxes: 30 m at 3 m places them all, 40 m at
+        # 5 m rejects many candidates and gives up from n = 50 on
+        *[
+            pytest.param(
+                ScenarioSpec(n, box_side_m=box_m, min_separation_m=sep_m, rng_seed=n),
+                id=f"n{n}-box{box_m:g}-sep{sep_m:g}",
+            )
+            for box_m, sep_m in ((30.0, 3.0), (40.0, 5.0))
+            for n in range(2, 65)
+        ],
     ],
 )
 def test_generation_matches_reference_bit_for_bit(spec):
     try:
-        want_d, want_coords = _generate_scene_reference(spec)
+        want_d, want_coords, _ = _generate_scene_reference(spec)
     except PackingError as exc:
         with pytest.raises(PackingError) as got:
             generate_scene(spec)
@@ -127,6 +143,66 @@ def test_generation_matches_reference_bit_for_bit(spec):
     assert coords.shape == want_coords.shape
     assert coords.tobytes() == want_coords.tobytes()
     assert dist.d.tobytes() == want_d.tobytes()
+
+
+def test_packing_error_after_exactly_10000_attempts(monkeypatch):
+    spec = ScenarioSpec(20, box_side_m=21.0, min_separation_m=10.0, rng_seed=0)
+    with pytest.raises(PackingError) as want:
+        _generate_scene_reference(spec)
+    drawn = []
+    default_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def uniform(self, low, high, size):
+            drawn.append(math.prod(size))
+            return self._rng.uniform(low, high, size=size)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    with pytest.raises(PackingError) as got:
+        generate_scene(spec)
+    assert str(got.value) == str(want.value)
+    assert "after 10000 attempts" in str(got.value)
+    assert sum(drawn) == 2 * 10_000  # one x, y pair per attempt, none past the cap
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ScenarioSpec(64, box_side_m=60.0, rng_seed=1),
+        ScenarioSpec(40, box_side_m=40.0, min_separation_m=5.0, rng_seed=3),
+        ScenarioSpec(5, rng_seed=7),
+    ],
+    ids=["n64-box60", "n40-box40", "n5"],
+)
+def test_attempt_cap_is_exact(spec, monkeypatch):
+    # a cap of exactly the attempts the placement needs places every
+    # vehicle; one fewer gives up, naming that cap.  The crowded boxes
+    # reject candidates, so the cap falls inside a block.
+    _, want_coords, used = _generate_scene_reference(spec)
+    monkeypatch.setattr(scenario, "_MAX_PLACEMENT_ATTEMPTS", used)
+    assert generate_scene(spec)[1].tobytes() == want_coords.tobytes()
+    monkeypatch.setattr(scenario, "_MAX_PLACEMENT_ATTEMPTS", used - 1)
+    with pytest.raises(PackingError) as got:
+        generate_scene(spec)
+    with pytest.raises(PackingError) as want:
+        _generate_scene_reference(spec, max_attempts=used - 1)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("box_m, sep_m", [(1e-300, 1e-301), (1e308, 1.0)])
+def test_distance_out_of_float_range_names_the_box(box_m, sep_m):
+    # the candidates pass their np.hypot test, but dx*dx + dy*dy underflows
+    # to 0 or overflows to inf
+    spec = ScenarioSpec(3, box_side_m=box_m, min_separation_m=sep_m)
+    with pytest.raises(DomainError) as got:
+        generate_scene(spec)
+    assert str(got.value) == (
+        f"box_side_m {box_m!r} and min_separation_m {sep_m!r} "
+        "put a distance between vehicles out of float range"
+    )
 
 
 def test_spec_validation():
