@@ -71,8 +71,8 @@ GA_CERTIFIED_GAP = 0.01
 class AllocationProblem:
     """One solvable instance: channel constants plus a scene's distances.
 
-    loss is the scene's path loss, computed on first use and then shared by
-    every solver run on the problem and by _finish.
+    loss (the scene's path loss) and _max_min (exact_pa's bisection) are
+    computed on first use and shared by every solver run on the problem.
     """
 
     params: ChannelParams
@@ -93,6 +93,14 @@ class AllocationProblem:
     def loss(self) -> np.ndarray:
         """channel.path_loss of the scene: read-only (n, n-1) rows."""
         return path_loss(self.params, self.dist)
+
+    @cached_property
+    def _max_min(self) -> tuple:
+        """_bisect_max_min of the problem: its read-only allocation, its
+        step count and its upper bound, for exact_pa and genetic_pa."""
+        best, steps, hi = _bisect_max_min(self)
+        best.flags.writeable = False
+        return best, steps, hi
 
 
 @dataclass(frozen=True)
@@ -248,22 +256,21 @@ def _project_offdiag_rows(rows: np.ndarray, p_min: float, p_max: float) -> np.nd
     and the residual excess is absorbed by capping the largest entries.
     Feasible rows pass through bit-identically.  A few over-budget rows are
     fitted one at a time, more in one pass; both give the same bits.
-    Returns fresh rows.
+    Projects in place and returns rows, so the caller must own them.
     """
-    out = np.maximum(rows, p_min)
-    np.minimum(out, p_max, out=out)
-    sums = np.add.reduce(out, axis=-1)
+    np.maximum(rows, p_min, out=rows)
+    np.minimum(rows, p_max, out=rows)
+    sums = np.add.reduce(rows, axis=-1)
     over = sums > p_max
-    if over.any():
-        hit = over.nonzero()
-        if len(hit[0]) <= _FEW_OVER:
-            for i in zip(*hit):
-                _fit_row_to_budget(out[i], sums[i], p_min, p_max)
-        else:
-            scaled = out[over] * (p_max / sums[over])[..., np.newaxis]
-            scaled = np.maximum(scaled, p_min)
-            out[over] = _cap_rows_to_budget(scaled, p_max)
-    return out
+    hit = over.nonzero()
+    if len(hit[0]) > _FEW_OVER:
+        scaled = rows[over] * (p_max / sums[over])[..., np.newaxis]
+        np.maximum(scaled, p_min, out=scaled)
+        rows[over] = _cap_rows_to_budget(scaled, p_max)
+    else:
+        for i in zip(*hit):
+            _fit_row_to_budget(rows[i], sums[i], p_min, p_max)
+    return rows
 
 
 def project_to_feasible(power: np.ndarray, params: ChannelParams) -> np.ndarray:
@@ -346,9 +353,10 @@ def greedy_pa(
     returns: the best allocation, epochs_used, converged and history after
     that epoch, or the final ones if the run stopped at or before it.
 
-    The solve holds only the (n, n-1) off-diagonal rows, and every epoch
-    reprojects all of them.  The path loss is the problem's, and the SNR
-    work buffers (_scene_snr) are allocated once per solve.
+    The solve holds only the (n, n-1) off-diagonal rows and reprojects all
+    of them in place every epoch.  The path loss is the problem's; the rows,
+    the best rows and the SNR buffers (_scene_snr) are allocated once per
+    solve, and only a rung's snapshot copies the best rows.
     """
     cfg = cfg or GreedyConfig()
     if not all(is_integer(r) and 1 <= r <= cfg.max_epochs for r in rungs):
@@ -364,7 +372,7 @@ def greedy_pa(
     snr = snr_of(rows)
     worst = int(snr.argmin())
     best_obj = float(snr[worst])
-    best_rows = rows.copy()  # replaced on improvement, never written
+    best_rows = rows.copy()  # refreshed in place on improvement
     snapshots = dict.fromkeys(rungs)
     history = []  # one entry per epoch run
     stall = 0
@@ -372,15 +380,14 @@ def greedy_pa(
         strongest = int(snr.argmax())
         links[worst] *= 1.0 + cfg.learn_rate
         links[strongest] *= 1.0 - cfg.learn_rate
-        rows = _project_offdiag_rows(rows, p_min, p_max)
-        links = rows.reshape(-1)
+        _project_offdiag_rows(rows, p_min, p_max)
         snr = snr_of(rows)  # the evaluator's buffer, overwritten next epoch
         worst = int(snr.argmin())
         obj = float(snr[worst])
         if obj > best_obj:
             rel_gain = (obj - best_obj) / best_obj
             best_obj = obj
-            best_rows = rows.copy()
+            best_rows[...] = rows
             stall = 0 if rel_gain >= GREEDY_CONVERGENCE_TOL else stall + 1
         else:
             stall += 1
@@ -388,7 +395,7 @@ def greedy_pa(
         if stall >= GREEDY_CONVERGENCE_WINDOW:
             break
         if epoch in snapshots:
-            snapshots[epoch] = best_rows
+            snapshots[epoch] = best_rows.copy()
 
     def finish(best: np.ndarray, epochs: int, stopped: bool) -> AllocationResult:
         return _finish(problem, from_offdiag_rows(best), epochs_used=epochs, converged=stopped,
@@ -429,10 +436,10 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     The run stops, before the first generation or after any one, at the
     first of: the best min-SNR reaches (1 - GA_CERTIFIED_GAP) times
     exact_pa's upper bound, which certifies it within GA_CERTIFIED_GAP of
-    the optimum (one bisection per solve, about 1 ms); stagnation_limit
-    generations without improvement; max_generations.  converged is True
-    for the first two.  The certified stop draws nothing, so every
-    generation up to it is what a run without it would make.
+    the optimum (the problem's one bisection, shared with exact_pa);
+    stagnation_limit generations without improvement; max_generations.
+    converged is True for the first two.  The certified stop draws nothing,
+    so every generation up to it is what a run without it would make.
     """
     cfg = cfg or GeneticConfig()
     params = problem.params
@@ -470,7 +477,7 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     best_genes = pop[best_idx].copy()
     history = [best_fit]  # the initial best, then one entry per generation
     stagnation = 0
-    certify_at = (1.0 - GA_CERTIFIED_GAP) * _bisect_max_min(problem)[2]
+    certify_at = (1.0 - GA_CERTIFIED_GAP) * problem._max_min[2]
 
     for _ in range(cfg.max_generations):
         if best_fit >= certify_at:
@@ -587,7 +594,7 @@ def exact_pa(problem: AllocationProblem) -> AllocationResult:
     min-SNR that no allocation reaches, and objective_min_snr lies within
     that tolerance below it.  _bisect_max_min states the argument.
     """
-    best, steps, hi = _bisect_max_min(problem)
+    best, steps, hi = problem._max_min
     return _finish(
         problem, best, epochs_used=steps, converged=True, strategy_name="exact", upper_bound=hi
     )

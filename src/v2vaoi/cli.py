@@ -201,8 +201,8 @@ def _make_scene(cfg: dict, *stream: int):
 
 
 def _fmt_matrix(m, title: str) -> str:
-    row = ("  " + "  ".join(["{:>12.6g}"] * len(m))).format  # one template per square row
-    return "\n".join([title, *(row(*cells) for cells in m)])
+    row = "  %12.6g" * len(m)  # one template per square row; the bytes of "{:>12.6g}"
+    return "\n".join([title, *(row % tuple(cells) for cells in m)])
 
 
 # a table column is (header, record key, cell format)

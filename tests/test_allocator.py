@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from v2vaoi import allocator
 from v2vaoi.allocator import (
     AllocationProblem,
     FEASIBILITY_SLACK_W,
@@ -514,12 +515,13 @@ def test_greedy_rungs_validated():
 
 
 def _assert_projection_matches_frozen(rows, p_min, p_max):
-    before = rows.copy()
-    got = _project_offdiag_rows(rows, p_min, p_max)
-    assert rows.tobytes() == before.tobytes()  # the input is left alone
-    assert got.tobytes() == _project_offdiag_rows_reference(rows, p_min, p_max).tobytes()
-    # a row that was within budget after the clamp is a fixed point
+    """Project rows, which the call may overwrite, and check the result."""
+    want = _project_offdiag_rows_reference(rows.copy(), p_min, p_max)
     within = np.clip(rows, p_min, p_max).sum(axis=-1) <= p_max
+    got = _project_offdiag_rows(rows, p_min, p_max)
+    assert got is rows  # projected in place
+    assert got.tobytes() == want.tobytes()
+    # a row that was within budget after the clamp is a fixed point
     again = _project_offdiag_rows(got[within], p_min, p_max)
     assert again.tobytes() == got[within].tobytes()
 
@@ -561,7 +563,7 @@ def test_projection_matches_frozen_and_flags_over_budget_rows():
             for count in (0, 1, _FEW_OVER, _FEW_OVER + 1) if n > 2 else (0,):
                 for _ in range(10):
                     rows = _rows_with_over_budget(rng, n, count, p_min, p_max)
-                    _assert_projection_matches_frozen(rows, p_min, p_max)
+                    _assert_projection_matches_frozen(rows.copy(), p_min, p_max)
                     # a stack of scenes, as the GA projects its population
                     _assert_projection_matches_frozen(rows.reshape(2, -1, n - 1), p_min, p_max)
 
@@ -842,6 +844,26 @@ def test_exact_at_max_scale():
     assert check_feasible(result.power, PARAMS) == ()
     assert default_pa(prob).objective_min_snr <= result.objective_min_snr
     assert result.objective_min_snr <= 1.0 / 62 * (1 + 1e-9)
+
+
+def test_bisection_runs_once_per_problem(monkeypatch):
+    # verify solves one problem with exact_pa and genetic_pa (its certified
+    # stop); they share one bisection, whose allocation is read-only
+    calls = []
+    bisect = allocator._bisect_max_min
+    monkeypatch.setattr(
+        allocator, "_bisect_max_min", lambda prob: calls.append(prob) or bisect(prob)
+    )
+    cfg = GeneticConfig(max_generations=20)
+    prob = random_problem(3, 5)
+    genetic, first, again = genetic_pa(prob, cfg), exact_pa(prob), exact_pa(prob)
+    assert len(calls) == 1 and calls[0] is prob
+    assert not prob._max_min[0].flags.writeable
+    alone = exact_pa(random_problem(3, 5))
+    for result in (first, again):
+        assert result.power.p.tobytes() == alone.power.p.tobytes()
+        assert (result.epochs_used, result.upper_bound) == (alone.epochs_used, alone.upper_bound)
+    assert genetic.history == genetic_pa(random_problem(3, 5), cfg).history
 
 
 # Yates (1995) certificate: the gains g_ij = P_ij / D_ij**alpha of any

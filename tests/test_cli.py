@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from v2vaoi.allocator import (
     AllocationProblem,
@@ -560,3 +562,22 @@ def test_fmt_matrix_text_unchanged():
         m[0, 0] = 5e-324
         np.fill_diagonal(m[1:], [np.inf, -np.inf, np.nan, 1.0, 123456.5][: n - 1])
         assert _fmt_matrix(m, "t:").encode() == _fmt_matrix_reference(m, "t:").encode()
+
+
+def _square_float_lists(n):
+    return st.lists(st.lists(st.floats(), min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+_EDGE_CELLS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               np.inf, -np.inf, np.nan, 7, -123456789]  # the last two Python ints
+
+
+# 300 derandomized draws: the same examples on every run, about 1 s.  Any
+# float64: signed zeros, subnormals, infinities and nan included.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(_square_float_lists))
+@example([_EDGE_CELLS[k:] + _EDGE_CELLS[:k] for k in range(len(_EDGE_CELLS))])
+def test_fmt_matrix_matches_format_spec(m):
+    # the records hold lists of Python floats; numpy rows give np.float64
+    assert _fmt_matrix(m, "t:") == _fmt_matrix_reference(m, "t:")
+    assert _fmt_matrix(np.array(m), "t:") == _fmt_matrix_reference(m, "t:")
