@@ -29,7 +29,6 @@ from v2vaoi.allocator import (
 from v2vaoi.aoi import AoiConfig, build_aoi_records
 from v2vaoi.channel import (
     ChannelParams,
-    _scene_snr,
     _snr,
     from_offdiag_rows,
     offdiag_rows,
@@ -102,14 +101,6 @@ def test_snr_one_scene(benchmark, n):
     loss = path_loss(PARAMS, problem(n).dist)
     rows = log_uniform_rows((n, n - 1))
     assert benchmark(_snr, loss, rows, PARAMS.noise_w).shape == (n, n - 1)
-
-
-@SIZES
-def test_scene_evaluator(benchmark, n):
-    loss = path_loss(PARAMS, problem(n).dist)
-    rows = log_uniform_rows((n, n - 1))
-    evaluate = _scene_snr(loss, PARAMS.noise_w)
-    assert benchmark(evaluate, rows).shape == (n * (n - 1),)
 
 
 def test_snr_population(benchmark):

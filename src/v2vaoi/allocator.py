@@ -31,7 +31,6 @@ from .channel import (
     DistanceMatrix,
     PowerMatrix,
     _offdiag_view,
-    _scene_snr,
     _snr,
     compute_delay_matrix,
     from_offdiag_rows,
@@ -354,22 +353,22 @@ def greedy_pa(
     that epoch, or the final ones if the run stopped at or before it.
 
     The solve holds only the (n, n-1) off-diagonal rows and reprojects all
-    of them in place every epoch.  The path loss is the problem's; the rows,
-    the best rows and the SNR buffers (_scene_snr) are allocated once per
-    solve, and only a rung's snapshot copies the best rows.
+    of them in place every epoch.  The path loss is the problem's; the rows
+    and the best rows are allocated once per solve, each epoch's SNR is
+    _snr's fresh array, and only a rung's snapshot copies the best rows.
     """
     cfg = cfg or GreedyConfig()
     if not all(is_integer(r) and 1 <= r <= cfg.max_epochs for r in rungs):
         raise DomainError(f"rungs must be integers in 1..max_epochs, got {rungs!r}")
     params = problem.params
     p_min, p_max = params.p_min_w, params.p_max_w
-    snr_of = _scene_snr(problem.loss, params.noise_w)
+    loss, noise_w = problem.loss, params.noise_w
     # rows[i] holds vehicle i's n-1 outgoing powers; links[k] is the k-th
     # off-diagonal entry in row-major order, the order of snr, so argmin and
     # argmax break ties as a row-major scan of the matrix would
     rows = offdiag_rows(_uniform_power(problem))
     links = rows.reshape(-1)
-    snr = snr_of(rows)
+    snr = _snr(loss, rows, noise_w).reshape(-1)
     worst = int(snr.argmin())
     best_obj = float(snr[worst])
     best_rows = rows.copy()  # refreshed in place on improvement
@@ -381,7 +380,7 @@ def greedy_pa(
         links[worst] *= 1.0 + cfg.learn_rate
         links[strongest] *= 1.0 - cfg.learn_rate
         _project_offdiag_rows(rows, p_min, p_max)
-        snr = snr_of(rows)  # the evaluator's buffer, overwritten next epoch
+        snr = _snr(loss, rows, noise_w).reshape(-1)
         worst = int(snr.argmin())
         obj = float(snr[worst])
         if obj > best_obj:

@@ -243,10 +243,10 @@ def _receivers(count: int, n: int) -> np.ndarray:
 
 def _snr(loss: np.ndarray, powers: np.ndarray, noise_w: float) -> np.ndarray:
     """The SNR formula on a stack of scenes' powers (the GA's population)
-    or on one scene's, in off-diagonal row layout (..., n, n-1)
-    (offdiag_rows), given the scene's path loss in the same layout.  A
-    solver that evaluates one scene many times uses _scene_snr, which
-    gives the same bits.
+    or on one scene's (greedy's epoch), in off-diagonal row layout
+    (..., n, n-1) (offdiag_rows), given the scene's path loss in the same
+    layout.  Returns a fresh array of that shape, which shares no memory
+    with loss or powers.
 
     Each receiver's incoming gain is one np.bincount over the links in
     row-major order, which adds a receiver's senders one by one in sender
@@ -257,42 +257,10 @@ def _snr(loss: np.ndarray, powers: np.ndarray, noise_w: float) -> np.ndarray:
     gain = powers / loss
     n = gain.shape[-2]
     recv = _receivers(gain.size // (n * (n - 1)), n)
-    incoming = np.bincount(recv, weights=gain.reshape(-1))
-    interference = incoming.take(recv).reshape(gain.shape) - gain  # drop the k = i term
-    return gain / (interference + noise_w)
-
-
-def _scene_snr(loss: np.ndarray, noise_w: float):
-    """An evaluator of _snr on one scene's (n, n-1) powers, for a solver
-    that evaluates the scene many times: evaluate(rows) returns the SNR of
-    every link as a flat vector in row-major order.
-
-    The work buffers are allocated here, once; each call makes five ufunc
-    calls into them and returns the same SNR buffer, overwritten by the
-    next call.  The gain matrix keeps a zero diagonal, so each receiver's
-    incoming gain is one reduce over axis 0 that adds its senders in sender
-    order, as _snr's np.bincount does, and the formula
-    gain / ((incoming - gain) + noise) is _snr's: the bits are the same.
-    """
-    n = loss.shape[0]
-    gain = np.zeros((n, n))
-    denom = np.empty((n, n))
-    gain_off = _offdiag_view(gain)
-    denom_off = _offdiag_view(denom)
-    loss_off = loss.reshape(n - 1, n)
-    incoming = np.empty(n)
-    snr = np.empty(n * (n - 1))
-    snr_off = snr.reshape(n - 1, n)
-
-    def evaluate(rows: np.ndarray) -> np.ndarray:
-        np.divide(rows.reshape(n - 1, n), loss_off, out=gain_off)
-        np.add.reduce(gain, axis=0, out=incoming)
-        np.subtract(incoming, gain, out=denom)  # drop the k = i term
-        np.add(denom, noise_w, out=denom)
-        np.divide(gain_off, denom_off, out=snr_off)
-        return snr
-
-    return evaluate
+    denom = np.bincount(recv, weights=gain.reshape(-1)).take(recv).reshape(gain.shape)
+    denom -= gain  # drop the k = i term
+    denom += noise_w
+    return np.divide(gain, denom, out=denom)
 
 
 def compute_snr_matrix(

@@ -438,3 +438,7 @@ def main(argv=None) -> int:
 
 def app() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    app()

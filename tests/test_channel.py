@@ -21,7 +21,6 @@ from v2vaoi.channel import (
     ChannelParams,
     DistanceMatrix,
     PowerMatrix,
-    _scene_snr,
     _snr,
     compute_delay_matrix,
     compute_snr_matrix,
@@ -184,23 +183,25 @@ def test_batch_agrees_with_single():
 # 100 derandomized draws: the same examples on every run, under 1 s in all
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(n=st.integers(min_value=2, max_value=64), seed=st.integers(0, 2**32 - 1))
-def test_scene_evaluator_matches_snr_bit_for_bit(n, seed):
-    # greedy's one-scene evaluator sums each receiver's column where _snr
-    # runs a bincount; both must give the full-matrix formula's bits, call
-    # after call on the same buffers
+def test_snr_one_scene_matches_full_matrix_bit_for_bit(n, seed):
+    # greedy evaluates _snr on one scene's rows every epoch: each call must
+    # give the full-matrix formula's bits in a fresh array, which aliases
+    # neither input nor an earlier call's result
     rng = np.random.default_rng(seed)
     dist, _ = random_instance(rng, n)
     loss = path_loss(PARAMS, dist)
     full_loss = from_offdiag_rows(loss) + np.eye(n)
-    evaluate = _scene_snr(loss, PARAMS.noise_w)
+    results = []
     for _ in range(3):
         # log-uniform over the whole per-link range, so incoming sums mix
         # magnitudes and rounding order shows in the last bit
         rows = np.exp(rng.uniform(np.log(PARAMS.p_min_w), np.log(PARAMS.p_max_w), size=(n, n - 1)))
-        got = evaluate(rows)
-        assert got.tobytes() == _snr(loss, rows, PARAMS.noise_w).tobytes()
+        got = _snr(loss, rows, PARAMS.noise_w)
+        assert not np.shares_memory(got, loss) and not np.shares_memory(got, rows)
         want = _snr_full_matrix(full_loss, from_offdiag_rows(rows), PARAMS.noise_w)
-        assert got.tobytes() == offdiag_values(want).tobytes()
+        results.append((got, offdiag_values(want).tobytes()))
+    for got, want in results:
+        assert got.tobytes() == want
 
 
 # 200 derandomized draws, the same examples on every run, under 1 s; the

@@ -1,13 +1,18 @@
 """End-to-end CLI behavior: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import v2vaoi
 from v2vaoi.allocator import (
     AllocationProblem,
     GeneticConfig,
@@ -457,6 +462,29 @@ def test_help_exits_0(capsys):
     assert run_cli(["--help"]) == 0
     assert run_cli(["compare", "--help"]) == 0
     assert "--plot-out" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, code, stdout_head, stderr",
+    [
+        (["solve", "--n", "0"], 1, [], ["error: need at least 2 vehicles"]),
+        (["solve", "--n", "3", "--epochs", "5"], 0, ["scene: generated (n=3, seed=0)"], []),
+    ],
+    ids=["error", "solve"],
+)
+def test_python_m_cli_runs_the_command(args, code, stdout_head, stderr):
+    # `python -m v2vaoi.cli` runs main and exits with its code, as the console script does
+    src = str(Path(v2vaoi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "v2vaoi.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == code
+    assert proc.stdout.splitlines()[:1] == stdout_head
+    assert proc.stderr.splitlines() == stderr
 
 
 _DEFAULT_CONFIG = {
