@@ -530,7 +530,9 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
 
 def _bisect_max_min(problem: AllocationProblem) -> tuple:
     """exact_pa's bisection: the allocation, the step count and the bracket's
-    upper end, a min-SNR that no allocation reaches.
+    upper end, a min-SNR that no allocation reaches.  The bracket narrows to
+    EXACT_REL_TOL relative to its upper end, or to float resolution where
+    that is coarser (a subnormal target SNR).
 
     For a target gamma every link needs g_ij >= beta * (S_j + N), with
     g_ij = P_ij / D_ij**alpha its received gain, S_j the total gain arriving
@@ -575,23 +577,28 @@ def _bisect_max_min(problem: AllocationProblem) -> tuple:
         return np.maximum(floors, c[np.newaxis, :]) * atten
 
     hi = 1.0 / (n - 2)
-    while hi - lo > EXACT_REL_TOL * hi:
-        steps += 1
-        mid = 0.5 * (lo + hi)
-        p = minimal_power(mid)
-        if (p.sum(axis=1) <= params.p_max_w).all():
-            lo, best = mid, p
-        else:
-            hi = mid
+    # a minimal power that overflows to inf fails the row test: infeasible
+    with np.errstate(over="ignore"):
+        while hi - lo > EXACT_REL_TOL * hi:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # a bracket one float step wide, near subnormal
+                break
+            steps += 1
+            p = minimal_power(mid)
+            if (p.sum(axis=1) <= params.p_max_w).all():
+                lo, best = mid, p
+            else:
+                hi = mid
     return best, steps, hi
 
 
 def exact_pa(problem: AllocationProblem) -> AllocationResult:
     """Maximum of the worst link's SNR, by bisection on a target SNR.
 
-    The allocation is optimal to a relative EXACT_REL_TOL: upper_bound is a
-    min-SNR that no allocation reaches, and objective_min_snr lies within
-    that tolerance below it.  _bisect_max_min states the argument.
+    The allocation is optimal to a relative EXACT_REL_TOL, or to float
+    resolution where that is coarser: upper_bound is a min-SNR that no
+    allocation reaches, and objective_min_snr lies within that tolerance
+    below it.  _bisect_max_min states the argument.
     """
     best, steps, hi = problem._max_min
     return _finish(

@@ -13,8 +13,8 @@ Each command returns its records, the config record first, and builds no
 text: the text report is rendered from those records alone, so --format
 text and records carry the same values.  The config record embeds the
 fully resolved configuration.  Machine-readable output is line-delimited
-JSON; with a fixed master seed it is byte-identical across runs regardless
-of --jobs.
+JSON; with a fixed master seed it is byte-identical across runs.  compare
+runs its trials serially; it accepts --jobs and ignores its value.
 """
 
 import argparse
@@ -68,7 +68,7 @@ _FLAGS = (
     ("n", str, "3,4,5", "comma-separated vehicle counts, e.g. 3,4,5", ("compare",)),
     ("strategy", tuple(STRATEGIES), "greedy", None, ("solve",)),
     ("trials", int, 15, None, ("compare",)),
-    ("jobs", int, 1, "worker threads over trials", ("compare",)),
+    ("jobs", int, 1, "ignored: trials always run serially", ("compare",)),
     ("plot_out", str, None, "write x/y series for external plotting", ("compare",)),
     ("looptime", float, AoiConfig.looptime_s, "perception cycle [s]", ("aoi",)),
     ("period", float, AoiConfig.sample_period_s, "sensor sampling period [s]", ("aoi",)),
@@ -249,9 +249,9 @@ def _write_file(path, content: str) -> None:
         raise SimulationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-# execution details that cannot change any computed number; keeping them out
-# of the echoed config lets runs that differ only in I/O or worker count
-# produce byte-identical record files
+# execution details that cannot change any computed number (jobs is parsed,
+# validated and ignored); keeping them out of the echoed config lets runs
+# that differ only in I/O produce byte-identical record files
 _NON_EXPERIMENT_KEYS = frozenset({"out", "format", "plot_out", "jobs", "config"})
 
 
@@ -304,9 +304,7 @@ def text_solve(records: list) -> str:
 
 def cmd_compare(cfg: dict, solvers: ComparisonConfig) -> list:
     specs = [_scene_spec(cfg, n, derive_seed(cfg["seed"], n)) for n in _vehicle_counts(cfg["n"])]
-    return [_config_record(cfg)] + [
-        run_comparison(spec, cfg["trials"], solvers, jobs=cfg["jobs"]) for spec in specs
-    ]
+    return [_config_record(cfg)] + [run_comparison(spec, cfg["trials"], solvers) for spec in specs]
 
 
 def text_compare(records: list) -> str:

@@ -5,7 +5,6 @@ directional (interference lands at the receiver), so delays are directional
 too.  Variance is the population variance, recorded in the output metadata.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -155,12 +154,7 @@ def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> tuple:
     return record, delays
 
 
-def run_comparison(
-    spec: ScenarioSpec,
-    trials: int,
-    config: ComparisonConfig | None = None,
-    jobs: int = 1,
-) -> dict:
+def run_comparison(spec: ScenarioSpec, trials: int, config: ComparisonConfig | None = None) -> dict:
     """Run every strategy over repeated scenes and average the statistics.
 
     Returns the comparison record that `v2vaoi compare --out` writes: one
@@ -170,25 +164,18 @@ def run_comparison(
     The rows are default, one greedy_epoch<e> per greedy_epoch_ladder rung
     and the genetic reference, each solved through STRATEGIES.  Trial t
     follows solve_scene's seed rule on the stream (spec.rng_seed, t), so
-    results are reproducible and, because trials are aggregated in index
-    order, independent of how many worker threads run them.
+    results are reproducible.  Trials run serially, in index order.
     Solver errors abort the batch, tagged with the failing trial index.
     """
     if not (is_integer(trials) and trials >= 1):
         raise DomainError(f"trials must be an integer >= 1, got {trials!r}")
     config = config or ComparisonConfig()
-
-    def worker(t: int) -> tuple:
+    runs = []
+    for t in range(trials):
         try:
-            return _run_trial(spec, config, t)
+            runs.append(_run_trial(spec, config, t))
         except SimulationError as exc:
             raise SimulationError(f"trial {t} failed: {exc}") from exc
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(worker, range(trials)))
-    else:
-        runs = [worker(t) for t in range(trials)]
 
     per_trial = [record for record, _ in runs]
     aggregates = [

@@ -1,5 +1,11 @@
 """Allocation strategies, the constraint projection, and the exact solver."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -864,6 +870,39 @@ def test_bisection_runs_once_per_problem(monkeypatch):
         assert result.power.p.tobytes() == alone.power.p.tobytes()
         assert (result.epochs_used, result.upper_bound) == (alone.epochs_used, alone.upper_bound)
     assert genetic.history == genetic_pa(random_problem(3, 5), cfg).history
+
+
+_SUBNORMAL_BISECTION = """
+import json
+from v2vaoi.allocator import AllocationProblem, _bisect_max_min
+from v2vaoi.channel import ChannelParams
+from v2vaoi.scenario import ScenarioSpec, generate_scene
+dist, _ = generate_scene(ScenarioSpec(5, rng_seed=11))
+best, steps, hi = _bisect_max_min(AllocationProblem(ChannelParams(noise_w=1e308), dist))
+print(json.dumps([steps, hi, best.sum(axis=1).max()]))
+"""
+
+
+def test_bisection_ends_on_a_subnormal_bracket():
+    # at noise 1e308 the optimum's min SNR is subnormal, where
+    # EXACT_REL_TOL * hi underflows to 0 and the bracket ends at float
+    # resolution instead; a subprocess bounds the test should the loop not end
+    src = str(Path(allocator.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _SUBNORMAL_BISECTION],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    steps, hi, top_row = json.loads(proc.stdout)
+    # each step halves the bracket from 1/3 down to about 1e-313, and the
+    # halving stops at the smallest subnormal, 2**-1074
+    assert 1000 < steps <= 1100
+    assert 0.0 < hi < 1e-300
+    assert top_row <= PARAMS.p_max_w
 
 
 # Yates (1995) certificate: the gains g_ij = P_ij / D_ij**alpha of any

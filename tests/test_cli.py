@@ -433,6 +433,27 @@ def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
         assert err == "error: min SNR 1.733e-313 overflows a delay beyond the float range\n"
 
 
+@pytest.mark.parametrize(
+    "args, prefix",
+    [
+        ("solve --strategy exact --n 5 --noise 1e308", "error: min SNR "),
+        ("solve --strategy genetic --n 5 --noise 1e308", "error: min SNR "),
+        ("verify --n 5 --instances 1 --noise 1e308", "error: min SNR "),
+        # a solver error in compare names the trial it came from
+        ("compare --n 3 --trials 1 --noise 1e308", "error: trial 0 failed: min SNR "),
+    ],
+)
+def test_subnormal_optimum_is_one_error_line(args, prefix, capsys):
+    # the optimum's min SNR is subnormal: the bisection ends at float
+    # resolution, and the delay it implies is out of range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(args.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert err.endswith(" overflows a delay beyond the float range\n")
+
+
 def test_tiny_snr_reports_its_true_delay(tmp_path, capsys):
     # an SNR near 3e-305 is reported with its own delay, near 2e304 s, and
     # no warning

