@@ -19,6 +19,7 @@ from v2vaoi.allocator import (
     AllocationProblem,
     GeneticConfig,
     GreedyConfig,
+    _fit_row_to_budget,
     _project_offdiag_rows,
     _uniform_power,
     default_pa,
@@ -110,30 +111,38 @@ def test_snr_population(benchmark):
     assert benchmark(_snr, loss, pop, PARAMS.noise_w).shape == (50, 5, 4)
 
 
-def bench_projection(benchmark, rows, over_budget, rounds):
-    """Time _project_offdiag_rows, which projects in place, on a fresh copy
-    of rows each round: run again on its own output it would time the fixed
-    point, with no row over budget."""
+@SIZES
+def test_fit_greedy_step(benchmark, n):
+    # what a greedy epoch projects: the raised link's row, fitted back to
+    # the budget, on a fresh copy each round (its own output would be
+    # within budget, with nothing to fit)
+    rows = greedy_step_rows(n)
+    total = np.add.reduce(rows[0])
+    assert total > PARAMS.p_max_w
+    fresh = []
 
     def setup():
-        fresh = rows.copy()
-        clamped = np.clip(fresh, PARAMS.p_min_w, PARAMS.p_max_w)
-        assert np.count_nonzero(clamped.sum(axis=-1) > PARAMS.p_max_w) == over_budget
-        return (fresh, PARAMS.p_min_w, PARAMS.p_max_w), {}
+        fresh[:] = [rows[0].copy()]
+        return (fresh[0], total, PARAMS.p_min_w, PARAMS.p_max_w), {}
 
-    out = benchmark.pedantic(_project_offdiag_rows, setup=setup, rounds=rounds)
-    assert out.sum(axis=-1).max() <= PARAMS.p_max_w
-
-
-@SIZES
-def test_project_greedy_step(benchmark, n):
-    bench_projection(benchmark, greedy_step_rows(n), 1, rounds=2000)
+    benchmark.pedantic(_fit_row_to_budget, setup=setup, rounds=2000)
+    projected = _project_offdiag_rows(rows, PARAMS.p_min_w, PARAMS.p_max_w)
+    assert fresh[0].tobytes() == projected[0].tobytes()
 
 
 def test_project_population(benchmark):
     # a GA population after variation: 9 of its 250 rows are over budget,
-    # more than _FEW_OVER, so they are fitted in one pass
-    bench_projection(benchmark, log_uniform_rows((50, 5, 4)), 9, rounds=2000)
+    # more than _FEW_OVER, so they are fitted in one pass; each round
+    # projects a fresh copy, as its own output would be a fixed point
+    rows = log_uniform_rows((50, 5, 4))
+    clamped = np.clip(rows, PARAMS.p_min_w, PARAMS.p_max_w)
+    assert np.count_nonzero(clamped.sum(axis=-1) > PARAMS.p_max_w) == 9
+
+    def setup():
+        return (rows.copy(), PARAMS.p_min_w, PARAMS.p_max_w), {}
+
+    out = benchmark.pedantic(_project_offdiag_rows, setup=setup, rounds=2000)
+    assert out.sum(axis=-1).max() <= PARAMS.p_max_w
 
 
 def test_genetic_50_generations(benchmark):

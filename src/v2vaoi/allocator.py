@@ -216,8 +216,9 @@ def _cap_rows_to_budget(rows: np.ndarray, budget: float) -> np.ndarray:
     return np.minimum(rows, w[:, np.newaxis])
 
 
-def _fit_row_to_budget(row: np.ndarray, total: float, p_min: float, p_max: float) -> None:
-    """Project one clamped row, whose sum total is over p_max, in place.
+def _fit_row_to_budget(row: np.ndarray, total: float, p_min: float, p_max: float) -> float:
+    """Project one clamped row, whose sum total is over p_max, in place,
+    and return the water level that capped it.
 
     _project_offdiag_rows' rescale, floor and _cap_rows_to_budget on a
     single row, with the water-level search as a scan that stops at the
@@ -238,6 +239,7 @@ def _fit_row_to_budget(row: np.ndarray, total: float, p_min: float, p_max: float
     else:  # the smallest entry has none below it
         level = p_max / len(u)
     np.minimum(scaled, level, out=row)
+    return level
 
 
 # Up to this many over-budget rows are fitted one at a time; more go through
@@ -352,16 +354,24 @@ def greedy_pa(
     returns: the best allocation, epochs_used, converged and history after
     that epoch, or the final ones if the run stopped at or before it.
 
-    The solve holds only the (n, n-1) off-diagonal rows and reprojects all
-    of them in place every epoch.  The path loss is the problem's; the rows
-    and the best rows are allocated once per solve, each epoch's SNR is
+    The solve holds only the (n, n-1) off-diagonal rows, and each epoch
+    runs _project_offdiag_rows only where it can change them.  It clamps
+    the two links it moved, then sums the raised link's row and the pending
+    rows, and fits those over budget.  The pending rows are the even
+    split's, where rounding leaves them over budget or under the floor, and
+    each row fitted the epoch before, which rounding can leave a step over.
+    Every other row is a fixed point of the projection, the lowered link's
+    included: its one entry fell or was floored back to at most its old
+    value, and a pairwise sum cannot rise when an addend falls.  So the bits
+    are those of projecting every row.  The path loss is the problem's; the
+    rows and the best rows are allocated once per solve, each epoch's SNR is
     _snr's fresh array, and only a rung's snapshot copies the best rows.
     """
     cfg = cfg or GreedyConfig()
     if not all(is_integer(r) and 1 <= r <= cfg.max_epochs for r in rungs):
         raise DomainError(f"rungs must be integers in 1..max_epochs, got {rungs!r}")
     params = problem.params
-    p_min, p_max = params.p_min_w, params.p_max_w
+    n, p_min, p_max = problem.n, params.p_min_w, params.p_max_w
     loss, noise_w = problem.loss, params.noise_w
     # rows[i] holds vehicle i's n-1 outgoing powers; links[k] is the k-th
     # off-diagonal entry in row-major order, the order of snr, so argmin and
@@ -372,6 +382,12 @@ def greedy_pa(
     worst = int(snr.argmin())
     best_obj = float(snr[worst])
     best_rows = rows.copy()  # refreshed in place on improvement
+    # the rows the next epoch must sum, each marked True where its entries
+    # may lie under p_min and so need the whole row clamped
+    even = rows[0]
+    pending = dict.fromkeys(
+        range(n) if np.add.reduce(even) > p_max or even.min() < p_min else (), True
+    )
     snapshots = dict.fromkeys(rungs)
     history = []  # one entry per epoch run
     stall = 0
@@ -379,7 +395,20 @@ def greedy_pa(
         strongest = int(snr.argmax())
         links[worst] *= 1.0 + cfg.learn_rate
         links[strongest] *= 1.0 - cfg.learn_rate
-        _project_offdiag_rows(rows, p_min, p_max)
+        for k in (worst, strongest):  # as the projection clamps: max, then min
+            links[k] = min(max(links.item(k), p_min), p_max)
+        pending.setdefault(worst // (n - 1), False)
+        fitting, pending = pending, {}
+        for i, floored in fitting.items():
+            row = rows[i]
+            if floored:
+                np.maximum(row, p_min, out=row)
+                np.minimum(row, p_max, out=row)
+            total = np.add.reduce(row)
+            if total > p_max:
+                # a fit's water level is under p_min only where (n-1) * p_min
+                # is p_max to a rounding step
+                pending[i] = _fit_row_to_budget(row, total, p_min, p_max) < p_min
         snr = _snr(loss, rows, noise_w).reshape(-1)
         worst = int(snr.argmin())
         obj = float(snr[worst])

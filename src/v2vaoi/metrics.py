@@ -115,8 +115,9 @@ def solve_scene(
     """{name: result} of each named strategy on one scene, in the order given.
 
     The one seed rule: seed stream `stream` draws its scene from
-    scene_seed(*stream) = derive_seed(*stream, 0) and runs the GA on
-    derive_seed(*stream, 1).  solve and aoi use (seed,), verify instance k
+    scene_seed(*stream) = derive_seed(*stream, 0), runs the GA on
+    derive_seed(*stream, 1) and, in aoi, rounds its ages on
+    derive_seed(*stream, 2).  solve and aoi use (seed,), verify instance k
     (seed, k) and compare trial t (spec.rng_seed, t).
     """
     problem = AllocationProblem(config.params, dist)

@@ -449,6 +449,32 @@ def _greedy_reference(problem, cfg=None):
         pytest.param(
             5, PARAMS, GreedyConfig(learn_rate=0.3, max_epochs=300), id="n5-learn-rate-0.3"
         ),
+        # the raised link clamps at p_max and the lowered one at p_min; at
+        # n = 3 the fit then caps the raised link at p_max - p_min whether
+        # or not it was clamped, so n = 4 is where the clamp decides the bits
+        pytest.param(
+            3, ChannelParams(p_min_w=10.0), GreedyConfig(learn_rate=0.99, max_epochs=300),
+            id="n3-learn-rate-0.99",
+        ),
+        pytest.param(
+            4, PARAMS, GreedyConfig(learn_rate=0.9, max_epochs=300), id="n4-learn-rate-0.9"
+        ),
+        # lowered links floored nearly every epoch, and fitted rows left a
+        # rounding step over budget, so refitted on a later epoch
+        pytest.param(
+            8, ChannelParams(p_min_w=1.0), GreedyConfig(learn_rate=0.6, max_epochs=300),
+            id="n8-learn-rate-0.6-floors",
+        ),
+        pytest.param(
+            32, ChannelParams(p_min_w=0.2, p_max_w=7.3), GreedyConfig(max_epochs=300),
+            id="n32-floors-budget-7.3",
+        ),
+        # 3 * p_min rounds to p_max, so the even split and some fits leave
+        # links a rounding step under the floor, to be clamped back up
+        pytest.param(
+            4, ChannelParams(p_min_w=float(np.nextafter(1 / 3, 1)), p_max_w=1.0),
+            GreedyConfig(max_epochs=300), id="n4-floor-at-even-split",
+        ),
     ],
 )
 def test_greedy_matches_reference_bit_for_bit(n, params, cfg):
