@@ -130,19 +130,37 @@ def test_fit_greedy_step(benchmark, n):
     assert fresh[0].tobytes() == projected[0].tobytes()
 
 
-def test_project_population(benchmark):
-    # a GA population after variation: 9 of its 250 rows are over budget,
-    # more than _FEW_OVER, so they are fitted in one pass; each round
-    # projects a fresh copy, as its own output would be a fixed point
-    rows = log_uniform_rows((50, 5, 4))
+def ga_population(over: int) -> np.ndarray:
+    """A GA population after variation, 50 individuals at n = 5, with the
+    first `over` of its over-budget rows kept and the others scaled to half
+    the budget."""
+    rows = log_uniform_rows((50, 5, 4)).reshape(-1, 4)
+    sums = np.clip(rows, PARAMS.p_min_w, PARAMS.p_max_w).sum(axis=-1)
+    for i in np.flatnonzero(sums > PARAMS.p_max_w)[over:]:
+        rows[i] *= 0.5 * PARAMS.p_max_w / rows[i].sum()
     clamped = np.clip(rows, PARAMS.p_min_w, PARAMS.p_max_w)
-    assert np.count_nonzero(clamped.sum(axis=-1) > PARAMS.p_max_w) == 9
+    assert np.count_nonzero(clamped.sum(axis=-1) > PARAMS.p_max_w) == over
+    return rows.reshape(50, 5, 4)
 
+
+def project_population(benchmark, rows):
+    # each round projects a fresh copy, as its own output would be a fixed
+    # point; the over-budget rows are fitted in one _cap_rows_to_budget pass
     def setup():
         return (rows.copy(), PARAMS.p_min_w, PARAMS.p_max_w), {}
 
     out = benchmark.pedantic(_project_offdiag_rows, setup=setup, rounds=2000)
     assert out.sum(axis=-1).max() <= PARAMS.p_max_w
+
+
+def test_project_population(benchmark):
+    # as variation leaves it: 9 of its 250 rows are over budget
+    project_population(benchmark, ga_population(9))
+
+
+def test_project_population_one_over(benchmark):
+    # one row over budget, the fewest that reach the cap
+    project_population(benchmark, ga_population(1))
 
 
 def test_genetic_50_generations(benchmark):

@@ -220,6 +220,7 @@ def _fit_row_to_budget(row: np.ndarray, total: float, p_min: float, p_max: float
     """Project one clamped row, whose sum total is over p_max, in place,
     and return the water level that capped it.
 
+    Greedy's one-row fit, and greedy is its only caller:
     _project_offdiag_rows' rescale, floor and _cap_rows_to_budget on a
     single row, with the water-level search as a scan that stops at the
     first level at or above the next entry down.  It evaluates the same IEEE
@@ -242,35 +243,23 @@ def _fit_row_to_budget(row: np.ndarray, total: float, p_min: float, p_max: float
     return level
 
 
-# Up to this many over-budget rows are fitted one at a time; more go through
-# _cap_rows_to_budget in one pass.  The measured crossover: for rows of 3 to
-# 63 links, four rows cost about the same either way, five cost less in
-# one pass from 16 links up.
-_FEW_OVER = 4
-
-
 def _project_offdiag_rows(rows: np.ndarray, p_min: float, p_max: float) -> np.ndarray:
     """Project rows of outgoing-link powers onto the constraint set.
 
     Clamp to the per-link bounds; rows over budget are rescaled
     multiplicatively, entries pushed under the floor are clamped back up,
     and the residual excess is absorbed by capping the largest entries.
-    Feasible rows pass through bit-identically.  A few over-budget rows are
-    fitted one at a time, more in one pass; both give the same bits.
+    Feasible rows pass through bit-identically.
     Projects in place and returns rows, so the caller must own them.
     """
     np.maximum(rows, p_min, out=rows)
     np.minimum(rows, p_max, out=rows)
     sums = np.add.reduce(rows, axis=-1)
     over = sums > p_max
-    hit = over.nonzero()
-    if len(hit[0]) > _FEW_OVER:
+    if over.any():
         scaled = rows[over] * (p_max / sums[over])[..., np.newaxis]
         np.maximum(scaled, p_min, out=scaled)
         rows[over] = _cap_rows_to_budget(scaled, p_max)
-    else:
-        for i in zip(*hit):
-            _fit_row_to_budget(rows[i], sums[i], p_min, p_max)
     return rows
 
 
@@ -355,11 +344,12 @@ def greedy_pa(
     that epoch, or the final ones if the run stopped at or before it.
 
     The solve holds only the (n, n-1) off-diagonal rows, and each epoch
-    runs _project_offdiag_rows only where it can change them.  It clamps
-    the two links it moved, then sums the raised link's row and the pending
-    rows, and fits those over budget.  The pending rows are the even
-    split's, where rounding leaves them over budget or under the floor, and
-    each row fitted the epoch before, which rounding can leave a step over.
+    runs _project_offdiag_rows' steps on only the rows they can change,
+    mostly one or two.  It clamps the two links it moved, then sums the
+    raised link's row and the pending rows, and fits those over budget with
+    _fit_row_to_budget.  The pending rows are the even split's, where
+    rounding leaves them over budget or under the floor, and each row
+    fitted the epoch before, which rounding can leave a step over.
     Every other row is a fixed point of the projection, the lowered link's
     included: its one entry fell or was floored back to at most its old
     value, and a pairwise sum cannot rise when an addend falls.  So the bits

@@ -46,11 +46,9 @@ class DegradationCurve:
             raise DomainError("sample delays must be strictly increasing")
         if np.any(aps < 0) or np.any(aps > 1):
             raise DomainError("AP values must lie in [0, 1]")
-        if np.any(np.diff(aps[:, 0]) > 0) or np.any(np.diff(aps[:, 1]) > 0) or np.any(
-            np.diff(aps[:, 2]) > 0
-        ):
+        if np.any(np.diff(aps, axis=0) > 0):
             raise DomainError("AP values must be non-increasing in delay")
-        if np.any(s[:, 1] < s[:, 2]) or np.any(s[:, 2] < s[:, 3]):
+        if np.any(np.diff(aps, axis=1) > 0):
             raise DomainError("each sample must satisfy ap30 >= ap50 >= ap70")
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)

@@ -23,7 +23,6 @@ from v2vaoi.allocator import (
     GREEDY_CONVERGENCE_WINDOW,
     GeneticConfig,
     GreedyConfig,
-    _FEW_OVER,
     _cap_rows_to_budget,
     _finish,
     _fit_row_to_budget,
@@ -559,9 +558,9 @@ def _assert_projection_matches_frozen(rows, p_min, p_max):
 
 
 def _rows_with_over_budget(rng, n, count, p_min, p_max):
-    """_FEW_OVER + 2 rows of n-1 links, exactly count of them over budget
-    after the clamp, with tied and floor-bound entries."""
-    k, m = _FEW_OVER + 2, n - 1
+    """Six rows of n-1 links, exactly count of them over budget after the
+    clamp, with tied and floor-bound entries."""
+    k, m = 6, n - 1
     rows = rng.uniform(p_min, p_max / m, size=(k, m))
     tie = rng.random((k, m)) < 0.3
     rows[tie] = np.broadcast_to(rows[:, :1], (k, m))[tie]
@@ -586,13 +585,13 @@ def test_projection_matches_frozen_and_flags_over_budget_rows():
             for _ in range(20):
                 rows = np.exp(rng.uniform(-16, 4, size=(int(rng.integers(1, 6)), n, n - 1)))
                 _assert_projection_matches_frozen(rows, p_min, p_max)
-        # both sides of the one-row-at-a-time selection; a one-link row
+        # none, one, and several rows over budget; a one-link row
         # (n = 2) never exceeds the budget after the clamp, and 5 W floors
         # leave no row within budget beyond n = 5
         for n in (2, 3, 4, 5, 8, 64):
             if (n - 1) * p_min > p_max:
                 continue
-            for count in (0, 1, _FEW_OVER, _FEW_OVER + 1) if n > 2 else (0,):
+            for count in (0, 1, 4, 5) if n > 2 else (0,):
                 for _ in range(10):
                     rows = _rows_with_over_budget(rng, n, count, p_min, p_max)
                     _assert_projection_matches_frozen(rows.copy(), p_min, p_max)

@@ -265,20 +265,28 @@ def test_snr_dimension_mismatch():
 
 
 @pytest.mark.parametrize(
-    "params, side_m",
+    "params, sides_m, message",
     [
-        (ChannelParams(alpha=400.0), 10.0),
-        (ChannelParams(alpha=200.0), 0.001),
+        (ChannelParams(alpha=400.0), (10.0, 10.0, 10.0), "out of float range"),
+        (ChannelParams(alpha=200.0), (0.001, 0.001, 0.001), "out of float range"),
         # a subnormal loss (about 3e-309): p_max_w / loss overflows
-        (ChannelParams(alpha=1025.0), 0.5),
+        (ChannelParams(alpha=1025.0), (0.5, 0.5, 0.5), "out of float range"),
+        # finite losses and gains, but the largest gain over the noise, which
+        # bounds every SNR, is not
+        (ChannelParams(p_max_w=1e308), (10.0, 10.0, 10.0), "overflows the SNR"),
+        (ChannelParams(noise_w=1e-320), (10.0, 10.0, 10.0), "overflows the SNR"),
+        # where link (0, 1)'s interference would cancel to 0 in _snr
+        (ChannelParams(alpha=1017.0), (0.5, 1.0, 1.0), "overflows the SNR"),
     ],
-    ids=["overflow", "underflow", "subnormal"],
+    ids=["overflow", "underflow", "subnormal", "snr_p_max", "snr_noise", "snr_alpha"],
 )
-def test_path_loss_out_of_float_range(params, side_m):
-    d = np.full((3, 3), side_m)
-    np.fill_diagonal(d, 0.0)
-    with pytest.raises(DomainError, match="out of float range"):
-        compute_snr_matrix(params, DistanceMatrix(d), PowerMatrix(uniform_power(3)))
+def test_path_loss_out_of_float_range(params, sides_m, message):
+    a, b, c = sides_m
+    d = [[0.0, a, b], [a, 0.0, c], [b, c, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            compute_snr_matrix(params, DistanceMatrix(d), PowerMatrix(uniform_power(3)))
 
 
 # --- delay -----------------------------------------------------------------

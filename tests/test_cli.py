@@ -454,6 +454,29 @@ def test_subnormal_optimum_is_one_error_line(args, prefix, capsys):
     assert err.endswith(" overflows a delay beyond the float range\n")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        "solve --n 2 --p-max 1e308",
+        "solve --n 2 --noise 1e-320",
+        "solve --n 3 --noise 1e-320",
+        "aoi --n 2 --p-max 1e308",
+        "verify --n 3 --p-max 1e308 --instances 1 --generations 10",
+        "compare --n 3 --p-max 1e308 --trials 1 --generations 10 --epochs 10",
+        "solve --n 3 --p-max 1e308 --strategy genetic --generations 10",
+    ],
+)
+def test_snr_out_of_float_range_is_one_error_line(args, capsys):
+    # the largest gain over the noise bounds every SNR; past the float
+    # range the problem is refused before any solver divides
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(args.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert " W over noise_w " in err and " overflows the SNR at path loss " in err
+
+
 def test_tiny_snr_reports_its_true_delay(tmp_path, capsys):
     # an SNR near 3e-305 is reported with its own delay, near 2e304 s, and
     # no warning

@@ -83,18 +83,23 @@ def test_interpolation_monotone_non_increasing(lo, hi):
 
 
 def test_curve_validation_rejects_bad_data():
-    with pytest.raises(DomainError):
-        DegradationCurve("bad", [[0.0, 0.5, 0.6, 0.4]])  # ap30 < ap50
-    with pytest.raises(DomainError):
-        DegradationCurve("bad", [[0.0, 0.9, 0.8, 0.7], [0.1, 0.95, 0.8, 0.7]])
-    with pytest.raises(DomainError):
-        DegradationCurve("bad", [[0.1, 0.9, 0.8, 0.7], [0.1, 0.9, 0.8, 0.7]])
-    with pytest.raises(DomainError):
-        DegradationCurve("bad", [[0.0, 1.2, 0.8, 0.7]])
-    with pytest.raises(DomainError):
-        DegradationCurve("bad", [[0.0, 0.9, 0.8, 0.7], [0.1, float("nan"), 0.8, 0.7]])
-    with pytest.raises(DomainError):
-        DegradationCurve("bad", [[float("nan"), 0.9, 0.8, 0.7]])
+    ok = [0.0, 0.9, 0.8, 0.7]
+    for samples, message in [
+        ([[0.0, 0.5, 0.6, 0.4]], "ap30 >= ap50 >= ap70"),  # ap30 < ap50
+        ([[0.0, 0.9, 0.6, 0.7]], "ap30 >= ap50 >= ap70"),  # ap50 < ap70
+        ([ok, [0.1, 0.95, 0.8, 0.7]], "non-increasing"),  # ap30 rises
+        ([ok, [0.1, 0.9, 0.85, 0.7]], "non-increasing"),  # ap50 rises
+        ([ok, [0.1, 0.9, 0.8, 0.75]], "non-increasing"),  # ap70 rises
+        # ap50 rises and passes ap30: the delay check comes first
+        ([ok, [0.1, 0.85, 0.9, 0.7]], "non-increasing"),
+        ([[0.1, 0.9, 0.8, 0.7], [0.1, 0.9, 0.8, 0.7]], "strictly increasing"),
+        ([[-0.1, 0.9, 0.8, 0.7]], "nonnegative"),
+        ([[0.0, 1.2, 0.8, 0.7]], r"\[0, 1\]"),
+        ([ok, [0.1, float("nan"), 0.8, 0.7]], "NaN"),
+        ([[float("nan"), 0.9, 0.8, 0.7]], "NaN"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            DegradationCurve("bad", samples)
 
 
 # --- scene estimate ------------------------------------------------------------
