@@ -20,7 +20,6 @@ from .channel import (
     PowerMatrix,
     compute_delay_matrix,
     compute_snr_matrix,
-    offdiag_mask,
     offdiag_values,
 )
 from .metrics import (

@@ -34,7 +34,6 @@ from .channel import (
     _snr,
     compute_delay_matrix,
     from_offdiag_rows,
-    offdiag_mask,
     offdiag_rows,
     path_loss,
 )
@@ -180,7 +179,7 @@ def check_feasible(power: PowerMatrix, params: ChannelParams) -> tuple:
     row_sums = p.sum(axis=1)
     if off.min() >= floor and off.max() <= cap and row_sums.max() <= cap:
         return ()
-    mask = offdiag_mask(power.n)
+    mask = ~np.eye(power.n, dtype=bool)  # the diagonal's zeros are not links
     low = np.argwhere(mask & (p < floor))
     high = np.argwhere(mask & (p > cap))
     over = np.flatnonzero(row_sums > cap)

@@ -30,17 +30,6 @@ _LN2 = float(np.log(2.0))
 SYMMETRY_TOL_M = 1e-9
 
 
-@functools.lru_cache(maxsize=MAX_VEHICLES)
-def offdiag_mask(n: int) -> np.ndarray:
-    """Boolean mask selecting the ordered pairs i != j; read-only, shared
-    by every call with the same n.  The package itself reads the
-    off-diagonal entries through _offdiag_view; this is for callers that
-    index with a mask."""
-    mask = ~np.eye(n, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 def offdiag_values(m: np.ndarray) -> np.ndarray:
     """Off-diagonal entries of a square matrix, row-major order.
 

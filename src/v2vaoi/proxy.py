@@ -97,8 +97,9 @@ LINEAR_COEFFICIENT_CURVE = DegradationCurve(
 def estimate_ap(curve: DegradationCurve, delay_value: float) -> tuple:
     """AP triple at a delay, interpolated linearly between samples.
 
-    Queries at a sample return that row exactly; queries past the last
-    sample clamp to it.
+    Queries at a sample return that row exactly: an interior one is the
+    lower end at t = 0, and s_lo + 0.0 * (s_hi - s_lo) is s_lo bit for bit.
+    Queries past the last sample clamp to it.
     """
     if not (delay_value >= 0):  # NaN fails too
         raise DomainError(f"delay must be nonnegative, got {delay_value}")
@@ -110,13 +111,10 @@ def estimate_ap(curve: DegradationCurve, delay_value: float) -> tuple:
     elif x >= delays[-1]:
         row = s[-1, 1:]
     else:
-        hi = int(np.searchsorted(delays, x))
-        if delays[hi] == x:  # exact sample: return it untouched
-            row = s[hi, 1:]
-        else:
-            lo = hi - 1
-            t = (x - delays[lo]) / (delays[hi] - delays[lo])
-            row = s[lo, 1:] + t * (s[hi, 1:] - s[lo, 1:])
+        hi = int(np.searchsorted(delays, x, side="right"))
+        lo = hi - 1
+        t = (x - delays[lo]) / (delays[hi] - delays[lo])
+        row = s[lo, 1:] + t * (s[hi, 1:] - s[lo, 1:])
     return tuple(row.tolist())
 
 

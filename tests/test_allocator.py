@@ -41,13 +41,18 @@ from v2vaoi.channel import (
     PowerMatrix,
     compute_delay_matrix,
     compute_snr_matrix,
-    offdiag_mask,
     offdiag_values,
 )
 from v2vaoi.errors import DomainError, FeasibilityError
 from v2vaoi.scenario import ScenarioSpec, generate_scene, load_distance_matrix
 
 PARAMS = ChannelParams()
+
+
+def offdiag_mask(n):
+    """Boolean mask of the ordered pairs i != j: the reference layout that
+    the strided off-diagonal helpers must reproduce."""
+    return ~np.eye(n, dtype=bool)
 
 
 def equilateral(side=20.0, n=3):
@@ -205,6 +210,39 @@ def test_check_feasible_flags_row_budget():
     violations = check_feasible(PowerMatrix(p), PARAMS)
     assert all("exceeds budget" in v for v in violations)
     assert len(violations) == 3
+
+
+@pytest.mark.parametrize(
+    "p, want",
+    [
+        # one link under the floor, one over the cap, and the cap's row over budget
+        (
+            [[0.0, 1.0, 2.0], [24.0, 0.0, 0.5], [3.0, 1e-7, 0.0]],
+            (
+                "P[2][1]=1e-07 W below per-link minimum 1e-06 W",
+                "P[1][0]=24 W above per-link maximum 23 W",
+                "row 1 sum 24.5 W exceeds budget 23 W",
+            ),
+        ),
+        # two of each kind: every kind lists its entries in row-major order
+        (
+            [[0.0, 1e-8, 2.0, 1.0], [24.0, 0.0, 0.5, 1.0], [3.0, 1e-7, 0.0, 30.0],
+             [1.0, 1.0, 1.0, 0.0]],
+            (
+                "P[0][1]=1e-08 W below per-link minimum 1e-06 W",
+                "P[2][1]=1e-07 W below per-link minimum 1e-06 W",
+                "P[1][0]=24 W above per-link maximum 23 W",
+                "P[2][3]=30 W above per-link maximum 23 W",
+                "row 1 sum 25.5 W exceeds budget 23 W",
+                "row 2 sum 33 W exceeds budget 23 W",
+            ),
+        ),
+    ],
+    ids=["one_of_each", "row_major"],
+)
+def test_check_feasible_messages_in_order(p, want):
+    # the diagonal's zeros sit under the floor but are not links
+    assert check_feasible(PowerMatrix(p), PARAMS) == want
 
 
 # --- projection ---------------------------------------------------------------

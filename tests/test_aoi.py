@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from v2vaoi.allocator import AllocationProblem, default_pa
 from v2vaoi.aoi import (
     AoiConfig,
+    _round_offsets,
     aoi_summary,
     build_aoi_records,
     probabilistic_round,
@@ -32,9 +33,23 @@ def test_zero_delay_stays_zero():
     assert probabilistic_round(0.0, 0.1, rng) == 0.0
 
 
+def rounded_draws(delay, period, rng, count):
+    """count probabilistic_round(delay, period, rng) draws in one array
+    call: one uniform per draw, in order, so the same bits as the loop."""
+    return _round_offsets(np.full(count, delay), period, rng) * period
+
+
+def assert_head_matches_scalar_loop(draws, seed, delay, period):
+    # the first 1000 array draws are the scalar loop's on a fresh generator
+    rng = np.random.default_rng(seed)
+    loop = np.array([probabilistic_round(delay, period, rng) for _ in range(1000)])
+    assert draws[:1000].tobytes() == loop.tobytes()
+
+
 def test_halfway_point_statistics():
     rng = np.random.default_rng(1234)
-    draws = np.array([probabilistic_round(0.25, 0.1, rng) for _ in range(100_000)])
+    draws = rounded_draws(0.25, 0.1, rng, 100_000)
+    assert_head_matches_scalar_loop(draws, 1234, 0.25, 0.1)
     values = set(np.unique(draws))
     assert values == {2 * 0.1, 3 * 0.1}
     assert abs(draws.mean() - 0.25) < 0.001
@@ -72,7 +87,10 @@ def test_expectation_preservation_bound():
     rng = np.random.default_rng(7)
     period, n_draws = 0.1, 100_000
     for delay in (0.13, 0.27, 0.409):
-        mean = np.mean([probabilistic_round(delay, period, rng) for _ in range(n_draws)])
+        draws = rounded_draws(delay, period, rng, n_draws)
+        if delay == 0.13:
+            assert_head_matches_scalar_loop(draws, 7, delay, period)
+        mean = np.mean(draws)
         assert abs(mean - delay) < 3 * period * np.sqrt(0.25 / n_draws)
 
 

@@ -25,7 +25,6 @@ from v2vaoi.channel import (
     compute_delay_matrix,
     compute_snr_matrix,
     from_offdiag_rows,
-    offdiag_mask,
     offdiag_rows,
     offdiag_values,
     path_loss,
@@ -38,6 +37,12 @@ from v2vaoi.errors import (
 )
 
 PARAMS = ChannelParams()
+
+
+def offdiag_mask(n):
+    """Boolean mask of the ordered pairs i != j: the reference layout that
+    the strided off-diagonal helpers must reproduce."""
+    return ~np.eye(n, dtype=bool)
 
 
 def snr_by_definition(params, d, p, i, j):
@@ -277,8 +282,17 @@ def test_snr_dimension_mismatch():
         (ChannelParams(noise_w=1e-320), (10.0, 10.0, 10.0), "overflows the SNR"),
         # where link (0, 1)'s interference would cancel to 0 in _snr
         (ChannelParams(alpha=1017.0), (0.5, 1.0, 1.0), "overflows the SNR"),
+        # every link's SNR bound with the p_min_w interference floor is
+        # finite (at most 2.3e307), yet at the even split receiver 1's
+        # incoming sum absorbs vehicle 2's gain, incoming - gain cancels to
+        # 0 and _snr's divide overflows: refused until that sum is formed
+        # without the subtraction
+        (ChannelParams(), (1e-100, 1.0, 1.0), "overflows the SNR"),
     ],
-    ids=["overflow", "underflow", "subnormal", "snr_p_max", "snr_noise", "snr_alpha"],
+    ids=[
+        "overflow", "underflow", "subnormal", "snr_p_max", "snr_noise", "snr_alpha",
+        "snr_cancels_at_floor",
+    ],
 )
 def test_path_loss_out_of_float_range(params, sides_m, message):
     a, b, c = sides_m

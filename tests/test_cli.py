@@ -464,14 +464,18 @@ def test_subnormal_optimum_is_one_error_line(args, prefix, capsys):
         "verify --n 3 --p-max 1e308 --instances 1 --generations 10",
         "compare --n 3 --p-max 1e308 --trials 1 --generations 10 --epochs 10",
         "solve --n 3 --p-max 1e308 --strategy genetic --generations 10",
+        # every SNR is finite once the p_min_w floor counts as interference,
+        # but _snr's incoming - gain cancels to 0 at the even split
+        "solve --scene {tmp}/cancelling.txt",
     ],
 )
-def test_snr_out_of_float_range_is_one_error_line(args, capsys):
+def test_snr_out_of_float_range_is_one_error_line(args, tmp_path, capsys):
     # the largest gain over the noise bounds every SNR; past the float
     # range the problem is refused before any solver divides
+    (tmp_path / "cancelling.txt").write_text("3\n0 1e-100 1\n1e-100 0 1\n1 1 0\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run_cli(args.split()) == 1
+        assert run_cli(args.format(tmp=tmp_path).split()) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert " W over noise_w " in err and " overflows the SNR at path loss " in err

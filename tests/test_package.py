@@ -45,7 +45,6 @@ PUBLIC_NAMES = {
     "genetic_pa",
     "greedy_pa",
     "load_distance_matrix",
-    "offdiag_mask",
     "offdiag_values",
     "probabilistic_round",
     "project_to_feasible",

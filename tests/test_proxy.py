@@ -24,6 +24,42 @@ def test_every_sample_reproduced_bit_exactly():
             assert estimate_ap(curve, row[0]) == (row[1], row[2], row[3])
 
 
+def custom_curves():
+    """One hand-made curve and 50 drawn ones, from a small set of AP levels
+    so that columns tie and hit 0.0: where an AP falls, 0.0 * (s_hi - s_lo)
+    is -0.0, and where it is flat, 0.0."""
+    hand = [
+        [0.0, 1.0, 1.0, 0.7],
+        [0.1, 1.0, 0.7, 0.7],
+        [0.25, 0.7, 0.3, 0.0],
+        [0.4, 0.3, 0.0, 0.0],
+        [0.7, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+    ]
+    curves = [DegradationCurve("hand", hand)]
+    rng = np.random.default_rng(25)
+    for _ in range(50):
+        k = int(rng.integers(3, 9))
+        delays = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.5, k - 1))])
+        aps = rng.choice([0.0, 0.1, 0.3, 0.7, 1.0], size=(k, 3))
+        # non-increasing down the delays and across ap30 >= ap50 >= ap70
+        aps = np.sort(np.sort(aps, axis=1)[:, ::-1], axis=0)[::-1]
+        curves.append(DegradationCurve("drawn", np.column_stack([delays, aps])))
+    return curves
+
+
+def test_custom_curve_samples_exact_and_neighbours_between_rows():
+    for curve in custom_curves():
+        s = curve.samples
+        for k in range(len(s)):
+            assert np.array(estimate_ap(curve, s[k, 0])).tobytes() == s[k, 1:].tobytes()
+        for k in range(1, len(s) - 1):  # interior samples
+            below = estimate_ap(curve, np.nextafter(s[k, 0], 0.0))
+            above = estimate_ap(curve, np.nextafter(s[k, 0], np.inf))
+            assert np.all(s[k, 1:] <= below) and np.all(below <= s[k - 1, 1:])
+            assert np.all(s[k + 1, 1:] <= above) and np.all(above <= s[k, 1:])
+
+
 def test_backbone_midpoint_interpolation():
     ap = estimate_ap(BACKBONE_CURVE, 0.05)
     assert ap == pytest.approx((0.8595, 0.784, 0.4765), rel=1e-12)
