@@ -111,23 +111,28 @@ def test_snr_population(benchmark):
     assert benchmark(_snr, loss, pop, PARAMS.noise_w).shape == (50, 5, 4)
 
 
+def assert_fixed_point(rows):
+    again = _project_offdiag_rows(rows.copy(), PARAMS.p_min_w, PARAMS.p_max_w)
+    assert again.tobytes() == rows.tobytes()
+
+
 @SIZES
 def test_fit_greedy_step(benchmark, n):
     # what a greedy epoch projects: the raised link's row, fitted back to
-    # the budget, on a fresh copy each round (its own output would be
-    # within budget, with nothing to fit)
+    # the budget, on a fresh copy each round (its own output is within
+    # budget, with nothing to fit)
     rows = greedy_step_rows(n)
-    total = np.add.reduce(rows[0])
-    assert total > PARAMS.p_max_w
+    assert np.add.reduce(rows[0]) > PARAMS.p_max_w
     fresh = []
 
     def setup():
         fresh[:] = [rows[0].copy()]
-        return (fresh[0], total, PARAMS.p_min_w, PARAMS.p_max_w), {}
+        return (fresh[0], PARAMS.p_min_w, PARAMS.p_max_w), {}
 
     benchmark.pedantic(_fit_row_to_budget, setup=setup, rounds=2000)
     projected = _project_offdiag_rows(rows, PARAMS.p_min_w, PARAMS.p_max_w)
     assert fresh[0].tobytes() == projected[0].tobytes()
+    assert_fixed_point(fresh[0])
 
 
 def ga_population(over: int) -> np.ndarray:
@@ -150,7 +155,7 @@ def project_population(benchmark, rows):
         return (rows.copy(), PARAMS.p_min_w, PARAMS.p_max_w), {}
 
     out = benchmark.pedantic(_project_offdiag_rows, setup=setup, rounds=2000)
-    assert out.sum(axis=-1).max() <= PARAMS.p_max_w
+    assert_fixed_point(out)
 
 
 def test_project_population(benchmark):

@@ -195,38 +195,50 @@ def check_feasible(power: PowerMatrix, params: ChannelParams) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _cap_rows_to_budget(rows: np.ndarray, budget: float) -> np.ndarray:
-    """Lower each row's largest entries to a common level so it sums to budget.
+def _cap_rows_to_budget(rows: np.ndarray, p_min: float, p_max: float) -> np.ndarray:
+    """Lower each row's largest entries to a common level in [p_min, max
+    entry] so it sums to at most p_max, unless every entry sits at p_min.
 
-    Entries below the level are untouched.  Rows already within budget come
-    back unchanged.  Shape (k, m), entries finite.
+    Where the search's level leaves a pairwise sum over p_max by rounding,
+    the guard lowers it by the excess per capped entry, at least one float
+    step, never under p_min.  Shape (k, m), entries finite, at least p_min.
     """
     k, m = rows.shape
     u = np.sort(rows, axis=1)[:, ::-1]
     csum = np.cumsum(u, axis=1)
     tail = csum[:, -1:] - csum  # sum of entries strictly after the j-th largest
-    level = (budget - tail) / np.arange(1, m + 1, dtype=np.float64)
+    level = (p_max - tail) / np.arange(1, m + 1, dtype=np.float64)
     # smallest j whose level lands at or above the next entry down; the
     # smallest entry has none below it, so the last column always qualifies
     ok = np.empty((k, m), dtype=bool)
     np.greater_equal(level[:, :-1], u[:, 1:], out=ok[:, :-1])
     ok[:, -1] = True
-    w = level[np.arange(k), ok.argmax(axis=1)]
-    return np.minimum(rows, w[:, np.newaxis])
+    w = np.maximum(level[np.arange(k), ok.argmax(axis=1)], p_min)
+    out = np.minimum(rows, w[:, np.newaxis])
+    sums = np.add.reduce(out, axis=1)
+    todo = (sums > p_max).nonzero()[0]
+    while todo.size:  # the guard, from a level no higher than the largest entry
+        wi, ri = np.minimum(w[todo], u[todo, 0]), rows[todo]
+        step = (sums[todo] - p_max) / np.count_nonzero(ri >= wi[:, np.newaxis], axis=1)
+        w[todo] = wi = np.maximum(np.minimum(wi - step, np.nextafter(wi, -np.inf)), p_min)
+        out[todo] = fitted = np.minimum(ri, wi[:, np.newaxis])
+        sums[todo] = np.add.reduce(fitted, axis=1)
+        todo = todo[(sums[todo] > p_max) & (wi > p_min)]
+    return out
 
 
-def _fit_row_to_budget(row: np.ndarray, total: float, p_min: float, p_max: float) -> float:
-    """Project one clamped row, whose sum total is over p_max, in place,
-    and return the water level that capped it.
+def _fit_row_to_budget(row: np.ndarray, p_min: float, p_max: float) -> None:
+    """Project one clamped row in place: fit it if it sums over p_max.
 
-    Greedy's one-row fit, and greedy is its only caller:
-    _project_offdiag_rows' rescale, floor and _cap_rows_to_budget on a
-    single row, with the water-level search as a scan that stops at the
-    first level at or above the next entry down.  It evaluates the same IEEE
-    expressions in the same order (the prefix sums add left to right, as
-    np.cumsum does), so the result is bit-identical.  On one short row,
-    Python's sort and prefix sums cost less than numpy's calls.
+    Greedy's fit: _project_offdiag_rows' rescale, floor and cap on one row,
+    the search as a scan that stops at the first level at or above the
+    next entry down, and bit-identical to it: the same IEEE expressions in
+    the same order (prefix sums left to right, as np.cumsum adds them).  On
+    one short row, Python's sort and prefix sums cost less than numpy's.
     """
+    total = np.add.reduce(row)
+    if total <= p_max:
+        return
     scaled = row * (p_max / total)
     np.maximum(scaled, p_min, out=scaled)
     u = sorted(scaled.tolist(), reverse=True)
@@ -238,8 +250,12 @@ def _fit_row_to_budget(row: np.ndarray, total: float, p_min: float, p_max: float
             break
     else:  # the smallest entry has none below it
         level = p_max / len(u)
+    level = min(max(level, p_min), u[0])
     np.minimum(scaled, level, out=row)
-    return level
+    while (total := np.add.reduce(row)) > p_max and level > p_min:  # the guard
+        step = (total - p_max) / np.count_nonzero(scaled >= level)
+        level = max(min(level - step, np.nextafter(level, -np.inf)), p_min)
+        np.minimum(scaled, level, out=row)
 
 
 def _project_offdiag_rows(rows: np.ndarray, p_min: float, p_max: float) -> np.ndarray:
@@ -248,7 +264,8 @@ def _project_offdiag_rows(rows: np.ndarray, p_min: float, p_max: float) -> np.nd
     Clamp to the per-link bounds; rows over budget are rescaled
     multiplicatively, entries pushed under the floor are clamped back up,
     and the residual excess is absorbed by capping the largest entries.
-    Feasible rows pass through bit-identically.
+    Feasible rows pass through bit-identically; every output row is a fixed
+    point, as the cap's guard keeps it within budget (or all at p_min).
     Projects in place and returns rows, so the caller must own them.
     """
     np.maximum(rows, p_min, out=rows)
@@ -258,7 +275,7 @@ def _project_offdiag_rows(rows: np.ndarray, p_min: float, p_max: float) -> np.nd
     if over.any():
         scaled = rows[over] * (p_max / sums[over])[..., np.newaxis]
         np.maximum(scaled, p_min, out=scaled)
-        rows[over] = _cap_rows_to_budget(scaled, p_max)
+        rows[over] = _cap_rows_to_budget(scaled, p_min, p_max)
     return rows
 
 
@@ -275,8 +292,10 @@ def project_to_feasible(power: np.ndarray, params: ChannelParams) -> np.ndarray:
 
 
 def _uniform_power(problem: AllocationProblem) -> np.ndarray:
+    """The even split, projected: at 23 W its rows sum a rounding step over
+    budget at n = 13, 14, 16, 23 ..."""
     n = problem.n
-    return from_offdiag_rows(np.full((n, n - 1), problem.params.p_max_w / (n - 1)))
+    return project_to_feasible(np.full((n, n), problem.params.p_max_w / (n - 1)), problem.params)
 
 
 def _finish(
@@ -330,8 +349,8 @@ def greedy_pa(
 ) -> AllocationResult:
     """Shift power toward the worst link, away from the best, epoch by epoch.
 
-    Starts from the even split.  Each epoch multiplies the minimum-SNR
-    link's power by (1 + learn_rate) and the maximum-SNR link's by
+    Starts from the projected even split.  Each epoch multiplies the
+    minimum-SNR link's power by (1 + learn_rate) and the maximum-SNR link's by
     (1 - learn_rate), then reprojects onto the constraints.  Ties go to
     the first link in row-major order.  The best allocation seen so far
     (by min-SNR) is returned, so the objective history is non-decreasing.
@@ -342,19 +361,15 @@ def greedy_pa(
     returns: the best allocation, epochs_used, converged and history after
     that epoch, or the final ones if the run stopped at or before it.
 
-    The solve holds only the (n, n-1) off-diagonal rows, and each epoch
-    runs _project_offdiag_rows' steps on only the rows they can change,
-    mostly one or two.  It clamps the two links it moved, then sums the
-    raised link's row and the pending rows, and fits those over budget with
-    _fit_row_to_budget.  The pending rows are the even split's, where
-    rounding leaves them over budget or under the floor, and each row
-    fitted the epoch before, which rounding can leave a step over.
-    Every other row is a fixed point of the projection, the lowered link's
-    included: its one entry fell or was floored back to at most its old
-    value, and a pairwise sum cannot rise when an addend falls.  So the bits
-    are those of projecting every row.  The path loss is the problem's; the
-    rows and the best rows are allocated once per solve, each epoch's SNR is
-    _snr's fresh array, and only a rung's snapshot copies the best rows.
+    The solve holds only the (n, n-1) off-diagonal rows.  Each epoch clamps
+    the two links it moved and fits the raised link's row with
+    _fit_row_to_budget.  Invariant: every row is a fixed point of the
+    projection.  The projected even split's rows are, fitted rows are, and
+    the lowered link's one entry fell or was floored back to at most its
+    old value, so its row's pairwise sum cannot rise: the bits are those of
+    projecting every row.  The path loss is the problem's; the rows and the
+    best rows are allocated once per solve, each epoch's SNR is _snr's
+    fresh array, and only a rung's snapshot copies the best rows.
     """
     cfg = cfg or GreedyConfig()
     if not all(is_integer(r) and 1 <= r <= cfg.max_epochs for r in rungs):
@@ -371,12 +386,6 @@ def greedy_pa(
     worst = int(snr.argmin())
     best_obj = float(snr[worst])
     best_rows = rows.copy()  # refreshed in place on improvement
-    # the rows the next epoch must sum, each marked True where its entries
-    # may lie under p_min and so need the whole row clamped
-    even = rows[0]
-    pending = dict.fromkeys(
-        range(n) if np.add.reduce(even) > p_max or even.min() < p_min else (), True
-    )
     snapshots = dict.fromkeys(rungs)
     history = []  # one entry per epoch run
     stall = 0
@@ -386,18 +395,7 @@ def greedy_pa(
         links[strongest] *= 1.0 - cfg.learn_rate
         for k in (worst, strongest):  # as the projection clamps: max, then min
             links[k] = min(max(links.item(k), p_min), p_max)
-        pending.setdefault(worst // (n - 1), False)
-        fitting, pending = pending, {}
-        for i, floored in fitting.items():
-            row = rows[i]
-            if floored:
-                np.maximum(row, p_min, out=row)
-                np.minimum(row, p_max, out=row)
-            total = np.add.reduce(row)
-            if total > p_max:
-                # a fit's water level is under p_min only where (n-1) * p_min
-                # is p_max to a rounding step
-                pending[i] = _fit_row_to_budget(row, total, p_min, p_max) < p_min
+        _fit_row_to_budget(rows[worst // (n - 1)], p_min, p_max)
         snr = _snr(loss, rows, noise_w).reshape(-1)
         worst = int(snr.argmin())
         obj = float(snr[worst])
@@ -534,7 +532,7 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
 
     return _finish(
         problem,
-        from_offdiag_rows(_project_offdiag_rows(best_genes, p_min, p_max)),
+        from_offdiag_rows(best_genes),
         epochs_used=len(history) - 1,
         converged=stagnation >= cfg.stagnation_limit or best_fit >= certify_at,
         strategy_name="genetic",

@@ -27,7 +27,6 @@ from v2vaoi.allocator import (
     _finish,
     _fit_row_to_budget,
     _project_offdiag_rows,
-    _uniform_power,
     check_feasible,
     default_pa,
     exact_pa,
@@ -41,10 +40,12 @@ from v2vaoi.channel import (
     PowerMatrix,
     compute_delay_matrix,
     compute_snr_matrix,
+    offdiag_rows,
     offdiag_values,
 )
 from v2vaoi.errors import DomainError, FeasibilityError
 from v2vaoi.scenario import ScenarioSpec, generate_scene, load_distance_matrix
+from v2vaoi.seeds import derive_seed
 
 PARAMS = ChannelParams()
 
@@ -86,9 +87,11 @@ def _snr_reference(loss, powers, noise_w):
     return gain / (interference + noise_w)
 
 
-def _cap_rows_to_budget_reference(rows, budget):
-    """_cap_rows_to_budget as it stood with a -inf sentinel column and a
-    take_along_axis gather."""
+def _cap_rows_to_budget_reference(rows, p_min, budget):
+    """_cap_rows_to_budget's water-level search as it stood with a -inf
+    sentinel column and a take_along_axis gather, the level kept between
+    p_min and the row's largest entry, then the rounding guard as a plain
+    loop over the rows of a (k, m) array."""
     u = np.sort(rows, axis=-1)[..., ::-1]
     m = rows.shape[-1]
     csum = np.cumsum(u, axis=-1)
@@ -102,7 +105,17 @@ def _cap_rows_to_budget_reference(rows, budget):
     )
     first_ok = np.argmax(level >= nxt, axis=-1)
     w = np.take_along_axis(level, first_ok[..., np.newaxis], axis=-1)
-    return np.minimum(rows, w)
+    out = np.minimum(rows, np.clip(w, p_min, u[..., :1]))
+    for row, src in zip(out, rows):
+        level = row.max()
+        # lower the level while the pairwise sum is over budget: by the
+        # excess shared over the capped entries, at least one float step,
+        # never under the floor
+        while np.add.reduce(row) > budget and level > p_min:
+            step = (np.add.reduce(row) - budget) / np.sum(src >= level)
+            level = max(min(level - step, np.nextafter(level, -np.inf)), p_min)
+            row[:] = np.minimum(src, level)
+    return out
 
 
 def _project_offdiag_rows_reference(rows, p_min, p_max):
@@ -114,7 +127,7 @@ def _project_offdiag_rows_reference(rows, p_min, p_max):
     if over.any():
         scaled = out[over] * (p_max / sums[over])[..., np.newaxis]
         scaled = np.maximum(scaled, p_min)
-        out[over] = _cap_rows_to_budget_reference(scaled, p_max)
+        out[over] = _cap_rows_to_budget_reference(scaled, p_min, p_max)
     return out
 
 
@@ -324,16 +337,16 @@ def test_cap_rows_matches_reference_bit_for_bit(m):
     for _ in range(200):
         rows, sums, budgets = _cap_cases(rng, m, p_min)
         for budget in budgets:
-            got = _cap_rows_to_budget(rows, budget)
-            want = _cap_rows_to_budget_reference(rows, budget)
+            got = _cap_rows_to_budget(rows, p_min, budget)
+            want = _cap_rows_to_budget_reference(rows, p_min, budget)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         # rows rescaled to the budget and reclamped to the floor, the
         # projection's own input to the cap
         budget = 1.0
         scaled = np.maximum(rows * (budget / sums)[:, np.newaxis], p_min)
-        got = _cap_rows_to_budget(scaled, budget)
-        assert got.tobytes() == _cap_rows_to_budget_reference(scaled, budget).tobytes()
+        got = _cap_rows_to_budget(scaled, p_min, budget)
+        assert got.tobytes() == _cap_rows_to_budget_reference(scaled, p_min, budget).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 15, 31, 63])
@@ -346,11 +359,11 @@ def test_fit_row_matches_reference_bit_for_bit(m):
         rows, totals, budgets = _cap_cases(rng, m, p_min)
         for p_max in (*budgets, 1.0):
             scaled = np.maximum(rows * (p_max / totals)[:, np.newaxis], p_min)
-            want = _cap_rows_to_budget_reference(scaled, p_max)
+            want = _cap_rows_to_budget_reference(scaled, p_min, p_max)
             for row, total, want_row in zip(rows, totals, want):
                 got = row.copy()
-                _fit_row_to_budget(got, total, p_min, p_max)
-                assert got.tobytes() == want_row.tobytes()
+                _fit_row_to_budget(got, p_min, p_max)
+                assert got.tobytes() == (want_row if total > p_max else row).tobytes()
 
 
 # --- greedy -------------------------------------------------------------------
@@ -424,16 +437,19 @@ def _extreme_links(snr):
 
 def _greedy_reference(problem, cfg=None):
     """greedy_pa as a plain loop over full matrices, on the frozen kernels:
-    every epoch reprojects the whole matrix, recomputes the path loss and
-    validates a PowerMatrix."""
+    it starts from the projected even split, and every epoch reprojects the
+    whole matrix, recomputes the path loss and validates a PowerMatrix."""
     cfg = cfg or GreedyConfig()
     params = problem.params
+    n = problem.n
 
     def snr_of(p):
         loss = _path_loss_reference(params, problem.dist)
         return _snr_reference(loss, PowerMatrix(p).p, params.noise_w)
 
-    p = _uniform_power(problem)
+    p = np.full((n, n), params.p_max_w / (n - 1))
+    np.fill_diagonal(p, 0.0)
+    p = _project_matrix_reference(p, params)
     snr = snr_of(p)
     best_obj = float(offdiag_values(snr).min())
     best_p = p.copy()
@@ -524,6 +540,7 @@ def test_greedy_matches_reference_bit_for_bit(n, params, cfg):
     assert got.history == want.history
     assert got.epochs_used == want.epochs_used
     assert got.converged == want.converged
+    assert check_feasible(got.power, params) == ()
 
 
 def _assert_same_solve(got, want):
@@ -586,13 +603,12 @@ def test_greedy_rungs_validated():
 def _assert_projection_matches_frozen(rows, p_min, p_max):
     """Project rows, which the call may overwrite, and check the result."""
     want = _project_offdiag_rows_reference(rows.copy(), p_min, p_max)
-    within = np.clip(rows, p_min, p_max).sum(axis=-1) <= p_max
     got = _project_offdiag_rows(rows, p_min, p_max)
     assert got is rows  # projected in place
     assert got.tobytes() == want.tobytes()
-    # a row that was within budget after the clamp is a fixed point
-    again = _project_offdiag_rows(got[within], p_min, p_max)
-    assert again.tobytes() == got[within].tobytes()
+    # every projected row is a fixed point, the fitted ones included
+    again = _project_offdiag_rows(got.copy(), p_min, p_max)
+    assert again.tobytes() == got.tobytes()
 
 
 def _rows_with_over_budget(rng, n, count, p_min, p_max):
@@ -635,6 +651,16 @@ def test_projection_matches_frozen_and_flags_over_budget_rows():
                     _assert_projection_matches_frozen(rows.copy(), p_min, p_max)
                     # a stack of scenes, as the GA projects its population
                     _assert_projection_matches_frozen(rows.reshape(2, -1, n - 1), p_min, p_max)
+    # degenerate floors: (n-1) * p_min is p_max exactly, or to a rounding
+    # step, so fitted rows end at or near the floor
+    cases = [(24, 1.0, 23.0)]
+    cases += [(n, float(np.nextafter(1 / (n - 1), 1)), 1.0) for n in (3, 4, 7, 13, 24, 64)]
+    for n, p_min, p_max in cases:
+        for _ in range(20):
+            spread = np.exp(rng.uniform(-0.5, 0.5, size=(5, n, n - 1)))
+            rows = p_max / (n - 1) * spread * rng.uniform(0.9, 1.5, size=(5, n, 1))
+            rows[rng.random(rows.shape) < 0.2] = p_min
+            _assert_projection_matches_frozen(rows, p_min, p_max)
 
 
 # --- genetic ------------------------------------------------------------------
@@ -778,13 +804,9 @@ def _genetic_reference(problem, cfg=None):
             converged = True
             break
 
-    best_rows = _project_offdiag_rows_reference(
-        best_genes[np.newaxis].reshape(1, n, n - 1), params.p_min_w, params.p_max_w
-    )
-    best_matrix = _rows_to_matrices(best_rows, n)[0]
     return _finish(
         problem,
-        best_matrix,
+        _rows_to_matrices(best_genes.reshape(1, n, n - 1), n)[0],
         epochs_used=generations,
         converged=converged,
         strategy_name="genetic",
@@ -1047,3 +1069,28 @@ def test_all_strategies_feasible_on_random_instances():
             ):
                 violations = check_feasible(result.power, PARAMS)
                 assert violations == (), violations
+
+
+def _assert_fixed_point(result, params):
+    rows = offdiag_rows(result.power.p)
+    again = _project_offdiag_rows(rows.copy(), params.p_min_w, params.p_max_w)
+    assert again.tobytes() == rows.tobytes(), result.strategy_name
+
+
+@pytest.mark.parametrize("p_min", [PARAMS.p_min_w, 0.3], ids=["default-floor", "floor-0.3"])
+def test_solver_outputs_are_projection_fixed_points(p_min):
+    # default_pa, greedy_pa and genetic_pa return projected allocations, so
+    # projecting one again must not move a bit.  exact_pa is left out: it
+    # does not project, and its minimal powers may sit a rounding step
+    # under p_min.
+    params = ChannelParams(p_min_w=p_min)
+    for n in range(3, 65):
+        dist, _ = generate_scene(ScenarioSpec(n, rng_seed=derive_seed(0, 0)))
+        _assert_fixed_point(default_pa(AllocationProblem(params, dist)), params)
+    for n in (3, 4, 5, 8, 13, 16, 24, 32, 64):
+        for seed in range(3):
+            dist, _ = generate_scene(ScenarioSpec(n, rng_seed=derive_seed(seed, 0)))
+            prob = AllocationProblem(params, dist)
+            _assert_fixed_point(greedy_pa(prob, GreedyConfig(max_epochs=1000)), params)
+            cfg = GeneticConfig(max_generations=5, rng_seed=seed)
+            _assert_fixed_point(genetic_pa(prob, cfg), params)

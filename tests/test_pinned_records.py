@@ -72,11 +72,11 @@ PINNED_ON = ("2.4.6", "3.11.7")
 # stdout, --out, --plot-out (None outside compare) and stderr)
 PINNED = {
     ("solve --n 64 --epochs 1000 --seed 1", "records"):
-        (0, "8608dbbb0efbb8a5", "d6b4f11d2602831e", None, "e3b0c44298fc1c14"),
+        (0, "8608dbbb0efbb8a5", "755d577c7b0efade", None, "e3b0c44298fc1c14"),
     ("solve --n 64 --epochs 1000 --seed 1", "text"):
         (0, "8608dbbb0efbb8a5", "8608dbbb0efbb8a5", None, "e3b0c44298fc1c14"),
     ("solve --n 16 --p-min 1 --epochs 1000 --seed 2", "records"):
-        (0, "247c9e6b9b2be444", "95d44b2e0c92ecd2", None, "e3b0c44298fc1c14"),
+        (0, "247c9e6b9b2be444", "7db7ffa2bc54c921", None, "e3b0c44298fc1c14"),
     ("solve --n 16 --p-min 1 --epochs 1000 --seed 2", "text"):
         (0, "247c9e6b9b2be444", "247c9e6b9b2be444", None, "e3b0c44298fc1c14"),
     ("solve --strategy genetic --n 4 --p-min 5 --generations 300", "records"):
@@ -88,7 +88,7 @@ PINNED = {
     ("solve --strategy default --n 2", "text"):
         (0, "1bd1b5c3da887be9", "1bd1b5c3da887be9", None, "e3b0c44298fc1c14"),
     ("solve --n 5 --rate-factor 0.2154 --seed 3", "records"):
-        (0, "ef60d2591e743ad5", "60d45f47e11874fe", None, "e3b0c44298fc1c14"),
+        (0, "ef60d2591e743ad5", "32f4cc8122d8c09a", None, "e3b0c44298fc1c14"),
     ("solve --n 5 --rate-factor 0.2154 --seed 3", "text"):
         (0, "ef60d2591e743ad5", "ef60d2591e743ad5", None, "e3b0c44298fc1c14"),
     ("solve --scene tri.txt", "records"):
@@ -96,13 +96,13 @@ PINNED = {
     ("solve --scene tri.txt", "text"):
         (0, "3c7da3d5abd9525c", "3c7da3d5abd9525c", None, "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400", "records"):
-        (0, "565f9da3d00b1d26", "3a42339caa43ed9f", "8517e0273437effa", "e3b0c44298fc1c14"),
+        (0, "565f9da3d00b1d26", "6df16f38da430fa0", "3dc1e4650da9e2d1", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400", "text"):
-        (0, "565f9da3d00b1d26", "565f9da3d00b1d26", "8517e0273437effa", "e3b0c44298fc1c14"),
+        (0, "565f9da3d00b1d26", "565f9da3d00b1d26", "3dc1e4650da9e2d1", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400 --jobs 2", "records"):
-        (0, "565f9da3d00b1d26", "3a42339caa43ed9f", "8517e0273437effa", "e3b0c44298fc1c14"),
+        (0, "565f9da3d00b1d26", "6df16f38da430fa0", "3dc1e4650da9e2d1", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400 --jobs 2", "text"):
-        (0, "565f9da3d00b1d26", "565f9da3d00b1d26", "8517e0273437effa", "e3b0c44298fc1c14"),
+        (0, "565f9da3d00b1d26", "565f9da3d00b1d26", "3dc1e4650da9e2d1", "e3b0c44298fc1c14"),
     ("compare --n 2 --trials 1 --epochs 20 --generations 20", "records"):
         (0, "2b7d1d7deef3ebdd", "5996bbf03c42e2e7", "59786a0f7b15e387", "e3b0c44298fc1c14"),
     ("compare --n 2 --trials 1 --epochs 20 --generations 20", "text"):
@@ -116,11 +116,11 @@ PINNED = {
     ("aoi --n 4 --seed 9 --looptime 0.3 --rate-factor 0.2154", "text"):
         (0, "299d579c38960231", "299d579c38960231", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2", "records"):
-        (0, "520b186cdb7fa9f1", "6327a4fcbda6ce17", None, "e3b0c44298fc1c14"),
+        (0, "520b186cdb7fa9f1", "362d9fecf1fa10fe", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2", "text"):
         (0, "520b186cdb7fa9f1", "520b186cdb7fa9f1", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2 --gap-threshold 0", "records"):
-        (2, "1d0a7c1ea527e396", "25d8858b8cde5e0b", None, "e3b0c44298fc1c14"),
+        (2, "1d0a7c1ea527e396", "fba1156939918c1a", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2 --gap-threshold 0", "text"):
         (2, "1d0a7c1ea527e396", "1d0a7c1ea527e396", None, "e3b0c44298fc1c14"),
     ("verify --scene tri.txt --instances 1 --epochs 300 --generations 300", "records"):
