@@ -183,7 +183,9 @@ def test_exact_solve(benchmark):
 def test_build_aoi_records(benchmark):
     delay = exact_pa(problem(64)).delay_s
     ages = benchmark(build_aoi_records, delay, AoiConfig(compute_delay_s=0.05))
+    # one flat age per link: perfbench counts records as len() of this array
     assert len(ages) == 64 * 64
+    assert ages.dtype == np.float64 and not ages.flags.writeable
 
 
 @pytest.fixture(scope="module")

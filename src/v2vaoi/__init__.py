@@ -13,7 +13,7 @@ from .allocator import (
     greedy_pa,
     project_to_feasible,
 )
-from .aoi import AoiAges, AoiConfig, AoiSummary, aoi_summary, build_aoi_records, probabilistic_round
+from .aoi import AoiConfig, AoiSummary, aoi_summary, build_aoi_records
 from .channel import (
     ChannelParams,
     DistanceMatrix,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, check_integers
+from .errors import DimensionMismatchError, DomainError, check_finite, check_integers
 
 
 @dataclass(frozen=True)
@@ -35,25 +35,6 @@ class AoiConfig:
         if self.per_vehicle_compute_delay_s is not None:
             if not all(0 <= v < math.inf for v in self.per_vehicle_compute_delay_s):
                 raise DomainError("per-vehicle compute delays must be nonnegative and finite")
-
-
-# eq=False: a generated __eq__ would ask arrays for a single truth value
-@dataclass(frozen=True, eq=False)
-class AoiAges:
-    """Age bookkeeping of every directed link (sender i, receiver j) as
-    read-only (n, n) arrays, self-links included.
-
-    total_delay_s[i, j] is the transmission delay (0 on the diagonal) plus
-    sender i's computation delay; snapped_age_s always equals
-    timestamp_offset * the sampling period.  len() counts the links, n * n.
-    """
-
-    total_delay_s: np.ndarray
-    timestamp_offset: np.ndarray
-    snapped_age_s: np.ndarray
-
-    def __len__(self) -> int:
-        return self.snapped_age_s.size
 
 
 @dataclass(frozen=True)
@@ -93,66 +74,54 @@ def _round_offsets(
     return offset + up
 
 
-def probabilistic_round(
-    delay_s: float, period_s: float, rng: np.random.Generator
-) -> float:
-    """Stochastically round a delay to the sampling grid, preserving its mean.
-
-    Returns floor(delay/period) * period with probability 1 - f and the next
-    grid point up with probability f, where f is the fractional part, so the
-    expected value equals the input delay.  Exact multiples never move.
-    """
-    offset = _round_offsets(np.array([delay_s], dtype=np.float64), period_s, rng)[0]
-    return float(offset * period_s)
-
-
-def build_aoi_records(delay_s, cfg: AoiConfig) -> AoiAges:
-    """Ages of every ordered vehicle pair, self-links included.
+def build_aoi_records(delay_s, cfg: AoiConfig) -> np.ndarray:
+    """Snapped age of every ordered vehicle pair (sender i, receiver j),
+    self-links included, as a read-only float64 array of n * n ages in
+    row-major link order.
 
     delay_s is a square matrix of transmission delays in seconds, such as
     AllocationResult.delay_s or all zeros for the zero-delay mode; its
     diagonal is ignored.  Self-links carry computation delay only.
-    Deterministic per seed.
+    Deterministic per seed.  An age past the float range comes out as inf,
+    which aoi_summary refuses.
     """
-    delay = np.asarray(delay_s, dtype=np.float64)
-    if delay.ndim != 2 or delay.shape[0] != delay.shape[1]:
-        raise DimensionMismatchError(f"expected a square delay matrix, got shape {delay.shape}")
-    if np.any(delay < 0):
+    comm = np.array(delay_s, dtype=np.float64)  # a copy: its diagonal is zeroed
+    if comm.ndim != 2 or comm.shape[0] != comm.shape[1]:
+        raise DimensionMismatchError(f"expected a square delay matrix, got shape {comm.shape}")
+    if np.any(comm < 0):
         raise DomainError("delays must be nonnegative")
-    n = delay.shape[0]
+    n = comm.shape[0]
     overrides = cfg.per_vehicle_compute_delay_s
     if overrides is not None and len(overrides) != n:
         raise DimensionMismatchError(
             f"{len(overrides)} per-vehicle compute delays for {n} vehicles"
         )
-    compute = np.array(
-        cfg.compute_delay_s if overrides is None else overrides, dtype=np.float64
-    )
-    comm = np.array(delay, dtype=np.float64)
+    compute = np.array(cfg.compute_delay_s if overrides is None else overrides, dtype=np.float64)
     np.fill_diagonal(comm, 0.0)
-    total = comm + compute.reshape(-1, 1)  # row i is sender i
-    offset = _round_offsets(total, cfg.sample_period_s, np.random.default_rng(cfg.rng_seed))
-    if not np.all(offset < 2.0**63):
-        raise DomainError("an age beyond 2**63 sampling periods has no int64 offset")
-    snapped = offset * cfg.sample_period_s
-    offset = offset.astype(np.int64)
-    for a in (total, offset, snapped):
-        a.flags.writeable = False
-    return AoiAges(total_delay_s=total, timestamp_offset=offset, snapped_age_s=snapped)
+    with np.errstate(over="ignore"):
+        total = (comm + compute.reshape(-1, 1)).ravel()  # row i is sender i
+        offset = _round_offsets(total, cfg.sample_period_s, np.random.default_rng(cfg.rng_seed))
+        ages = offset * cfg.sample_period_s
+    ages.flags.writeable = False
+    return ages
 
 
 def aoi_summary(snapped_ages, looptime_s: float) -> AoiSummary:
-    """Exact aggregates over snapped ages; staleness is strict exceedance."""
+    """Exact aggregates over snapped ages; staleness is strict exceedance.
+
+    A statistic past the float range is an error, never an inf in a record.
+    """
     # flattened, so the reductions run in row-major link order whatever the strides
     ages = np.asarray(snapped_ages, dtype=np.float64).ravel()
     if ages.size == 0:
         raise DomainError("cannot summarize an empty age array")
-    max_age = float(ages.max())
-    mean_age = float(ages.mean())
-    # identical ages have exactly zero variance; np.var would leak the
-    # rounding of the mean back in as ~1e-34
-    variance = 0.0 if max_age == float(ages.min()) else float(ages.var())
-    return AoiSummary(
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_age = float(ages.max())
+        mean_age = float(ages.mean())
+        # identical ages have exactly zero variance; np.var would leak the
+        # rounding of the mean back in as ~1e-34
+        variance = 0.0 if max_age == float(ages.min()) else float(ages.var())
+    summary = AoiSummary(
         max_age_s=max_age,
         mean_age_s=mean_age,
         age_variance=variance,
@@ -160,3 +129,6 @@ def aoi_summary(snapped_ages, looptime_s: float) -> AoiSummary:
         effective_max_age_s=max_age + looptime_s,
         effective_mean_age_s=mean_age + looptime_s,
     )
+    for name, value in vars(summary).items():
+        check_finite(name, value)
+    return summary

@@ -20,6 +20,7 @@ runs its trials serially; it accepts --jobs and ignores its value.
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -340,7 +341,7 @@ def cmd_aoi(cfg: dict, solvers: ComparisonConfig) -> list:
     modes += [(name, result.delay_s) for name, result in solved.items()]
     records = [_config_record(cfg)]
     for mode, delays in modes:
-        ages = build_aoi_records(delays, aoi_cfg).snapped_age_s
+        ages = build_aoi_records(delays, aoi_cfg)
         summary = aoi_summary(ages, aoi_cfg.looptime_s)
         estimate = estimate_scene_ap(ages)
         records.append(
@@ -423,13 +424,18 @@ def main(argv=None) -> int:
         if cfg.get("plot_out"):  # a compare flag
             _write_file(cfg["plot_out"], _plot_series(records))
         text = render(records)
-        print(text)
         if cfg["out"] and cfg["format"] == "records":
             _write_file(cfg["out"], "".join(json.dumps(rec) + "\n" for rec in records))
         elif cfg["out"]:
             _write_file(cfg["out"], text + "\n")
+        print(text, flush=True)
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left early (say, `| head`); stdout goes to devnull so
+        # that the flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0 if records[-1].get("ok", True) else 2
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the integer rule that
-every config applies to its counts and seeds."""
+"""Exception types shared across the package, the integer rule that every
+config applies to its counts and seeds, and the finiteness rule that every
+reported statistic obeys."""
 
+import math
 from numbers import Integral
 
 
@@ -54,3 +56,12 @@ def check_integers(cfg, *fields: str, least: int | None = None) -> None:
             raise DomainError(f"{name} must be an integer, got {value!r}")
         if least is not None and value < least:
             raise DomainError(f"{name} must be at least {least}")
+
+
+def check_finite(name: str, value) -> float:
+    """value as a float; a statistic past the float range is an error, never
+    an inf or NaN in a record."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} overflows the float range")
+    return value

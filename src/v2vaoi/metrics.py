@@ -19,7 +19,7 @@ from .allocator import (
     greedy_pa,
 )
 from .channel import ChannelParams, DistanceMatrix, offdiag_values
-from .errors import DimensionMismatchError, DomainError, SimulationError, is_integer
+from .errors import DimensionMismatchError, DomainError, SimulationError, check_finite, is_integer
 from .scenario import ScenarioSpec, generate_scene
 from .seeds import derive_seed
 
@@ -35,7 +35,8 @@ def delay_rmse(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = offdiag_values(a) - offdiag_values(b)
-    return float(np.sqrt(np.mean(diff**2)))
+    with np.errstate(over="ignore"):
+        return check_finite("delay RMSE", np.sqrt(np.mean(diff**2)))
 
 
 def delay_variance(d: np.ndarray) -> float:
@@ -43,12 +44,14 @@ def delay_variance(d: np.ndarray) -> float:
     vals = offdiag_values(d)
     if vals.max() == vals.min():  # exactly zero, not mean-rounding dust
         return 0.0
-    return float(np.var(vals))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return check_finite("delay variance", np.var(vals))
 
 
 def delay_mean(d: np.ndarray) -> float:
     """Arithmetic mean of the off-diagonal delays, in seconds."""
-    return float(np.mean(offdiag_values(d)))
+    with np.errstate(over="ignore"):
+        return check_finite("delay mean", np.mean(offdiag_values(d)))
 
 
 @dataclass(frozen=True)
@@ -179,17 +182,16 @@ def run_comparison(spec: ScenarioSpec, trials: int, config: ComparisonConfig | N
             raise SimulationError(f"trial {t} failed: {exc}") from exc
 
     per_trial = [record for record, _ in runs]
-    aggregates = [
-        {
-            "strategy": name,
-            "rmse_vs_reference": float(
-                np.mean([rec["strategies"][idx]["rmse_vs_reference"] for rec in per_trial])
-            ),
-            "delay_variance": float(np.mean([delay_variance(d[name]) for _, d in runs])),
-            "delay_mean": float(np.mean([delay_mean(d[name]) for _, d in runs])),
+    aggregates = []
+    for idx, name in enumerate(runs[0][1]):
+        series = {
+            "rmse_vs_reference": [rec["strategies"][idx]["rmse_vs_reference"] for rec in per_trial],
+            "delay_variance": [delay_variance(d[name]) for _, d in runs],
+            "delay_mean": [delay_mean(d[name]) for _, d in runs],
         }
-        for idx, name in enumerate(runs[0][1])
-    ]
+        with np.errstate(over="ignore"):
+            agg = {k: check_finite(f"mean {k} over trials", np.mean(v)) for k, v in series.items()}
+        aggregates.append({"strategy": name, **agg})
     return {
         "type": "comparison",
         "n": int(spec.n_vehicles),  # numpy integers are not JSON

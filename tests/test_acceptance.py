@@ -16,7 +16,7 @@ from v2vaoi.allocator import (
     genetic_pa,
     greedy_pa,
 )
-from v2vaoi.aoi import _round_offsets, probabilistic_round
+from v2vaoi.aoi import _round_offsets
 from v2vaoi.channel import (
     ChannelParams,
     DistanceMatrix,
@@ -159,11 +159,12 @@ def test_criterion_5_payload_linearity(tmp_path):
 
 
 def test_criterion_6_probabilistic_rounding_statistics():
-    # one array call draws what 100,000 probabilistic_round calls would
+    # one array call draws what 100,000 one-delay calls would
     rng = np.random.default_rng(20260808)
     draws = _round_offsets(np.full(100_000, 0.25), 0.1, rng) * 0.1
     loop_rng = np.random.default_rng(20260808)
-    loop = np.array([probabilistic_round(0.25, 0.1, loop_rng) for _ in range(1000)])
+    one = np.array([0.25])
+    loop = np.array([_round_offsets(one, 0.1, loop_rng)[0] * 0.1 for _ in range(1000)])
     assert draws[:1000].tobytes() == loop.tobytes()
     values = set(np.unique(draws))
     values_ok = values == {2 * 0.1, 3 * 0.1}

@@ -1,4 +1,4 @@
-"""Probabilistic rounding to the sampling grid and per-link age arrays."""
+"""Probabilistic rounding to the sampling grid, per-link ages and their summary."""
 
 import math
 from dataclasses import dataclass
@@ -14,7 +14,6 @@ from v2vaoi.aoi import (
     _round_offsets,
     aoi_summary,
     build_aoi_records,
-    probabilistic_round,
 )
 from v2vaoi.channel import ChannelParams
 from v2vaoi.errors import DimensionMismatchError, DomainError
@@ -22,27 +21,32 @@ from v2vaoi.proxy import estimate_scene_ap
 from v2vaoi.scenario import ScenarioSpec, generate_scene
 
 
+def round_one(delay, period, rng):
+    """One delay snapped to the grid: _round_offsets on a one-element array."""
+    return float(_round_offsets(np.array([delay]), period, rng)[0] * period)
+
+
 def test_exact_multiple_never_moves():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        assert probabilistic_round(0.2, 0.1, rng) == 0.2
+        assert round_one(0.2, 0.1, rng) == 0.2
 
 
 def test_zero_delay_stays_zero():
     rng = np.random.default_rng(0)
-    assert probabilistic_round(0.0, 0.1, rng) == 0.0
+    assert round_one(0.0, 0.1, rng) == 0.0
 
 
 def rounded_draws(delay, period, rng, count):
-    """count probabilistic_round(delay, period, rng) draws in one array
-    call: one uniform per draw, in order, so the same bits as the loop."""
+    """count round_one(delay, period, rng) draws in one array call: one
+    uniform per draw, in order, so the same bits as the loop."""
     return _round_offsets(np.full(count, delay), period, rng) * period
 
 
 def assert_head_matches_scalar_loop(draws, seed, delay, period):
-    # the first 1000 array draws are the scalar loop's on a fresh generator
+    # the first 1000 array draws are the one-delay loop's on a fresh generator
     rng = np.random.default_rng(seed)
-    loop = np.array([probabilistic_round(delay, period, rng) for _ in range(1000)])
+    loop = np.array([round_one(delay, period, rng) for _ in range(1000)])
     assert draws[:1000].tobytes() == loop.tobytes()
 
 
@@ -58,12 +62,12 @@ def test_halfway_point_statistics():
 def test_negative_delay_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
-        probabilistic_round(-0.1, 0.1, rng)
+        round_one(-0.1, 0.1, rng)
     with pytest.raises(DomainError):
-        probabilistic_round(0.1, 0.0, rng)
+        round_one(0.1, 0.0, rng)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(DomainError):
-            probabilistic_round(bad, 0.1, rng)
+            round_one(bad, 0.1, rng)
         with pytest.raises(DomainError):
             build_aoi_records([[0.0, bad], [0.5, 0.0]], AoiConfig())
 
@@ -76,7 +80,7 @@ def test_negative_delay_rejected():
 )
 def test_snapped_age_on_grid_within_one_period(delay, period, seed):
     rng = np.random.default_rng(seed)
-    snapped = probabilistic_round(delay, period, rng)
+    snapped = round_one(delay, period, rng)
     offset = round(snapped / period)
     assert snapped == offset * period
     assert abs(snapped - delay) < period * (1 + 1e-9)
@@ -113,19 +117,36 @@ def test_records_cover_all_ordered_pairs_with_self_links():
     d = delay_matrix_3()
     np.fill_diagonal(d, 0.9)  # a raw diagonal is ignored: self-links carry compute only
     ages = build_aoi_records(d, cfg)
-    assert len(ages) == 9
-    for a in (ages.total_delay_s, ages.timestamp_offset, ages.snapped_age_s):
-        assert a.shape == (3, 3)
-        assert not a.flags.writeable
-    assert ages.timestamp_offset.dtype == np.int64
+    # flat, in row-major link order, so len() counts the links
+    assert ages.shape == (9,) and len(ages) == 9
+    assert ages.dtype == np.float64
+    assert not ages.flags.writeable
     comm = d.copy()
     np.fill_diagonal(comm, 0.0)
-    np.testing.assert_array_equal(ages.total_delay_s, comm + 0.1)
-    np.testing.assert_array_equal(np.diag(ages.total_delay_s), [0.1, 0.1, 0.1])
-    np.testing.assert_array_equal(
-        ages.snapped_age_s, ages.timestamp_offset * cfg.sample_period_s
+    total = (comm + 0.1).ravel()
+    offsets = np.round(ages / cfg.sample_period_s)
+    np.testing.assert_array_equal(ages, offsets * cfg.sample_period_s)  # on the grid
+    assert np.all(np.abs(ages - total) < cfg.sample_period_s)
+
+
+def test_grid_delays_are_their_own_ages():
+    # on a power-of-two grid every total delay is an exact multiple of the
+    # period, so it draws nothing and each age is its link's total delay
+    period, n = 0.125, 4
+    d = np.random.default_rng(5).integers(0, 9, size=(n, n)) * period
+    np.fill_diagonal(d, 7 * period)  # ignored: self-links carry compute only
+    overrides = (0.0, 0.25, 0.5, 1.375)
+    cfg = AoiConfig(
+        sample_period_s=period, looptime_s=period, per_vehicle_compute_delay_s=overrides
     )
-    assert np.all(np.abs(ages.snapped_age_s - ages.total_delay_s) < cfg.sample_period_s)
+    ages = build_aoi_records(d, cfg).reshape(n, n)
+    np.testing.assert_array_equal(np.diag(ages), overrides)
+    for i in range(n):  # row i carries sender i's compute delay
+        want = d[i] + overrides[i]
+        want[i] = overrides[i]
+        np.testing.assert_array_equal(ages[i], want)
+    reference = np.array([r.total_delay_s for r in _aoi_reference(d, cfg)])
+    assert ages.tobytes() == reference.tobytes()
 
 
 def test_records_half_period_split():
@@ -135,38 +156,32 @@ def test_records_half_period_split():
         ages = build_aoi_records(
             np.array([[0.0, 0.05], [0.05, 0.0]]), AoiConfig(rng_seed=seed)
         )
-        seen.update(ages.timestamp_offset[off_diagonal].tolist())
-    assert seen == {0, 1}
+        seen.update(ages.reshape(2, 2)[off_diagonal].tolist())
+    assert seen == {0.0, 0.1}
 
 
 def test_records_exact_compute_delay():
     ages = build_aoi_records(np.zeros((2, 2)), AoiConfig(compute_delay_s=0.1))
-    assert np.all(ages.snapped_age_s == 0.1)
+    assert np.all(ages == 0.1)
 
 
 def test_records_all_zero():
     ages = build_aoi_records(np.zeros((3, 3)), AoiConfig())
-    assert np.all(ages.snapped_age_s == 0.0)
-    assert np.all(ages.timestamp_offset == 0)
+    assert np.all(ages == 0.0)
 
 
 def test_records_deterministic_per_seed():
     cfg = AoiConfig(rng_seed=21)
     a = build_aoi_records(delay_matrix_3(), cfg)
     b = build_aoi_records(delay_matrix_3(), cfg)
-    for x, y in (
-        (a.total_delay_s, b.total_delay_s),
-        (a.timestamp_offset, b.timestamp_offset),
-        (a.snapped_age_s, b.snapped_age_s),
-    ):
-        assert x.tobytes() == y.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_records_per_vehicle_override():
-    cfg = AoiConfig(per_vehicle_compute_delay_s=(0.1, 0.3), rng_seed=0)
+    # on the grid, so each sender's age is its compute delay exactly
+    cfg = AoiConfig(per_vehicle_compute_delay_s=(0.1, 0.4), rng_seed=0)
     ages = build_aoi_records(np.zeros((2, 2)), cfg)
-    assert ages.total_delay_s[0, 1] == 0.1
-    assert ages.total_delay_s[1, 0] == 0.3
+    assert ages.tolist() == [0.1, 0.1, 0.4, 0.4]
     with pytest.raises(DimensionMismatchError):
         build_aoi_records(np.zeros((3, 3)), cfg)
 
@@ -176,8 +191,24 @@ def test_records_reject_bad_matrices():
         build_aoi_records(np.zeros((2, 3)), AoiConfig())
     with pytest.raises(DomainError):
         build_aoi_records([[0.0, -0.1], [0.1, 0.0]], AoiConfig())
-    with pytest.raises(DomainError):  # 1e301 sampling periods: no int64 offset
-        build_aoi_records(np.zeros((2, 2)), AoiConfig(compute_delay_s=1e300))
+
+
+def test_ages_past_int64_offsets_are_finite():
+    # 1e301 sampling periods: beyond any int64 offset, yet a finite age
+    ages = build_aoi_records(np.zeros((2, 2)), AoiConfig(compute_delay_s=1e300))
+    assert np.all(np.isfinite(ages)) and np.all(np.abs(ages - 1e300) <= 0.1)
+    summary = aoi_summary(ages, 0.1)
+    assert all(math.isfinite(v) for v in vars(summary).values())
+
+
+def test_age_past_the_float_range_is_inf_without_a_warning():
+    # the offset is finite, but the offset times a 3 s period is not
+    top = np.finfo(np.float64).max
+    cfg = AoiConfig(compute_delay_s=top, sample_period_s=3.0, looptime_s=3.0)
+    ages = build_aoi_records(np.zeros((2, 2)), cfg)  # RuntimeWarnings are errors here
+    assert np.all(np.isinf(ages))
+    with pytest.raises(DomainError, match="^max_age_s overflows the float range$"):
+        aoi_summary(ages, cfg.looptime_s)
 
 
 # --- the per-link loop the arrays replaced, kept as the reference -------------
@@ -287,25 +318,19 @@ def test_ages_match_reference_bit_for_bit(n, seed, compute, overrides, source):
     want = _aoi_reference(delays, cfg)
     assert len(ages) == len(want) == n * n
     assert [r.link for r in want] == [(i, j) for i in range(n) for j in range(n)]
-    total = np.array([r.total_delay_s for r in want]).reshape(n, n)
-    offset = np.array([r.timestamp_offset for r in want], dtype=np.int64).reshape(n, n)
-    snapped = np.array([r.snapped_age_s for r in want]).reshape(n, n)
-    assert ages.total_delay_s.tobytes() == total.tobytes()
-    assert ages.timestamp_offset.tobytes() == offset.tobytes()
-    assert ages.snapped_age_s.tobytes() == snapped.tobytes()
-    flat = np.array([r.snapped_age_s for r in want])
-    assert aoi_summary(ages.snapped_age_s, 0.1) == aoi_summary(flat, 0.1)
-    assert estimate_scene_ap(ages.snapped_age_s) == estimate_scene_ap(flat)
+    snapped = np.array([r.snapped_age_s for r in want])
+    assert ages.tobytes() == snapped.tobytes()
+    assert aoi_summary(ages, 0.1) == aoi_summary(snapped, 0.1)
+    assert estimate_scene_ap(ages) == estimate_scene_ap(snapped)
 
 
-def test_scalar_round_matches_reference():
+def test_one_delay_round_matches_reference():
     delays = np.concatenate([_reference_delays(16, 4).ravel(), [0.1, 0.3, 7.25, 1e20]])
     got_rng = np.random.default_rng(12)
     want_rng = np.random.default_rng(12)
     for delay in delays.tolist():
-        got = probabilistic_round(delay, 0.1, got_rng)
+        got = round_one(delay, 0.1, got_rng)
         want = _round_offset(delay, 0.1, want_rng) * 0.1
-        assert type(got) is float
         assert got == want
     assert got_rng.random() == want_rng.random()
 
@@ -355,6 +380,21 @@ def test_summary_equal_ages_zero_variance():
     s = aoi_summary(np.full((3, 3), 0.2), looptime_s=0.1)
     assert s.age_variance == 0.0
     assert s.stale_count == 9
+
+
+@pytest.mark.parametrize(
+    "ages, looptime, statistic",
+    [
+        ([1e308, 1e308], 0.1, "mean_age_s"),
+        ([0.0, 1e200], 0.1, "age_variance"),
+        ([1e308], 1e308, "effective_max_age_s"),
+        ([np.inf, 0.0], 0.1, "max_age_s"),
+    ],
+)
+def test_summary_refuses_a_statistic_past_the_float_range(ages, looptime, statistic):
+    # one rule for every reported statistic, with no RuntimeWarning first
+    with pytest.raises(DomainError, match=f"^{statistic} overflows the float range$"):
+        aoi_summary(np.array(ages), looptime_s=looptime)
 
 
 def test_summary_rejects_empty():

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: reports, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -369,7 +370,6 @@ def test_text_format_writes_report(tmp_path):
         ["solve", "--n", "3", "--alpha", "400"],
         ["solve", "--n", "3", "--min-sep", "0.0001", "--box-side", "0.01", "--alpha", "200"],
         ["solve", "--scene", "{tmp}/tri_half_metre.txt", "--alpha", "1025"],
-        ["aoi", "--compute-delay", "1e300"],
         ["verify", "--n", "3", "--instances", "1", "--gap-threshold", "-0.5"],
         ["verify", "--n", "3", "--instances", "1", "--gap-threshold", "1.5"],
         ["solve", "--seed", "-1"],
@@ -481,6 +481,59 @@ def test_snr_out_of_float_range_is_one_error_line(args, tmp_path, capsys):
     assert " W over noise_w " in err and " overflows the SNR at path loss " in err
 
 
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        ("aoi --n 3 --compute-delay 1e308 --period 1 --looptime 1e308",
+         "error: mean_age_s overflows the float range\n"),
+        ("aoi --n 3 --payload 1e200", "error: age_variance overflows the float range\n"),
+        ("aoi --n 3 --noise 1e300", "error: age_variance overflows the float range\n"),
+        ("aoi --n 3 --compute-delay 1.7976931348623157e308 --period 3 --looptime 3",
+         "error: max_age_s overflows the float range\n"),
+        ("compare --n 3 --trials 1 --noise 1e300 --epochs 20 --generations 20",
+         "error: trial 0 failed: delay RMSE overflows the float range\n"),
+    ],
+)
+def test_statistic_out_of_float_range_is_one_error_line(args, err, tmp_path, capsys):
+    # every age or delay is finite, but a statistic a record would carry is
+    # not: the record is refused by name, with no warning and no file
+    out = tmp_path / "records.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([*args.split(), "--out", out]) == 1
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(map(_all_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_all_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "aoi --compute-delay 1e300",
+        "aoi --n 3 --payload 1e27 --seed 1",
+    ],
+)
+def test_ages_beyond_int64_offsets_are_reported(args, tmp_path, capsys):
+    # ages of more than 2**63 sampling periods are finite floats, so the
+    # report is written, every number in it finite
+    out = tmp_path / "aoi.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([*args.split(), "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    records = read_records(out)
+    assert [r["mode"] for r in records[1:]] == ["zero_delay", "default", "greedy"]
+    assert records[-1]["max_age_s"] > 2.0**63 * records[0]["period"]
+    assert _all_finite(records)
+
+
 def test_tiny_snr_reports_its_true_delay(tmp_path, capsys):
     # an SNR near 3e-305 is reported with its own delay, near 2e304 s, and
     # no warning
@@ -522,17 +575,35 @@ def test_help_exits_0(capsys):
 )
 def test_python_m_cli_runs_the_command(args, code, stdout_head, stderr):
     # `python -m v2vaoi.cli` runs main and exits with its code, as the console script does
-    src = str(Path(v2vaoi.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "v2vaoi.cli", *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-m", "v2vaoi.cli", *args], capture_output=True, text=True, env=_env()
     )
     assert proc.returncode == code
     assert proc.stdout.splitlines()[:1] == stdout_head
     assert proc.stderr.splitlines() == stderr
+
+
+def _env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(v2vaoi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_closed_stdout_exits_1_quietly():
+    # a reader that leaves early, as `| head -1` does, ends the command with
+    # exit 1 and a silent stderr; the report (~170 kB) outgrows a pipe buffer,
+    # so the command is still writing when the pipe closes
+    argv = [sys.executable, "-m", "v2vaoi.cli", "solve", "--n", "64", "--epochs", "10",
+            "--format", "text"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env()
+    ) as proc:
+        assert proc.stdout.read(16) == b"scene: generated"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 _DEFAULT_CONFIG = {

@@ -13,7 +13,6 @@ import v2vaoi
 PUBLIC_NAMES = {
     "AllocationProblem",
     "AllocationResult",
-    "AoiAges",
     "AoiConfig",
     "AoiSummary",
     "BACKBONE_CURVE",
@@ -46,7 +45,6 @@ PUBLIC_NAMES = {
     "greedy_pa",
     "load_distance_matrix",
     "offdiag_values",
-    "probabilistic_round",
     "project_to_feasible",
     "run_comparison",
     "save_distance_matrix",
