@@ -97,6 +97,15 @@ def test_greedy_solve(benchmark, n):
     assert result.epochs_used == 1000
 
 
+def test_greedy_plateau_stop(benchmark):
+    # the default config at n = 3 stops by its plateau rule, so this times
+    # each epoch's stop-rule step up to the stop (the 1000-epoch solves
+    # above never reach it)
+    cfg = GreedyConfig()
+    result = benchmark(greedy_pa, problem(3), cfg)
+    assert result.converged and result.epochs_used < cfg.max_epochs
+
+
 @SIZES
 def test_snr_one_scene(benchmark, n):
     loss = path_loss(PARAMS, problem(n).dist)

@@ -46,8 +46,7 @@ FEASIBILITY_SLACK_W = 1e-9
 # narrow, relative to the upper end.
 EXACT_REL_TOL = 1e-12
 
-# greedy_pa's plateau stop: the best objective has improved by less than
-# GREEDY_CONVERGENCE_TOL (relative) for GREEDY_CONVERGENCE_WINDOW epochs.
+# greedy_pa's plateau stop (_Progress): its relative tol and window in epochs.
 GREEDY_CONVERGENCE_TOL = 1e-6
 GREEDY_CONVERGENCE_WINDOW = 20
 
@@ -106,8 +105,8 @@ class GreedyConfig:
     """Knobs for greedy_pa.
 
     learn_rate is the multiplicative step applied to the worst and best
-    links' powers each epoch.  The run stops at max_epochs or at the
-    plateau stop set by GREEDY_CONVERGENCE_TOL and GREEDY_CONVERGENCE_WINDOW.
+    links' powers each epoch.  The run stops at max_epochs or at
+    _Progress's plateau stop.
     """
 
     learn_rate: float = 0.05
@@ -123,9 +122,8 @@ class GreedyConfig:
 class GeneticConfig:
     """Knobs for genetic_pa.
 
-    The run stops at the first of three: its best is certified within
-    GA_CERTIFIED_GAP of the optimum, stagnation_limit generations pass
-    without improvement, or max_generations have run.
+    stagnation_limit is the window of _Progress's plateau stop; the run
+    ends after max_generations at the latest.
     """
 
     population_size: int = 50
@@ -145,10 +143,9 @@ class AllocationResult:
 
     snr and delay_s are the read-only (n, n) matrices that
     compute_snr_matrix and compute_delay_matrix give, and the objectives
-    their off-diagonal min and max.  converged is True when the solver
-    stopped for a reason other than its budget: greedy's plateau, the GA's
-    stagnation or certified stop, or exact's bisection.  upper_bound is set by exact_pa alone: a min-SNR
-    that no allocation reaches (the optimum itself when n = 2).
+    their off-diagonal min and max.  converged is False only where greedy
+    or the GA stopped at its budget (_Progress).  upper_bound, exact_pa's
+    alone, is a min-SNR that no allocation reaches (the optimum at n = 2).
     """
 
     power: PowerMatrix
@@ -333,6 +330,40 @@ def _finish(
     )
 
 
+class _Progress:
+    """One iterative solve's stop rule, stepped once per epoch or generation.
+
+    A new best is a real gain when it beats best by at least tol, relative
+    (any gain over a zero best).  reason turns from "budget" to "certified"
+    once best reaches certify_at, or to "plateau" after window steps in a
+    row without a real gain.  history holds best at the start and after
+    each step.
+    """
+
+    def __init__(self, best: float, window: int, tol: float, certify_at: float = np.inf):
+        self.best, self.stall, self.history = best, 0, [best]
+        self.window, self.tol, self.certify_at = window, tol, certify_at
+        self.reason = "certified" if best >= certify_at else "budget"
+
+    def step(self, obj: float) -> bool:
+        """Count one step that reached obj; True when obj is a new best."""
+        gain = obj > self.best
+        real = gain and (self.best == 0.0 or (obj - self.best) / self.best >= self.tol)
+        self.stall = 0 if real else self.stall + 1
+        if gain:
+            self.best = obj
+        self.history.append(self.best)
+        if self.best >= self.certify_at:
+            self.reason = "certified"
+        elif self.stall >= self.window:
+            self.reason = "plateau"
+        return gain
+
+    @property
+    def converged(self) -> bool:
+        return self.reason != "budget"
+
+
 def default_pa(problem: AllocationProblem) -> AllocationResult:
     """Even split: every vehicle divides its budget over its n-1 links."""
     return _finish(
@@ -384,11 +415,9 @@ def greedy_pa(
     links = rows.reshape(-1)
     snr = _snr(loss, rows, noise_w).reshape(-1)
     worst = int(snr.argmin())
-    best_obj = float(snr[worst])
+    track = _Progress(float(snr[worst]), GREEDY_CONVERGENCE_WINDOW, GREEDY_CONVERGENCE_TOL)
     best_rows = rows.copy()  # refreshed in place on improvement
     snapshots = dict.fromkeys(rungs)
-    history = []  # one entry per epoch run
-    stall = 0
     for epoch in range(1, cfg.max_epochs + 1):
         strongest = int(snr.argmax())
         links[worst] *= 1.0 + cfg.learn_rate
@@ -398,26 +427,19 @@ def greedy_pa(
         _fit_row_to_budget(rows[worst // (n - 1)], p_min, p_max)
         snr = _snr(loss, rows, noise_w).reshape(-1)
         worst = int(snr.argmin())
-        obj = float(snr[worst])
-        if obj > best_obj:
-            rel_gain = (obj - best_obj) / best_obj
-            best_obj = obj
+        if track.step(float(snr[worst])):
             best_rows[...] = rows
-            stall = 0 if rel_gain >= GREEDY_CONVERGENCE_TOL else stall + 1
-        else:
-            stall += 1
-        history.append(best_obj)
-        if stall >= GREEDY_CONVERGENCE_WINDOW:
+        if track.converged:
             break
         if epoch in snapshots:
             snapshots[epoch] = best_rows.copy()
 
     def finish(best: np.ndarray, epochs: int, stopped: bool) -> AllocationResult:
         return _finish(problem, from_offdiag_rows(best), epochs_used=epochs, converged=stopped,
-                       strategy_name="greedy", history=tuple(history[:epochs]))
+                       strategy_name="greedy", history=tuple(track.history[1 : epochs + 1]))
 
-    epochs_used = len(history)
-    final = finish(best_rows, epochs_used, stall >= GREEDY_CONVERGENCE_WINDOW)
+    epochs_used = len(track.history) - 1
+    final = finish(best_rows, epochs_used, track.converged)
     return replace(final, rungs=tuple(
         final if r >= epochs_used else finish(snapshots[r], r, False) for r in rungs
     ))
@@ -448,13 +470,10 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     are allocated once per solve; the returned allocation is validated
     once, in _finish.
 
-    The run stops, before the first generation or after any one, at the
-    first of: the best min-SNR reaches (1 - GA_CERTIFIED_GAP) times
-    exact_pa's upper bound, which certifies it within GA_CERTIFIED_GAP of
-    the optimum (the problem's one bisection, shared with exact_pa);
-    stagnation_limit generations without improvement; max_generations.
-    converged is True for the first two.  The certified stop draws nothing,
-    so every generation up to it is what a run without it would make.
+    It stops by _Progress's rule (window stagnation_limit, any gain real,
+    certify_at (1 - GA_CERTIFIED_GAP) times the upper bound of the problem's
+    one bisection) or after max_generations.  The certified stop draws
+    nothing, so every generation up to it is what a run without it makes.
     """
     cfg = cfg or GeneticConfig()
     params = problem.params
@@ -488,14 +507,12 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     pop = _project_offdiag_rows(pop, p_min, p_max)
     fit = fitness(pop)
     best_idx = int(fit.argmax())
-    best_fit = float(fit[best_idx])
     best_genes = pop[best_idx].copy()
-    history = [best_fit]  # the initial best, then one entry per generation
-    stagnation = 0
     certify_at = (1.0 - GA_CERTIFIED_GAP) * problem._max_min[2]
+    track = _Progress(float(fit[best_idx]), cfg.stagnation_limit, 0.0, certify_at)
 
     for _ in range(cfg.max_generations):
-        if best_fit >= certify_at:
+        if track.converged:
             break
         # tournament selection, size 3
         entrants = rng.integers(0, pop_size, size=(pop_size, 3))
@@ -520,23 +537,16 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
         pop = children
         fit = fitness(pop)
         gen_best = int(fit.argmax())
-        if float(fit[gen_best]) > best_fit:
-            best_fit = float(fit[gen_best])
+        if track.step(float(fit[gen_best])):
             best_genes = pop[gen_best].copy()
-            stagnation = 0
-        else:
-            stagnation += 1
-        history.append(best_fit)
-        if stagnation >= cfg.stagnation_limit:
-            break
 
     return _finish(
         problem,
         from_offdiag_rows(best_genes),
-        epochs_used=len(history) - 1,
-        converged=stagnation >= cfg.stagnation_limit or best_fit >= certify_at,
+        epochs_used=len(track.history) - 1,
+        converged=track.converged,
         strategy_name="genetic",
-        history=tuple(history),
+        history=tuple(track.history),
     )
 
 

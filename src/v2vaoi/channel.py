@@ -203,21 +203,28 @@ def path_loss(params: ChannelParams, dist: DistanceMatrix) -> np.ndarray:
 
     Raises DomainError when a loss is infinite in float64, or so small that
     the largest gain p_max_w / loss, or a receiver's sum of n such gains, is
-    not finite: no SNR could be evaluated for such a scene.  Also when the
-    largest gain over noise_w is not finite: interference is never negative,
-    so every SNR is at most that bound.
+    not finite: no SNR could be evaluated for such a scene.  Also when
+    noise_w plus that sum is not finite, as an SNR's denominator adds them,
+    or when the largest gain over noise_w is not finite: interference is
+    never negative, so every SNR is at most that bound.
     """
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         loss = offdiag_rows(dist.d) ** params.alpha
         # a zero loss makes the gain bound infinite too
         gain_bound = params.p_max_w / loss.min()
         gain_sum_bound = dist.n * gain_bound
+        denom_bound = gain_sum_bound + params.noise_w
         snr_bound = gain_bound / params.noise_w
     if not (loss.max() < np.inf and gain_sum_bound < np.inf):
         d = offdiag_values(dist.d)
         raise DomainError(
             f"path loss D**alpha out of float range at alpha={params.alpha} "
             f"over distances {d.min():.3g}..{d.max():.3g} m"
+        )
+    if not denom_bound < np.inf:
+        raise DomainError(
+            f"noise_w {params.noise_w:.3g} W plus interference up to "
+            f"{gain_sum_bound:.3g} W overflows the float range"
         )
     if not snr_bound < np.inf:
         raise DomainError(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from v2vaoi.allocator import (
     GeneticConfig,
     GreedyConfig,
     _cap_rows_to_budget,
+    _Progress,
     _finish,
     _fit_row_to_budget,
     _project_offdiag_rows,
@@ -367,6 +369,51 @@ def test_fit_row_matches_reference_bit_for_bit(m):
 
 
 # --- greedy -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "start, tol, certify_at, objs, want",
+    [
+        # a gain below tol raises the best but counts as a stall step; a
+        # gain of exactly tol (1.875 over 1.25) is a real one
+        pytest.param(
+            1.0, 0.5, np.inf, [1.25, 1.875, 2.0],
+            [(True, 1, "budget"), (True, 0, "budget"), (True, 1, "budget")],
+            id="gain-below-tol-stalls",
+        ),
+        # the plateau stop comes at exactly `window` (3) stall steps
+        pytest.param(
+            1.0, 0.0, np.inf, [0.5, 1.0, 2.0, 2.0, 1.0, 2.0],
+            [(False, 1, "budget"), (False, 2, "budget"), (True, 0, "budget"),
+             (False, 1, "budget"), (False, 2, "budget"), (False, 3, "plateau")],
+            id="plateau-at-window",
+        ),
+        # a best at certify_at stops the solve before its first step
+        pytest.param(2.0, 0.0, 2.0, [], [], id="certified-at-start"),
+        pytest.param(
+            1.0, 0.0, 2.0, [1.5, 2.0], [(True, 0, "budget"), (True, 0, "certified")],
+            id="certified-after-a-step",
+        ),
+        # any gain over a zero best is a real one; the relative gain would
+        # divide by zero
+        pytest.param(
+            0.0, 1e-6, np.inf, [0.0, 5e-324, 5e-324],
+            [(False, 1, "budget"), (True, 0, "budget"), (False, 1, "budget")],
+            id="zero-best",
+        ),
+    ],
+)
+def test_progress_stop_rule(start, tol, certify_at, objs, want):
+    track = _Progress(start, 3, tol, certify_at)
+    assert track.converged is (start >= certify_at)
+    assert track.reason == ("certified" if start >= certify_at else "budget")
+    got = []
+    for obj in objs:
+        got.append((track.step(obj), track.stall, track.reason))
+        assert track.converged is (track.reason != "budget")
+    assert got == want
+    best = list(accumulate([start, *objs], max))
+    assert track.history == best and track.best == best[-1]
 
 
 def test_greedy_two_vehicles_hits_cap():

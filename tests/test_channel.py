@@ -288,10 +288,17 @@ def test_snr_dimension_mismatch():
         # 0 and _snr's divide overflows: refused until that sum is formed
         # without the subtraction
         (ChannelParams(), (1e-100, 1.0, 1.0), "overflows the SNR"),
+        # the noise plus the largest possible interference, an SNR's
+        # denominator, is not finite
+        (
+            ChannelParams(noise_w=1.7976931348623157e308, p_max_w=1e300),
+            (10.0, 10.0, 10.0),
+            "noise_w 1.8e\\+308 W plus interference up to .* overflows the float range",
+        ),
     ],
     ids=[
         "overflow", "underflow", "subnormal", "snr_p_max", "snr_noise", "snr_alpha",
-        "snr_cancels_at_floor",
+        "snr_cancels_at_floor", "denominator_noise",
     ],
 )
 def test_path_loss_out_of_float_range(params, sides_m, message):

@@ -441,11 +441,19 @@ def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
         ("verify --n 5 --instances 1 --noise 1e308", "error: min SNR "),
         # a solver error in compare names the trial it came from
         ("compare --n 3 --trials 1 --noise 1e308", "error: trial 0 failed: min SNR "),
+        # the even split's min SNR underflows to 0.0, greedy's first best,
+        # and its best allocation's min SNR is the smallest subnormal
+        (
+            "solve --strategy greedy --n 8 --epochs 200 --noise 1e300 --alpha 6 "
+            "--box-side 10000 --min-sep 1",
+            "error: min SNR 4.941e-324 ",
+        ),
     ],
 )
 def test_subnormal_optimum_is_one_error_line(args, prefix, capsys):
     # the optimum's min SNR is subnormal: the bisection ends at float
-    # resolution, and the delay it implies is out of range
+    # resolution, and the delay it implies is out of range; greedy's best
+    # likewise
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(args.split()) == 1
@@ -467,6 +475,8 @@ def test_subnormal_optimum_is_one_error_line(args, prefix, capsys):
         # every SNR is finite once the p_min_w floor counts as interference,
         # but _snr's incoming - gain cancels to 0 at the even split
         "solve --scene {tmp}/cancelling.txt",
+        # the noise plus the largest possible interference overflows
+        "solve --n 3 --strategy default --noise 1.7976931348623157e308 --p-max 1e300",
     ],
 )
 def test_snr_out_of_float_range_is_one_error_line(args, tmp_path, capsys):
@@ -478,7 +488,11 @@ def test_snr_out_of_float_range_is_one_error_line(args, tmp_path, capsys):
         assert run_cli(args.format(tmp=tmp_path).split()) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert " W over noise_w " in err and " overflows the SNR at path loss " in err
+    if "1.7976931348623157e308" in args:
+        assert err.startswith("error: noise_w 1.8e+308 W plus interference up to ")
+        assert err.endswith(" W overflows the float range\n")
+    else:
+        assert " W over noise_w " in err and " overflows the SNR at path loss " in err
 
 
 @pytest.mark.parametrize(
