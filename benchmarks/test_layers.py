@@ -57,7 +57,7 @@ def log_uniform_rows(shape, seed=0) -> np.ndarray:
 def greedy_step_rows(n: int) -> np.ndarray:
     """The even split after one greedy step: one link raised by the default
     learn rate, so one row is over budget, as in nearly every epoch."""
-    rows = offdiag_rows(_uniform_power(problem(n)))
+    rows = _uniform_power(problem(n))
     rows[0, 0] *= 1.0 + GreedyConfig().learn_rate
     return rows
 

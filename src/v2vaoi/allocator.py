@@ -3,7 +3,8 @@
 Because delay is strictly decreasing in SNR, maximizing the minimum SNR and
 minimizing the maximum delay are the same problem.  Constraints: every
 directed link gets at least p_min_w and at most p_max_w, and each vehicle's
-total transmit power may not exceed p_max_w.
+budget sum, np.add.reduce over its n-1 outgoing powers (the one sum that
+every check here uses, exactly), may not exceed p_max_w.
 
 Four strategies:
   default_pa  - split the budget evenly over a vehicle's outgoing links.
@@ -31,6 +32,7 @@ from .channel import (
     DistanceMatrix,
     PowerMatrix,
     _offdiag_view,
+    _receivers,
     _snr,
     compute_delay_matrix,
     from_offdiag_rows,
@@ -38,9 +40,6 @@ from .channel import (
     path_loss,
 )
 from .errors import DomainError, FeasibilityError, check_integers, is_integer
-
-# Absolute slack, in watts, used by every constraint check.
-FEASIBILITY_SLACK_W = 1e-9
 
 # exact_pa's bisection stops once its bracket on the target SNR is this
 # narrow, relative to the upper end.
@@ -66,7 +65,8 @@ GA_CERTIFIED_GAP = 0.01
 
 @dataclass(frozen=True)
 class AllocationProblem:
-    """One solvable instance: channel constants plus a scene's distances.
+    """One solvable instance: channel constants plus a scene's distances,
+    refused unless n-1 links at p_min_w fit the budget by the one sum.
 
     loss (the scene's path loss) and _max_min (exact_pa's bisection) are
     computed on first use and shared by every solver run on the problem.
@@ -76,10 +76,13 @@ class AllocationProblem:
     dist: DistanceMatrix
 
     def __post_init__(self):
-        n = self.dist.n
-        if (n - 1) * self.params.p_min_w > self.params.p_max_w:
+        n, p_min, p_max = self.dist.n, self.params.p_min_w, self.params.p_max_w
+        with np.errstate(over="ignore"):  # a sum past the float range fails too
+            floors = float(np.add.reduce(np.full(n - 1, p_min)))
+        if not floors <= p_max:
             raise FeasibilityError(
-                f"row budget unsatisfiable: ({n} - 1) * p_min_w exceeds p_max_w"
+                f"row budget unsatisfiable: {n - 1} links at p_min_w {p_min} W "
+                f"sum to {floors} W, over p_max_w {p_max} W"
             )
 
     @property
@@ -93,8 +96,9 @@ class AllocationProblem:
 
     @cached_property
     def _max_min(self) -> tuple:
-        """_bisect_max_min of the problem: its read-only allocation, its
-        step count and its upper bound, for exact_pa and genetic_pa."""
+        """_bisect_max_min of the problem: its read-only allocation as
+        offdiag_rows, each row's np.add.reduce at most p_max_w, its step
+        count and its upper bound, for exact_pa and genetic_pa."""
         best, steps, hi = _bisect_max_min(self)
         best.flags.writeable = False
         return best, steps, hi
@@ -162,24 +166,23 @@ class AllocationResult:
 
 
 def check_feasible(power: PowerMatrix, params: ChannelParams) -> tuple:
-    """Verify per-link bounds and per-vehicle budgets within absolute slack.
+    """Verify per-link bounds and per-vehicle budgets exactly, with no
+    slack; a budget sum is np.add.reduce over a row's n-1 off-diagonal powers.
 
     Returns one message per violated constraint, an empty tuple when the
     allocation is feasible.  Total function: never raises.  A feasible
     allocation costs one min, one max and one row-sum pass; the messages
     are built only when one fails.
     """
-    p = power.p
-    p_min, p_max = params.p_min_w, params.p_max_w
-    floor, cap = p_min - FEASIBILITY_SLACK_W, p_max + FEASIBILITY_SLACK_W
-    off = _offdiag_view(p)
-    row_sums = p.sum(axis=1)
-    if off.min() >= floor and off.max() <= cap and row_sums.max() <= cap:
+    p, p_min, p_max = power.p, params.p_min_w, params.p_max_w
+    rows = offdiag_rows(p)
+    row_sums = np.add.reduce(rows, axis=1)
+    if rows.min() >= p_min and rows.max() <= p_max and row_sums.max() <= p_max:
         return ()
     mask = ~np.eye(power.n, dtype=bool)  # the diagonal's zeros are not links
-    low = np.argwhere(mask & (p < floor))
-    high = np.argwhere(mask & (p > cap))
-    over = np.flatnonzero(row_sums > cap)
+    low = np.argwhere(mask & (p < p_min))
+    high = np.argwhere(mask & (p > p_max))
+    over = np.flatnonzero(row_sums > p_max)
     return (
         *(f"P[{i}][{j}]={p[i, j]:.6g} W below per-link minimum {p_min:.6g} W" for i, j in low),
         *(f"P[{i}][{j}]={p[i, j]:.6g} W above per-link maximum {p_max:.6g} W" for i, j in high),
@@ -194,10 +197,11 @@ def check_feasible(power: PowerMatrix, params: ChannelParams) -> tuple:
 
 def _cap_rows_to_budget(rows: np.ndarray, p_min: float, p_max: float) -> np.ndarray:
     """Lower each row's largest entries to a common level in [p_min, max
-    entry] so it sums to at most p_max, unless every entry sits at p_min.
+    entry] so its budget sum, np.add.reduce over the row, is at most p_max,
+    unless every entry sits at p_min.
 
-    Where the search's level leaves a pairwise sum over p_max by rounding,
-    the guard lowers it by the excess per capped entry, at least one float
+    Where the search's level leaves that sum over p_max by rounding, the
+    guard lowers it by the excess per capped entry, at least one float
     step, never under p_min.  Shape (k, m), entries finite, at least p_min.
     """
     k, m = rows.shape
@@ -258,12 +262,13 @@ def _fit_row_to_budget(row: np.ndarray, p_min: float, p_max: float) -> None:
 def _project_offdiag_rows(rows: np.ndarray, p_min: float, p_max: float) -> np.ndarray:
     """Project rows of outgoing-link powers onto the constraint set.
 
-    Clamp to the per-link bounds; rows over budget are rescaled
-    multiplicatively, entries pushed under the floor are clamped back up,
-    and the residual excess is absorbed by capping the largest entries.
-    Feasible rows pass through bit-identically; every output row is a fixed
-    point, as the cap's guard keeps it within budget (or all at p_min).
-    Projects in place and returns rows, so the caller must own them.
+    Clamp to the per-link bounds; rows whose np.add.reduce sum exceeds p_max
+    are rescaled multiplicatively, entries pushed under the floor are
+    clamped back up, and the residual excess is absorbed by capping the
+    largest entries.  Feasible rows pass through bit-identically; every
+    output row is a fixed point, within budget by that sum wherever its
+    floors are, as in every AllocationProblem.  Projects in place and
+    returns rows, so the caller must own them.
     """
     np.maximum(rows, p_min, out=rows)
     np.minimum(rows, p_max, out=rows)
@@ -278,7 +283,8 @@ def _project_offdiag_rows(rows: np.ndarray, p_min: float, p_max: float) -> np.nd
 
 def project_to_feasible(power: np.ndarray, params: ChannelParams) -> np.ndarray:
     """Project raw power matrices (n, n) or a stack (m, n, n) onto the
-    constraint set, keeping diagonals at zero."""
+    constraint set, keeping diagonals at zero.  Any params are accepted: a
+    row whose n-1 floors sum over p_max_w cannot fit and ends all at p_min."""
     rows = offdiag_rows(np.asarray(power, dtype=np.float64))
     return from_offdiag_rows(_project_offdiag_rows(rows, params.p_min_w, params.p_max_w))
 
@@ -289,15 +295,16 @@ def project_to_feasible(power: np.ndarray, params: ChannelParams) -> np.ndarray:
 
 
 def _uniform_power(problem: AllocationProblem) -> np.ndarray:
-    """The even split, projected: at 23 W its rows sum a rounding step over
-    budget at n = 13, 14, 16, 23 ..."""
-    n = problem.n
-    return project_to_feasible(np.full((n, n), problem.params.p_max_w / (n - 1)), problem.params)
+    """The even split as fresh projected offdiag_rows: at 23 W its rows sum
+    a rounding step over budget at n = 13, 14, 16, 23 ..."""
+    n, params = problem.n, problem.params
+    rows = np.full((n, n - 1), params.p_max_w / (n - 1))
+    return _project_offdiag_rows(rows, params.p_min_w, params.p_max_w)
 
 
 def _finish(
     problem: AllocationProblem,
-    p: np.ndarray,
+    rows: np.ndarray,
     *,
     epochs_used: int,
     converged: bool,
@@ -305,14 +312,15 @@ def _finish(
     history: tuple = (),
     upper_bound: float | None = None,
 ) -> AllocationResult:
-    power = PowerMatrix(p)
+    """The result of a solve: the one place its offdiag_rows become a matrix."""
+    power = PowerMatrix(from_offdiag_rows(rows))
     violations = check_feasible(power, problem.params)
     if violations:
         raise FeasibilityError(
             f"{strategy_name} produced an infeasible allocation: {violations[0]}"
         )
     # compute_snr_matrix's bits, on the problem's path loss
-    snr = from_offdiag_rows(_snr(problem.loss, offdiag_rows(power.p), problem.params.noise_w))
+    snr = from_offdiag_rows(_snr(problem.loss, rows, problem.params.noise_w))
     delay = compute_delay_matrix(problem.params, snr)
     snr.flags.writeable = False
     delay.flags.writeable = False
@@ -367,11 +375,7 @@ class _Progress:
 def default_pa(problem: AllocationProblem) -> AllocationResult:
     """Even split: every vehicle divides its budget over its n-1 links."""
     return _finish(
-        problem,
-        _uniform_power(problem),
-        epochs_used=0,
-        converged=True,
-        strategy_name="default",
+        problem, _uniform_power(problem), epochs_used=0, converged=True, strategy_name="default"
     )
 
 
@@ -411,7 +415,7 @@ def greedy_pa(
     # rows[i] holds vehicle i's n-1 outgoing powers; links[k] is the k-th
     # off-diagonal entry in row-major order, the order of snr, so argmin and
     # argmax break ties as a row-major scan of the matrix would
-    rows = offdiag_rows(_uniform_power(problem))
+    rows = _uniform_power(problem)
     links = rows.reshape(-1)
     snr = _snr(loss, rows, noise_w).reshape(-1)
     worst = int(snr.argmin())
@@ -435,7 +439,7 @@ def greedy_pa(
             snapshots[epoch] = best_rows.copy()
 
     def finish(best: np.ndarray, epochs: int, stopped: bool) -> AllocationResult:
-        return _finish(problem, from_offdiag_rows(best), epochs_used=epochs, converged=stopped,
+        return _finish(problem, best, epochs_used=epochs, converged=stopped,
                        strategy_name="greedy", history=tuple(track.history[1 : epochs + 1]))
 
     epochs_used = len(track.history) - 1
@@ -540,14 +544,9 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
         if track.step(float(fit[gen_best])):
             best_genes = pop[gen_best].copy()
 
-    return _finish(
-        problem,
-        from_offdiag_rows(best_genes),
-        epochs_used=len(track.history) - 1,
-        converged=track.converged,
-        strategy_name="genetic",
-        history=tuple(track.history),
-    )
+    return _finish(problem, best_genes, epochs_used=len(track.history) - 1,
+                   converged=track.converged, strategy_name="genetic",
+                   history=tuple(track.history))
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +569,8 @@ def _bisect_max_min(problem: AllocationProblem) -> tuple:
     fixed point of a function that lower-bounds the true one, so c_j is the
     largest candidate.  That point is componentwise minimal, and the budgets
     only cap sums of powers, so gamma is achievable exactly when every row
-    of the minimal powers fits the budget.
+    of the minimal powers P_ij = max(c_j * D_ij**alpha, p_min_w) fits the
+    budget by the one sum, np.add.reduce over the row's n-1 powers.
 
     The bracket runs from the even split's objective (achieved) to
     1/(n-2), which no allocation reaches: the weakest sender into a
@@ -585,22 +585,22 @@ def _bisect_max_min(problem: AllocationProblem) -> tuple:
     n = problem.n
     best = _uniform_power(problem)
     loss = problem.loss
-    lo = float(_snr(loss, offdiag_rows(best), params.noise_w).min())
+    lo = float(_snr(loss, best, params.noise_w).min())
     steps = 0
     if n == 2:
         return best, steps, lo
-    atten = from_offdiag_rows(loss)  # its zero diagonal zeroes each minimal power's
-    floors = from_offdiag_rows(params.p_min_w / loss)
-    # column j's floors without the diagonal, largest first; prefix sums
+    recv = _receivers(1, n).reshape(n, n - 1)  # receiver j of each link (i, k)
+    # column j's floors f_ij (the links into j), largest first; prefix sums
     # F_0 = 0 .. F_{n-2} of the k largest
-    cols = -np.sort(-offdiag_rows(floors.T), axis=1)
+    into = (params.p_min_w / loss).take(recv.argsort(axis=None)).reshape(n, n - 1)
+    cols = -np.sort(-into, axis=1)
     prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(cols[:, :-1], axis=1)], axis=1)
     unfloored = np.arange(n - 1, 0, -1)  # n-1-k for k = 0 .. n-2
 
     def minimal_power(gamma: float) -> np.ndarray:
         beta = gamma / (1.0 + gamma)
         c = (beta * (prefix + params.noise_w) / (1.0 - unfloored * beta)).max(axis=1)
-        return np.maximum(floors, c[np.newaxis, :]) * atten
+        return np.maximum(c.take(recv) * loss, params.p_min_w)
 
     hi = 1.0 / (n - 2)
     # a minimal power that overflows to inf fails the row test: infeasible
@@ -611,7 +611,7 @@ def _bisect_max_min(problem: AllocationProblem) -> tuple:
                 break
             steps += 1
             p = minimal_power(mid)
-            if (p.sum(axis=1) <= params.p_max_w).all():
+            if (np.add.reduce(p, axis=1) <= params.p_max_w).all():
                 lo, best = mid, p
             else:
                 hi = mid

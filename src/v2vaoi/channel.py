@@ -206,7 +206,8 @@ def path_loss(params: ChannelParams, dist: DistanceMatrix) -> np.ndarray:
     not finite: no SNR could be evaluated for such a scene.  Also when
     noise_w plus that sum is not finite, as an SNR's denominator adds them,
     or when the largest gain over noise_w is not finite: interference is
-    never negative, so every SNR is at most that bound.
+    never negative, so every SNR is at most that bound.  Last, when n links
+    at p_max_w sum past the float range, as a row's budget sum could.
     """
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         loss = offdiag_rows(dist.d) ** params.alpha
@@ -215,6 +216,7 @@ def path_loss(params: ChannelParams, dist: DistanceMatrix) -> np.ndarray:
         gain_sum_bound = dist.n * gain_bound
         denom_bound = gain_sum_bound + params.noise_w
         snr_bound = gain_bound / params.noise_w
+        row_bound = dist.n * params.p_max_w  # bounds every row's budget sum
     if not (loss.max() < np.inf and gain_sum_bound < np.inf):
         d = offdiag_values(dist.d)
         raise DomainError(
@@ -230,6 +232,10 @@ def path_loss(params: ChannelParams, dist: DistanceMatrix) -> np.ndarray:
         raise DomainError(
             f"p_max_w {params.p_max_w:.3g} W over noise_w {params.noise_w:.3g} W "
             f"overflows the SNR at path loss {loss.min():.3g}"
+        )
+    if not row_bound < np.inf:
+        raise DomainError(
+            f"{dist.n} links at p_max_w {params.p_max_w:.3g} W sum past the float range"
         )
     loss.flags.writeable = False
     return loss
@@ -302,23 +308,24 @@ def compute_delay_matrix(params: ChannelParams, snr: np.ndarray) -> np.ndarray:
     """Transmission delay in seconds for every link: payload over Shannon rate.
 
     Delay is exactly linear in payload_bits and rate_factor, decreasing in SNR.
-    Off-diagonal SNR entries must be positive; log1p keeps the rate accurate
-    down to subnormal SNRs.  This is where every delay is checked, before
-    and after the rate_factor scale, and a DomainError names the factors
-    that put it out of range.  A delay that overflows float64 names the
-    payload and bandwidth when payload_bits / bandwidth_hz alone overflows,
-    and the min SNR otherwise.  One below the smallest normal float, a
-    subnormal or 0, names the payload and bandwidth, or the rate_factor when
-    only the scaled delay is.
+    Off-diagonal SNR entries must be nonnegative; log1p keeps the rate
+    accurate down to subnormal SNRs, and a zero SNR's infinite delay is an
+    overflow.  This is where every delay is checked, before and after the
+    rate_factor scale, and a DomainError names the factors that put it out
+    of range.  A delay that overflows float64 names the payload and
+    bandwidth when payload_bits / bandwidth_hz alone overflows, and the min
+    SNR otherwise.  One below the smallest normal float, a subnormal or 0,
+    names the payload and bandwidth, or the rate_factor when only the
+    scaled delay is.
     """
     snr = np.asarray(snr, dtype=np.float64)
     _check_square(snr, "SNR matrix")
     vals = offdiag_rows(snr)
     # one min and one max pass; NaN fails the first comparison too
-    if not (vals.min() > 0 and vals.max() < np.inf):
+    if not (vals.min() >= 0 and vals.max() < np.inf):
         if not np.all(np.isfinite(vals)):
             raise DomainError("off-diagonal SNR entries must be finite")
-        raise DomainError("off-diagonal SNR entries must be positive")
+        raise DomainError("off-diagonal SNR entries must be nonnegative")
     with np.errstate(over="ignore", divide="ignore"):
         # log1p keeps the achievable rate accurate when 1 + snr would round to 1.
         rate_bps = params.bandwidth_hz * (np.log1p(vals) / _LN2)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from v2vaoi import allocator
 from v2vaoi.allocator import (
     AllocationProblem,
-    FEASIBILITY_SLACK_W,
     GA_CERTIFIED_GAP,
     GA_CREEP_SIGMA,
     GA_CROSSOVER_RATE,
@@ -161,6 +160,32 @@ def test_infeasible_problem_rejected():
         AllocationProblem(params, equilateral(n=4))  # 3 * 10 > 23
 
 
+@pytest.mark.parametrize("n", [7, 13, 20])
+def test_problem_refuses_floors_a_rounding_step_over_budget(n):
+    # (n - 1) * p_min rounds to exactly 1 W, but n - 1 links at p_min sum
+    # to 1 + 2.2e-16 W by the one budget sum, so no row could fit
+    params = ChannelParams(p_min_w=float(np.nextafter(1 / (n - 1), 1)), p_max_w=1.0)
+    assert (n - 1) * params.p_min_w == 1.0
+    with pytest.raises(FeasibilityError, match=r"sum to 1\.0000000000000002 W, over p_max_w 1\.0 W"):
+        AllocationProblem(params, equilateral(n=n))
+
+
+def test_floors_summing_exactly_to_the_budget_solve():
+    # 23 links at 1 W sum to exactly 23 W: the problem is accepted, and the
+    # only feasible allocation puts every link at the floor, up to what the
+    # budget sum's rounding absorbs (the GA keeps links a few float steps up)
+    params = ChannelParams(p_min_w=1.0)
+    prob = AllocationProblem(params, random_problem(1, 24).dist)
+    for result in (
+        default_pa(prob),
+        greedy_pa(prob, GreedyConfig(max_epochs=50)),
+        genetic_pa(prob, GeneticConfig(max_generations=5)),
+        exact_pa(prob),
+    ):
+        assert check_feasible(result.power, params) == (), result.strategy_name
+        np.testing.assert_allclose(offdiag_values(result.power.p), 1.0, rtol=1e-14, atol=0)
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         GreedyConfig(learn_rate=1.5)
@@ -217,6 +242,18 @@ def test_check_feasible_flags_per_link_violation():
     violations = check_feasible(PowerMatrix(p), PARAMS)
     assert len(violations) == 2  # link cap and row budget both break
     assert any("above per-link maximum" in v for v in violations)
+
+
+def test_check_feasible_is_exact_at_any_scale():
+    # no absolute slack: violations far below a nanowatt are still flagged,
+    # and a row whose budget sum is exactly p_max_w passes
+    params = ChannelParams(p_min_w=1e-12, p_max_w=1e-10)
+    p = [[0.0, 5e-10, 1e-13], [5e-11, 0.0, 5e-11], [5e-11, 5e-11, 0.0]]
+    assert check_feasible(PowerMatrix(p), params) == (
+        "P[0][2]=1e-13 W below per-link minimum 1e-12 W",
+        "P[0][1]=5e-10 W above per-link maximum 1e-10 W",
+        "row 0 sum 5.001e-10 W exceeds budget 1e-10 W",
+    )
 
 
 def test_check_feasible_flags_row_budget():
@@ -295,8 +332,8 @@ def test_projection_handles_floor_reclamp():
     p[1, 0] = p[2, 0] = p[3, 0] = 1.0
     out = project_to_feasible(p, params)
     row = out[0, 1:]
-    assert np.all(row >= params.p_min_w - 1e-15)
-    assert row.sum() <= params.p_max_w + FEASIBILITY_SLACK_W
+    assert np.all(row >= params.p_min_w)
+    assert np.add.reduce(row) <= params.p_max_w  # the one budget sum, no slack
     assert row[0] == pytest.approx(8.0)  # large entry absorbs the cut
 
 
@@ -525,7 +562,7 @@ def _greedy_reference(problem, cfg=None):
             break
     return _finish(
         problem,
-        best_p,
+        best_p[offdiag_mask(n)].reshape(n, n - 1),
         epochs_used=epochs_used,
         converged=converged,
         strategy_name="greedy",
@@ -853,7 +890,7 @@ def _genetic_reference(problem, cfg=None):
 
     return _finish(
         problem,
-        _rows_to_matrices(best_genes.reshape(1, n, n - 1), n)[0],
+        best_genes.reshape(n, n - 1),
         epochs_used=generations,
         converged=converged,
         strategy_name="genetic",
@@ -1126,14 +1163,15 @@ def _assert_fixed_point(result, params):
 
 @pytest.mark.parametrize("p_min", [PARAMS.p_min_w, 0.3], ids=["default-floor", "floor-0.3"])
 def test_solver_outputs_are_projection_fixed_points(p_min):
-    # default_pa, greedy_pa and genetic_pa return projected allocations, so
-    # projecting one again must not move a bit.  exact_pa is left out: it
-    # does not project, and its minimal powers may sit a rounding step
-    # under p_min.
+    # every solver's output is within the per-link bounds and within budget
+    # by the one row sum, so projecting it again must not move a bit; exact
+    # floors its minimal powers at p_min_w itself
     params = ChannelParams(p_min_w=p_min)
     for n in range(3, 65):
         dist, _ = generate_scene(ScenarioSpec(n, rng_seed=derive_seed(0, 0)))
-        _assert_fixed_point(default_pa(AllocationProblem(params, dist)), params)
+        prob = AllocationProblem(params, dist)
+        _assert_fixed_point(default_pa(prob), params)
+        _assert_fixed_point(exact_pa(prob), params)
     for n in (3, 4, 5, 8, 13, 16, 24, 32, 64):
         for seed in range(3):
             dist, _ = generate_scene(ScenarioSpec(n, rng_seed=derive_seed(seed, 0)))

@@ -440,10 +440,18 @@ def test_delay_antitone_in_snr():
 
 
 def test_delay_rejects_nonpositive_snr():
-    with pytest.raises(DomainError):
-        compute_delay_matrix(PARAMS, np.array([[0.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(DomainError):
-        compute_delay_matrix(PARAMS, np.array([[0.0, -2.0], [1.0, 0.0]]))
+    # a zero SNR's rate is 0 and its delay infinite: named by the min SNR,
+    # as a subnormal one is; a negative or NaN SNR stays refused as such
+    snr = np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.4], [11.0, 5.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            compute_delay_matrix(PARAMS, snr)
+    assert str(info.value) == "min SNR 0 overflows a delay beyond the float range"
+    for bad, why in ((-2.0, "nonnegative"), (np.nan, "finite")):
+        snr[0, 2] = bad
+        with pytest.raises(DomainError, match=f"^off-diagonal SNR entries must be {why}$"):
+            compute_delay_matrix(PARAMS, snr)
 
 
 def test_delay_of_a_tiny_snr_is_its_true_delay():

@@ -462,6 +462,40 @@ def test_subnormal_optimum_is_one_error_line(args, prefix, capsys):
     assert err.endswith(" overflows a delay beyond the float range\n")
 
 
+FLOAT_MAX_BUDGET = "--n 3 --noise 1e308 --p-max 1.7976931348623157e308"
+
+
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        # the even split's min SNR underflows to 0.0, an infinite delay,
+        # named as greedy and exact name their subnormal ones
+        (
+            "solve --strategy default --n 8 --noise 1e300 --alpha 6 --box-side 10000 --min-sep 1",
+            "error: min SNR 0 overflows a delay beyond the float range\n",
+        ),
+        # 20 links at fl(0.05) W sum over 1 W, even in exact arithmetic
+        (
+            "solve --n 21 --p-min 0.05 --p-max 1",
+            "error: row budget unsatisfiable: 20 links at p_min_w 0.05 W sum to "
+            "1.0000000000000002 W, over p_max_w 1.0 W\n",
+        ),
+        # a row's budget sum could overflow, though every SNR is in range
+        (f"solve {FLOAT_MAX_BUDGET}", "error: 3 links at p_max_w 1.8e+308 W sum past the float range\n"),
+        (f"aoi {FLOAT_MAX_BUDGET}", "error: 3 links at p_max_w 1.8e+308 W sum past the float range\n"),
+        (
+            f"compare {FLOAT_MAX_BUDGET} --trials 1 --epochs 20 --generations 20",
+            "error: trial 0 failed: 3 links at p_max_w 1.8e+308 W sum past the float range\n",
+        ),
+    ],
+)
+def test_unsolvable_problem_is_one_error_line(args, err, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(args.split()) == 1
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize(
     "args",
     [
