@@ -177,8 +177,10 @@ def test_project_population_one_over(benchmark):
     project_population(benchmark, ga_population(1))
 
 
-def test_genetic_50_generations(benchmark):
-    prob = problem(5)
+# compare's largest n, and n = 16, where a generation's draws weigh most
+@pytest.mark.parametrize("n", [5, 16], ids=["n5", "n16"])
+def test_genetic_50_generations(benchmark, n):
+    prob = problem(n)
     cfg = GeneticConfig(max_generations=50, rng_seed=derive_seed(1, 1))
     result = benchmark(genetic_pa, prob, cfg)
     assert result.epochs_used == 50  # no certified or stagnation stop before

@@ -464,15 +464,16 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     population, P * G log-uniform powers.  Each generation then draws:
       1. the tournament entrants, integers of shape (P, 3);
       2. one block of uniforms, read in order as the crossover gate per
-         pair (P // 2), the swap coin per pair and gene (P // 2 * G), the
-         mutate coin, the reset-or-creep choice and the reset value (each
-         P * G), the last mapped to ln p_min + (ln p_max - ln p_min) * u as
-         Generator.uniform maps it;
-      3. P * G standard normals, scaled by GA_CREEP_SIGMA.
-    Every value is drawn whether or not it is used, and an odd last child
-    is never crossed.  The path loss is the problem's, and the work buffers
-    are allocated once per solve; the returned allocation is validated
-    once, in _finish.
+         pair (P // 2), the swap coin per pair and gene (P // 2 * G) and
+         the mutate coin per gene (P * G);
+      3. for the k genes that mutate, in row-major order, 2k uniforms:
+         k reset-or-creep choices, then k reset values, each mapped to
+         ln p_min + (ln p_max - ln p_min) * u as Generator.uniform maps it;
+      4. k standard normals, the creep steps, scaled by GA_CREEP_SIGMA.
+    A gene that does not mutate draws no choice, reset or step, and an odd
+    last child is never crossed.  The path loss is the problem's, and the
+    work buffers are allocated once per solve; the returned allocation is
+    validated once, in _finish.
 
     It stops by _Progress's rule (window stagnation_limit, any gain real,
     certify_at (1 - GA_CERTIFIED_GAP) times the upper bound of the problem's
@@ -494,12 +495,11 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     # the SNRs are read back gene-major, so the min over genes runs across
     # individuals: far fewer reduce steps than a min along each short row
     gene_major = np.arange(pop_size * n_genes).reshape(pop_size, n_genes).T.reshape(-1)
-    # one generation's uniforms, sliced in draw order, and its normals
-    u = np.empty(n_pairs + n_pairs * n_genes + 3 * pop_size * n_genes)
+    # one generation's variation uniforms, sliced in draw order
+    u = np.empty(n_pairs + n_pairs * n_genes + pop_size * n_genes)
     cross_u = u[:n_pairs].reshape(n_pairs, 1, 1)
     swap_u = u[n_pairs : n_pairs * (1 + n_genes)].reshape(n_pairs, 1, n_genes)
-    mutate_u, reset_u, reset_v = u[n_pairs * (1 + n_genes) :].reshape(3, pop_size * n_genes)
-    z = np.empty((pop_size, n_genes))
+    mutate_u = u[n_pairs * (1 + n_genes) :]
     first_entrant = 3 * np.arange(pop_size)  # flat index in entrants of each tournament
 
     def fitness(genes: np.ndarray) -> np.ndarray:
@@ -523,7 +523,6 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
         winners = entrants.take(first_entrant + fit.take(entrants).argmax(axis=1))
         children = pop.take(winners, axis=0)
         rng.random(out=u)
-        rng.standard_normal(out=z)
         # uniform crossover on consecutive pairs: swap the two rows of a
         # (pairs, 2, genes) view wherever the pair's gate and the gene's
         # coin both say so
@@ -531,11 +530,12 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
         pairs = children[: 2 * n_pairs].reshape(n_pairs, 2, n_genes)
         children[: 2 * n_pairs] = np.where(swap, pairs[:, ::-1], pairs).reshape(-1, n, n - 1)
         # mutation: log-uniform reset or multiplicative creep, half and half,
-        # evaluated only at the mutated genes
+        # drawn and evaluated only at the mutated genes
         hit = (mutate_u < GA_MUTATION_RATE).nonzero()[0]
-        resets = np.exp(ln_lo + ln_span * reset_v.take(hit))
-        creeps = children.take(hit) * np.exp(GA_CREEP_SIGMA * z.take(hit))
-        children.put(hit, np.where(reset_u.take(hit) < 0.5, resets, creeps))
+        choice_u, reset_v = rng.random((2, hit.size))
+        resets = np.exp(ln_lo + ln_span * reset_v)
+        creeps = children.take(hit) * np.exp(GA_CREEP_SIGMA * rng.standard_normal(hit.size))
+        children.put(hit, np.where(choice_u < 0.5, resets, creeps))
         children = _project_offdiag_rows(children, p_min, p_max)
         children[0] = best_genes  # elitism
         pop = children

@@ -865,13 +865,14 @@ def _genetic_reference(problem, cfg=None):
         tmp = first[swap]
         first[swap] = second[swap]
         second[swap] = tmp
-        # mutation: log-uniform reset or multiplicative creep, half and half
+        # mutation: log-uniform reset or multiplicative creep, half and half,
+        # drawn only for the mutated genes, in row-major order
         mutate = rng.random((pop_size, n_genes)) < GA_MUTATION_RATE
-        use_reset = rng.random((pop_size, n_genes)) < 0.5
-        resets = np.exp(rng.uniform(ln_lo, ln_hi, size=(pop_size, n_genes)))
-        creeps = children * np.exp(rng.normal(0.0, GA_CREEP_SIGMA, size=(pop_size, n_genes)))
-        mutated = np.where(use_reset, resets, creeps)
-        children = np.where(mutate, mutated, children)
+        k = int(mutate.sum())
+        use_reset = rng.random(k) < 0.5
+        resets = np.exp(rng.uniform(ln_lo, ln_hi, size=k))
+        creeps = children[mutate] * np.exp(rng.normal(0.0, GA_CREEP_SIGMA, size=k))
+        children[mutate] = np.where(use_reset, resets, creeps)
         children = project(np.clip(children, params.p_min_w, params.p_max_w))
         children[0] = best_genes  # elitism
         pop = children
@@ -949,6 +950,65 @@ def test_genetic_matches_reference_bit_for_bit(n, params, cfg, stops):
     assert (got.objective_min_snr >= target) is (stops == "certified")
     if stops == "certified":  # at the first generation that reaches the target
         assert max(got.history[:-1]) < target <= got.history[-1]
+
+
+class _RecordingRng:
+    """A Generator that records the name and the values of every draw."""
+
+    def __init__(self, rng):
+        self._rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            result = method(*args, **kwargs)
+            values = kwargs.get("out", result)
+            self.draws.append((name, np.array(values, dtype=np.float64).ravel()))
+            return result
+
+        return draw
+
+
+def test_genetic_draws_only_per_hit_values(monkeypatch):
+    # the budget case's scene, cut at 50 generations: no certified or
+    # plateau stop comes first
+    generations = 50
+    prob = AllocationProblem(PARAMS, generate_scene(ScenarioSpec(5, rng_seed=3))[0])
+    cfg = GeneticConfig(rng_seed=9, max_generations=generations, stagnation_limit=10 * generations)
+    plain = genetic_pa(prob, cfg)
+    make, recorders = np.random.default_rng, []
+
+    def recording(seed):
+        recorders.append(_RecordingRng(make(seed)))
+        return recorders[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    got = genetic_pa(prob, cfg)
+    assert got.power.p.tobytes() == plain.power.p.tobytes()  # the same stream
+    assert got.epochs_used == generations and not got.converged
+    # each generation starts with its tournament's integers; its first
+    # uniforms are the variation block, whose last P * G are the mutate coins
+    n_genes, pop_size = prob.n * (prob.n - 1), cfg.population_size
+    coins_at = pop_size // 2 * (1 + n_genes)
+    block = coins_at + pop_size * n_genes
+    (rng,) = recorders
+    per_generation = []
+    for name, values in rng.draws:
+        if name == "integers":
+            per_generation.append([])
+        elif per_generation:
+            per_generation[-1].append((name, values))
+    assert len(per_generation) == generations
+    total_hits = 0
+    for draws in per_generation:
+        uniforms = np.concatenate([v for name, v in draws if name == "random"])
+        normals = sum(v.size for name, v in draws if name == "standard_normal")
+        hits = np.count_nonzero(uniforms[coins_at:block] < GA_MUTATION_RATE)
+        assert normals == hits  # one creep step per mutated gene
+        assert uniforms.size - block == 2 * hits  # its choice and its reset value
+        total_hits += hits
+    assert 0 < total_hits < generations * pop_size * n_genes
 
 
 # --- exact ---------------------------------------------------------------------

@@ -80,9 +80,9 @@ PINNED = {
     ("solve --n 16 --p-min 1 --epochs 1000 --seed 2", "text"):
         (0, "247c9e6b9b2be444", "247c9e6b9b2be444", None, "e3b0c44298fc1c14"),
     ("solve --strategy genetic --n 4 --p-min 5 --generations 300", "records"):
-        (0, "9b48f6ea6447f444", "8010792a1dd2acda", None, "e3b0c44298fc1c14"),
+        (0, "1dc0f7b270f1127b", "8fa10d3e9c5534f9", None, "e3b0c44298fc1c14"),
     ("solve --strategy genetic --n 4 --p-min 5 --generations 300", "text"):
-        (0, "9b48f6ea6447f444", "9b48f6ea6447f444", None, "e3b0c44298fc1c14"),
+        (0, "1dc0f7b270f1127b", "1dc0f7b270f1127b", None, "e3b0c44298fc1c14"),
     ("solve --strategy default --n 2", "records"):
         (0, "1bd1b5c3da887be9", "fedd37a60c43f26f", None, "e3b0c44298fc1c14"),
     ("solve --strategy default --n 2", "text"):
@@ -96,17 +96,17 @@ PINNED = {
     ("solve --scene tri.txt", "text"):
         (0, "3c7da3d5abd9525c", "3c7da3d5abd9525c", None, "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400", "records"):
-        (0, "565f9da3d00b1d26", "6df16f38da430fa0", "3dc1e4650da9e2d1", "e3b0c44298fc1c14"),
+        (0, "3013c98414cfff50", "29375ac81e603d0e", "2e8b53209fdf550b", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400", "text"):
-        (0, "565f9da3d00b1d26", "565f9da3d00b1d26", "3dc1e4650da9e2d1", "e3b0c44298fc1c14"),
+        (0, "3013c98414cfff50", "3013c98414cfff50", "2e8b53209fdf550b", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400 --jobs 2", "records"):
-        (0, "565f9da3d00b1d26", "6df16f38da430fa0", "3dc1e4650da9e2d1", "e3b0c44298fc1c14"),
+        (0, "3013c98414cfff50", "29375ac81e603d0e", "2e8b53209fdf550b", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400 --jobs 2", "text"):
-        (0, "565f9da3d00b1d26", "565f9da3d00b1d26", "3dc1e4650da9e2d1", "e3b0c44298fc1c14"),
+        (0, "3013c98414cfff50", "3013c98414cfff50", "2e8b53209fdf550b", "e3b0c44298fc1c14"),
     ("compare --n 2 --trials 1 --epochs 20 --generations 20", "records"):
-        (0, "2b7d1d7deef3ebdd", "5996bbf03c42e2e7", "59786a0f7b15e387", "e3b0c44298fc1c14"),
+        (0, "9121682802f6bdd1", "b07b770925f6661f", "f6a402ede1b1e31c", "e3b0c44298fc1c14"),
     ("compare --n 2 --trials 1 --epochs 20 --generations 20", "text"):
-        (0, "2b7d1d7deef3ebdd", "2b7d1d7deef3ebdd", "59786a0f7b15e387", "e3b0c44298fc1c14"),
+        (0, "9121682802f6bdd1", "9121682802f6bdd1", "f6a402ede1b1e31c", "e3b0c44298fc1c14"),
     ("aoi --n 64 --epochs 50 --compute-delay 0.05 --seed 1", "records"):
         (0, "878f6f2a9eac6578", "2e9601f56bbebf15", None, "e3b0c44298fc1c14"),
     ("aoi --n 64 --epochs 50 --compute-delay 0.05 --seed 1", "text"):
@@ -116,17 +116,17 @@ PINNED = {
     ("aoi --n 4 --seed 9 --looptime 0.3 --rate-factor 0.2154", "text"):
         (0, "299d579c38960231", "299d579c38960231", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2", "records"):
-        (0, "520b186cdb7fa9f1", "362d9fecf1fa10fe", None, "e3b0c44298fc1c14"),
+        (0, "172bd7aea66bfc5b", "fc4f6eb2cd81b4b1", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2", "text"):
-        (0, "520b186cdb7fa9f1", "520b186cdb7fa9f1", None, "e3b0c44298fc1c14"),
+        (0, "172bd7aea66bfc5b", "172bd7aea66bfc5b", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2 --gap-threshold 0", "records"):
-        (2, "1d0a7c1ea527e396", "fba1156939918c1a", None, "e3b0c44298fc1c14"),
+        (2, "3c4e61250477818d", "38ddc8622e6bf95c", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2 --gap-threshold 0", "text"):
-        (2, "1d0a7c1ea527e396", "1d0a7c1ea527e396", None, "e3b0c44298fc1c14"),
+        (2, "3c4e61250477818d", "3c4e61250477818d", None, "e3b0c44298fc1c14"),
     ("verify --scene tri.txt --instances 1 --epochs 300 --generations 300", "records"):
-        (0, "0a91fda164483b27", "dae636316a6556aa", None, "e3b0c44298fc1c14"),
+        (0, "1e80bf2fb2ab907a", "1785b0a4209e0bfb", None, "e3b0c44298fc1c14"),
     ("verify --scene tri.txt --instances 1 --epochs 300 --generations 300", "text"):
-        (0, "0a91fda164483b27", "0a91fda164483b27", None, "e3b0c44298fc1c14"),
+        (0, "1e80bf2fb2ab907a", "1e80bf2fb2ab907a", None, "e3b0c44298fc1c14"),
     ("solve --n 3 --rate-factor 5e-324", "records"):
         (1, "e3b0c44298fc1c14", None, None, "c882b61125d1fb3e"),
     ("solve --n 3 --rate-factor 5e-324", "text"):
