@@ -2,12 +2,16 @@
 
 Four commands:
   solve    - one scene, one strategy; prints power/SNR/delay matrices.
-  compare  - repeated trials of every strategy with summary statistics.
+  compare  - repeated trials of the even split and greedy against the exact
+             optimum, with summary statistics.
   aoi      - information-age and proxy perception report per mode.
   verify   - heuristics against the exact optimum on random or given scenes.
 
 Every command solves through metrics.solve_scene, which looks strategies up
-in metrics.STRATEGIES and derives each scene and GA seed by one rule.
+in metrics.STRATEGIES and derives each scene and GA seed by one rule.  The
+GA runs only in solve --strategy genetic and in verify; compare measures
+every row against exact, so its --generations and --population are accepted
+and echoed but move no number.
 
 Each command returns its records, the config record first, and builds no
 text: the text report is rendered from those records alone, so --format
@@ -30,7 +34,8 @@ from .allocator import greedy_pa  # noqa: F401  perfbench's tracer test reads cl
 from .aoi import AoiConfig, aoi_summary, build_aoi_records
 from .channel import ChannelParams
 from .errors import DomainError, SimulationError
-from .metrics import STRATEGIES, ComparisonConfig, run_comparison, scene_seed, solve_scene
+from .metrics import STRATEGIES, ComparisonConfig, optimality_gap, run_comparison
+from .metrics import scene_seed, solve_scene
 from .proxy import estimate_scene_ap
 from .scenario import ScenarioSpec, generate_scene, load_distance_matrix
 from .seeds import derive_seed
@@ -206,10 +211,12 @@ def _fmt_matrix(m, title: str) -> str:
     return "\n".join([title, *(row % tuple(cells) for cells in m)])
 
 
-# a table column is (header, record key, cell format)
+# a table column is (header, record key, cell format); a compare header
+# takes the record's reference strategy for its {}
 _COMPARE_COLUMNS = (
     ("strategy", "strategy", "{}"),
-    ("rmse_vs_genetic [s]", "rmse_vs_reference", "{:.6g}"),
+    ("rmse_vs_{} [s]", "rmse_vs_reference", "{:.6g}"),
+    ("gap_vs_exact", "gap_vs_exact", "{:.4%}"),
     ("variance [s^2]", "delay_variance", "{:.6g}"),
     ("mean [s]", "delay_mean", "{:.6g}"),
 )
@@ -231,6 +238,11 @@ _VERIFY_COLUMNS = (
     ("genetic", "genetic_min_snr", "{:.6g}"),
     ("genetic_gap", "genetic_gap", "{:.4%}"),
 )
+
+
+def _compare_columns(rec: dict) -> list:
+    reference = rec["reference_strategy"]
+    return [(header.format(reference), key, fmt) for header, key, fmt in _COMPARE_COLUMNS]
 
 
 def _fmt_table(columns, recs) -> str:
@@ -311,7 +323,7 @@ def cmd_compare(cfg: dict, solvers: ComparisonConfig) -> list:
 def text_compare(records: list) -> str:
     return "\n\n".join(
         f"n={rec['n']} ({rec['trials']} trials, reference {rec['reference_strategy']}, "
-        f"{rec['variance_convention']})\n" + _fmt_table(_COMPARE_COLUMNS, rec["aggregates"])
+        f"{rec['variance_convention']})\n" + _fmt_table(_compare_columns(rec), rec["aggregates"])
         for rec in records[1:]
     )
 
@@ -321,8 +333,9 @@ def _plot_series(records: list) -> str:
     is named by its column header's first word and the strategy."""
     series = {}
     for rec in records[1:]:
+        columns = _compare_columns(rec)[1:]
         for agg in rec["aggregates"]:
-            for header, key, _ in _COMPARE_COLUMNS[1:]:
+            for header, key, _ in columns:
                 name = f"{header.split()[0]}.{agg['strategy']}"
                 series.setdefault(name, []).append(f"{rec['n']} {agg[key]!r}\n")
     return "".join(f"# series {name}\n" + "".join(series[name]) for name in sorted(series))
@@ -379,7 +392,7 @@ def cmd_verify(cfg: dict, solvers: ComparisonConfig) -> list:
         record = {"type": "verify_instance", "instance": k, "oracle_min_snr": optimum}
         for name, result in solved.items():
             record[f"{name}_min_snr"] = result.objective_min_snr
-            record[f"{name}_gap"] = max(0.0, (optimum - result.objective_min_snr) / optimum)
+            record[f"{name}_gap"] = optimality_gap(result.objective_min_snr, optimum)
         worst_greedy_gap = max(worst_greedy_gap, record["greedy_gap"])
         records.append(record)
     records.append(

@@ -25,7 +25,8 @@ from .seeds import derive_seed
 
 VARIANCE_CONVENTION = "population variance over ordered off-diagonal pairs"
 
-REFERENCE_STRATEGY = "genetic"
+# compare's reference row: the certified max-min optimum
+REFERENCE_STRATEGY = "exact"
 
 
 def delay_rmse(a: np.ndarray, b: np.ndarray) -> float:
@@ -54,6 +55,11 @@ def delay_mean(d: np.ndarray) -> float:
         return check_finite("delay mean", np.mean(offdiag_values(d)))
 
 
+def optimality_gap(min_snr: float, optimum: float) -> float:
+    """How far a min SNR falls short of the exact optimum, as a share of it."""
+    return max(0.0, (optimum - min_snr) / optimum)
+
+
 @dataclass(frozen=True)
 class ComparisonConfig:
     """Solver settings for one comparison batch.
@@ -64,6 +70,8 @@ class ComparisonConfig:
     greedy as given, serves them all.  The top entry must equal
     greedy.max_epochs, so that no epoch is run for a row nobody reports.
     The delay scale is params.rate_factor, applied by the channel model.
+    genetic configures the GA, which solve and verify run; a comparison,
+    measured against the exact optimum, never runs it.
     """
 
     params: ChannelParams = ChannelParams()
@@ -132,13 +140,13 @@ def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> tuple:
     """One trial's per_trial record and each strategy's delay matrix."""
     seed = scene_seed(spec.rng_seed, trial)
     dist, _ = generate_scene(replace(spec, rng_seed=seed))
-    default, greedy, genetic = solve_scene(
+    default, greedy, exact = solve_scene(
         cfg, dist, ("default", "greedy", REFERENCE_STRATEGY), spec.rng_seed, trial
     ).values()
     results = {
         "default": default,
         **{f"greedy_epoch{e}": r for e, r in zip(cfg.greedy_epoch_ladder, greedy.rungs)},
-        REFERENCE_STRATEGY: genetic,
+        REFERENCE_STRATEGY: exact,
     }
 
     delays = {name: r.delay_s for name, r in results.items()}
@@ -151,6 +159,7 @@ def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> tuple:
                 "min_snr": result.objective_min_snr,
                 "epochs_used": result.epochs_used,
                 "rmse_vs_reference": delay_rmse(delays[name], delays[REFERENCE_STRATEGY]),
+                "gap_vs_exact": optimality_gap(result.objective_min_snr, exact.objective_min_snr),
             }
             for name, result in results.items()
         ],
@@ -163,12 +172,13 @@ def run_comparison(spec: ScenarioSpec, trials: int, config: ComparisonConfig | N
 
     Returns the comparison record that `v2vaoi compare --out` writes: one
     aggregate per strategy, in row order, and each trial's per-strategy
-    min SNR, epochs used and RMSE against the reference.
+    min SNR, epochs used, RMSE against the reference and gap to the optimum.
 
     The rows are default, one greedy_epoch<e> per greedy_epoch_ladder rung
-    and the genetic reference, each solved through STRATEGIES.  Trial t
-    follows solve_scene's seed rule on the stream (spec.rng_seed, t), so
-    results are reproducible.  Trials run serially, in index order.
+    and the exact reference, the certified max-min optimum, each solved
+    through STRATEGIES; the GA is not run.  Trial t follows solve_scene's
+    seed rule on the stream (spec.rng_seed, t), so results are
+    reproducible.  Trials run serially, in index order.
     Solver errors abort the batch, tagged with the failing trial index.
     """
     if not (is_integer(trials) and trials >= 1):
@@ -184,8 +194,10 @@ def run_comparison(spec: ScenarioSpec, trials: int, config: ComparisonConfig | N
     per_trial = [record for record, _ in runs]
     aggregates = []
     for idx, name in enumerate(runs[0][1]):
+        rows = [rec["strategies"][idx] for rec in per_trial]
         series = {
-            "rmse_vs_reference": [rec["strategies"][idx]["rmse_vs_reference"] for rec in per_trial],
+            "rmse_vs_reference": [row["rmse_vs_reference"] for row in rows],
+            "gap_vs_exact": [row["gap_vs_exact"] for row in rows],
             "delay_variance": [delay_variance(d[name]) for _, d in runs],
             "delay_mean": [delay_mean(d[name]) for _, d in runs],
         }

@@ -97,16 +97,16 @@ def test_criterion_3_comparison_patterns():
         spec = ScenarioSpec(n, rng_seed=derive_seed(7, n))
         comp = run_comparison(spec, 15, ComparisonConfig())
         agg = {a["strategy"]: a for a in comp["aggregates"]}
-        d, g, ge = agg["default"], agg["greedy_epoch5000"], agg["genetic"]
+        d, g, ex = agg["default"], agg["greedy_epoch5000"], agg["exact"]
         rmse_ok = g["rmse_vs_reference"] < 0.01 * d["rmse_vs_reference"]
         var_ok = d["delay_variance"] > 1e3 * g["delay_variance"]
-        mean_gap = abs(g["delay_mean"] - ge["delay_mean"])
-        mean_ok = mean_gap <= 0.10 * ge["delay_mean"]
+        mean_gap = abs(g["delay_mean"] - ex["delay_mean"])
+        mean_ok = mean_gap <= 0.10 * ex["delay_mean"]
         ok = ok and rmse_ok and var_ok and mean_ok
         details.append(
             f"n={n}: rmse ratio {g['rmse_vs_reference'] / d['rmse_vs_reference']:.1e}, "
             f"var ratio {d['delay_variance'] / g['delay_variance']:.1e}, "
-            f"mean rel {mean_gap / ge['delay_mean']:.1e}"
+            f"mean rel {mean_gap / ex['delay_mean']:.1e}"
         )
     elapsed = time.time() - t0
     report(

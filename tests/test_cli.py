@@ -132,7 +132,8 @@ def test_solve_strategies_follow_the_seed_rule(tmp_path):
 
 def test_verify_instance_is_compare_trial(tmp_path):
     # one seed rule: verify instance k and compare trial k on
-    # ScenarioSpec(n, rng_seed=seed) solve the same scene with the same GA seed
+    # ScenarioSpec(n, rng_seed=seed) solve the same scene, and verify's
+    # oracle is compare's exact reference row
     out = tmp_path / "verify.jsonl"
     args = ["verify", "--n", 5, "--instances", 3, "--seed", 2, "--epochs", 300]
     assert run_cli(args + ["--gap-threshold", 1, "--out", out]) == 0
@@ -142,7 +143,7 @@ def test_verify_instance_is_compare_trial(tmp_path):
     for instance, trial in zip(instances, comparison["per_trial"], strict=True):
         min_snr = {row["strategy"]: row["min_snr"] for row in trial["strategies"]}
         assert min_snr["greedy_epoch300"] == instance["greedy_min_snr"]
-        assert min_snr["genetic"] == instance["genetic_min_snr"]
+        assert min_snr["exact"] == instance["oracle_min_snr"]
 
 
 def test_solve_asymmetric_scene_fails(tmp_path, capsys):
@@ -202,6 +203,37 @@ def test_compare_record_is_run_comparison(tmp_path):
     line = out.read_text().splitlines()[1]
     assert json.loads(line) == record
     assert json.dumps(record) == line
+
+
+def test_compare_never_runs_the_ga(tmp_path, monkeypatch):
+    # every row is measured against exact; a GA call anywhere on the path
+    # would raise (solve --strategy genetic shows that the patch reaches it)
+    def no_ga(*args, **kwargs):
+        raise AssertionError("genetic_pa was called")
+
+    monkeypatch.setattr("v2vaoi.metrics.genetic_pa", no_ga)
+    with pytest.raises(AssertionError, match="genetic_pa was called"):
+        run_cli(["solve", "--strategy", "genetic", "--n", 3])
+    out = tmp_path / "cmp.jsonl"
+    assert run_cli(["compare", "--n", "3,4", "--trials", 2, "--seed", 5, "--out", out]) == 0
+    comparisons = [r for r in read_records(out) if r["type"] == "comparison"]
+    assert [c["reference_strategy"] for c in comparisons] == ["exact", "exact"]
+    for comparison in comparisons:
+        for trial in comparison["per_trial"]:
+            dist, _ = generate_scene(ScenarioSpec(comparison["n"], rng_seed=trial["scene_seed"]))
+            want = exact_pa(AllocationProblem(ChannelParams(), dist))
+            *others, exact = trial["strategies"]
+            assert exact == {
+                "strategy": "exact",
+                "min_snr": want.objective_min_snr,
+                "epochs_used": want.epochs_used,
+                "rmse_vs_reference": 0.0,
+                "gap_vs_exact": 0.0,
+            }
+            assert all(0.0 <= row["gap_vs_exact"] < 1.0 for row in others), others
+        exact_agg = comparison["aggregates"][-1]
+        assert exact_agg["strategy"] == "exact"
+        assert (exact_agg["rmse_vs_reference"], exact_agg["gap_vs_exact"]) == (0.0, 0.0)
 
 
 def test_compare_plot_series(tmp_path):

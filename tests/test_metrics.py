@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from v2vaoi.allocator import AllocationProblem, GeneticConfig, GreedyConfig, greedy_pa
+from v2vaoi.allocator import AllocationProblem, GreedyConfig, greedy_pa
 from v2vaoi.errors import DimensionMismatchError, DomainError
 from v2vaoi.metrics import (
     ComparisonConfig,
@@ -18,11 +18,7 @@ from v2vaoi.metrics import (
 )
 from v2vaoi.scenario import ScenarioSpec, generate_scene
 
-FAST_CONFIG = ComparisonConfig(
-    greedy=GreedyConfig(max_epochs=300),
-    genetic=GeneticConfig(max_generations=400, stagnation_limit=120),
-    greedy_epoch_ladder=(300,),
-)
+FAST_CONFIG = ComparisonConfig(greedy=GreedyConfig(max_epochs=300), greedy_epoch_ladder=(300,))
 
 
 def square(offdiag_pairs):
@@ -108,7 +104,7 @@ def test_comparison_structure_and_determinism():
     assert (a["type"], a["n"], a["trials"]) == ("comparison", 3, 2)
     assert [t["trial_index"] for t in a["per_trial"]] == [0, 1]
     names = [agg["strategy"] for agg in a["aggregates"]]
-    assert names == ["default", "greedy_epoch300", "genetic"]
+    assert names == ["default", "greedy_epoch300", "exact"]
     for trial in a["per_trial"]:
         assert [s["strategy"] for s in trial["strategies"]] == names
 
@@ -149,11 +145,11 @@ def test_comparison_rejects_bad_inputs():
 def test_comparison_ladder_rows_match_separate_solves():
     # one greedy solve per trial serves the whole ladder, in ladder order
     spec = ScenarioSpec(4, rng_seed=8)
-    config = ComparisonConfig(genetic=FAST_CONFIG.genetic)
+    config = ComparisonConfig()
     comp = run_comparison(spec, trials=2, config=config)
     names = [agg["strategy"] for agg in comp["aggregates"]]
     assert names == [
-        "default", "greedy_epoch5000", "greedy_epoch500", "greedy_epoch50", "genetic"
+        "default", "greedy_epoch5000", "greedy_epoch500", "greedy_epoch50", "exact"
     ]
     for t, trial in enumerate(comp["per_trial"]):
         record, delays = _run_trial(spec, config, t)

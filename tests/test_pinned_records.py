@@ -96,17 +96,17 @@ PINNED = {
     ("solve --scene tri.txt", "text"):
         (0, "3c7da3d5abd9525c", "3c7da3d5abd9525c", None, "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400", "records"):
-        (0, "3013c98414cfff50", "29375ac81e603d0e", "2e8b53209fdf550b", "e3b0c44298fc1c14"),
+        (0, "fd2ce784d265e97f", "c0281314e401a847", "8fb9144709872f42", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400", "text"):
-        (0, "3013c98414cfff50", "3013c98414cfff50", "2e8b53209fdf550b", "e3b0c44298fc1c14"),
+        (0, "fd2ce784d265e97f", "fd2ce784d265e97f", "8fb9144709872f42", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400 --jobs 2", "records"):
-        (0, "3013c98414cfff50", "29375ac81e603d0e", "2e8b53209fdf550b", "e3b0c44298fc1c14"),
+        (0, "fd2ce784d265e97f", "c0281314e401a847", "8fb9144709872f42", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400 --jobs 2", "text"):
-        (0, "3013c98414cfff50", "3013c98414cfff50", "2e8b53209fdf550b", "e3b0c44298fc1c14"),
+        (0, "fd2ce784d265e97f", "fd2ce784d265e97f", "8fb9144709872f42", "e3b0c44298fc1c14"),
     ("compare --n 2 --trials 1 --epochs 20 --generations 20", "records"):
-        (0, "9121682802f6bdd1", "b07b770925f6661f", "f6a402ede1b1e31c", "e3b0c44298fc1c14"),
+        (0, "accbb37ba8b1db08", "236baf2f98dad82f", "0e95038188611d53", "e3b0c44298fc1c14"),
     ("compare --n 2 --trials 1 --epochs 20 --generations 20", "text"):
-        (0, "9121682802f6bdd1", "9121682802f6bdd1", "f6a402ede1b1e31c", "e3b0c44298fc1c14"),
+        (0, "accbb37ba8b1db08", "accbb37ba8b1db08", "0e95038188611d53", "e3b0c44298fc1c14"),
     ("aoi --n 64 --epochs 50 --compute-delay 0.05 --seed 1", "records"):
         (0, "878f6f2a9eac6578", "2e9601f56bbebf15", None, "e3b0c44298fc1c14"),
     ("aoi --n 64 --epochs 50 --compute-delay 0.05 --seed 1", "text"):
