@@ -21,7 +21,6 @@ from v2vaoi.allocator import (
     GreedyConfig,
     _fit_row_to_budget,
     _project_offdiag_rows,
-    _uniform_power,
     default_pa,
     exact_pa,
     genetic_pa,
@@ -57,7 +56,7 @@ def log_uniform_rows(shape, seed=0) -> np.ndarray:
 def greedy_step_rows(n: int) -> np.ndarray:
     """The even split after one greedy step: one link raised by the default
     learn rate, so one row is over budget, as in nearly every epoch."""
-    rows = _uniform_power(problem(n))
+    rows = problem(n).even_split.copy()
     rows[0, 0] *= 1.0 + GreedyConfig().learn_rate
     return rows
 
@@ -68,10 +67,25 @@ def test_generate_scene(benchmark):
     assert dist.n == 64 and coords.shape == (64, 2)
 
 
+def solve_fresh(benchmark, solver, n: int, rounds: int):
+    """Time solver on a fresh problem each round, its path loss computed in
+    setup: a problem caches its even split and its bisection, so a second
+    solve on one problem would time little more than _finish."""
+    dist = problem(n).dist
+
+    def setup():
+        fresh = AllocationProblem(PARAMS, dist)
+        fresh.loss
+        return (fresh,), {}
+
+    return benchmark.pedantic(solver, setup=setup, rounds=rounds)
+
+
 def test_default_pa(benchmark):
-    # the even split, so nearly all of it is _finish: the PowerMatrix and
-    # feasibility checks, the SNR on the problem's path loss and the delays
-    result = benchmark(default_pa, problem(64))
+    # the even split's projection and _finish, which is nearly all of it:
+    # the PowerMatrix and feasibility checks, the SNR on the problem's path
+    # loss and the delays
+    result = solve_fresh(benchmark, default_pa, 64, rounds=500)
     assert result.snr.shape == result.delay_s.shape == (64, 64)
 
 
@@ -187,8 +201,9 @@ def test_genetic_50_generations(benchmark, n):
 
 
 def test_exact_solve(benchmark):
-    result = benchmark(exact_pa, problem(64))
-    assert result.upper_bound >= result.objective_min_snr
+    # the bisection and _finish
+    result = solve_fresh(benchmark, exact_pa, 64, rounds=100)
+    assert result.upper_bound >= result.objective_min_snr and result.epochs_used > 0
 
 
 def test_build_aoi_records(benchmark):

@@ -68,8 +68,9 @@ class AllocationProblem:
     """One solvable instance: channel constants plus a scene's distances,
     refused unless n-1 links at p_min_w fit the budget by the one sum.
 
-    loss (the scene's path loss) and _max_min (exact_pa's bisection) are
-    computed on first use and shared by every solver run on the problem.
+    Three inputs are computed on first use and shared by every solver run
+    on the problem: loss (the scene's path loss), even_split (the projected
+    even split) and _max_min (exact_pa's bisection).
     """
 
     params: ChannelParams
@@ -93,6 +94,16 @@ class AllocationProblem:
     def loss(self) -> np.ndarray:
         """channel.path_loss of the scene: read-only (n, n-1) rows."""
         return path_loss(self.params, self.dist)
+
+    @cached_property
+    def even_split(self) -> np.ndarray:
+        """The projected even split as read-only offdiag_rows: at 23 W its
+        rows sum a rounding step over budget at n = 13, 14, 16, 23 ..."""
+        n, params = self.n, self.params
+        rows = np.full((n, n - 1), params.p_max_w / (n - 1))
+        rows = _project_offdiag_rows(rows, params.p_min_w, params.p_max_w)
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def _max_min(self) -> tuple:
@@ -160,7 +171,7 @@ class AllocationResult:
     epochs_used: int
     converged: bool
     strategy_name: str
-    history: tuple = ()  # best-so-far objective after each epoch/generation
+    history: tuple = ()  # best so far: per greedy epoch; the GA's initial, then per generation
     rungs: tuple = ()  # greedy_pa's results at its rungs, in their order
     upper_bound: float | None = None
 
@@ -294,14 +305,6 @@ def project_to_feasible(power: np.ndarray, params: ChannelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _uniform_power(problem: AllocationProblem) -> np.ndarray:
-    """The even split as fresh projected offdiag_rows: at 23 W its rows sum
-    a rounding step over budget at n = 13, 14, 16, 23 ..."""
-    n, params = problem.n, problem.params
-    rows = np.full((n, n - 1), params.p_max_w / (n - 1))
-    return _project_offdiag_rows(rows, params.p_min_w, params.p_max_w)
-
-
 def _finish(
     problem: AllocationProblem,
     rows: np.ndarray,
@@ -375,7 +378,7 @@ class _Progress:
 def default_pa(problem: AllocationProblem) -> AllocationResult:
     """Even split: every vehicle divides its budget over its n-1 links."""
     return _finish(
-        problem, _uniform_power(problem), epochs_used=0, converged=True, strategy_name="default"
+        problem, problem.even_split, epochs_used=0, converged=True, strategy_name="default"
     )
 
 
@@ -415,7 +418,7 @@ def greedy_pa(
     # rows[i] holds vehicle i's n-1 outgoing powers; links[k] is the k-th
     # off-diagonal entry in row-major order, the order of snr, so argmin and
     # argmax break ties as a row-major scan of the matrix would
-    rows = _uniform_power(problem)
+    rows = problem.even_split.copy()
     links = rows.reshape(-1)
     snr = _snr(loss, rows, noise_w).reshape(-1)
     worst = int(snr.argmin())
@@ -583,7 +586,7 @@ def _bisect_max_min(problem: AllocationProblem) -> tuple:
     """
     params = problem.params
     n = problem.n
-    best = _uniform_power(problem)
+    best = problem.even_split
     loss = problem.loss
     lo = float(_snr(loss, best, params.noise_w).min())
     steps = 0

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, check_finite, check_integers
+from .errors import DimensionMismatchError, DomainError, check_finite, check_integers, variance
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,10 @@ def aoi_summary(snapped_ages, looptime_s: float) -> AoiSummary:
     with np.errstate(over="ignore", invalid="ignore"):
         max_age = float(ages.max())
         mean_age = float(ages.mean())
-        # identical ages have exactly zero variance; np.var would leak the
-        # rounding of the mean back in as ~1e-34
-        variance = 0.0 if max_age == float(ages.min()) else float(ages.var())
     summary = AoiSummary(
         max_age_s=max_age,
         mean_age_s=mean_age,
-        age_variance=variance,
+        age_variance=variance(ages),
         stale_count=int(np.count_nonzero(ages > looptime_s)),
         effective_max_age_s=max_age + looptime_s,
         effective_mean_age_s=mean_age + looptime_s,

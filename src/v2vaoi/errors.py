@@ -1,9 +1,11 @@
 """Exception types shared across the package, the integer rule that every
-config applies to its counts and seeds, and the finiteness rule that every
-reported statistic obeys."""
+config applies to its counts and seeds, and the finiteness and variance
+rules that every reported statistic obeys."""
 
 import math
 from numbers import Integral
+
+import numpy as np
 
 
 class SimulationError(Exception):
@@ -65,3 +67,10 @@ def check_finite(name: str, value) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} overflows the float range")
     return value
+
+
+def variance(values: np.ndarray) -> float:
+    """Population variance of a flat array: exactly 0.0 where every value is
+    equal, not the mean's rounding (~1e-34); inf or NaN past the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.0 if values.max() == values.min() else float(values.var())

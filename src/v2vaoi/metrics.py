@@ -19,7 +19,8 @@ from .allocator import (
     greedy_pa,
 )
 from .channel import ChannelParams, DistanceMatrix, offdiag_values
-from .errors import DimensionMismatchError, DomainError, SimulationError, check_finite, is_integer
+from .errors import DimensionMismatchError, DomainError, SimulationError
+from .errors import check_finite, is_integer, variance
 from .scenario import ScenarioSpec, generate_scene
 from .seeds import derive_seed
 
@@ -42,11 +43,7 @@ def delay_rmse(a: np.ndarray, b: np.ndarray) -> float:
 
 def delay_variance(d: np.ndarray) -> float:
     """Population variance of the off-diagonal delays, in seconds squared."""
-    vals = offdiag_values(d)
-    if vals.max() == vals.min():  # exactly zero, not mean-rounding dust
-        return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return check_finite("delay variance", np.var(vals))
+    return check_finite("delay variance", variance(offdiag_values(d)))
 
 
 def delay_mean(d: np.ndarray) -> float:
@@ -87,16 +84,10 @@ class ComparisonConfig:
             raise DomainError(f"greedy_epoch_ladder entries must be integers >= 1, got {ladder!r}")
         if len(set(ladder)) != len(ladder):
             raise DomainError(f"greedy_epoch_ladder has duplicate entries: {ladder!r}")
-        if max(ladder) > self.greedy.max_epochs:
+        if max(ladder) != self.greedy.max_epochs:
             raise DomainError(
-                f"greedy_epoch_ladder entry {max(ladder)} exceeds greedy.max_epochs "
-                f"{self.greedy.max_epochs}"
-            )
-        if max(ladder) < self.greedy.max_epochs:
-            # the solve would run past the top rung, and no row reports it
-            raise DomainError(
-                f"greedy.max_epochs {self.greedy.max_epochs} exceeds the top "
-                f"greedy_epoch_ladder entry {max(ladder)}"
+                f"the top greedy_epoch_ladder entry {max(ladder)} must equal "
+                f"greedy.max_epochs {self.greedy.max_epochs}"
             )
 
 

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from v2vaoi.allocator import AllocationProblem, GreedyConfig, greedy_pa
+from v2vaoi import allocator
+from v2vaoi.allocator import AllocationProblem, GreedyConfig, default_pa, exact_pa, greedy_pa
 from v2vaoi.errors import DimensionMismatchError, DomainError
 from v2vaoi.metrics import (
     ComparisonConfig,
@@ -15,6 +16,7 @@ from v2vaoi.metrics import (
     delay_rmse,
     delay_variance,
     run_comparison,
+    solve_scene,
 )
 from v2vaoi.scenario import ScenarioSpec, generate_scene
 
@@ -184,15 +186,40 @@ def test_comparison_config_rejects_bad_ladders(ladder):
 
 def test_comparison_config_rejects_ladder_above_greedy_budget():
     # the greedy solve runs greedy.max_epochs as given, so a rung beyond it
-    # could not be served; both values are named
-    with pytest.raises(DomainError, match="entry 5000 exceeds greedy.max_epochs 10"):
+    # could not be served, and a solve past the top rung runs epochs no row
+    # reports; one message names both values either way
+    top = "the top greedy_epoch_ladder entry 5000 must equal greedy.max_epochs 10"
+    with pytest.raises(DomainError, match=top):
         ComparisonConfig(greedy=GreedyConfig(max_epochs=10))
-    with pytest.raises(DomainError, match="entry 301 exceeds greedy.max_epochs 300"):
+    with pytest.raises(DomainError, match="entry 301 must equal greedy.max_epochs 300"):
         ComparisonConfig(greedy=GreedyConfig(max_epochs=300), greedy_epoch_ladder=(30, 301))
     config = ComparisonConfig(greedy=GreedyConfig(max_epochs=10), greedy_epoch_ladder=(10, 5))
     assert config.greedy_epoch_ladder == (10, 5)
-    # nor may the solve run past the top rung: no row would report those epochs
-    with pytest.raises(DomainError, match="max_epochs 5000 exceeds the top .* entry 50"):
+    with pytest.raises(DomainError, match="entry 50 must equal greedy.max_epochs 5000"):
         ComparisonConfig(greedy_epoch_ladder=(50,))
-    with pytest.raises(DomainError, match="max_epochs 300 exceeds the top .* entry 30"):
+    with pytest.raises(DomainError, match="entry 30 must equal greedy.max_epochs 300"):
         ComparisonConfig(greedy=GreedyConfig(max_epochs=300), greedy_epoch_ladder=(3, 30))
+
+
+def test_solved_scene_projects_the_even_split_once(monkeypatch):
+    # default finishes the problem's even split, greedy starts from a copy
+    # and exact's bisection from the split itself: one projection serves
+    # all three, and each result is what a solve on a problem of its own
+    # gives
+    calls = []
+    project = allocator._project_offdiag_rows
+    monkeypatch.setattr(
+        allocator, "_project_offdiag_rows", lambda *a: calls.append(a) or project(*a)
+    )
+    dist, _ = generate_scene(ScenarioSpec(13, rng_seed=4))
+    solved = solve_scene(FAST_CONFIG, dist, ("default", "greedy", "exact"), 4)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for name, solver in (
+        ("default", default_pa),
+        ("greedy", lambda prob: greedy_pa(prob, FAST_CONFIG.greedy)),
+        ("exact", exact_pa),
+    ):
+        alone = solver(AllocationProblem(FAST_CONFIG.params, dist))
+        assert solved[name].power.p.tobytes() == alone.power.p.tobytes()
+        assert solved[name].epochs_used == alone.epochs_used
