@@ -19,6 +19,7 @@ from v2vaoi.allocator import (
     AllocationProblem,
     GeneticConfig,
     GreedyConfig,
+    _fit_list_row,
     _fit_row_to_budget,
     _project_offdiag_rows,
     default_pa,
@@ -104,11 +105,13 @@ def test_offdiag_values(benchmark):
     assert benchmark(offdiag_values, m).shape == (64 * 63,)
 
 
-@SIZES
-def test_greedy_solve(benchmark, n):
+# n = 5 runs greedy's list layout (GREEDY_LIST_MAX_N), where the plateau
+# stop ends the solve at epoch 756; n = 8 and 64 run its NumPy rows
+@pytest.mark.parametrize("n, epochs", [(5, 756), (8, 1000), (64, 1000)], ids=["n5", "n8", "n64"])
+def test_greedy_solve(benchmark, n, epochs):
     prob = problem(n)
     result = benchmark(greedy_pa, prob, GreedyConfig(max_epochs=1000))
-    assert result.epochs_used == 1000
+    assert result.epochs_used == epochs
 
 
 def test_greedy_plateau_stop(benchmark):
@@ -156,6 +159,16 @@ def test_fit_greedy_step(benchmark, n):
     projected = _project_offdiag_rows(rows, PARAMS.p_min_w, PARAMS.p_max_w)
     assert fresh[0].tobytes() == projected[0].tobytes()
     assert_fixed_point(fresh[0])
+
+
+def test_fit_list_greedy_step(benchmark):
+    # the same fit in greedy's list layout, at compare's largest n = 5; it
+    # returns a new row, so every round fits the same input
+    rows = greedy_step_rows(5)
+    row = rows[0].tolist()
+    fitted = benchmark(_fit_list_row, row, PARAMS.p_min_w, PARAMS.p_max_w)
+    projected = _project_offdiag_rows(rows, PARAMS.p_min_w, PARAMS.p_max_w)
+    assert fitted is not row and np.array(fitted).tobytes() == projected[0].tobytes()
 
 
 def ga_population(over: int) -> np.ndarray:

@@ -21,6 +21,7 @@ certified within GA_CERTIFIED_GAP of that bound, so a GA result is either
 within 1% of the optimum or was cut by its stagnation or generation limit.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
@@ -34,6 +35,7 @@ from .channel import (
     _offdiag_view,
     _receivers,
     _snr,
+    _snr_list,
     compute_delay_matrix,
     from_offdiag_rows,
     offdiag_rows,
@@ -48,6 +50,15 @@ EXACT_REL_TOL = 1e-12
 # greedy_pa's plateau stop (_Progress): its relative tol and window in epochs.
 GREEDY_CONVERGENCE_TOL = 1e-6
 GREEDY_CONVERGENCE_WINDOW = 20
+
+# greedy_pa holds a scene of at most this many vehicles as a flat list of
+# Python floats, a larger one as NumPy rows.  The list layout solves
+# 1.76/1.65/1.57/1.36/1.09/0.86 times as fast at n = 3/4/5/6/7/8 (2-core VM,
+# median of 8 scenes, 300 epochs; n = 7 read 0.97-1.09 across runs).  It may
+# not exceed 8: the list sums a row of n-1 links left to right, which is
+# np.add.reduce's order for 7 entries at most, and at n = 9 a fitted row
+# fails the budget check.
+GREEDY_LIST_MAX_N = 6
 
 # genetic_pa's variation: the chance that a pair is crossed, the chance that
 # a gene mutates, and the log-scale spread of a multiplicative creep.
@@ -239,21 +250,14 @@ def _cap_rows_to_budget(rows: np.ndarray, p_min: float, p_max: float) -> np.ndar
     return out
 
 
-def _fit_row_to_budget(row: np.ndarray, p_min: float, p_max: float) -> None:
-    """Project one clamped row in place: fit it if it sums over p_max.
-
-    Greedy's fit: _project_offdiag_rows' rescale, floor and cap on one row,
-    the search as a scan that stops at the first level at or above the
-    next entry down, and bit-identical to it: the same IEEE expressions in
-    the same order (prefix sums left to right, as np.cumsum adds them).  On
-    one short row, Python's sort and prefix sums cost less than numpy's.
-    """
-    total = np.add.reduce(row)
-    if total <= p_max:
-        return
-    scaled = row * (p_max / total)
-    np.maximum(scaled, p_min, out=scaled)
-    u = sorted(scaled.tolist(), reverse=True)
+def _fit_level(scaled: list, p_min: float, p_max: float) -> float:
+    """The level that greedy's fit caps a rescaled, floored row at:
+    _cap_rows_to_budget's search as a scan that stops at the first level at
+    or above the next entry down, bit-identical to it: the same IEEE
+    expressions in the same order (prefix sums left to right, as np.cumsum
+    adds them).  On one short row, Python's sort and prefix sums cost less
+    than numpy's."""
+    u = sorted(scaled, reverse=True)
     csum = list(accumulate(u))
     acc = csum[-1]
     for j in range(len(u) - 1):
@@ -262,12 +266,55 @@ def _fit_row_to_budget(row: np.ndarray, p_min: float, p_max: float) -> None:
             break
     else:  # the smallest entry has none below it
         level = p_max / len(u)
-    level = min(max(level, p_min), u[0])
+    return min(max(level, p_min), u[0])
+
+
+def _fit_row_to_budget(row: np.ndarray, p_min: float, p_max: float) -> None:
+    """Project one clamped row in place: fit it if it sums over p_max.
+
+    Greedy's fit: _project_offdiag_rows' rescale, floor and cap on one row,
+    bit-identical to it, with the level from _fit_level.
+    """
+    total = np.add.reduce(row)
+    if total <= p_max:
+        return
+    scaled = row * (p_max / total)
+    np.maximum(scaled, p_min, out=scaled)
+    level = _fit_level(scaled.tolist(), p_min, p_max)
     np.minimum(scaled, level, out=row)
     while (total := np.add.reduce(row)) > p_max and level > p_min:  # the guard
         step = (total - p_max) / np.count_nonzero(scaled >= level)
         level = max(min(level - step, np.nextafter(level, -np.inf)), p_min)
         np.minimum(scaled, level, out=row)
+
+
+def _row_sum(row: list) -> float:
+    """np.add.reduce of a row of at most 7 floats, which NumPy adds strictly
+    left to right (its pairwise sum splits from 8 entries on).  Not the
+    builtin sum(), which compensates floats from Python 3.12."""
+    total = 0.0
+    for x in row:
+        total += x
+    return total
+
+
+def _fit_list_row(row: list, p_min: float, p_max: float) -> list:
+    """_fit_row_to_budget on a row of at most 7 Python floats: the row
+    itself when it fits, else a new fitted row, bit-identical to the NumPy
+    fit.  Comparisons, max, min and math.nextafter stand for np.maximum,
+    np.minimum and np.nextafter; no NaN reaches them."""
+    total = _row_sum(row)
+    if total <= p_max:
+        return row
+    ratio = p_max / total
+    scaled = [y if (y := x * ratio) > p_min else p_min for x in row]
+    level = _fit_level(scaled, p_min, p_max)
+    row = [x if x < level else level for x in scaled]
+    while (total := _row_sum(row)) > p_max and level > p_min:  # the guard
+        step = (total - p_max) / len([x for x in scaled if x >= level])
+        level = max(min(level - step, math.nextafter(level, -math.inf)), p_min)
+        row = [x if x < level else level for x in scaled]
+    return row
 
 
 def _project_offdiag_rows(rows: np.ndarray, p_min: float, p_max: float) -> np.ndarray:
@@ -399,54 +446,97 @@ def greedy_pa(
     returns: the best allocation, epochs_used, converged and history after
     that epoch, or the final ones if the run stopped at or before it.
 
-    The solve holds only the (n, n-1) off-diagonal rows.  Each epoch clamps
-    the two links it moved and fits the raised link's row with
-    _fit_row_to_budget.  Invariant: every row is a fixed point of the
-    projection.  The projected even split's rows are, fitted rows are, and
-    the lowered link's one entry fell or was floored back to at most its
-    old value, so its row's pairwise sum cannot rise: the bits are those of
-    projecting every row.  The path loss is the problem's; the rows and the
-    best rows are allocated once per solve, each epoch's SNR is _snr's
-    fresh array, and only a rung's snapshot copies the best rows.
+    The solve holds only the n(n-1) off-diagonal powers, links[k] the k-th
+    in row-major order, the order of the SNRs, so the first minimum and
+    maximum break ties as a row-major scan of the matrix would.  Each epoch
+    clamps the two links it moved and fits the raised link's row (vehicle
+    i's n-1 outgoing powers) to the budget.  Invariant: every row is a
+    fixed point of the projection.  The projected even split's rows are,
+    fitted rows are, and the lowered link's one entry fell or was floored
+    back to at most its old value, so its row's budget sum cannot rise: the
+    bits are those of projecting every row.
+
+    The state has two layouts, chosen by the scene's size alone, with one
+    epoch loop, stop rule, tie-break, rung snapshots and _finish.  Above
+    GREEDY_LIST_MAX_N vehicles it is the (n, n-1) NumPy rows, evaluated by
+    _snr, fitted by _fit_row_to_budget and scanned by argmin and argmax.
+    At or below it, where NumPy's fixed cost per call outweighs the work,
+    links is one flat list of Python floats, evaluated by _snr_list, fitted
+    by _fit_list_row and scanned as lst.index(min(lst)) and
+    lst.index(max(lst)), which keep the first occurrence.  Both layouts give
+    the same bits: _snr_list adds each receiver's gains in the order that
+    _snr's np.bincount does, a row of at most 7 links is summed left to
+    right as np.add.reduce sums it, and both fits cap at _fit_level's level,
+    with max, min and math.nextafter for np.maximum, np.minimum and
+    np.nextafter.  A solve allocates the state and the best links once;
+    only a rung's snapshot copies the best links.
     """
     cfg = cfg or GreedyConfig()
     if not all(is_integer(r) and 1 <= r <= cfg.max_epochs for r in rungs):
         raise DomainError(f"rungs must be integers in 1..max_epochs, got {rungs!r}")
     params = problem.params
-    n, p_min, p_max = problem.n, params.p_min_w, params.p_max_w
-    loss, noise_w = problem.loss, params.noise_w
-    # rows[i] holds vehicle i's n-1 outgoing powers; links[k] is the k-th
-    # off-diagonal entry in row-major order, the order of snr, so argmin and
-    # argmax break ties as a row-major scan of the matrix would
-    rows = problem.even_split.copy()
-    links = rows.reshape(-1)
-    snr = _snr(loss, rows, noise_w).reshape(-1)
-    worst = int(snr.argmin())
+    n, p_min, p_max, noise_w = problem.n, params.p_min_w, params.p_max_w, params.noise_w
+    m = n - 1
+    if n <= GREEDY_LIST_MAX_N:
+        links = problem.even_split.reshape(-1).tolist()
+        loss, recv = problem.loss.reshape(-1).tolist(), _receivers(1, n).tolist()
+
+        def evaluate() -> list:
+            return _snr_list(loss, links, recv, n, noise_w)
+
+        def fit(i: int) -> None:
+            links[i * m : i * m + m] = _fit_list_row(links[i * m : i * m + m], p_min, p_max)
+
+        def first_min(snr: list) -> int:
+            return snr.index(min(snr))
+
+        def first_max(snr: list) -> int:
+            return snr.index(max(snr))
+
+    else:
+        rows = problem.even_split.copy()
+        links = rows.reshape(-1)
+
+        def evaluate() -> np.ndarray:
+            return _snr(problem.loss, rows, noise_w).reshape(-1)
+
+        def fit(i: int) -> None:
+            _fit_row_to_budget(rows[i], p_min, p_max)
+
+        def first_min(snr: np.ndarray) -> int:
+            return int(snr.argmin())
+
+        def first_max(snr: np.ndarray) -> int:
+            return int(snr.argmax())
+
+    snr = evaluate()
+    worst = first_min(snr)
     track = _Progress(float(snr[worst]), GREEDY_CONVERGENCE_WINDOW, GREEDY_CONVERGENCE_TOL)
-    best_rows = rows.copy()  # refreshed in place on improvement
+    best = links.copy()  # refreshed in place on improvement
     snapshots = dict.fromkeys(rungs)
     for epoch in range(1, cfg.max_epochs + 1):
-        strongest = int(snr.argmax())
+        strongest = first_max(snr)
         links[worst] *= 1.0 + cfg.learn_rate
         links[strongest] *= 1.0 - cfg.learn_rate
         for k in (worst, strongest):  # as the projection clamps: max, then min
-            links[k] = min(max(links.item(k), p_min), p_max)
-        _fit_row_to_budget(rows[worst // (n - 1)], p_min, p_max)
-        snr = _snr(loss, rows, noise_w).reshape(-1)
-        worst = int(snr.argmin())
+            links[k] = min(max(links[k], p_min), p_max)
+        fit(worst // m)
+        snr = evaluate()
+        worst = first_min(snr)
         if track.step(float(snr[worst])):
-            best_rows[...] = rows
+            best[:] = links
         if track.converged:
             break
         if epoch in snapshots:
-            snapshots[epoch] = best_rows.copy()
+            snapshots[epoch] = best.copy()
 
-    def finish(best: np.ndarray, epochs: int, stopped: bool) -> AllocationResult:
-        return _finish(problem, best, epochs_used=epochs, converged=stopped,
-                       strategy_name="greedy", history=tuple(track.history[1 : epochs + 1]))
+    def finish(best_links: list | np.ndarray, epochs: int, stopped: bool) -> AllocationResult:
+        return _finish(problem, np.reshape(best_links, (n, m)), epochs_used=epochs,
+                       converged=stopped, strategy_name="greedy",
+                       history=tuple(track.history[1 : epochs + 1]))
 
     epochs_used = len(track.history) - 1
-    final = finish(best_rows, epochs_used, track.converged)
+    final = finish(best, epochs_used, track.converged)
     return replace(final, rungs=tuple(
         final if r >= epochs_used else finish(snapshots[r], r, False) for r in rungs
     ))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from v2vaoi import allocator
@@ -21,11 +21,13 @@ from v2vaoi.allocator import (
     GA_MUTATION_RATE,
     GREEDY_CONVERGENCE_TOL,
     GREEDY_CONVERGENCE_WINDOW,
+    GREEDY_LIST_MAX_N,
     GeneticConfig,
     GreedyConfig,
     _cap_rows_to_budget,
     _Progress,
     _finish,
+    _fit_list_row,
     _fit_row_to_budget,
     _project_offdiag_rows,
     check_feasible,
@@ -388,10 +390,11 @@ def test_cap_rows_matches_reference_bit_for_bit(m):
         assert got.tobytes() == _cap_rows_to_budget_reference(scaled, p_min, budget).tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 15, 31, 63])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 15, 31, 63])
 def test_fit_row_matches_reference_bit_for_bit(m):
     # one row through the scan against the frozen cap on the same rescaled,
-    # reclamped row; m = 1 leaves the scan nothing to iterate
+    # reclamped row; m = 1 leaves the scan nothing to iterate.  Rows of at
+    # most 7 links, greedy's list layout, go through the list fit too.
     rng = np.random.default_rng(m)
     p_min = 1e-3
     for _ in range(200):
@@ -400,9 +403,27 @@ def test_fit_row_matches_reference_bit_for_bit(m):
             scaled = np.maximum(rows * (p_max / totals)[:, np.newaxis], p_min)
             want = _cap_rows_to_budget_reference(scaled, p_min, p_max)
             for row, total, want_row in zip(rows, totals, want):
+                expected = (want_row if total > p_max else row).tobytes()
                 got = row.copy()
                 _fit_row_to_budget(got, p_min, p_max)
-                assert got.tobytes() == (want_row if total > p_max else row).tobytes()
+                assert got.tobytes() == expected
+                if m <= 7:
+                    assert np.array(_fit_list_row(row.tolist(), p_min, p_max)).tobytes() == expected
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_add_reduce_sums_up_to_seven_entries_left_to_right(m):
+    # greedy's list layout sums a row of n-1 <= 7 links left to right as
+    # np.add.reduce's bits; NumPy's pairwise sum splits from 8 entries on.
+    # Should a NumPy release change that order, this fails by name rather
+    # than as a shifted record digest.
+    rng = np.random.default_rng(m)
+    rows = np.exp(rng.uniform(-30.0, 30.0, size=(2000, m)))
+    for row in rows:
+        total = 0.0
+        for x in row.tolist():
+            total += x
+        assert float(np.add.reduce(row)) == total
 
 
 # --- greedy -------------------------------------------------------------------
@@ -575,7 +596,7 @@ def _greedy_reference(problem, cfg=None):
     [
         *[
             pytest.param(n, PARAMS, GreedyConfig(max_epochs=300), id=f"n{n}")
-            for n in (2, 3, 5, 8, 13, 16, 32, 64)
+            for n in (2, 3, 5, 6, 7, 8, 13, 16, 32, 64)
         ],
         pytest.param(3, ChannelParams(p_min_w=5.0), GreedyConfig(max_epochs=300), id="n3-floors"),
         pytest.param(4, ChannelParams(p_min_w=5.0), GreedyConfig(max_epochs=300), id="n4-floors"),
@@ -654,7 +675,8 @@ def test_greedy_tie_break_matches_reference_bit_for_bit(scene, tmp_path):
     _assert_same_solve(greedy_pa(prob, cfg), _greedy_reference(prob, cfg))
 
 
-@pytest.mark.parametrize("n, seed", [(3, 3), (4, 1), (5, 2)])
+# n = 6 and 7 sit on either side of GREEDY_LIST_MAX_N
+@pytest.mark.parametrize("n, seed", [(3, 3), (4, 1), (5, 2), (6, 2), (7, 2)])
 def test_greedy_rungs_match_separate_solves(n, seed):
     prob = random_problem(seed, n)
     stop = greedy_pa(prob).epochs_used  # the plateau stop of the full solve
@@ -674,6 +696,63 @@ def test_greedy_rungs_match_separate_solves(n, seed):
         for rung, got in zip(ladder, result.rungs):
             _assert_same_solve(got, greedy_pa(prob, GreedyConfig(max_epochs=rung)))
             assert got.rungs == ()
+
+
+def _solve_in_layout(prob, cfg, rungs, cut):
+    """greedy_pa with GREEDY_LIST_MAX_N at cut, and how many list fits ran."""
+    fits = []
+
+    def counted(*args):
+        fits.append(1)
+        return _fit_list_row(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocator, "GREEDY_LIST_MAX_N", cut)
+        mp.setattr(allocator, "_fit_list_row", counted)
+        return greedy_pa(prob, cfg, rungs=rungs), len(fits)
+
+
+# 150 derandomized draws and one explicit example, the same on every run,
+# about 1 s: each solves one scene in both layouts, of at most 300 epochs.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(n=5, seed=1, p_max=23.0, floor=1.0, learn_rate=0.05, epochs=300, rungs=[50, 7])
+@given(
+    n=st.sampled_from(range(2, 9)),
+    seed=st.integers(0, 2**32 - 1),
+    p_max=st.sampled_from([1.0, 7.3, 23.0]),
+    floor=st.floats(0.0, 1.0),
+    learn_rate=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    epochs=st.integers(1, 300),
+    rungs=st.lists(st.integers(1, 300), max_size=3),
+)
+def test_greedy_layouts_agree_bit_for_bit(n, seed, p_max, floor, learn_rate, epochs, rungs):
+    # the list layout, forced up to n = 8 (rows of 7 links, the most whose
+    # sum it may take left to right), against the NumPy rows, forced down
+    # to n = 2; floor places p_min on a log scale from the largest floor
+    # whose n-1 copies fit the budget (at 0) down to 1e-3 W (at 1)
+    limit = p_max / (n - 1)
+    p_min = min(limit * (1e-3 / limit) ** floor, float(np.nextafter(p_max, 0)))
+    while np.add.reduce(np.full(n - 1, p_min)) > p_max:
+        p_min = float(np.nextafter(p_min, 0))
+    dist, _ = generate_scene(ScenarioSpec(n, rng_seed=seed))
+    prob = AllocationProblem(ChannelParams(p_min_w=p_min, p_max_w=p_max), dist)
+    cfg = GreedyConfig(learn_rate=learn_rate, max_epochs=max([epochs, *rungs]))
+    lists, list_fits = _solve_in_layout(prob, cfg, tuple(rungs), 8)
+    arrays, array_fits = _solve_in_layout(prob, cfg, tuple(rungs), 1)
+    assert list_fits == lists.epochs_used and array_fits == 0
+    _assert_same_solve(lists, arrays)
+    assert len(lists.rungs) == len(arrays.rungs) == len(rungs)
+    for got, want in zip(lists.rungs, arrays.rungs):
+        _assert_same_solve(got, want)
+
+
+def test_greedy_layout_follows_scene_size():
+    # the shipped cut: lists up to GREEDY_LIST_MAX_N vehicles, rows above
+    cfg = GreedyConfig(max_epochs=30)
+    for n in (GREEDY_LIST_MAX_N, GREEDY_LIST_MAX_N + 1):
+        result, fits = _solve_in_layout(random_problem(1, n), cfg, (), GREEDY_LIST_MAX_N)
+        assert fits == (result.epochs_used if n <= GREEDY_LIST_MAX_N else 0)
+    assert 2 <= GREEDY_LIST_MAX_N <= 8
 
 
 def test_greedy_rungs_validated():
