@@ -53,7 +53,7 @@ GREEDY_CONVERGENCE_WINDOW = 20
 
 # greedy_pa holds a scene of at most this many vehicles as a flat list of
 # Python floats, a larger one as NumPy rows.  The list layout solves
-# 1.76/1.65/1.57/1.36/1.09/0.86 times as fast at n = 3/4/5/6/7/8 (2-core VM,
+# 1.87/1.69/1.54/1.18/1.01/0.88 times as fast at n = 3/4/5/6/7/8 (2-core VM,
 # median of 8 scenes, 300 epochs; n = 7 read 0.97-1.09 across runs).  It may
 # not exceed 8: the list sums a row of n-1 links left to right, which is
 # np.add.reduce's order for 7 entries at most, and at n = 9 a fitted row
@@ -459,17 +459,19 @@ def greedy_pa(
     The state has two layouts, chosen by the scene's size alone, with one
     epoch loop, stop rule, tie-break, rung snapshots and _finish.  Above
     GREEDY_LIST_MAX_N vehicles it is the (n, n-1) NumPy rows, evaluated by
-    _snr, fitted by _fit_row_to_budget and scanned by argmin and argmax.
-    At or below it, where NumPy's fixed cost per call outweighs the work,
-    links is one flat list of Python floats, evaluated by _snr_list, fitted
-    by _fit_list_row and scanned as lst.index(min(lst)) and
-    lst.index(max(lst)), which keep the first occurrence.  Both layouts give
-    the same bits: _snr_list adds each receiver's gains in the order that
-    _snr's np.bincount does, a row of at most 7 links is summed left to
-    right as np.add.reduce sums it, and both fits cap at _fit_level's level,
-    with max, min and math.nextafter for np.maximum, np.minimum and
-    np.nextafter.  A solve allocates the state and the best links once;
-    only a rung's snapshot copies the best links.
+    _snr, fitted by _fit_row_to_budget and scanned by argmin and argmax.  At
+    or below it, where NumPy's fixed cost per call outweighs the work, links
+    is one flat list of Python floats, evaluated by _snr_list, fitted by
+    _fit_list_row and scanned as lst.index(min(lst)) and
+    lst.index(max(lst)), which keep the first occurrence.  Each layout's
+    extremes() evaluates the SNRs once an epoch and returns the min SNR, the
+    worst link and the strongest one, which the next epoch moves.  Both
+    layouts give the same bits: _snr_list adds each receiver's gains in the
+    order that _snr's np.bincount does, a row of at most 7 links is summed
+    left to right as np.add.reduce sums it, and both fits cap at
+    _fit_level's level, with max, min and math.nextafter for np.maximum,
+    np.minimum and np.nextafter.  A solve allocates the state and the best
+    links once; only a rung's snapshot copies the best links.
     """
     cfg = cfg or GreedyConfig()
     if not all(is_integer(r) and 1 <= r <= cfg.max_epochs for r in rungs):
@@ -481,49 +483,38 @@ def greedy_pa(
         links = problem.even_split.reshape(-1).tolist()
         loss, recv = problem.loss.reshape(-1).tolist(), _receivers(1, n).tolist()
 
-        def evaluate() -> list:
-            return _snr_list(loss, links, recv, n, noise_w)
+        def extremes() -> tuple:
+            snr = _snr_list(loss, links, recv, n, noise_w)
+            low = min(snr)
+            return low, snr.index(low), snr.index(max(snr))
 
         def fit(i: int) -> None:
             links[i * m : i * m + m] = _fit_list_row(links[i * m : i * m + m], p_min, p_max)
-
-        def first_min(snr: list) -> int:
-            return snr.index(min(snr))
-
-        def first_max(snr: list) -> int:
-            return snr.index(max(snr))
 
     else:
         rows = problem.even_split.copy()
         links = rows.reshape(-1)
 
-        def evaluate() -> np.ndarray:
-            return _snr(problem.loss, rows, noise_w).reshape(-1)
+        def extremes() -> tuple:
+            snr = _snr(problem.loss, rows, noise_w).reshape(-1)
+            worst = int(snr.argmin())
+            return snr.item(worst), worst, int(snr.argmax())
 
         def fit(i: int) -> None:
             _fit_row_to_budget(rows[i], p_min, p_max)
 
-        def first_min(snr: np.ndarray) -> int:
-            return int(snr.argmin())
-
-        def first_max(snr: np.ndarray) -> int:
-            return int(snr.argmax())
-
-    snr = evaluate()
-    worst = first_min(snr)
-    track = _Progress(float(snr[worst]), GREEDY_CONVERGENCE_WINDOW, GREEDY_CONVERGENCE_TOL)
+    low, worst, strongest = extremes()
+    track = _Progress(low, GREEDY_CONVERGENCE_WINDOW, GREEDY_CONVERGENCE_TOL)
     best = links.copy()  # refreshed in place on improvement
     snapshots = dict.fromkeys(rungs)
     for epoch in range(1, cfg.max_epochs + 1):
-        strongest = first_max(snr)
         links[worst] *= 1.0 + cfg.learn_rate
         links[strongest] *= 1.0 - cfg.learn_rate
         for k in (worst, strongest):  # as the projection clamps: max, then min
             links[k] = min(max(links[k], p_min), p_max)
         fit(worst // m)
-        snr = evaluate()
-        worst = first_min(snr)
-        if track.step(float(snr[worst])):
+        low, worst, strongest = extremes()
+        if track.step(low):
             best[:] = links
         if track.converged:
             break
