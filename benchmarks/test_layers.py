@@ -120,7 +120,7 @@ def test_greedy_plateau_stop(benchmark):
     # above never reach it)
     cfg = GreedyConfig()
     result = benchmark(greedy_pa, problem(3), cfg)
-    assert result.converged and result.epochs_used < cfg.max_epochs
+    assert result.stop_reason == "plateau" and result.epochs_used < cfg.max_epochs
 
 
 @SIZES

@@ -169,9 +169,11 @@ class AllocationResult:
 
     snr and delay_s are the read-only (n, n) matrices that
     compute_snr_matrix and compute_delay_matrix give, and the objectives
-    their off-diagonal min and max.  converged is False only where greedy
-    or the GA stopped at its budget (_Progress).  upper_bound, exact_pa's
-    alone, is a min-SNR that no allocation reaches (the optimum at n = 2).
+    their off-diagonal min and max.  stop_reason names the rule that ended
+    the solve: greedy's and the GA's _Progress reason, "certified" for
+    exact_pa, whose upper_bound certifies it, and "budget" for the even
+    split, which takes no step.  upper_bound, exact_pa's alone, is a min-SNR
+    that no allocation reaches (the optimum at n = 2).
     """
 
     power: PowerMatrix
@@ -180,7 +182,7 @@ class AllocationResult:
     objective_min_snr: float
     objective_max_delay_s: float
     epochs_used: int
-    converged: bool
+    stop_reason: str  # "budget", "plateau" or "certified"
     strategy_name: str
     history: tuple = ()  # best so far: per greedy epoch; the GA's initial, then per generation
     rungs: tuple = ()  # greedy_pa's results at its rungs, in their order
@@ -357,7 +359,7 @@ def _finish(
     rows: np.ndarray,
     *,
     epochs_used: int,
-    converged: bool,
+    stop_reason: str,
     strategy_name: str,
     history: tuple = (),
     upper_bound: float | None = None,
@@ -381,7 +383,7 @@ def _finish(
         objective_min_snr=float(_offdiag_view(snr).min()),
         objective_max_delay_s=float(_offdiag_view(delay).max()),
         epochs_used=epochs_used,
-        converged=converged,
+        stop_reason=stop_reason,
         strategy_name=strategy_name,
         history=history,
         upper_bound=upper_bound,
@@ -394,8 +396,9 @@ class _Progress:
     A new best is a real gain when it beats best by at least tol, relative
     (any gain over a zero best).  reason turns from "budget" to "certified"
     once best reaches certify_at, or to "plateau" after window steps in a
-    row without a real gain.  history holds best at the start and after
-    each step.
+    row without a real gain; the solve stops at the first reason other than
+    "budget", or else at its budget.  history holds best at the start and
+    after each step.
     """
 
     def __init__(self, best: float, window: int, tol: float, certify_at: float = np.inf):
@@ -417,15 +420,11 @@ class _Progress:
             self.reason = "plateau"
         return gain
 
-    @property
-    def converged(self) -> bool:
-        return self.reason != "budget"
-
 
 def default_pa(problem: AllocationProblem) -> AllocationResult:
     """Even split: every vehicle divides its budget over its n-1 links."""
     return _finish(
-        problem, problem.even_split, epochs_used=0, converged=True, strategy_name="default"
+        problem, problem.even_split, epochs_used=0, stop_reason="budget", strategy_name="default"
     )
 
 
@@ -443,8 +442,9 @@ def greedy_pa(
 
     rungs are epoch budgets up to cfg.max_epochs.  result.rungs holds, in
     their order, exactly what a separate solve with max_epochs = rung
-    returns: the best allocation, epochs_used, converged and history after
-    that epoch, or the final ones if the run stopped at or before it.
+    returns: the best allocation, epochs_used, history and stop_reason
+    "budget" after that epoch, or the final ones if the run stopped at or
+    before it.
 
     The solve holds only the n(n-1) off-diagonal powers, links[k] the k-th
     in row-major order, the order of the SNRs, so the first minimum and
@@ -516,20 +516,20 @@ def greedy_pa(
         low, worst, strongest = extremes()
         if track.step(low):
             best[:] = links
-        if track.converged:
+        if track.reason != "budget":
             break
         if epoch in snapshots:
             snapshots[epoch] = best.copy()
 
-    def finish(best_links: list | np.ndarray, epochs: int, stopped: bool) -> AllocationResult:
+    def finish(best_links: list | np.ndarray, epochs: int, reason: str) -> AllocationResult:
         return _finish(problem, np.reshape(best_links, (n, m)), epochs_used=epochs,
-                       converged=stopped, strategy_name="greedy",
+                       stop_reason=reason, strategy_name="greedy",
                        history=tuple(track.history[1 : epochs + 1]))
 
     epochs_used = len(track.history) - 1
-    final = finish(best, epochs_used, track.converged)
+    final = finish(best, epochs_used, track.reason)
     return replace(final, rungs=tuple(
-        final if r >= epochs_used else finish(snapshots[r], r, False) for r in rungs
+        final if r >= epochs_used else finish(snapshots[r], r, "budget") for r in rungs
     ))
 
 
@@ -600,7 +600,7 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     track = _Progress(float(fit[best_idx]), cfg.stagnation_limit, 0.0, certify_at)
 
     for _ in range(cfg.max_generations):
-        if track.converged:
+        if track.reason != "budget":
             break
         # tournament selection, size 3
         entrants = rng.integers(0, pop_size, size=(pop_size, 3))
@@ -629,7 +629,7 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
             best_genes = pop[gen_best].copy()
 
     return _finish(problem, best_genes, epochs_used=len(track.history) - 1,
-                   converged=track.converged, strategy_name="genetic",
+                   stop_reason=track.reason, strategy_name="genetic",
                    history=tuple(track.history))
 
 
@@ -711,6 +711,5 @@ def exact_pa(problem: AllocationProblem) -> AllocationResult:
     below it.  _bisect_max_min states the argument.
     """
     best, steps, hi = problem._max_min
-    return _finish(
-        problem, best, epochs_used=steps, converged=True, strategy_name="exact", upper_bound=hi
-    )
+    return _finish(problem, best, epochs_used=steps, stop_reason="certified",
+                   strategy_name="exact", upper_bound=hi)

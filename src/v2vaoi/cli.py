@@ -286,7 +286,7 @@ def cmd_solve(cfg: dict, solvers: ComparisonConfig) -> list:
             "objective_min_snr": result.objective_min_snr,
             "objective_max_delay_s": result.objective_max_delay_s,
             "epochs_used": result.epochs_used,
-            "converged": result.converged,
+            "stop_reason": result.stop_reason,
             "distances_m": dist.d.tolist(),
             "power_w": result.power.p.tolist(),
             "snr": result.snr.tolist(),
@@ -301,7 +301,7 @@ def text_solve(records: list) -> str:
         [
             f"scene: {result['scene']}",
             f"strategy: {result['strategy']} (epochs used {result['epochs_used']}, "
-            f"converged {result['converged']})",
+            f"stop {result['stop_reason']})",
             f"objective: min SNR {result['objective_min_snr']:.6g}, "
             f"max delay {result['objective_max_delay_s']:.6g} s "
             f"(rate factor {config['rate_factor']})",

@@ -227,7 +227,7 @@ def test_default_even_split(n, share):
     assert np.all(p[offdiag_mask(n)] == share)
     np.testing.assert_allclose(p.sum(axis=1), PARAMS.p_max_w, rtol=0, atol=1e-12)
     assert result.strategy_name == "default"
-    assert result.converged and result.epochs_used == 0
+    assert result.stop_reason == "budget" and result.epochs_used == 0
 
 
 # --- check_feasible -----------------------------------------------------------
@@ -452,6 +452,12 @@ def test_add_reduce_sums_up_to_seven_entries_left_to_right(m):
             1.0, 0.0, 2.0, [1.5, 2.0], [(True, 0, "budget"), (True, 0, "certified")],
             id="certified-after-a-step",
         ),
+        # a step that both reaches certify_at and fills the window is certified
+        pytest.param(
+            1.0, 0.5, 1.2, [1.1, 1.1, 1.2],
+            [(True, 1, "budget"), (False, 2, "budget"), (True, 3, "certified")],
+            id="certified-over-plateau",
+        ),
         # any gain over a zero best is a real one; the relative gain would
         # divide by zero
         pytest.param(
@@ -463,12 +469,10 @@ def test_add_reduce_sums_up_to_seven_entries_left_to_right(m):
 )
 def test_progress_stop_rule(start, tol, certify_at, objs, want):
     track = _Progress(start, 3, tol, certify_at)
-    assert track.converged is (start >= certify_at)
     assert track.reason == ("certified" if start >= certify_at else "budget")
     got = []
     for obj in objs:
         got.append((track.step(obj), track.stall, track.reason))
-        assert track.converged is (track.reason != "budget")
     assert got == want
     best = list(accumulate([start, *objs], max))
     assert track.history == best and track.best == best[-1]
@@ -479,7 +483,7 @@ def test_greedy_two_vehicles_hits_cap():
     np.testing.assert_array_equal(
         result.power.p, [[0.0, 23.0], [23.0, 0.0]]
     )
-    assert result.converged
+    assert result.stop_reason == "plateau"
 
 
 def test_greedy_equilateral_matches_uniform():
@@ -560,7 +564,7 @@ def _greedy_reference(problem, cfg=None):
     best_p = p.copy()
     history = []
     stall = 0
-    converged = False
+    stop_reason = "budget"  # greedy has no certified stop
     epochs_used = 0
     for epoch in range(1, cfg.max_epochs + 1):
         epochs_used = epoch
@@ -579,13 +583,13 @@ def _greedy_reference(problem, cfg=None):
             stall += 1
         history.append(best_obj)
         if stall >= GREEDY_CONVERGENCE_WINDOW:
-            converged = True
+            stop_reason = "plateau"
             break
     return _finish(
         problem,
         best_p[offdiag_mask(n)].reshape(n, n - 1),
         epochs_used=epochs_used,
-        converged=converged,
+        stop_reason=stop_reason,
         strategy_name="greedy",
         history=tuple(history),
     )
@@ -644,7 +648,7 @@ def test_greedy_matches_reference_bit_for_bit(n, params, cfg):
     assert got.snr.tobytes() == want.snr.tobytes()
     assert got.history == want.history
     assert got.epochs_used == want.epochs_used
-    assert got.converged == want.converged
+    assert got.stop_reason == want.stop_reason
     assert check_feasible(got.power, params) == ()
 
 
@@ -653,7 +657,7 @@ def _assert_same_solve(got, want):
     assert got.snr.tobytes() == want.snr.tobytes()
     assert got.history == want.history
     assert got.epochs_used == want.epochs_used
-    assert got.converged == want.converged
+    assert got.stop_reason == want.stop_reason
 
 
 # Symmetric coords scenes whose SNRs tie exactly after the first epoch, so
@@ -680,7 +684,7 @@ def test_greedy_tie_break_matches_reference_bit_for_bit(scene, tmp_path):
 def test_greedy_rungs_match_separate_solves(n, seed):
     prob = random_problem(seed, n)
     stop = greedy_pa(prob).epochs_used  # the plateau stop of the full solve
-    assert greedy_pa(prob).converged and stop > 20
+    assert greedy_pa(prob).stop_reason == "plateau" and stop > 20
     ladders = {
         "stops before the smallest rung": (stop + 300, stop + 1),
         "stops between rungs": (stop + 50, stop // 2, 7),
@@ -690,7 +694,7 @@ def test_greedy_rungs_match_separate_solves(n, seed):
     for case, ladder in ladders.items():
         cfg = GreedyConfig(max_epochs=max(ladder))
         result = greedy_pa(prob, cfg, rungs=ladder)
-        assert result.converged is (max(ladder) >= stop), case
+        assert result.stop_reason == ("plateau" if max(ladder) >= stop else "budget"), case
         _assert_same_solve(result, greedy_pa(prob, cfg))
         assert len(result.rungs) == len(ladder)
         for rung, got in zip(ladder, result.rungs):
@@ -925,10 +929,10 @@ def _genetic_reference(problem, cfg=None):
     history = [best_fit]
     stagnation = 0
     certified = (1 - GA_CERTIFIED_GAP) * exact_pa(problem).upper_bound
-    converged = best_fit >= certified
+    stop_reason = "certified" if best_fit >= certified else "budget"
     generations = 0
 
-    for _ in range(0 if converged else cfg.max_generations):
+    for _ in range(0 if stop_reason == "certified" else cfg.max_generations):
         generations += 1
         # tournament selection, size 3
         entrants = rng.integers(0, pop_size, size=(pop_size, 3))
@@ -964,15 +968,18 @@ def _genetic_reference(problem, cfg=None):
         else:
             stagnation += 1
         history.append(best_fit)
-        if stagnation >= cfg.stagnation_limit or best_fit >= certified:
-            converged = True
+        if best_fit >= certified:
+            stop_reason = "certified"
+            break
+        if stagnation >= cfg.stagnation_limit:
+            stop_reason = "plateau"
             break
 
     return _finish(
         problem,
         best_genes.reshape(n, n - 1),
         epochs_used=generations,
-        converged=converged,
+        stop_reason=stop_reason,
         strategy_name="genetic",
         history=tuple(history),
     )
@@ -1003,7 +1010,7 @@ def _short(**kw):
         # 1 W floors at n = 4: the GA stalls about 10% below the bound
         pytest.param(
             4, ChannelParams(p_min_w=1.0), GeneticConfig(rng_seed=3, stagnation_limit=40),
-            "stagnation", id="stagnation",
+            "plateau", id="stagnation",
         ),
         pytest.param(
             5, PARAMS, GeneticConfig(rng_seed=9, max_generations=200), "budget", id="budget"
@@ -1019,12 +1026,12 @@ def test_genetic_matches_reference_bit_for_bit(n, params, cfg, stops):
     assert got.snr.tobytes() == want.snr.tobytes()
     assert got.history == want.history
     assert got.epochs_used == want.epochs_used
-    assert got.converged == want.converged
+    assert got.stop_reason == want.stop_reason
     if stops is None:
         return
     # the case reaches the stop it is named for
     target = (1 - GA_CERTIFIED_GAP) * exact_pa(prob).upper_bound
-    assert got.converged is (stops != "budget")
+    assert got.stop_reason == stops
     assert (got.epochs_used < cfg.max_generations) is (stops != "budget")
     assert (got.objective_min_snr >= target) is (stops == "certified")
     if stops == "certified":  # at the first generation that reaches the target
@@ -1065,7 +1072,7 @@ def test_genetic_draws_only_per_hit_values(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", recording)
     got = genetic_pa(prob, cfg)
     assert got.power.p.tobytes() == plain.power.p.tobytes()  # the same stream
-    assert got.epochs_used == generations and not got.converged
+    assert got.epochs_used == generations and got.stop_reason == "budget"
     # each generation starts with its tournament's integers; its first
     # uniforms are the variation block, whose last P * G are the mutate coins
     n_genes, pop_size = prob.n * (prob.n - 1), cfg.population_size
@@ -1112,7 +1119,7 @@ def test_exact_two_vehicles_at_cap():
     prob = problem_for(DistanceMatrix([[0.0, 10.0], [10.0, 0.0]]))
     result = exact_pa(prob)
     np.testing.assert_array_equal(result.power.p, [[0.0, 23.0], [23.0, 0.0]])
-    assert result.strategy_name == "exact" and result.converged
+    assert result.strategy_name == "exact" and result.stop_reason == "certified"
 
 
 def test_exact_matches_uniform_on_equilateral():

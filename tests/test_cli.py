@@ -130,6 +130,27 @@ def test_solve_strategies_follow_the_seed_rule(tmp_path):
     assert all(optimum >= record["objective_min_snr"] for record in recorded.values())
 
 
+def test_solve_records_name_the_stop_rule(tmp_path):
+    # a stop says which rule ended the solve, not how close it came: on this
+    # scene greedy's plateau is over 50% below the optimum that exact
+    # certifies, and the even split takes no step
+    recorded = {}
+    for name in ("default", "greedy", "exact"):
+        out = tmp_path / f"{name}.jsonl"
+        assert run_cli(["solve", "--strategy", name, "--n", 16, "--seed", 0, "--out", out]) == 0
+        recorded[name] = read_records(out)[1]
+    assert {name: r["stop_reason"] for name, r in recorded.items()} == {
+        "default": "budget", "greedy": "plateau", "exact": "certified"
+    }
+    assert "converged" not in recorded["greedy"]
+    optimum = recorded["exact"]["objective_min_snr"]
+    assert recorded["greedy"]["objective_min_snr"] <= 0.5 * optimum
+    out = tmp_path / "cut.jsonl"
+    assert run_cli(["solve", "--n", 8, "--epochs", 50, "--out", out]) == 0
+    cut = read_records(out)[1]
+    assert (cut["epochs_used"], cut["stop_reason"]) == (50, "budget")
+
+
 def test_verify_instance_is_compare_trial(tmp_path):
     # one seed rule: verify instance k and compare trial k on
     # ScenarioSpec(n, rng_seed=seed) solve the same scene, and verify's

@@ -52,6 +52,27 @@ def test_scaling_noise_and_powers_by_a_power_of_two(n, seed, k):
         assert got.power.p.tobytes() == (want.power.p * s).tobytes(), name
         assert got.snr.tobytes() == want.snr.tobytes(), name
         assert got.delay_s.tobytes() == want.delay_s.tobytes(), name
+        assert (got.stop_reason, got.epochs_used) == (want.stop_reason, want.epochs_used), name
+
+
+# 100 derandomized draws, the same examples on every run, about 1.5 s:
+# each solves one scene with three solvers, scaled both ways
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(3, 16), seed=st.integers(0, 2**64 - 1), k=st.integers(-40, 40))
+def test_scaling_distances_by_a_power_of_two(n, seed, k):
+    # at alpha = 3, distances scaled by 2^k scale every path loss by exactly
+    # 2^(3k), so every gain over the noise is that of the unscaled scene
+    # over noise scaled by 2^(3k): the same powers, SNRs and delays
+    dist = scene(n, seed)
+    far = DistanceMatrix(dist.d * 2.0**k)
+    noisy = replace(PARAMS, noise_w=PARAMS.noise_w * 2.0 ** (3 * k))
+    for name, solver in SOLVERS.items():
+        want = solver(AllocationProblem(noisy, dist))
+        got = solver(AllocationProblem(PARAMS, far))
+        assert got.power.p.tobytes() == want.power.p.tobytes(), name
+        assert got.snr.tobytes() == want.snr.tobytes(), name
+        assert got.delay_s.tobytes() == want.delay_s.tobytes(), name
+        assert (got.stop_reason, got.epochs_used) == (want.stop_reason, want.epochs_used), name
 
 
 # 200 derandomized draws, about 1 s; the explicit example is a relabelling
