@@ -13,7 +13,7 @@ Four strategies:
   genetic_pa  - real-coded GA over the off-diagonal power vector with
                 fitness = minimum SNR.
   exact_pa    - the exact optimum by bisection on the target SNR; the
-                reference for testing and the `verify` command.
+                reference row of `compare` and `verify`.
 
 exact_pa's bisection also ends with an upper bound that no allocation
 reaches, AllocationResult.upper_bound.  genetic_pa stops once its best is

@@ -5,20 +5,19 @@ Four commands:
   compare  - repeated trials of the even split and greedy against the exact
              optimum, with summary statistics.
   aoi      - information-age and proxy perception report per mode.
-  verify   - heuristics against the exact optimum on random or given scenes.
+  verify   - compare at one n plus a verdict on greedy's worst gap.
 
 Every command solves through metrics.solve_scene, which looks strategies up
-in metrics.STRATEGIES and derives each scene and GA seed by one rule.  The
-GA runs only in solve --strategy genetic and in verify; compare measures
-every row against exact, so its --generations and --population are accepted
-and echoed but move no number.
+in metrics.STRATEGIES and derives each scene and GA seed by one rule.  Each
+command takes only the flags it reads, but for compare's --generations,
+--population and --jobs: the GA runs only in solve --strategy genetic and
+compare runs its trials serially, so these three move no number.
 
 Each command returns its records, the config record first, and builds no
 text: the text report is rendered from those records alone, so --format
 text and records carry the same values.  The config record embeds the
 fully resolved configuration.  Machine-readable output is line-delimited
-JSON; with a fixed master seed it is byte-identical across runs.  compare
-runs its trials serially; it accepts --jobs and ignores its value.
+JSON; with a fixed master seed it is byte-identical across runs.
 """
 
 import argparse
@@ -34,7 +33,7 @@ from .allocator import greedy_pa  # noqa: F401  perfbench's tracer test reads cl
 from .aoi import AoiConfig, aoi_summary, build_aoi_records
 from .channel import ChannelParams
 from .errors import DomainError, SimulationError
-from .metrics import STRATEGIES, ComparisonConfig, optimality_gap, run_comparison
+from .metrics import STRATEGIES, ComparisonConfig, run_comparison
 from .metrics import scene_seed, solve_scene
 from .proxy import estimate_scene_ap
 from .scenario import ScenarioSpec, generate_scene, load_distance_matrix
@@ -49,7 +48,7 @@ _ALL = ("solve", "compare", "aoi", "verify")
 # different type or default on different commands.  Library defaults are the
 # dataclass field defaults (ChannelParams.alpha is the default alpha).
 _FLAGS = (
-    ("scene", str, None, "distance-matrix or coords file", _ALL),
+    ("scene", str, None, "distance-matrix or coords file", ("solve", "aoi")),
     ("seed", int, 0, "master seed (u64)", _ALL),
     ("box_side", float, ScenarioSpec.box_side_m, None, _ALL),
     ("min_sep", float, ScenarioSpec.min_separation_m, None, _ALL),
@@ -62,8 +61,8 @@ _FLAGS = (
     ("epochs", int, GreedyConfig.max_epochs, "greedy epoch budget", ("solve", "aoi", "verify")),
     # unset keeps compare's epoch ablation ladder
     ("epochs", int, None, "greedy epoch budget", ("compare",)),
-    ("generations", int, GeneticConfig.max_generations, "GA generation cap", _ALL),
-    ("population", int, GeneticConfig.population_size, "GA population size", _ALL),
+    ("generations", int, GeneticConfig.max_generations, "GA generation cap", ("solve", "compare")),
+    ("population", int, GeneticConfig.population_size, "GA population size", ("solve", "compare")),
     ("alpha", float, ChannelParams.alpha, None, _ALL),
     ("bandwidth", float, ChannelParams.bandwidth_hz, "channel bandwidth [Hz]", _ALL),
     ("noise", float, ChannelParams.noise_w, "noise power [W]", _ALL),
@@ -157,14 +156,10 @@ def _resolve(args: argparse.Namespace) -> tuple:
         raise DomainError(f"seed must be in [0, 2**64), got {cfg['seed']}")
 
     if command == "compare":
-        if cfg["scene"]:
-            raise DomainError("compare generates its own scenes and takes no --scene")
         _vehicle_counts(cfg["n"])
     for key in ("jobs", "instances"):
         if key in cfg and cfg[key] < 1:
             raise DomainError(f"{key} must be at least 1, got {cfg[key]}")
-    if command == "verify" and cfg["scene"] and cfg["instances"] != 1:
-        raise DomainError("use --instances 1 with a fixed --scene file")
     if command == "verify" and not (0 <= cfg["gap_threshold"] <= 1):
         raise DomainError(f"gap_threshold must be in [0, 1], got {cfg['gap_threshold']}")
 
@@ -184,7 +179,8 @@ def _resolve(args: argparse.Namespace) -> tuple:
             max_epochs=GreedyConfig.max_epochs if epochs is None else epochs,
         ),
         genetic=GeneticConfig(
-            population_size=cfg["population"], max_generations=cfg["generations"]
+            population_size=cfg.get("population", GeneticConfig.population_size),
+            max_generations=cfg.get("generations", GeneticConfig.max_generations),
         ),
         greedy_epoch_ladder=(
             ComparisonConfig.greedy_epoch_ladder if epochs is None else (epochs,)
@@ -197,12 +193,12 @@ def _scene_spec(cfg: dict, n: int, rng_seed: int) -> ScenarioSpec:
     return ScenarioSpec(n, cfg["box_side"], cfg["min_sep"], rng_seed)
 
 
-def _make_scene(cfg: dict, *stream: int):
-    """The scene file, or the scene drawn for the seed stream."""
+def _make_scene(cfg: dict):
+    """The scene file, or the scene drawn for the master seed."""
     if cfg["scene"]:
         dist = load_distance_matrix(cfg["scene"])
         return dist, f"file {cfg['scene']}"
-    dist, _ = generate_scene(_scene_spec(cfg, cfg["n"], scene_seed(*stream)))
+    dist, _ = generate_scene(_scene_spec(cfg, cfg["n"], scene_seed(cfg["seed"])))
     return dist, f"generated (n={cfg['n']}, seed={cfg['seed']})"
 
 
@@ -229,14 +225,6 @@ _AOI_COLUMNS = (
     ("ap30*", "proxy_ap30", "{:.3f}"),
     ("ap50*", "proxy_ap50", "{:.3f}"),
     ("ap70*", "proxy_ap70", "{:.3f}"),
-)
-_VERIFY_COLUMNS = (
-    ("instance", "instance", "{}"),
-    ("exact", "oracle_min_snr", "{:.6g}"),
-    ("greedy", "greedy_min_snr", "{:.6g}"),
-    ("greedy_gap", "greedy_gap", "{:.4%}"),
-    ("genetic", "genetic_min_snr", "{:.6g}"),
-    ("genetic_gap", "genetic_gap", "{:.4%}"),
 )
 
 
@@ -274,7 +262,7 @@ def _config_record(cfg: dict) -> dict:
 
 
 def cmd_solve(cfg: dict, solvers: ComparisonConfig) -> list:
-    dist, scene_desc = _make_scene(cfg, cfg["seed"])
+    dist, scene_desc = _make_scene(cfg)
     strategy = cfg["strategy"]
     result = solve_scene(solvers, dist, (strategy,), cfg["seed"])[strategy]
     return [
@@ -348,7 +336,7 @@ def cmd_aoi(cfg: dict, solvers: ComparisonConfig) -> list:
         looptime_s=cfg["looptime"],
         rng_seed=derive_seed(cfg["seed"], 2),
     )
-    dist, scene_desc = _make_scene(cfg, cfg["seed"])
+    dist, scene_desc = _make_scene(cfg)
     solved = solve_scene(solvers, dist, ("default", "greedy"), cfg["seed"])
     modes = [("zero_delay", np.zeros((dist.n, dist.n)))]
     modes += [(name, result.delay_s) for name, result in solved.items()]
@@ -383,33 +371,20 @@ def text_aoi(records: list) -> str:
 
 
 def cmd_verify(cfg: dict, solvers: ComparisonConfig) -> list:
-    records = [_config_record(cfg)]
-    worst_greedy_gap = 0.0
-    for k in range(cfg["instances"]):
-        dist, _ = _make_scene(cfg, cfg["seed"], k)
-        solved = solve_scene(solvers, dist, ("exact", "greedy", "genetic"), cfg["seed"], k)
-        optimum = solved.pop("exact").objective_min_snr
-        record = {"type": "verify_instance", "instance": k, "oracle_min_snr": optimum}
-        for name, result in solved.items():
-            record[f"{name}_min_snr"] = result.objective_min_snr
-            record[f"{name}_gap"] = optimality_gap(result.objective_min_snr, optimum)
-        worst_greedy_gap = max(worst_greedy_gap, record["greedy_gap"])
-        records.append(record)
-    records.append(
-        {
-            "type": "verify_verdict",
-            "worst_greedy_gap": worst_greedy_gap,
-            "gap_threshold": cfg["gap_threshold"],
-            "ok": worst_greedy_gap <= cfg["gap_threshold"],
-        }
-    )
-    return records
+    comparison = run_comparison(_scene_spec(cfg, cfg["n"], cfg["seed"]), cfg["instances"], solvers)
+    greedy = f"greedy_epoch{cfg['epochs']}"
+    rows = [row for trial in comparison["per_trial"] for row in trial["strategies"]]
+    worst = max(row["gap_vs_exact"] for row in rows if row["strategy"] == greedy)
+    threshold = cfg["gap_threshold"]
+    verdict = {"type": "verify_verdict", "worst_greedy_gap": worst, "gap_threshold": threshold,
+               "ok": worst <= threshold}
+    return [_config_record(cfg), comparison, verdict]
 
 
 def text_verify(records: list) -> str:
-    *instances, verdict = records[1:]
+    verdict = records[-1]
     return (
-        _fmt_table(_VERIFY_COLUMNS, instances)
+        text_compare(records[:-1])
         + f"\nworst greedy gap {verdict['worst_greedy_gap']:.4%} vs threshold "
         f"{verdict['gap_threshold']:.4%}: {'OK' if verdict['ok'] else 'EXCEEDED'}"
     )
@@ -419,7 +394,7 @@ _COMMANDS = {
     "solve": (cmd_solve, text_solve, "solve one scene with one strategy"),
     "compare": (cmd_compare, text_compare, "strategy comparison over repeated trials"),
     "aoi": (cmd_aoi, text_aoi, "information-age and proxy perception report"),
-    "verify": (cmd_verify, text_verify, "check heuristics against the exact optimum"),
+    "verify": (cmd_verify, text_verify, "compare at one n with a verdict on greedy's gap"),
 }
 
 

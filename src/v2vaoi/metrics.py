@@ -67,7 +67,7 @@ class ComparisonConfig:
     greedy as given, serves them all.  The top entry must equal
     greedy.max_epochs, so that no epoch is run for a row nobody reports.
     The delay scale is params.rate_factor, applied by the channel model.
-    genetic configures the GA, which solve and verify run; a comparison,
+    genetic configures the GA, which only solve runs; a comparison,
     measured against the exact optimum, never runs it.
     """
 
@@ -119,8 +119,8 @@ def solve_scene(
     The one seed rule: seed stream `stream` draws its scene from
     scene_seed(*stream) = derive_seed(*stream, 0), runs the GA on
     derive_seed(*stream, 1) and, in aoi, rounds its ages on
-    derive_seed(*stream, 2).  solve and aoi use (seed,), verify instance k
-    (seed, k) and compare trial t (spec.rng_seed, t).
+    derive_seed(*stream, 2).  solve and aoi use (seed,), and compare trial t
+    (spec.rng_seed, t); verify is compare at n with spec.rng_seed = seed.
     """
     problem = AllocationProblem(config.params, dist)
     ga_seed = derive_seed(*stream, 1)

@@ -1168,8 +1168,8 @@ def test_exact_at_max_scale():
 
 
 def test_bisection_runs_once_per_problem(monkeypatch):
-    # verify solves one problem with exact_pa and genetic_pa (its certified
-    # stop); they share one bisection, whose allocation is read-only
+    # exact_pa and genetic_pa (its certified stop) on one problem share one
+    # bisection, whose allocation is read-only
     calls = []
     bisect = allocator._bisect_max_min
     monkeypatch.setattr(

@@ -34,7 +34,7 @@ from v2vaoi.cli import (
     build_parser,
     main,
 )
-from v2vaoi.metrics import STRATEGIES, ComparisonConfig, run_comparison
+from v2vaoi.metrics import STRATEGIES, ComparisonConfig, optimality_gap, run_comparison
 from v2vaoi.scenario import ScenarioSpec, generate_scene
 from v2vaoi.seeds import derive_seed
 
@@ -151,20 +151,24 @@ def test_solve_records_name_the_stop_rule(tmp_path):
     assert (cut["epochs_used"], cut["stop_reason"]) == (50, "budget")
 
 
-def test_verify_instance_is_compare_trial(tmp_path):
-    # one seed rule: verify instance k and compare trial k on
-    # ScenarioSpec(n, rng_seed=seed) solve the same scene, and verify's
-    # oracle is compare's exact reference row
+def test_verify_comparison_is_run_comparison(tmp_path):
+    # verify is compare at one n: its comparison record is run_comparison's
+    # on ScenarioSpec(n, box, sep, seed), and its verdict reads the largest
+    # gap_vs_exact of the greedy row
     out = tmp_path / "verify.jsonl"
-    args = ["verify", "--n", 5, "--instances", 3, "--seed", 2, "--epochs", 300]
+    args = ["verify", "--n", 5, "--instances", 3, "--seed", 2, "--epochs", 300,
+            "--box-side", 80, "--min-sep", 4]
     assert run_cli(args + ["--gap-threshold", 1, "--out", out]) == 0
-    instances = [rec for rec in read_records(out) if rec["type"] == "verify_instance"]
-    config = ComparisonConfig(greedy=GreedyConfig(max_epochs=300), greedy_epoch_ladder=(300,))
-    comparison = run_comparison(ScenarioSpec(5, rng_seed=2), 3, config)
-    for instance, trial in zip(instances, comparison["per_trial"], strict=True):
-        min_snr = {row["strategy"]: row["min_snr"] for row in trial["strategies"]}
-        assert min_snr["greedy_epoch300"] == instance["greedy_min_snr"]
-        assert min_snr["exact"] == instance["oracle_min_snr"]
+    _, comparison, verdict = out.read_text().splitlines()
+    solvers = ComparisonConfig(greedy=GreedyConfig(max_epochs=300), greedy_epoch_ladder=(300,))
+    want = run_comparison(ScenarioSpec(5, 80.0, 4.0, 2), 3, solvers)
+    assert comparison == json.dumps(want)
+    gaps = [row["gap_vs_exact"] for trial in want["per_trial"] for row in trial["strategies"]
+            if row["strategy"] == "greedy_epoch300"]
+    assert len(gaps) == 3
+    assert json.loads(verdict) == {
+        "type": "verify_verdict", "worst_greedy_gap": max(gaps), "gap_threshold": 1.0, "ok": True
+    }
 
 
 def test_solve_asymmetric_scene_fails(tmp_path, capsys):
@@ -310,33 +314,29 @@ def test_verify_two_vehicles_zero_gap(tmp_path, capsys):
     out = tmp_path / "verify.jsonl"
     code = run_cli(
         [
-            "verify", "--n", 2, "--instances", 2, "--seed", 1,
-            "--epochs", 100, "--generations", 150, "--out", out,
+            "verify", "--n", 2, "--instances", 2, "--seed", 1, "--epochs", 100, "--out", out,
         ]
     )
     assert code == 0
-    records = read_records(out)
-    for rec in records:
-        if rec["type"] == "verify_instance":
-            assert rec["greedy_gap"] == 0.0
-    verdict = records[-1]
+    _, comparison, verdict = read_records(out)
+    greedy = [row for trial in comparison["per_trial"] for row in trial["strategies"]
+              if row["strategy"] == "greedy_epoch100"]
+    assert len(greedy) == 2 and all(row["gap_vs_exact"] == 0.0 for row in greedy)
     assert verdict["type"] == "verify_verdict" and verdict["ok"]
     assert "OK" in capsys.readouterr().out
 
 
-def test_verify_equilateral_scene_tiny_gap(tmp_path):
+def test_equilateral_scene_greedy_tiny_gap(tmp_path):
+    # a file scene is checked by two solve --scene calls, greedy's against
+    # exact's
     scene = tmp_path / "equilateral.txt"
     scene.write_text("3\n0 20 20\n20 0 20\n20 20 0\n")
-    out = tmp_path / "verify.jsonl"
-    code = run_cli(
-        [
-            "verify", "--scene", scene, "--n", 3, "--instances", 1,
-            "--generations", 400, "--out", out,
-        ]
-    )
-    assert code == 0
-    instance = [r for r in read_records(out) if r["type"] == "verify_instance"][0]
-    assert instance["greedy_gap"] < 0.01
+    min_snr = {}
+    for strategy in ("greedy", "exact"):
+        out = tmp_path / f"{strategy}.jsonl"
+        assert run_cli(["solve", "--scene", scene, "--strategy", strategy, "--out", out]) == 0
+        min_snr[strategy] = read_records(out)[1]["objective_min_snr"]
+    assert optimality_gap(min_snr["greedy"], min_snr["exact"]) < 0.01
 
 
 def test_solve_genetic_strategy(two_vehicle_scene, tmp_path):
@@ -358,7 +358,7 @@ def test_verify_gap_threshold_exit_code(tmp_path):
     code = run_cli(
         [
             "verify", "--n", 3, "--instances", 1, "--seed", 4,
-            "--epochs", 1, "--generations", 100, "--gap-threshold", 1e-12,
+            "--epochs", 1, "--gap-threshold", 1e-12,
         ]
     )
     assert code == 2
@@ -383,6 +383,29 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"not_a_flag": 1}))
     assert run_cli(["solve", "--config", cfg]) == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("compare", "scene"),
+        ("verify", "scene"),
+        ("aoi", "generations"),
+        ("aoi", "population"),
+        ("verify", "generations"),
+        ("verify", "population"),
+    ],
+)
+def test_command_refuses_a_flag_it_does_not_read(command, key, tmp_path, capsys):
+    # on the command line and as a config key alike: exit 1, one error line
+    # that names the key, no traceback
+    value = "scene.txt" if key == "scene" else 10
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    for argv in ([command, "--" + key, value], [command, "--config", tmp_path / "cfg.json"]):
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert [key in line for line in err.splitlines() if "error:" in line] == [True], err
+        assert "Traceback" not in err
 
 
 def test_text_format_writes_report(tmp_path):
@@ -491,8 +514,9 @@ def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):
     [
         ("solve --strategy exact --n 5 --noise 1e308", "error: min SNR "),
         ("solve --strategy genetic --n 5 --noise 1e308", "error: min SNR "),
-        ("verify --n 5 --instances 1 --noise 1e308", "error: min SNR "),
-        # a solver error in compare names the trial it came from
+        # a solver error in compare, and so in verify, names the trial it
+        # came from
+        ("verify --n 5 --instances 1 --noise 1e308", "error: trial 0 failed: min SNR "),
         ("compare --n 3 --trials 1 --noise 1e308", "error: trial 0 failed: min SNR "),
         # the even split's min SNR underflows to 0.0, greedy's first best,
         # and its best allocation's min SNR is the smallest subnormal
@@ -556,7 +580,7 @@ def test_unsolvable_problem_is_one_error_line(args, err, capsys):
         "solve --n 2 --noise 1e-320",
         "solve --n 3 --noise 1e-320",
         "aoi --n 2 --p-max 1e308",
-        "verify --n 3 --p-max 1e308 --instances 1 --generations 10",
+        "verify --n 3 --p-max 1e308 --instances 1",
         "compare --n 3 --p-max 1e308 --trials 1 --generations 10 --epochs 10",
         "solve --n 3 --p-max 1e308 --strategy genetic --generations 10",
         # every SNR is finite once the p_min_w floor counts as interference,
@@ -712,7 +736,6 @@ _DEFAULT_CONFIG = {
     "bandwidth": 10000000.0,
     "box_side": 100.0,
     "epochs": 5000,
-    "generations": 100000,
     "learn_rate": 0.05,
     "min_sep": 5.0,
     "n": 3,
@@ -720,19 +743,19 @@ _DEFAULT_CONFIG = {
     "p_max": 23.0,
     "p_min": 1e-06,
     "payload": 8480000.0,
-    "population": 50,
     "rate_factor": 1.0,
-    "scene": None,
     "seed": 0,
 }
+_GA_CONFIG = {"generations": 100000, "population": 50}
 
 
+# each command echoes only the keys it reads, and compare the GA's too
 @pytest.mark.parametrize(
     "command, own",
     [
-        ("solve", {"strategy": "greedy"}),
-        ("compare", {"n": "3,4,5", "epochs": None, "trials": 15}),
-        ("aoi", {"compute_delay": 0.0, "looptime": 0.1, "period": 0.1}),
+        ("solve", {"strategy": "greedy", "scene": None, **_GA_CONFIG}),
+        ("compare", {"n": "3,4,5", "epochs": None, "trials": 15, **_GA_CONFIG}),
+        ("aoi", {"compute_delay": 0.0, "looptime": 0.1, "period": 0.1, "scene": None}),
         ("verify", {"gap_threshold": 0.05, "instances": 10}),
     ],
 )
@@ -763,10 +786,9 @@ def test_config_file_integers_echoed_as_given(tmp_path):
         (["compare", "--n", "2,3", "--trials", 2, "--seed", 5, "--epochs", 100,
           "--generations", 150, "--population", 16, "--plot-out", "{tmp}/plot.txt"], 0),
         (["aoi", "--config", "{tmp}/aoi.json", "--n", 5, "--seed", 9, "--epochs", 300], 0),
-        (["verify", "--scene", "{tmp}/coords.txt", "--instances", 1, "--epochs", 300,
-          "--generations", 300], 0),
+        (["verify", "--instances", 1, "--epochs", 300], 0),
         (["verify", "--n", 3, "--instances", 2, "--seed", 2, "--epochs", 300,
-          "--generations", 300, "--gap-threshold", 0], 2),
+          "--gap-threshold", 0], 2),
     ],
     ids=["solve-default", "solve-greedy", "solve-genetic", "solve-scene", "compare",
          "aoi-int-config", "verify-ok", "verify-exceeded"],

@@ -29,10 +29,24 @@ SOLVERS = {
 # n = 3..16, and 1 ulp in the example below.
 RELABEL_ULPS = 4
 
+# greedy's and the even split's min SNR move by at most these shares when
+# the vehicles are relabelled: each link's interference is summed in another
+# order, which the even split feels once and greedy through 300 epochs.
+# Largest measured over 11,600 random relabellings at n = 3..16: 5.8e-14
+# for greedy and 6.9e-16 for the even split, under a third of each bound.
+GREEDY_RELABEL_RTOL = 2e-13
+DEFAULT_RELABEL_RTOL = 2.5e-15
+
 
 def scene(n: int, seed: int) -> DistanceMatrix:
     dist, _ = generate_scene(ScenarioSpec(n, rng_seed=seed))
     return dist
+
+
+def relabel(dist: DistanceMatrix, perm_seed: int) -> tuple:
+    """A random permutation of the vehicles and the scene relabelled by it."""
+    perm = np.random.default_rng(perm_seed).permutation(dist.n)
+    return perm, DistanceMatrix(dist.d[np.ix_(perm, perm)])
 
 
 # 100 derandomized draws, the same examples on every run, about 1.5 s:
@@ -82,8 +96,27 @@ def test_scaling_distances_by_a_power_of_two(n, seed, k):
 @given(n=st.integers(3, 16), seed=st.integers(0, 2**64 - 1), perm_seed=st.integers(0, 2**32))
 def test_relabelling_the_vehicles(n, seed, perm_seed):
     dist = scene(n, seed)
-    perm = np.random.default_rng(perm_seed).permutation(n)
-    relabelled = DistanceMatrix(dist.d[np.ix_(perm, perm)])
+    _, relabelled = relabel(dist, perm_seed)
     want = exact_pa(AllocationProblem(PARAMS, dist)).objective_min_snr
     got = exact_pa(AllocationProblem(PARAMS, relabelled)).objective_min_snr
     assert abs(got - want) <= RELABEL_ULPS * math.ulp(want)
+
+
+# 150 derandomized draws, about 2 s; the explicit example is a relabelling
+# after which greedy's allocation differs from the permuted one by up to 29%
+# a link, while its min SNR moves by 2.7e-15 relative
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(n=4, seed=3803700871698140173, perm_seed=884719092)
+@given(n=st.integers(3, 16), seed=st.integers(0, 2**64 - 1), perm_seed=st.integers(0, 2**32))
+def test_relabelling_the_vehicles_for_greedy_and_the_even_split(n, seed, perm_seed):
+    # the even split permutes bit for bit; greedy reaches the same min SNR
+    # up to rounding, after as many epochs and by the same stop rule
+    dist = scene(n, seed)
+    perm, relabelled = relabel(dist, perm_seed)
+    for name, rtol in (("default", DEFAULT_RELABEL_RTOL), ("greedy", GREEDY_RELABEL_RTOL)):
+        want = SOLVERS[name](AllocationProblem(PARAMS, dist))
+        got = SOLVERS[name](AllocationProblem(PARAMS, relabelled))
+        assert math.isclose(got.objective_min_snr, want.objective_min_snr, rel_tol=rtol), name
+        assert (got.stop_reason, got.epochs_used) == (want.stop_reason, want.epochs_used), name
+        if name == "default":
+            assert got.power.p.tobytes() == want.power.p[np.ix_(perm, perm)].tobytes()

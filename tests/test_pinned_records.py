@@ -96,37 +96,37 @@ PINNED = {
     ("solve --scene tri.txt", "text"):
         (0, "b7fcc6b710f61b02", "b7fcc6b710f61b02", None, "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400", "records"):
-        (0, "fd2ce784d265e97f", "c0281314e401a847", "8fb9144709872f42", "e3b0c44298fc1c14"),
+        (0, "fd2ce784d265e97f", "5902e9ac4c038ffb", "8fb9144709872f42", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400", "text"):
         (0, "fd2ce784d265e97f", "fd2ce784d265e97f", "8fb9144709872f42", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400 --jobs 2", "records"):
-        (0, "fd2ce784d265e97f", "c0281314e401a847", "8fb9144709872f42", "e3b0c44298fc1c14"),
+        (0, "fd2ce784d265e97f", "5902e9ac4c038ffb", "8fb9144709872f42", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400 --jobs 2", "text"):
         (0, "fd2ce784d265e97f", "fd2ce784d265e97f", "8fb9144709872f42", "e3b0c44298fc1c14"),
     ("compare --n 2 --trials 1 --epochs 20 --generations 20", "records"):
-        (0, "accbb37ba8b1db08", "236baf2f98dad82f", "0e95038188611d53", "e3b0c44298fc1c14"),
+        (0, "accbb37ba8b1db08", "3530440c431d67b5", "0e95038188611d53", "e3b0c44298fc1c14"),
     ("compare --n 2 --trials 1 --epochs 20 --generations 20", "text"):
         (0, "accbb37ba8b1db08", "accbb37ba8b1db08", "0e95038188611d53", "e3b0c44298fc1c14"),
     ("aoi --n 64 --epochs 50 --compute-delay 0.05 --seed 1", "records"):
-        (0, "878f6f2a9eac6578", "2e9601f56bbebf15", None, "e3b0c44298fc1c14"),
+        (0, "878f6f2a9eac6578", "4d064f30854f5a6c", None, "e3b0c44298fc1c14"),
     ("aoi --n 64 --epochs 50 --compute-delay 0.05 --seed 1", "text"):
         (0, "878f6f2a9eac6578", "878f6f2a9eac6578", None, "e3b0c44298fc1c14"),
     ("aoi --n 4 --seed 9 --looptime 0.3 --rate-factor 0.2154", "records"):
-        (0, "299d579c38960231", "08d6e6a0502ec24d", None, "e3b0c44298fc1c14"),
+        (0, "299d579c38960231", "cc4f8ac5c92577a5", None, "e3b0c44298fc1c14"),
     ("aoi --n 4 --seed 9 --looptime 0.3 --rate-factor 0.2154", "text"):
         (0, "299d579c38960231", "299d579c38960231", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2", "records"):
-        (0, "172bd7aea66bfc5b", "fc4f6eb2cd81b4b1", None, "e3b0c44298fc1c14"),
+        (0, "94a7973ce5f20adf", "215557f0b8e2f223", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2", "text"):
-        (0, "172bd7aea66bfc5b", "172bd7aea66bfc5b", None, "e3b0c44298fc1c14"),
+        (0, "94a7973ce5f20adf", "94a7973ce5f20adf", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2 --gap-threshold 0", "records"):
-        (2, "3c4e61250477818d", "38ddc8622e6bf95c", None, "e3b0c44298fc1c14"),
+        (2, "2759602620dcd9be", "b0be41ca3d2f3186", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2 --gap-threshold 0", "text"):
-        (2, "3c4e61250477818d", "3c4e61250477818d", None, "e3b0c44298fc1c14"),
+        (2, "2759602620dcd9be", "2759602620dcd9be", None, "e3b0c44298fc1c14"),
     ("verify --scene tri.txt --instances 1 --epochs 300 --generations 300", "records"):
-        (0, "1e80bf2fb2ab907a", "1785b0a4209e0bfb", None, "e3b0c44298fc1c14"),
+        (1, "e3b0c44298fc1c14", None, None, "9970ff5f49ef9e0c"),
     ("verify --scene tri.txt --instances 1 --epochs 300 --generations 300", "text"):
-        (0, "1e80bf2fb2ab907a", "1e80bf2fb2ab907a", None, "e3b0c44298fc1c14"),
+        (1, "e3b0c44298fc1c14", None, None, "9970ff5f49ef9e0c"),
     ("solve --n 3 --rate-factor 5e-324", "records"):
         (1, "e3b0c44298fc1c14", None, None, "c882b61125d1fb3e"),
     ("solve --n 3 --rate-factor 5e-324", "text"):
