@@ -27,7 +27,7 @@ from v2vaoi.allocator import (
     genetic_pa,
     greedy_pa,
 )
-from v2vaoi.aoi import AoiConfig, build_aoi_records
+from v2vaoi.aoi import AoiConfig, aoi_summary, build_aoi_records
 from v2vaoi.channel import (
     ChannelParams,
     _snr,
@@ -219,12 +219,27 @@ def test_exact_solve(benchmark):
     assert result.upper_bound >= result.objective_min_snr and result.epochs_used > 0
 
 
-def test_build_aoi_records(benchmark):
+# aoi-fleet's one compute delay for every sender, and one per sender
+AOI_CONFIGS = {
+    "scalar": AoiConfig(compute_delay_s=0.05),
+    "per_sender": AoiConfig(compute_delay_s=tuple(np.linspace(0.0, 0.1, 64).tolist())),
+}
+
+
+@pytest.mark.parametrize("compute", list(AOI_CONFIGS))
+def test_build_aoi_records(benchmark, compute):
     delay = exact_pa(problem(64)).delay_s
-    ages = benchmark(build_aoi_records, delay, AoiConfig(compute_delay_s=0.05))
+    ages = benchmark(build_aoi_records, delay, AOI_CONFIGS[compute])
     # one flat age per link: perfbench counts records as len() of this array
     assert len(ages) == 64 * 64
     assert ages.dtype == np.float64 and not ages.flags.writeable
+
+
+def test_aoi_summary(benchmark):
+    cfg = AOI_CONFIGS["scalar"]
+    ages = build_aoi_records(exact_pa(problem(64)).delay_s, cfg)
+    summary = benchmark(aoi_summary, ages, cfg)
+    assert summary.max_age_s >= summary.mean_age_s > 0
 
 
 @pytest.fixture(scope="module")

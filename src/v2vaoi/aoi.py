@@ -13,28 +13,25 @@ from .errors import DimensionMismatchError, DomainError, check_finite, check_int
 class AoiConfig:
     """Timing model for one scene.
 
-    compute_delay_s applies uniformly to every vehicle unless
-    per_vehicle_compute_delay_s overrides it (indexed by sender).
+    compute_delay_s is one computation delay for every sender, or a tuple
+    of one per sender, indexed by sender.  looptime_s is the perception
+    cycle that aoi_summary judges the ages against.
     """
 
-    compute_delay_s: float = 0.0
+    compute_delay_s: float | tuple = 0.0
     sample_period_s: float = 0.1
     looptime_s: float = 0.1
     rng_seed: int = 0
-    per_vehicle_compute_delay_s: tuple = None
 
     def __post_init__(self):
         check_integers(self, "rng_seed", least=0)
         # written so that NaN fails every test
         if not (0 < self.sample_period_s < math.inf):
             raise DomainError("sample_period_s must be positive and finite")
-        if not (0 <= self.compute_delay_s < math.inf):
+        if not all(0 <= c < math.inf for c in np.ravel(self.compute_delay_s)):
             raise DomainError("compute_delay_s must be nonnegative and finite")
         if not (self.sample_period_s <= self.looptime_s < math.inf):
             raise DomainError("looptime_s must be finite and at least one sample period")
-        if self.per_vehicle_compute_delay_s is not None:
-            if not all(0 <= v < math.inf for v in self.per_vehicle_compute_delay_s):
-                raise DomainError("per-vehicle compute delays must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -81,23 +78,21 @@ def build_aoi_records(delay_s, cfg: AoiConfig) -> np.ndarray:
 
     delay_s is a square matrix of transmission delays in seconds, such as
     AllocationResult.delay_s or all zeros for the zero-delay mode; its
-    diagonal is ignored.  Self-links carry computation delay only.
-    Deterministic per seed.  An age past the float range comes out as inf,
-    which aoi_summary refuses.
+    diagonal is ignored.  Link (i, j) adds sender i's compute delay, so
+    self-links carry computation delay only; a tuple of compute delays
+    must hold one per vehicle.  Deterministic per seed.  An age past the
+    float range comes out as inf, which aoi_summary refuses.
     """
     comm = np.array(delay_s, dtype=np.float64)  # a copy: its diagonal is zeroed
     if comm.ndim != 2 or comm.shape[0] != comm.shape[1]:
         raise DimensionMismatchError(f"expected a square delay matrix, got shape {comm.shape}")
+    np.fill_diagonal(comm, 0.0)
     if np.any(comm < 0):
         raise DomainError("delays must be nonnegative")
     n = comm.shape[0]
-    overrides = cfg.per_vehicle_compute_delay_s
-    if overrides is not None and len(overrides) != n:
-        raise DimensionMismatchError(
-            f"{len(overrides)} per-vehicle compute delays for {n} vehicles"
-        )
-    compute = np.array(cfg.compute_delay_s if overrides is None else overrides, dtype=np.float64)
-    np.fill_diagonal(comm, 0.0)
+    compute = np.array(cfg.compute_delay_s, dtype=np.float64)
+    if compute.ndim and compute.shape != (n,):
+        raise DimensionMismatchError(f"{compute.size} compute delays for {n} vehicles")
     with np.errstate(over="ignore"):
         total = (comm + compute.reshape(-1, 1)).ravel()  # row i is sender i
         offset = _round_offsets(total, cfg.sample_period_s, np.random.default_rng(cfg.rng_seed))
@@ -106,8 +101,9 @@ def build_aoi_records(delay_s, cfg: AoiConfig) -> np.ndarray:
     return ages
 
 
-def aoi_summary(snapped_ages, looptime_s: float) -> AoiSummary:
-    """Exact aggregates over snapped ages; staleness is strict exceedance.
+def aoi_summary(snapped_ages, cfg: AoiConfig) -> AoiSummary:
+    """Exact aggregates over snapped ages; staleness is strict exceedance
+    of cfg.looptime_s, the perception cycle the effective ages add.
 
     A statistic past the float range is an error, never an inf in a record.
     """
@@ -122,9 +118,9 @@ def aoi_summary(snapped_ages, looptime_s: float) -> AoiSummary:
         max_age_s=max_age,
         mean_age_s=mean_age,
         age_variance=variance(ages),
-        stale_count=int(np.count_nonzero(ages > looptime_s)),
-        effective_max_age_s=max_age + looptime_s,
-        effective_mean_age_s=mean_age + looptime_s,
+        stale_count=int(np.count_nonzero(ages > cfg.looptime_s)),
+        effective_max_age_s=max_age + cfg.looptime_s,
+        effective_mean_age_s=mean_age + cfg.looptime_s,
     )
     for name, value in vars(summary).items():
         check_finite(name, value)

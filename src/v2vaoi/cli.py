@@ -343,7 +343,7 @@ def cmd_aoi(cfg: dict, solvers: ComparisonConfig) -> list:
     records = [_config_record(cfg)]
     for mode, delays in modes:
         ages = build_aoi_records(delays, aoi_cfg)
-        summary = aoi_summary(ages, aoi_cfg.looptime_s)
+        summary = aoi_summary(ages, aoi_cfg)
         estimate = estimate_scene_ap(ages)
         records.append(
             {

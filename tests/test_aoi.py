@@ -117,13 +117,15 @@ def test_records_cover_all_ordered_pairs_with_self_links():
     d = delay_matrix_3()
     np.fill_diagonal(d, 0.9)  # a raw diagonal is ignored: self-links carry compute only
     ages = build_aoi_records(d, cfg)
+    for raw in (-1.0, math.nan, math.inf):  # any diagonal, a negative one too
+        np.fill_diagonal(d, raw)
+        assert build_aoi_records(d, cfg).tobytes() == ages.tobytes()
     # flat, in row-major link order, so len() counts the links
     assert ages.shape == (9,) and len(ages) == 9
     assert ages.dtype == np.float64
     assert not ages.flags.writeable
-    comm = d.copy()
-    np.fill_diagonal(comm, 0.0)
-    total = (comm + 0.1).ravel()
+    np.fill_diagonal(d, 0.0)
+    total = (d + 0.1).ravel()
     offsets = np.round(ages / cfg.sample_period_s)
     np.testing.assert_array_equal(ages, offsets * cfg.sample_period_s)  # on the grid
     assert np.all(np.abs(ages - total) < cfg.sample_period_s)
@@ -135,15 +137,13 @@ def test_grid_delays_are_their_own_ages():
     period, n = 0.125, 4
     d = np.random.default_rng(5).integers(0, 9, size=(n, n)) * period
     np.fill_diagonal(d, 7 * period)  # ignored: self-links carry compute only
-    overrides = (0.0, 0.25, 0.5, 1.375)
-    cfg = AoiConfig(
-        sample_period_s=period, looptime_s=period, per_vehicle_compute_delay_s=overrides
-    )
+    compute = (0.0, 0.25, 0.5, 1.375)
+    cfg = AoiConfig(compute_delay_s=compute, sample_period_s=period, looptime_s=period)
     ages = build_aoi_records(d, cfg).reshape(n, n)
-    np.testing.assert_array_equal(np.diag(ages), overrides)
+    np.testing.assert_array_equal(np.diag(ages), compute)
     for i in range(n):  # row i carries sender i's compute delay
-        want = d[i] + overrides[i]
-        want[i] = overrides[i]
+        want = d[i] + compute[i]
+        want[i] = compute[i]
         np.testing.assert_array_equal(ages[i], want)
     reference = np.array([r.total_delay_s for r in _aoi_reference(d, cfg)])
     assert ages.tobytes() == reference.tobytes()
@@ -179,11 +179,14 @@ def test_records_deterministic_per_seed():
 
 def test_records_per_vehicle_override():
     # on the grid, so each sender's age is its compute delay exactly
-    cfg = AoiConfig(per_vehicle_compute_delay_s=(0.1, 0.4), rng_seed=0)
+    cfg = AoiConfig(compute_delay_s=(0.1, 0.4), rng_seed=0)
     ages = build_aoi_records(np.zeros((2, 2)), cfg)
     assert ages.tolist() == [0.1, 0.1, 0.4, 0.4]
+    for n in (1, 3):
+        with pytest.raises(DimensionMismatchError, match=f"^2 compute delays for {n} vehicles$"):
+            build_aoi_records(np.zeros((n, n)), cfg)
     with pytest.raises(DimensionMismatchError):
-        build_aoi_records(np.zeros((3, 3)), cfg)
+        build_aoi_records(np.zeros((2, 2)), AoiConfig(compute_delay_s=((0.1, 0.4),)))
 
 
 def test_records_reject_bad_matrices():
@@ -197,7 +200,7 @@ def test_ages_past_int64_offsets_are_finite():
     # 1e301 sampling periods: beyond any int64 offset, yet a finite age
     ages = build_aoi_records(np.zeros((2, 2)), AoiConfig(compute_delay_s=1e300))
     assert np.all(np.isfinite(ages)) and np.all(np.abs(ages - 1e300) <= 0.1)
-    summary = aoi_summary(ages, 0.1)
+    summary = aoi_summary(ages, AoiConfig())
     assert all(math.isfinite(v) for v in vars(summary).values())
 
 
@@ -208,7 +211,7 @@ def test_age_past_the_float_range_is_inf_without_a_warning():
     ages = build_aoi_records(np.zeros((2, 2)), cfg)  # RuntimeWarnings are errors here
     assert np.all(np.isinf(ages))
     with pytest.raises(DomainError, match="^max_age_s overflows the float range$"):
-        aoi_summary(ages, cfg.looptime_s)
+        aoi_summary(ages, cfg)
 
 
 # --- the per-link loop the arrays replaced, kept as the reference -------------
@@ -248,15 +251,13 @@ def _aoi_reference(delay_s, cfg: AoiConfig) -> list:
     if np.any(delay < 0):
         raise DomainError("delays must be nonnegative")
     n = delay.shape[0]
-    overrides = cfg.per_vehicle_compute_delay_s
-    if overrides is not None and len(overrides) != n:
-        raise DimensionMismatchError(
-            f"{len(overrides)} per-vehicle compute delays for {n} vehicles"
-        )
+    per_sender = isinstance(cfg.compute_delay_s, tuple)
+    if per_sender and len(cfg.compute_delay_s) != n:
+        raise DimensionMismatchError(f"{len(cfg.compute_delay_s)} compute delays for {n} vehicles")
     rng = np.random.default_rng(cfg.rng_seed)
     records = []
     for i in range(n):
-        compute = overrides[i] if overrides is not None else cfg.compute_delay_s
+        compute = cfg.compute_delay_s[i] if per_sender else cfg.compute_delay_s
         for j in range(n):
             comm = 0.0 if i == j else float(delay[i, j])
             total = comm + compute
@@ -291,37 +292,39 @@ def _channel_delays(n, seed):
 
 _REFERENCE_CASES = [
     *[
-        pytest.param(n, seed, compute, None, _reference_delays, id=f"n{n}-seed{seed}-c{compute}")
+        pytest.param(n, seed, compute, _reference_delays, id=f"n{n}-seed{seed}-c{compute}")
         for n in (2, 3, 8, 64)
         for seed in (0, 1)
         for compute in (0.0, 0.1, 0.037, 0.05)
     ],
-    pytest.param(2, 5, 0.0, (0.1, 0.037), _reference_delays, id="n2-overrides"),
-    pytest.param(3, 6, 0.0, (0.0, 0.2, 0.05), _reference_delays, id="n3-overrides"),
+    # per-sender compute delays, indexed by sender
+    pytest.param(2, 5, (0.1, 0.037), _reference_delays, id="n2-overrides"),
+    pytest.param(3, 6, (0.0, 0.2, 0.05), _reference_delays, id="n3-overrides"),
     pytest.param(
-        8, 7, 0.05, (0.0, 0.1, 0.037, 0.05, 0.2, 0.0, 0.013, 0.1), _reference_delays,
+        8, 7, (0.0, 0.1, 0.037, 0.05, 0.2, 0.0, 0.013, 0.1), _reference_delays,
         id="n8-overrides",
     ),
-    pytest.param(3, 8, 0.037, None, _channel_delays, id="n3-link-metrics"),
-    pytest.param(8, 9, 0.05, None, _channel_delays, id="n8-link-metrics"),
-    pytest.param(64, 10, 0.1, None, _channel_delays, id="n64-link-metrics"),
+    pytest.param(3, 8, 0.037, _channel_delays, id="n3-link-metrics"),
+    pytest.param(8, 9, 0.05, _channel_delays, id="n8-link-metrics"),
+    pytest.param(64, 10, 0.1, _channel_delays, id="n64-link-metrics"),
 ]
 
 
-@pytest.mark.parametrize("n, seed, compute, overrides, source", _REFERENCE_CASES)
-def test_ages_match_reference_bit_for_bit(n, seed, compute, overrides, source):
+@pytest.mark.parametrize("n, seed, compute, source", _REFERENCE_CASES)
+def test_ages_match_reference_bit_for_bit(n, seed, compute, source):
     delays = source(n, seed)
-    cfg = AoiConfig(
-        compute_delay_s=compute, rng_seed=seed, per_vehicle_compute_delay_s=overrides
-    )
+    cfg = AoiConfig(compute_delay_s=compute, rng_seed=seed)
     ages = build_aoi_records(delays, cfg)
     want = _aoi_reference(delays, cfg)
     assert len(ages) == len(want) == n * n
     assert [r.link for r in want] == [(i, j) for i in range(n) for j in range(n)]
     snapped = np.array([r.snapped_age_s for r in want])
     assert ages.tobytes() == snapped.tobytes()
-    assert aoi_summary(ages, 0.1) == aoi_summary(snapped, 0.1)
+    assert aoi_summary(ages, cfg) == aoi_summary(snapped, cfg)
     assert estimate_scene_ap(ages) == estimate_scene_ap(snapped)
+    if not isinstance(compute, tuple):  # one delay for every sender is n copies of it
+        copies = AoiConfig(compute_delay_s=(compute,) * n, rng_seed=seed)
+        assert build_aoi_records(delays, copies).tobytes() == ages.tobytes()
 
 
 def test_one_delay_round_matches_reference():
@@ -338,8 +341,9 @@ def test_one_delay_round_matches_reference():
 def test_config_validation():
     with pytest.raises(DomainError):
         AoiConfig(sample_period_s=0.0)
-    with pytest.raises(DomainError):
-        AoiConfig(compute_delay_s=-0.1)
+    for bad in (-0.1, (0.1, -0.1)):
+        with pytest.raises(DomainError, match="^compute_delay_s must be nonnegative and finite$"):
+            AoiConfig(compute_delay_s=bad)
     with pytest.raises(DomainError):
         AoiConfig(looptime_s=0.05, sample_period_s=0.1)
     for bad in (float("nan"), float("inf")):
@@ -350,7 +354,7 @@ def test_config_validation():
         with pytest.raises(DomainError):
             AoiConfig(looptime_s=bad)
         with pytest.raises(DomainError):
-            AoiConfig(per_vehicle_compute_delay_s=(0.1, bad))
+            AoiConfig(compute_delay_s=(0.1, bad))
     for bad in (2.5, 3.0, True, -1):
         with pytest.raises(DomainError):
             AoiConfig(rng_seed=bad)
@@ -362,13 +366,13 @@ def test_config_validation():
 
 
 def test_summary_single_record():
-    s = aoi_summary(np.array([0.1, 0.1]), looptime_s=0.1)
+    s = aoi_summary(np.array([0.1, 0.1]), AoiConfig(looptime_s=0.1))
     assert s.max_age_s == 0.1 and s.mean_age_s == 0.1
     assert s.age_variance == 0.0 and s.stale_count == 0
 
 
 def test_summary_mixed_ages():
-    s = aoi_summary(np.array([[0.1], [0.3]]), looptime_s=0.2)
+    s = aoi_summary(np.array([[0.1], [0.3]]), AoiConfig(looptime_s=0.2))
     assert s.max_age_s == 0.3
     assert s.mean_age_s == pytest.approx(0.2)
     assert s.stale_count == 1  # strict exceedance only
@@ -377,7 +381,7 @@ def test_summary_mixed_ages():
 
 
 def test_summary_equal_ages_zero_variance():
-    s = aoi_summary(np.full((3, 3), 0.2), looptime_s=0.1)
+    s = aoi_summary(np.full((3, 3), 0.2), AoiConfig(looptime_s=0.1))
     assert s.age_variance == 0.0
     assert s.stale_count == 9
 
@@ -394,11 +398,11 @@ def test_summary_equal_ages_zero_variance():
 def test_summary_refuses_a_statistic_past_the_float_range(ages, looptime, statistic):
     # one rule for every reported statistic, with no RuntimeWarning first
     with pytest.raises(DomainError, match=f"^{statistic} overflows the float range$"):
-        aoi_summary(np.array(ages), looptime_s=looptime)
+        aoi_summary(np.array(ages), AoiConfig(looptime_s=looptime))
 
 
 def test_summary_rejects_empty():
     with pytest.raises(DomainError):
-        aoi_summary([], looptime_s=0.1)
+        aoi_summary([], AoiConfig())
     with pytest.raises(DomainError):
-        aoi_summary(np.zeros((0, 0)), looptime_s=0.1)
+        aoi_summary(np.zeros((0, 0)), AoiConfig())

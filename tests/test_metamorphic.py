@@ -9,7 +9,15 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from v2vaoi.allocator import AllocationProblem, GreedyConfig, default_pa, exact_pa, greedy_pa
+from v2vaoi.allocator import (
+    AllocationProblem,
+    GeneticConfig,
+    GreedyConfig,
+    default_pa,
+    exact_pa,
+    genetic_pa,
+    greedy_pa,
+)
 from v2vaoi.channel import ChannelParams, DistanceMatrix
 from v2vaoi.metrics import scene_seed
 from v2vaoi.scenario import ScenarioSpec, generate_scene
@@ -120,3 +128,61 @@ def test_relabelling_the_vehicles_for_greedy_and_the_even_split(n, seed, perm_se
         assert (got.stop_reason, got.epochs_used) == (want.stop_reason, want.epochs_used), name
         if name == "default":
             assert got.power.p.tobytes() == want.power.p[np.ix_(perm, perm)].tobytes()
+
+
+def floored(n: int, floor: float) -> ChannelParams:
+    """PARAMS with p_min_w on a log scale from 1e-12 W (floor = 0) up to the
+    budget's limit (floor = 1): the largest p_min_w whose n-1 copies fit
+    p_max_w by the one sum, np.add.reduce."""
+    limit = PARAMS.p_max_w / (n - 1)
+    p_min = limit * (1e-12 / limit) ** (1.0 - floor)
+    while np.add.reduce(np.full(n - 1, p_min)) > PARAMS.p_max_w:
+        p_min = float(np.nextafter(p_min, 0))
+    return replace(PARAMS, p_min_w=p_min)
+
+
+def optimum(params: ChannelParams, dist: DistanceMatrix) -> float:
+    return exact_pa(AllocationProblem(params, dist)).objective_min_snr
+
+
+# 100 derandomized draws, the same examples on every run, about 1 s: each
+# solves one scene four times with exact.  Each relation follows from the
+# problem, not the solver: a larger budget or a quieter channel keeps every
+# allocation feasible with no less SNR on any link, and so does deleting a
+# vehicle's row and column from an optimal allocation.  None needs slack:
+# over these draws the optimum rose by at least 1.1e-10 relative under
+# x1.5 on p_max and fell by at least 1.2e-11 under x2 on noise, both above
+# the bisection's EXACT_REL_TOL of 1e-12.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 64),
+    seed=st.integers(0, 2**64 - 1),
+    floor=st.floats(0.0, 1.0),
+    gone=st.integers(0, 63),
+)
+def test_exact_optimum_is_monotone(n, seed, floor, gone):
+    dist, params = scene(n, seed), floored(n, floor)
+    base = optimum(params, dist)
+    richer = replace(params, p_max_w=params.p_max_w * 1.5)
+    assert optimum(richer, dist) >= base, "x1.5 on p_max lowered the optimum"
+    noisier = replace(params, noise_w=params.noise_w * 2)
+    assert optimum(noisier, dist) <= base, "x2 on noise raised the optimum"
+    keep = np.delete(np.arange(n), gone % n)
+    fewer = DistanceMatrix(dist.d[np.ix_(keep, keep)])
+    assert optimum(params, fewer) >= base, f"deleting vehicle {gone % n} lowered the optimum"
+
+
+# 100 derandomized draws, about 1 s: the even split, 30 greedy epochs and
+# 10 GA generations, each held to exact's upper bound on the same problem
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(3, 16), seed=st.integers(0, 2**64 - 1), floor=st.floats(0.0, 1.0))
+def test_no_solver_exceeds_exacts_upper_bound(n, seed, floor):
+    solvers = {
+        "default": default_pa,
+        "greedy": lambda problem: greedy_pa(problem, GreedyConfig(max_epochs=30)),
+        "genetic": lambda problem: genetic_pa(problem, GeneticConfig(max_generations=10)),
+    }
+    problem = AllocationProblem(floored(n, floor), scene(n, seed))
+    bound = exact_pa(problem).upper_bound
+    for name, solver in solvers.items():
+        assert solver(problem).objective_min_snr <= bound, name
