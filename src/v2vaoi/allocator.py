@@ -132,16 +132,25 @@ class GreedyConfig:
 
     learn_rate is the multiplicative step applied to the worst and best
     links' powers each epoch.  The run stops at max_epochs or at
-    _Progress's plateau stop.
+    _Progress's plateau stop.  rungs are smaller epoch budgets, distinct
+    integers from 1 to max_epochs - 1, whose results the same solve also
+    returns in result.rungs.
     """
 
     learn_rate: float = 0.05
     max_epochs: int = 5000
+    rungs: tuple = ()
 
     def __post_init__(self):
         check_integers(self, "max_epochs", least=1)
         if not (0 < self.learn_rate < 1):
             raise DomainError(f"learn_rate must be in (0, 1), got {self.learn_rate}")
+        rungs = self.rungs
+        in_range = all(is_integer(r) and 1 <= r < self.max_epochs for r in rungs)
+        if not (in_range and len(set(rungs)) == len(rungs)):
+            raise DomainError(
+                f"rungs must be distinct integers in 1..{self.max_epochs - 1}, got {rungs!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -185,7 +194,7 @@ class AllocationResult:
     stop_reason: str  # "budget", "plateau" or "certified"
     strategy_name: str
     history: tuple = ()  # best so far: per greedy epoch; the GA's initial, then per generation
-    rungs: tuple = ()  # greedy_pa's results at its rungs, in their order
+    rungs: tuple = ()  # greedy_pa's results at GreedyConfig.rungs, in their order
     upper_bound: float | None = None
 
 
@@ -428,9 +437,7 @@ def default_pa(problem: AllocationProblem) -> AllocationResult:
     )
 
 
-def greedy_pa(
-    problem: AllocationProblem, cfg: GreedyConfig | None = None, *, rungs: tuple = ()
-) -> AllocationResult:
+def greedy_pa(problem: AllocationProblem, cfg: GreedyConfig | None = None) -> AllocationResult:
     """Shift power toward the worst link, away from the best, epoch by epoch.
 
     Starts from the projected even split.  Each epoch multiplies the
@@ -440,11 +447,10 @@ def greedy_pa(
     (by min-SNR) is returned, so the objective history is non-decreasing.
     Fully deterministic.
 
-    rungs are epoch budgets up to cfg.max_epochs.  result.rungs holds, in
-    their order, exactly what a separate solve with max_epochs = rung
-    returns: the best allocation, epochs_used, history and stop_reason
-    "budget" after that epoch, or the final ones if the run stopped at or
-    before it.
+    result.rungs holds, in cfg.rungs order, exactly what a separate solve
+    with max_epochs = rung returns: the best allocation, epochs_used,
+    history and stop_reason "budget" after that epoch, or the final ones if
+    the run stopped at or before it.
 
     The solve holds only the n(n-1) off-diagonal powers, links[k] the k-th
     in row-major order, the order of the SNRs, so the first minimum and
@@ -474,8 +480,6 @@ def greedy_pa(
     links once; only a rung's snapshot copies the best links.
     """
     cfg = cfg or GreedyConfig()
-    if not all(is_integer(r) and 1 <= r <= cfg.max_epochs for r in rungs):
-        raise DomainError(f"rungs must be integers in 1..max_epochs, got {rungs!r}")
     params = problem.params
     n, p_min, p_max, noise_w = problem.n, params.p_min_w, params.p_max_w, params.noise_w
     m = n - 1
@@ -506,7 +510,7 @@ def greedy_pa(
     low, worst, strongest = extremes()
     track = _Progress(low, GREEDY_CONVERGENCE_WINDOW, GREEDY_CONVERGENCE_TOL)
     best = links.copy()  # refreshed in place on improvement
-    snapshots = dict.fromkeys(rungs)
+    snapshots = dict.fromkeys(cfg.rungs)
     for epoch in range(1, cfg.max_epochs + 1):
         links[worst] *= 1.0 + cfg.learn_rate
         links[strongest] *= 1.0 - cfg.learn_rate
@@ -529,7 +533,7 @@ def greedy_pa(
     epochs_used = len(track.history) - 1
     final = finish(best, epochs_used, track.reason)
     return replace(final, rungs=tuple(
-        final if r >= epochs_used else finish(snapshots[r], r, "budget") for r in rungs
+        final if r >= epochs_used else finish(snapshots[r], r, "budget") for r in cfg.rungs
     ))
 
 

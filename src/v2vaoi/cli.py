@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -59,7 +60,7 @@ _FLAGS = (
     ("config", str, None, "JSON file with flag defaults; flags win", _ALL),
     ("learn_rate", float, GreedyConfig.learn_rate, None, _ALL),
     ("epochs", int, GreedyConfig.max_epochs, "greedy epoch budget", ("solve", "aoi", "verify")),
-    # unset keeps compare's epoch ablation ladder
+    # unset keeps ComparisonConfig's greedy: the default budget and its rungs
     ("epochs", int, None, "greedy epoch budget", ("compare",)),
     ("generations", int, GeneticConfig.max_generations, "GA generation cap", ("solve", "compare")),
     ("population", int, GeneticConfig.population_size, "GA population size", ("solve", "compare")),
@@ -174,16 +175,13 @@ def _resolve(args: argparse.Namespace) -> tuple:
             payload_bits=cfg["payload"],
             rate_factor=cfg["rate_factor"],
         ),
-        greedy=GreedyConfig(
+        greedy=replace(
+            ComparisonConfig.greedy if epochs is None else GreedyConfig(max_epochs=epochs),
             learn_rate=cfg["learn_rate"],
-            max_epochs=GreedyConfig.max_epochs if epochs is None else epochs,
         ),
         genetic=GeneticConfig(
             population_size=cfg.get("population", GeneticConfig.population_size),
             max_generations=cfg.get("generations", GeneticConfig.max_generations),
-        ),
-        greedy_epoch_ladder=(
-            ComparisonConfig.greedy_epoch_ladder if epochs is None else (epochs,)
         ),
     )
     return cfg, solvers

@@ -61,34 +61,17 @@ def optimality_gap(min_snr: float, optimum: float) -> float:
 class ComparisonConfig:
     """Solver settings for one comparison batch.
 
-    Every entry of greedy_epoch_ladder, a distinct integer from 1 to
-    greedy.max_epochs, gets a greedy row of its own so the epoch-count
-    ablation lands in the same table; one greedy solve per trial, with
-    greedy as given, serves them all.  The top entry must equal
-    greedy.max_epochs, so that no epoch is run for a row nobody reports.
-    The delay scale is params.rate_factor, applied by the channel model.
-    genetic configures the GA, which only solve runs; a comparison,
-    measured against the exact optimum, never runs it.
+    A comparison reports greedy at greedy.max_epochs and at each of
+    greedy.rungs, so the epoch-count ablation lands in the same table; one
+    greedy solve per trial serves them all.  The delay scale is
+    params.rate_factor, applied by the channel model.  genetic configures
+    the GA, which only solve runs; a comparison, measured against the exact
+    optimum, never runs it.
     """
 
     params: ChannelParams = ChannelParams()
-    greedy: GreedyConfig = GreedyConfig()
+    greedy: GreedyConfig = GreedyConfig(rungs=(500, 50))
     genetic: GeneticConfig = GeneticConfig()
-    greedy_epoch_ladder: tuple = (GreedyConfig.max_epochs, 500, 50)
-
-    def __post_init__(self):
-        ladder = self.greedy_epoch_ladder
-        if not ladder:
-            raise DomainError("greedy_epoch_ladder must not be empty")
-        if not all(is_integer(e) and e >= 1 for e in ladder):
-            raise DomainError(f"greedy_epoch_ladder entries must be integers >= 1, got {ladder!r}")
-        if len(set(ladder)) != len(ladder):
-            raise DomainError(f"greedy_epoch_ladder has duplicate entries: {ladder!r}")
-        if max(ladder) != self.greedy.max_epochs:
-            raise DomainError(
-                f"the top greedy_epoch_ladder entry {max(ladder)} must equal "
-                f"greedy.max_epochs {self.greedy.max_epochs}"
-            )
 
 
 # Every allocation strategy: name -> (problem, config, ga_seed) -> result.
@@ -96,9 +79,7 @@ class ComparisonConfig:
 # of the module's name (a tracing shim) sees every call.
 STRATEGIES = {
     "default": lambda problem, config, ga_seed: default_pa(problem),
-    "greedy": lambda problem, config, ga_seed: greedy_pa(
-        problem, config.greedy, rungs=config.greedy_epoch_ladder
-    ),
+    "greedy": lambda problem, config, ga_seed: greedy_pa(problem, config.greedy),
     "genetic": lambda problem, config, ga_seed: genetic_pa(
         problem, replace(config.genetic, rng_seed=ga_seed)
     ),
@@ -134,9 +115,10 @@ def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> tuple:
     default, greedy, exact = solve_scene(
         cfg, dist, ("default", "greedy", REFERENCE_STRATEGY), spec.rng_seed, trial
     ).values()
+    budgets = (cfg.greedy.max_epochs, *cfg.greedy.rungs)
     results = {
         "default": default,
-        **{f"greedy_epoch{e}": r for e, r in zip(cfg.greedy_epoch_ladder, greedy.rungs)},
+        **{f"greedy_epoch{e}": r for e, r in zip(budgets, (greedy, *greedy.rungs))},
         REFERENCE_STRATEGY: exact,
     }
 
@@ -165,11 +147,11 @@ def run_comparison(spec: ScenarioSpec, trials: int, config: ComparisonConfig | N
     aggregate per strategy, in row order, and each trial's per-strategy
     min SNR, epochs used, RMSE against the reference and gap to the optimum.
 
-    The rows are default, one greedy_epoch<e> per greedy_epoch_ladder rung
-    and the exact reference, the certified max-min optimum, each solved
-    through STRATEGIES; the GA is not run.  Trial t follows solve_scene's
-    seed rule on the stream (spec.rng_seed, t), so results are
-    reproducible.  Trials run serially, in index order.
+    The rows are default, greedy_epoch<e> for e = greedy.max_epochs and
+    then each of greedy.rungs, and the exact reference, the certified
+    max-min optimum, each solved through STRATEGIES; the GA is not run.
+    Trial t follows solve_scene's seed rule on the stream (spec.rng_seed,
+    t), so results are reproducible.  Trials run serially, in index order.
     Solver errors abort the batch, tagged with the failing trial index.
     """
     if not (is_integer(trials) and trials >= 1):

@@ -106,29 +106,32 @@ def generate_scene(spec: ScenarioSpec):
     coords = np.empty((n, 2))
     placed = 0
     attempts = 0
-    while placed < n:
-        if attempts == _MAX_PLACEMENT_ATTEMPTS:
-            raise PackingError(
-                f"could not place {n} vehicles at "
-                f"{sep} m separation in a "
-                f"{spec.box_side_m} m box after {_MAX_PLACEMENT_ATTEMPTS} attempts"
-            )
-        k = min(max(n - placed, _MIN_PLACEMENT_BLOCK), _MAX_PLACEMENT_ATTEMPTS - attempts)
-        block = rng.uniform(0.0, spec.box_side_m, size=(k, 2))
-        attempts += k
-        bx, by = block[:, 0:1], block[:, 1:2]
-        prior = coords[:placed]
-        clear = (np.hypot(bx - prior[:, 0], by - prior[:, 1]) >= sep).all(axis=1)
-        # too_near[a, b]: candidate a lies closer than sep to candidate b
-        too_near = np.hypot(bx - block[:, 0], by - block[:, 1]) < sep
-        blocked = np.zeros(k, dtype=bool)
-        for c in clear.nonzero()[0].tolist():
-            if not blocked[c]:
-                coords[placed] = block[c]
-                placed += 1
-                if placed == n:
-                    break
-                blocked |= too_near[:, c]
+    # past the float maximum over sqrt(2) a candidate distance overflows to
+    # inf, which clears sep; DistanceMatrix below refuses it by name
+    with np.errstate(over="ignore"):
+        while placed < n:
+            if attempts == _MAX_PLACEMENT_ATTEMPTS:
+                raise PackingError(
+                    f"could not place {n} vehicles at "
+                    f"{sep} m separation in a "
+                    f"{spec.box_side_m} m box after {_MAX_PLACEMENT_ATTEMPTS} attempts"
+                )
+            k = min(max(n - placed, _MIN_PLACEMENT_BLOCK), _MAX_PLACEMENT_ATTEMPTS - attempts)
+            block = rng.uniform(0.0, spec.box_side_m, size=(k, 2))
+            attempts += k
+            bx, by = block[:, 0:1], block[:, 1:2]
+            prior = coords[:placed]
+            clear = (np.hypot(bx - prior[:, 0], by - prior[:, 1]) >= sep).all(axis=1)
+            # too_near[a, b]: candidate a lies closer than sep to candidate b
+            too_near = np.hypot(bx - block[:, 0], by - block[:, 1]) < sep
+            blocked = np.zeros(k, dtype=bool)
+            for c in clear.nonzero()[0].tolist():
+                if not blocked[c]:
+                    coords[placed] = block[c]
+                    placed += 1
+                    if placed == n:
+                        break
+                    blocked |= too_near[:, c]
     try:
         # only a distance that under- or overflows fails these checks
         return DistanceMatrix(_pairwise_distances(coords)), coords

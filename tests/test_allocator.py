@@ -511,7 +511,7 @@ def test_greedy_history_monotone_and_deterministic():
     assert a.objective_min_snr == hist[-1]
 
 
-def test_greedy_epoch_ladder_monotone():
+def test_greedy_epoch_budgets_monotone():
     prob = random_problem(6, 4)
     objs = [
         greedy_pa(prob, GreedyConfig(max_epochs=e)).objective_min_snr
@@ -686,23 +686,23 @@ def test_greedy_rungs_match_separate_solves(n, seed):
     stop = greedy_pa(prob).epochs_used  # the plateau stop of the full solve
     assert greedy_pa(prob).stop_reason == "plateau" and stop > 20
     ladders = {
-        "stops before the smallest rung": (stop + 300, stop + 1),
-        "stops between rungs": (stop + 50, stop // 2, 7),
-        "stops at a rung": (stop, stop - 1, 3),
-        "runs to the largest rung": (stop - 1, 10, 1),
+        "stops before the smallest rung": (stop + 300, (stop + 1,)),
+        "stops between rungs": (stop + 50, (stop // 2, 7)),
+        "stops at a rung": (stop + 50, (stop, stop - 1)),
+        "stops at the budget": (stop, (stop - 1, 3)),
+        "runs to the budget": (stop - 1, (1, 10)),
     }
-    for case, ladder in ladders.items():
-        cfg = GreedyConfig(max_epochs=max(ladder))
-        result = greedy_pa(prob, cfg, rungs=ladder)
-        assert result.stop_reason == ("plateau" if max(ladder) >= stop else "budget"), case
-        _assert_same_solve(result, greedy_pa(prob, cfg))
-        assert len(result.rungs) == len(ladder)
-        for rung, got in zip(ladder, result.rungs):
+    for case, (budget, rungs) in ladders.items():
+        result = greedy_pa(prob, GreedyConfig(max_epochs=budget, rungs=rungs))
+        assert result.stop_reason == ("plateau" if budget >= stop else "budget"), case
+        _assert_same_solve(result, greedy_pa(prob, GreedyConfig(max_epochs=budget)))
+        assert len(result.rungs) == len(rungs)
+        for rung, got in zip(rungs, result.rungs):
             _assert_same_solve(got, greedy_pa(prob, GreedyConfig(max_epochs=rung)))
             assert got.rungs == ()
 
 
-def _solve_in_layout(prob, cfg, rungs, cut):
+def _solve_in_layout(prob, cfg, cut):
     """greedy_pa with GREEDY_LIST_MAX_N at cut, and how many list fits ran."""
     fits = []
 
@@ -713,7 +713,7 @@ def _solve_in_layout(prob, cfg, rungs, cut):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(allocator, "GREEDY_LIST_MAX_N", cut)
         mp.setattr(allocator, "_fit_list_row", counted)
-        return greedy_pa(prob, cfg, rungs=rungs), len(fits)
+        return greedy_pa(prob, cfg), len(fits)
 
 
 # 150 derandomized draws and one explicit example, the same on every run,
@@ -727,7 +727,7 @@ def _solve_in_layout(prob, cfg, rungs, cut):
     floor=st.floats(0.0, 1.0),
     learn_rate=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     epochs=st.integers(1, 300),
-    rungs=st.lists(st.integers(1, 300), max_size=3),
+    rungs=st.lists(st.integers(1, 299), max_size=3, unique=True),
 )
 def test_greedy_layouts_agree_bit_for_bit(n, seed, p_max, floor, learn_rate, epochs, rungs):
     # the list layout, forced up to n = 8 (rows of 7 links, the most whose
@@ -740,9 +740,11 @@ def test_greedy_layouts_agree_bit_for_bit(n, seed, p_max, floor, learn_rate, epo
         p_min = float(np.nextafter(p_min, 0))
     dist, _ = generate_scene(ScenarioSpec(n, rng_seed=seed))
     prob = AllocationProblem(ChannelParams(p_min_w=p_min, p_max_w=p_max), dist)
-    cfg = GreedyConfig(learn_rate=learn_rate, max_epochs=max([epochs, *rungs]))
-    lists, list_fits = _solve_in_layout(prob, cfg, tuple(rungs), 8)
-    arrays, array_fits = _solve_in_layout(prob, cfg, tuple(rungs), 1)
+    # the budget lies above every rung
+    budget = max([epochs, *(r + 1 for r in rungs)])
+    cfg = GreedyConfig(learn_rate=learn_rate, max_epochs=budget, rungs=tuple(rungs))
+    lists, list_fits = _solve_in_layout(prob, cfg, 8)
+    arrays, array_fits = _solve_in_layout(prob, cfg, 1)
     assert list_fits == lists.epochs_used and array_fits == 0
     _assert_same_solve(lists, arrays)
     assert len(lists.rungs) == len(arrays.rungs) == len(rungs)
@@ -754,16 +756,23 @@ def test_greedy_layout_follows_scene_size():
     # the shipped cut: lists up to GREEDY_LIST_MAX_N vehicles, rows above
     cfg = GreedyConfig(max_epochs=30)
     for n in (GREEDY_LIST_MAX_N, GREEDY_LIST_MAX_N + 1):
-        result, fits = _solve_in_layout(random_problem(1, n), cfg, (), GREEDY_LIST_MAX_N)
+        result, fits = _solve_in_layout(random_problem(1, n), cfg, GREEDY_LIST_MAX_N)
         assert fits == (result.epochs_used if n <= GREEDY_LIST_MAX_N else 0)
     assert 2 <= GREEDY_LIST_MAX_N <= 8
 
 
 def test_greedy_rungs_validated():
+    # the one rule for rungs, checked at construction: distinct integers
+    # below max_epochs, so a solve returns one result per rung and runs no
+    # epoch past its budget
+    bad_rungs = ((0,), (-5,), (2.5,), (True,), (50, 50), (100,), (101,), (30, 101))
+    for bad in bad_rungs:
+        with pytest.raises(DomainError, match=r"rungs must be distinct integers in 1\.\.99"):
+            GreedyConfig(max_epochs=100, rungs=bad)
+    cfg = GreedyConfig(max_epochs=100, rungs=(np.int64(9), 3))
+    assert cfg.rungs == (9, 3)
     prob = random_problem(1, 3)
-    for bad in ((0,), (-5,), (2.5,), (True,), (101,)):
-        with pytest.raises(DomainError, match="rungs"):
-            greedy_pa(prob, GreedyConfig(max_epochs=100), rungs=bad)
+    assert [r.epochs_used for r in greedy_pa(prob, cfg).rungs] == [9, 3]
     assert greedy_pa(prob, GreedyConfig(max_epochs=5)).rungs == ()
 
 

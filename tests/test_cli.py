@@ -160,7 +160,7 @@ def test_verify_comparison_is_run_comparison(tmp_path):
             "--box-side", 80, "--min-sep", 4]
     assert run_cli(args + ["--gap-threshold", 1, "--out", out]) == 0
     _, comparison, verdict = out.read_text().splitlines()
-    solvers = ComparisonConfig(greedy=GreedyConfig(max_epochs=300), greedy_epoch_ladder=(300,))
+    solvers = ComparisonConfig(greedy=GreedyConfig(max_epochs=300))
     want = run_comparison(ScenarioSpec(5, 80.0, 4.0, 2), 3, solvers)
     assert comparison == json.dumps(want)
     gaps = [row["gap_vs_exact"] for trial in want["per_trial"] for row in trial["strategies"]
@@ -222,7 +222,6 @@ def test_compare_record_is_run_comparison(tmp_path):
     config = ComparisonConfig(
         greedy=GreedyConfig(max_epochs=100),
         genetic=GeneticConfig(population_size=16, max_generations=150),
-        greedy_epoch_ladder=(100,),
     )
     record = run_comparison(ScenarioSpec(3, rng_seed=derive_seed(4, 3)), 2, config)
     line = out.read_text().splitlines()[1]
@@ -472,6 +471,9 @@ def test_text_format_writes_report(tmp_path):
         ["solve", "--n", "3", "--box-side", "1e-300", "--min-sep", "1e-301"],
         ["aoi", "--n", "3", "--box-side", "1e-300", "--min-sep", "1e-301"],
         ["verify", "--n", "3", "--box-side", "1e-300", "--min-sep", "1e-301"],
+        # past the float maximum over sqrt(2) a candidate distance overflows
+        # in placement; the box and separation are named, with no warning
+        ["solve", "--n", "3", "--box-side", "1.7976931348623157e308"],
     ],
 )
 def test_bad_input_exits_1(args, tmp_path, two_vehicle_scene, capsys):

@@ -20,7 +20,7 @@ from v2vaoi.metrics import (
 )
 from v2vaoi.scenario import ScenarioSpec, generate_scene
 
-FAST_CONFIG = ComparisonConfig(greedy=GreedyConfig(max_epochs=300), greedy_epoch_ladder=(300,))
+FAST_CONFIG = ComparisonConfig(greedy=GreedyConfig(max_epochs=300))
 
 
 def square(offdiag_pairs):
@@ -140,14 +140,14 @@ def test_comparison_rejects_bad_inputs():
     for trials in (0, 1.5):
         with pytest.raises(DomainError, match="trials"):
             run_comparison(ScenarioSpec(3, rng_seed=0), trials=trials, config=FAST_CONFIG)
-    with pytest.raises(DomainError):
-        ComparisonConfig(greedy_epoch_ladder=())
 
 
 def test_comparison_ladder_rows_match_separate_solves():
-    # one greedy solve per trial serves the whole ladder, in ladder order
+    # one greedy solve per trial serves the budget's row and then each
+    # rung's, in the order of greedy.rungs
     spec = ScenarioSpec(4, rng_seed=8)
     config = ComparisonConfig()
+    assert config.greedy == GreedyConfig(max_epochs=5000, rungs=(500, 50))
     comp = run_comparison(spec, trials=2, config=config)
     names = [agg["strategy"] for agg in comp["aggregates"]]
     assert names == [
@@ -159,8 +159,8 @@ def test_comparison_ladder_rows_match_separate_solves():
         dist, _ = generate_scene(replace(spec, rng_seed=trial["scene_seed"]))
         problem = AllocationProblem(config.params, dist)
         rows = {s["strategy"]: s for s in trial["strategies"]}
-        for epochs in config.greedy_epoch_ladder:
-            want = greedy_pa(problem, replace(config.greedy, max_epochs=epochs))
+        for epochs in (config.greedy.max_epochs, *config.greedy.rungs):
+            want = greedy_pa(problem, GreedyConfig(max_epochs=epochs))
             name = f"greedy_epoch{epochs}"
             assert rows[name]["epochs_used"] == want.epochs_used
             assert rows[name]["min_snr"] == want.objective_min_snr
@@ -174,31 +174,28 @@ def test_comparison_ladder_rows_match_separate_solves():
     "ladder", [(0,), (-5,), (2.5,), (True,), (300, 300), (5000, 50, 500, 50)]
 )
 def test_comparison_config_rejects_bad_ladders(ladder):
-    # caught at construction, not as a failure inside trial 0, and never
-    # folded into fewer rows than entries
-    with pytest.raises(DomainError, match="greedy_epoch_ladder"):
-        ComparisonConfig(greedy_epoch_ladder=ladder)
-    config = ComparisonConfig(
-        greedy=GreedyConfig(max_epochs=7), greedy_epoch_ladder=(np.int64(7), 3)
-    )
-    assert config.greedy_epoch_ladder == (7, 3)
+    # a comparison's rungs are caught when its GreedyConfig is built, not as
+    # a failure inside trial 0, and never folded into fewer rows than rungs
+    with pytest.raises(DomainError, match="rungs must be distinct integers"):
+        ComparisonConfig(greedy=GreedyConfig(rungs=ladder))
+    config = ComparisonConfig(greedy=GreedyConfig(max_epochs=7, rungs=(np.int64(3), 5)))
+    assert config.greedy.rungs == (3, 5)
 
 
 def test_comparison_config_rejects_ladder_above_greedy_budget():
-    # the greedy solve runs greedy.max_epochs as given, so a rung beyond it
-    # could not be served, and a solve past the top rung runs epochs no row
-    # reports; one message names both values either way
-    top = "the top greedy_epoch_ladder entry 5000 must equal greedy.max_epochs 10"
-    with pytest.raises(DomainError, match=top):
-        ComparisonConfig(greedy=GreedyConfig(max_epochs=10))
-    with pytest.raises(DomainError, match="entry 301 must equal greedy.max_epochs 300"):
-        ComparisonConfig(greedy=GreedyConfig(max_epochs=300), greedy_epoch_ladder=(30, 301))
-    config = ComparisonConfig(greedy=GreedyConfig(max_epochs=10), greedy_epoch_ladder=(10, 5))
-    assert config.greedy_epoch_ladder == (10, 5)
-    with pytest.raises(DomainError, match="entry 50 must equal greedy.max_epochs 5000"):
-        ComparisonConfig(greedy_epoch_ladder=(50,))
-    with pytest.raises(DomainError, match="entry 30 must equal greedy.max_epochs 300"):
-        ComparisonConfig(greedy=GreedyConfig(max_epochs=300), greedy_epoch_ladder=(3, 30))
+    # the greedy solve runs greedy.max_epochs as given, so a rung at or beyond
+    # it could not be served as its own row; the message names the range
+    with pytest.raises(DomainError, match=r"in 1\.\.9, got \(10,\)"):
+        GreedyConfig(max_epochs=10, rungs=(10,))
+    with pytest.raises(DomainError, match=r"in 1\.\.299, got \(30, 301\)"):
+        GreedyConfig(max_epochs=300, rungs=(30, 301))
+    config = ComparisonConfig(greedy=GreedyConfig(max_epochs=10, rungs=(5,)))
+    comp = run_comparison(ScenarioSpec(3, rng_seed=0), trials=1, config=config)
+    names = [agg["strategy"] for agg in comp["aggregates"]]
+    assert [name for name in names if name.startswith("greedy")] == [
+        "greedy_epoch10",
+        "greedy_epoch5",
+    ]
 
 
 def test_solved_scene_projects_the_even_split_once(monkeypatch):

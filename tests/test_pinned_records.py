@@ -52,6 +52,7 @@ ARGVS = (
     "compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400",
     "compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400 --jobs 2",
     "compare --n 2 --trials 1 --epochs 20 --generations 20",
+    "compare --n 3,4 --trials 2 --seed 7",
     "aoi --n 64 --epochs 50 --compute-delay 0.05 --seed 1",
     "aoi --n 4 --seed 9 --looptime 0.3 --rate-factor 0.2154",
     "verify --n 5 --instances 2 --seed 2",
@@ -107,6 +108,10 @@ PINNED = {
         (0, "accbb37ba8b1db08", "3530440c431d67b5", "0e95038188611d53", "e3b0c44298fc1c14"),
     ("compare --n 2 --trials 1 --epochs 20 --generations 20", "text"):
         (0, "accbb37ba8b1db08", "accbb37ba8b1db08", "0e95038188611d53", "e3b0c44298fc1c14"),
+    ("compare --n 3,4 --trials 2 --seed 7", "records"):
+        (0, "e85f633b85dfef5e", "92f6ea1d214cf0ff", "55660581d46a40f9", "e3b0c44298fc1c14"),
+    ("compare --n 3,4 --trials 2 --seed 7", "text"):
+        (0, "e85f633b85dfef5e", "e85f633b85dfef5e", "55660581d46a40f9", "e3b0c44298fc1c14"),
     ("aoi --n 64 --epochs 50 --compute-delay 0.05 --seed 1", "records"):
         (0, "878f6f2a9eac6578", "4d064f30854f5a6c", None, "e3b0c44298fc1c14"),
     ("aoi --n 64 --epochs 50 --compute-delay 0.05 --seed 1", "text"):
