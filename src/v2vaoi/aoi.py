@@ -48,7 +48,7 @@ class AoiSummary:
 def _round_offsets(
     delay_s: np.ndarray, period_s: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Grid offsets of an array of delays, as whole float64 numbers.
+    """Grid offsets of delays finite in sampling periods, as whole float64 numbers.
 
     An entry rounds up with probability equal to its fractional part.  One
     uniform is drawn per entry with a nonzero fractional part, in row-major
@@ -60,10 +60,7 @@ def _round_offsets(
         raise DomainError(f"delay must be nonnegative and finite, got {delay_s[bad][0]}")
     if not (0 < period_s < math.inf):
         raise DomainError(f"period must be positive and finite, got {period_s}")
-    with np.errstate(over="ignore"):
-        quotient = delay_s / period_s
-    if not np.all(np.isfinite(quotient)):
-        raise DomainError(f"a delay overflows float64 in sampling periods of {period_s!r} s")
+    quotient = delay_s / period_s
     offset = np.floor(quotient)
     frac = quotient - offset
     up = frac > 0
@@ -80,8 +77,9 @@ def build_aoi_records(delay_s, cfg: AoiConfig) -> np.ndarray:
     AllocationResult.delay_s or all zeros for the zero-delay mode; its
     diagonal is ignored.  Link (i, j) adds sender i's compute delay, so
     self-links carry computation delay only; a tuple of compute delays
-    must hold one per vehicle.  Deterministic per seed.  An age past the
-    float range comes out as inf, which aoi_summary refuses.
+    must hold one per vehicle.  Deterministic per seed.  A delay past the
+    float range in sampling periods is refused by link; an age past it
+    comes out as inf, which aoi_summary refuses.
     """
     comm = np.array(delay_s, dtype=np.float64)  # a copy: its diagonal is zeroed
     if comm.ndim != 2 or comm.shape[0] != comm.shape[1]:
@@ -95,6 +93,14 @@ def build_aoi_records(delay_s, cfg: AoiConfig) -> np.ndarray:
         raise DimensionMismatchError(f"{compute.size} compute delays for {n} vehicles")
     with np.errstate(over="ignore"):
         total = (comm + compute.reshape(-1, 1)).ravel()  # row i is sender i
+        worst = int(np.argmax(total))  # the first to overflow the grid, NaN aside
+        if np.isinf(total[worst] / cfg.sample_period_s):
+            i, j = divmod(worst, n)
+            raise DomainError(
+                f"link ({i}, {j})'s transmission delay {comm[i, j]:.3g} s plus compute "
+                f"delay {np.resize(compute, n)[i]:.3g} s overflows float64 in sampling "
+                f"periods of {cfg.sample_period_s!r} s"
+            )
         offset = _round_offsets(total, cfg.sample_period_s, np.random.default_rng(cfg.rng_seed))
         ages = offset * cfg.sample_period_s
     ages.flags.writeable = False

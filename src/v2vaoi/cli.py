@@ -11,7 +11,7 @@ Every command solves through metrics.solve_scene, which looks strategies up
 in metrics.STRATEGIES and derives each scene and GA seed by one rule.  Each
 command takes only the flags it reads, but for compare's --generations,
 --population and --jobs: the GA runs only in solve --strategy genetic and
-compare runs its trials serially, so these three move no number.
+compare runs its trials serially, so none of them moves a number or is echoed.
 
 Each command returns its records, the config record first, and builds no
 text: the text report is rendered from those records alone, so --format
@@ -249,13 +249,15 @@ def _write_file(path, content: str) -> None:
 
 
 # execution details that cannot change any computed number (jobs is parsed,
-# validated and ignored); keeping them out of the echoed config lets runs
-# that differ only in I/O produce byte-identical record files
+# validated and ignored), and on compare, which never runs the GA, the GA's
+# settings; keeping them out of the echoed config lets runs that differ only
+# in these produce byte-identical record files
 _NON_EXPERIMENT_KEYS = frozenset({"out", "format", "plot_out", "jobs", "config"})
 
 
 def _config_record(cfg: dict) -> dict:
-    keys = sorted(k for k in cfg if k not in _NON_EXPERIMENT_KEYS)
+    unused = {"generations", "population"} if cfg["command"] == "compare" else set()
+    keys = sorted(k for k in cfg if k not in _NON_EXPERIMENT_KEYS | unused)
     return {"type": "config", **{k: cfg[k] for k in keys}}
 
 

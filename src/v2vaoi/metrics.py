@@ -29,6 +29,9 @@ VARIANCE_CONVENTION = "population variance over ordered off-diagonal pairs"
 # compare's reference row: the certified max-min optimum
 REFERENCE_STRATEGY = "exact"
 
+# the per-trial row columns that each aggregate averages, in aggregate order
+AVERAGED_COLUMNS = ("rmse_vs_reference", "gap_vs_exact", "delay_variance", "delay_mean")
+
 
 def delay_rmse(a: np.ndarray, b: np.ndarray) -> float:
     """Root-mean-square difference between two delay matrices, in seconds."""
@@ -108,22 +111,17 @@ def solve_scene(
     return {name: STRATEGIES[name](problem, config, ga_seed) for name in names}
 
 
-def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> tuple:
-    """One trial's per_trial record and each strategy's delay matrix."""
+def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> dict:
+    """One trial's per_trial record: each strategy's row holds every statistic
+    the aggregates average, so no delay matrix outlives its trial."""
     seed = scene_seed(spec.rng_seed, trial)
     dist, _ = generate_scene(replace(spec, rng_seed=seed))
-    default, greedy, exact = solve_scene(
-        cfg, dist, ("default", "greedy", REFERENCE_STRATEGY), spec.rng_seed, trial
-    ).values()
+    names = ("default", "greedy", REFERENCE_STRATEGY)
+    default, greedy, exact = solve_scene(cfg, dist, names, spec.rng_seed, trial).values()
     budgets = (cfg.greedy.max_epochs, *cfg.greedy.rungs)
-    results = {
-        "default": default,
-        **{f"greedy_epoch{e}": r for e, r in zip(budgets, (greedy, *greedy.rungs))},
-        REFERENCE_STRATEGY: exact,
-    }
-
-    delays = {name: r.delay_s for name, r in results.items()}
-    record = {
+    ladder = {f"greedy_epoch{e}": r for e, r in zip(budgets, (greedy, *greedy.rungs))}
+    results = {"default": default, **ladder, REFERENCE_STRATEGY: exact}
+    return {
         "trial_index": trial,
         "scene_seed": seed,
         "strategies": [
@@ -131,52 +129,45 @@ def _run_trial(spec: ScenarioSpec, cfg: ComparisonConfig, trial: int) -> tuple:
                 "strategy": name,
                 "min_snr": result.objective_min_snr,
                 "epochs_used": result.epochs_used,
-                "rmse_vs_reference": delay_rmse(delays[name], delays[REFERENCE_STRATEGY]),
+                "rmse_vs_reference": delay_rmse(result.delay_s, exact.delay_s),
                 "gap_vs_exact": optimality_gap(result.objective_min_snr, exact.objective_min_snr),
+                "delay_variance": delay_variance(result.delay_s),
+                "delay_mean": delay_mean(result.delay_s),
             }
             for name, result in results.items()
         ],
     }
-    return record, delays
 
 
 def run_comparison(spec: ScenarioSpec, trials: int, config: ComparisonConfig | None = None) -> dict:
     """Run every strategy over repeated scenes and average the statistics.
 
-    Returns the comparison record that `v2vaoi compare --out` writes: one
-    aggregate per strategy, in row order, and each trial's per-strategy
-    min SNR, epochs used, RMSE against the reference and gap to the optimum.
+    Returns the comparison record that `v2vaoi compare --out` writes: each
+    trial's per_trial record, and one aggregate per strategy, in row order,
+    holding the mean over trials of each of its rows' AVERAGED_COLUMNS.
 
     The rows are default, greedy_epoch<e> for e = greedy.max_epochs and
     then each of greedy.rungs, and the exact reference, the certified
     max-min optimum, each solved through STRATEGIES; the GA is not run.
     Trial t follows solve_scene's seed rule on the stream (spec.rng_seed,
     t), so results are reproducible.  Trials run serially, in index order.
-    Solver errors abort the batch, tagged with the failing trial index.
+    A solver or statistic error aborts the batch, tagged with its trial index.
     """
     if not (is_integer(trials) and trials >= 1):
         raise DomainError(f"trials must be an integer >= 1, got {trials!r}")
     config = config or ComparisonConfig()
-    runs = []
+    per_trial = []
     for t in range(trials):
         try:
-            runs.append(_run_trial(spec, config, t))
+            per_trial.append(_run_trial(spec, config, t))
         except SimulationError as exc:
             raise SimulationError(f"trial {t} failed: {exc}") from exc
-
-    per_trial = [record for record, _ in runs]
     aggregates = []
-    for idx, name in enumerate(runs[0][1]):
-        rows = [rec["strategies"][idx] for rec in per_trial]
-        series = {
-            "rmse_vs_reference": [row["rmse_vs_reference"] for row in rows],
-            "gap_vs_exact": [row["gap_vs_exact"] for row in rows],
-            "delay_variance": [delay_variance(d[name]) for _, d in runs],
-            "delay_mean": [delay_mean(d[name]) for _, d in runs],
-        }
+    for rows in zip(*(trial["strategies"] for trial in per_trial)):
         with np.errstate(over="ignore"):
-            agg = {k: check_finite(f"mean {k} over trials", np.mean(v)) for k, v in series.items()}
-        aggregates.append({"strategy": name, **agg})
+            raw = {k: np.mean([row[k] for row in rows]) for k in AVERAGED_COLUMNS}
+        means = {k: check_finite(f"mean {k} over trials", v) for k, v in raw.items()}
+        aggregates.append({"strategy": rows[0]["strategy"], **means})
     return {
         "type": "comparison",
         "n": int(spec.n_vehicles),  # numpy integers are not JSON

@@ -214,6 +214,18 @@ def test_age_past_the_float_range_is_inf_without_a_warning():
         aoi_summary(ages, cfg)
 
 
+def test_delay_past_the_float_range_in_periods_names_its_link():
+    # sender 1's compute delay puts its links past the float range in
+    # sampling periods; the first of them is named with both its parts
+    top = np.finfo(np.float64).max
+    cfg = AoiConfig(compute_delay_s=(0.0, top))
+    with pytest.raises(DomainError, match=(
+        r"^link \(1, 0\)'s transmission delay 0\.5 s plus compute delay 1\.8e\+308 s "
+        r"overflows float64 in sampling periods of 0\.1 s$"
+    )):
+        build_aoi_records([[0.0, 0.5], [0.5, 0.0]], cfg)
+
+
 # --- the per-link loop the arrays replaced, kept as the reference -------------
 
 

@@ -34,7 +34,15 @@ from v2vaoi.cli import (
     build_parser,
     main,
 )
-from v2vaoi.metrics import STRATEGIES, ComparisonConfig, optimality_gap, run_comparison
+from v2vaoi.metrics import (
+    AVERAGED_COLUMNS,
+    STRATEGIES,
+    ComparisonConfig,
+    delay_mean,
+    delay_variance,
+    optimality_gap,
+    run_comparison,
+)
 from v2vaoi.scenario import ScenarioSpec, generate_scene
 from v2vaoi.seeds import derive_seed
 
@@ -253,11 +261,51 @@ def test_compare_never_runs_the_ga(tmp_path, monkeypatch):
                 "epochs_used": want.epochs_used,
                 "rmse_vs_reference": 0.0,
                 "gap_vs_exact": 0.0,
+                "delay_variance": delay_variance(want.delay_s),
+                "delay_mean": delay_mean(want.delay_s),
             }
             assert all(0.0 <= row["gap_vs_exact"] < 1.0 for row in others), others
         exact_agg = comparison["aggregates"][-1]
         assert exact_agg["strategy"] == "exact"
         assert (exact_agg["rmse_vs_reference"], exact_agg["gap_vs_exact"]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "compare --n 2,3,4 --trials 3 --seed 7 --epochs 300",
+        "compare --n 3 --trials 1 --epochs 20 --rate-factor 0.2154",
+        "verify --n 5 --instances 2 --seed 2",
+    ],
+)
+def test_every_aggregate_is_the_mean_of_its_trials(argv, tmp_path):
+    # each aggregate key but the strategy is a per-trial column, and its
+    # value is np.mean over the trials of that column, bit for bit
+    out = tmp_path / "out.jsonl"
+    main(argv.split() + ["--out", str(out)])
+    comparisons = [r for r in read_records(out) if r["type"] == "comparison"]
+    assert comparisons
+    for comparison in comparisons:
+        for index, agg in enumerate(comparison["aggregates"]):
+            rows = [trial["strategies"][index] for trial in comparison["per_trial"]]
+            assert {row["strategy"] for row in rows} == {agg["strategy"]}
+            assert list(agg) == ["strategy", *AVERAGED_COLUMNS]
+            for key in AVERAGED_COLUMNS:
+                want = float(np.mean([row[key] for row in rows]))
+                assert agg[key].hex() == want.hex(), (agg["strategy"], key)
+
+
+def test_compare_config_ignores_ga_flags_and_jobs(tmp_path):
+    # compare never runs the GA and runs its trials serially, so these flags
+    # are parsed and checked but move no byte of the records
+    argv = ["compare", "--n", 3, "--trials", 2, "--seed", 7, "--epochs", 50]
+    plain, flagged = tmp_path / "plain.jsonl", tmp_path / "flagged.jsonl"
+    assert run_cli(argv + ["--out", plain]) == 0
+    extra = ["--generations", 400, "--population", 8, "--jobs", 2]
+    assert run_cli(argv + extra + ["--out", flagged]) == 0
+    assert flagged.read_bytes() == plain.read_bytes()
+    for bad in (["--generations", 0], ["--population", 1], ["--jobs", 0]):
+        assert run_cli(argv + bad) == 1
 
 
 def test_compare_plot_series(tmp_path):
@@ -619,11 +667,15 @@ def test_snr_out_of_float_range_is_one_error_line(args, tmp_path, capsys):
          "error: max_age_s overflows the float range\n"),
         ("compare --n 3 --trials 1 --noise 1e300 --epochs 20 --generations 20",
          "error: trial 0 failed: delay RMSE overflows the float range\n"),
+        ("aoi --epochs 2 --payload 100 --compute-delay 1.7976931348623157e308",
+         "error: link (0, 0)'s transmission delay 0 s plus compute delay 1.8e+308 s "
+         "overflows float64 in sampling periods of 0.1 s\n"),
     ],
 )
 def test_statistic_out_of_float_range_is_one_error_line(args, err, tmp_path, capsys):
-    # every age or delay is finite, but a statistic a record would carry is
-    # not: the record is refused by name, with no warning and no file
+    # every delay is finite, but a delay in sampling periods or a statistic a
+    # record would carry is not: it is refused by name, with no warning and
+    # no file
     out = tmp_path / "records.jsonl"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -751,12 +803,13 @@ _DEFAULT_CONFIG = {
 _GA_CONFIG = {"generations": 100000, "population": 50}
 
 
-# each command echoes only the keys it reads, and compare the GA's too
+# each command echoes only the keys it reads: compare parses the GA's but
+# never runs it
 @pytest.mark.parametrize(
     "command, own",
     [
         ("solve", {"strategy": "greedy", "scene": None, **_GA_CONFIG}),
-        ("compare", {"n": "3,4,5", "epochs": None, "trials": 15, **_GA_CONFIG}),
+        ("compare", {"n": "3,4,5", "epochs": None, "trials": 15}),
         ("aoi", {"compute_delay": 0.0, "looptime": 0.1, "period": 0.1, "scene": None}),
         ("verify", {"gap_threshold": 0.05, "instances": 10}),
     ],

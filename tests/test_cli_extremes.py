@@ -1,13 +1,15 @@
 """Every flag at its extremes: argvs drawn from cli._FLAGS, run in process.
 
 Whatever the values, a run exits 0, 1 or 2, says why it failed in one
-`error:` line, emits no warning and writes only finite numbers.
+`error:` line that blames a flag the argv set, if it names one, emits no
+warning and writes only finite numbers.
 """
 
 import contextlib
 import io
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -32,6 +34,47 @@ PATHS = {"scene", "config", "plot_out", "out"}
 # Up to this many flags per argv take drawn values, so that some runs pass
 # every check and reach the solvers.
 MAX_DRAWN = 3
+
+# The spellings error messages use for a flag's value, each mapped to the flags
+# that set it.  A derived quantity names every flag it follows from; a
+# transmission delay follows from the whole scene and its solve.
+_SCENE = ("box_side", "min_sep")
+_TRANSMISSION = (*_SCENE, "n", "seed", "alpha", "bandwidth", "noise", "p_min", "p_max",
+                 "payload", "rate_factor", "learn_rate", "epochs")
+SPELLINGS = {
+    **{key: (key,) for key, _, _, _, _ in _FLAGS if key not in PATHS | {"format"}},
+    "p_max_w": ("p_max",),
+    "p_min_w": ("p_min",),
+    "noise_w": ("noise",),
+    "bandwidth_hz": ("bandwidth",),
+    "payload_bits": ("payload",),
+    "box_side_m": ("box_side",),
+    "box": ("box_side",),
+    "min_separation_m": ("min_sep",),
+    "separation": ("min_sep",),
+    "distances": _SCENE,
+    "path loss": ("alpha", *_SCENE),
+    "vehicles": ("n",),
+    "max_epochs": ("epochs",),
+    "max_generations": ("generations",),
+    "population_size": ("population",),
+    "sample_period_s": ("period",),
+    "sample period": ("period",),
+    "sampling periods": ("period",),
+    "looptime_s": ("looptime",),
+    "compute_delay_s": ("compute_delay",),
+    "compute delay": ("compute_delay",),
+    "transmission delay": _TRANSMISSION,
+}
+
+
+def _named_flags(message: str) -> set:
+    """The flags an error message names, by SPELLINGS, each as a whole word."""
+    return {
+        flag for spelling, flags in SPELLINGS.items()
+        if re.search(rf"(?<![\w.]){re.escape(spelling)}(?!\w)", message)
+        for flag in flags
+    }
 
 
 def _values(key: str, kind, default) -> st.SearchStrategy:
@@ -80,11 +123,25 @@ def out_path(tmp_path_factory):
     return tmp_path_factory.mktemp("extremes") / "out.dat"
 
 
-# 300 derandomized draws, the same on every run, and one explicit example:
-# about 3 s on two cores.  The example is a box whose candidates' distance
-# overflows in placement.
+def test_named_flags():
+    assert _named_flags("p_max_w 1e+301 W over noise_w 4.14e-14 W") == {"p_max", "noise"}
+    assert _named_flags("supported scale is n <= 64") == {"n"}
+    assert _named_flags("mean delay_mean over trials overflows") == {"trials"}
+    # a field that contains a flag's key names that flag once, by its own spelling
+    assert _named_flags("looptime_s must be finite") == {"looptime"}
+    # path keys are no spellings: "out" in prose names no flag
+    assert _named_flags("put a distance between vehicles out of float range") == {"n"}
+    assert _named_flags("min SNR 1e-300 overflows a delay") == set()
+
+
+# 300 derandomized draws, the same on every run, and two explicit examples:
+# about 3 s on two cores.  The first is a box whose candidates' distance
+# overflows in placement, the second a compute delay that overflows in
+# sampling periods.
 @settings(max_examples=300, deadline=None, derandomize=True)
 @example(argv=["solve", "--box-side", str(sys.float_info.max)])
+@example(argv=["aoi", "--epochs", "2", "--payload", "100", "--compute-delay",
+               str(sys.float_info.max)])
 @given(argv=st.sampled_from(tuple(_COMMANDS)).flatmap(_argv))
 def test_every_flag_at_its_extremes(argv, out_path):
     out_path.unlink(missing_ok=True)
@@ -98,6 +155,9 @@ def test_every_flag_at_its_extremes(argv, out_path):
     assert [str(w.message) for w in caught] == [], argv
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        named = _named_flags(err)
+        set_flags = {arg[2:].replace("-", "_") for arg in argv if arg.startswith("--")}
+        assert not named or named & set_flags, (argv, err, named)
         return
     assert err == "", (argv, err)
     if "text" not in argv:  # --format records, the default

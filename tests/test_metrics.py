@@ -8,7 +8,7 @@ import pytest
 
 from v2vaoi import allocator
 from v2vaoi.allocator import AllocationProblem, GreedyConfig, default_pa, exact_pa, greedy_pa
-from v2vaoi.errors import DimensionMismatchError, DomainError
+from v2vaoi.errors import DimensionMismatchError, DomainError, SimulationError
 from v2vaoi.metrics import (
     ComparisonConfig,
     _run_trial,
@@ -16,6 +16,7 @@ from v2vaoi.metrics import (
     delay_rmse,
     delay_variance,
     run_comparison,
+    scene_seed,
     solve_scene,
 )
 from v2vaoi.scenario import ScenarioSpec, generate_scene
@@ -119,13 +120,17 @@ def test_comparison_greedy_beats_default_every_trial():
 
 
 def test_comparison_rate_factor_scales_delays_exactly():
+    # each strategy's delays on trial 0's scene, solved as _run_trial solves them
     spec = ScenarioSpec(3, rng_seed=9)
-    _, base = _run_trial(spec, FAST_CONFIG, 0)
+    dist, _ = generate_scene(replace(spec, rng_seed=scene_seed(spec.rng_seed, 0)))
+    names = ("default", "greedy", "exact")
+    base = solve_scene(FAST_CONFIG, dist, names, spec.rng_seed, 0)
     params = replace(FAST_CONFIG.params, rate_factor=0.2154)
-    _, scaled = _run_trial(spec, replace(FAST_CONFIG, params=params), 0)
-    assert list(scaled) == list(base)
-    for name in base:
-        assert scaled[name].tobytes() == (base[name] * 0.2154).tobytes()
+    scaled = solve_scene(replace(FAST_CONFIG, params=params), dist, names, spec.rng_seed, 0)
+    for name in names:
+        assert scaled[name].delay_s.tobytes() == (base[name].delay_s * 0.2154).tobytes()
+    rows = _run_trial(spec, FAST_CONFIG, 0)["strategies"]
+    assert [row["delay_mean"] for row in rows] == [delay_mean(base[n].delay_s) for n in names]
 
 
 def test_comparison_numpy_seed_matches_int_seed():
@@ -142,6 +147,16 @@ def test_comparison_rejects_bad_inputs():
             run_comparison(ScenarioSpec(3, rng_seed=0), trials=trials, config=FAST_CONFIG)
 
 
+def test_comparison_statistic_errors_name_their_trial(monkeypatch):
+    # every statistic a row carries is computed inside its trial
+    def overflow(d):
+        raise DomainError("delay variance overflows the float range")
+
+    monkeypatch.setattr("v2vaoi.metrics.delay_variance", overflow)
+    with pytest.raises(SimulationError, match="^trial 0 failed: delay variance overflows"):
+        run_comparison(ScenarioSpec(3, rng_seed=0), trials=2, config=FAST_CONFIG)
+
+
 def test_comparison_ladder_rows_match_separate_solves():
     # one greedy solve per trial serves the budget's row and then each
     # rung's, in the order of greedy.rungs
@@ -153,9 +168,7 @@ def test_comparison_ladder_rows_match_separate_solves():
     assert names == [
         "default", "greedy_epoch5000", "greedy_epoch500", "greedy_epoch50", "exact"
     ]
-    for t, trial in enumerate(comp["per_trial"]):
-        record, delays = _run_trial(spec, config, t)
-        assert record == trial
+    for trial in comp["per_trial"]:
         dist, _ = generate_scene(replace(spec, rng_seed=trial["scene_seed"]))
         problem = AllocationProblem(config.params, dist)
         rows = {s["strategy"]: s for s in trial["strategies"]}
@@ -164,7 +177,8 @@ def test_comparison_ladder_rows_match_separate_solves():
             name = f"greedy_epoch{epochs}"
             assert rows[name]["epochs_used"] == want.epochs_used
             assert rows[name]["min_snr"] == want.objective_min_snr
-            assert delays[name].tobytes() == want.delay_s.tobytes()
+            assert rows[name]["delay_variance"] == delay_variance(want.delay_s)
+            assert rows[name]["delay_mean"] == delay_mean(want.delay_s)
         # the 50-epoch rung is cut short; the full solve reaches the plateau stop
         assert rows["greedy_epoch50"]["epochs_used"] == 50
         assert rows["greedy_epoch5000"]["epochs_used"] < 5000

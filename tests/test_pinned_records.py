@@ -97,19 +97,19 @@ PINNED = {
     ("solve --scene tri.txt", "text"):
         (0, "b7fcc6b710f61b02", "b7fcc6b710f61b02", None, "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400", "records"):
-        (0, "fd2ce784d265e97f", "5902e9ac4c038ffb", "8fb9144709872f42", "e3b0c44298fc1c14"),
+        (0, "fd2ce784d265e97f", "057f907d3304375a", "8fb9144709872f42", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400", "text"):
         (0, "fd2ce784d265e97f", "fd2ce784d265e97f", "8fb9144709872f42", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400 --jobs 2", "records"):
-        (0, "fd2ce784d265e97f", "5902e9ac4c038ffb", "8fb9144709872f42", "e3b0c44298fc1c14"),
+        (0, "fd2ce784d265e97f", "057f907d3304375a", "8fb9144709872f42", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400 --jobs 2", "text"):
         (0, "fd2ce784d265e97f", "fd2ce784d265e97f", "8fb9144709872f42", "e3b0c44298fc1c14"),
     ("compare --n 2 --trials 1 --epochs 20 --generations 20", "records"):
-        (0, "accbb37ba8b1db08", "3530440c431d67b5", "0e95038188611d53", "e3b0c44298fc1c14"),
+        (0, "accbb37ba8b1db08", "d07c1ee835999576", "0e95038188611d53", "e3b0c44298fc1c14"),
     ("compare --n 2 --trials 1 --epochs 20 --generations 20", "text"):
         (0, "accbb37ba8b1db08", "accbb37ba8b1db08", "0e95038188611d53", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7", "records"):
-        (0, "e85f633b85dfef5e", "92f6ea1d214cf0ff", "55660581d46a40f9", "e3b0c44298fc1c14"),
+        (0, "e85f633b85dfef5e", "ef1a74e5884625d7", "55660581d46a40f9", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7", "text"):
         (0, "e85f633b85dfef5e", "e85f633b85dfef5e", "55660581d46a40f9", "e3b0c44298fc1c14"),
     ("aoi --n 64 --epochs 50 --compute-delay 0.05 --seed 1", "records"):
@@ -121,11 +121,11 @@ PINNED = {
     ("aoi --n 4 --seed 9 --looptime 0.3 --rate-factor 0.2154", "text"):
         (0, "299d579c38960231", "299d579c38960231", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2", "records"):
-        (0, "94a7973ce5f20adf", "215557f0b8e2f223", None, "e3b0c44298fc1c14"),
+        (0, "94a7973ce5f20adf", "92cc30439df0736d", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2", "text"):
         (0, "94a7973ce5f20adf", "94a7973ce5f20adf", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2 --gap-threshold 0", "records"):
-        (2, "2759602620dcd9be", "b0be41ca3d2f3186", None, "e3b0c44298fc1c14"),
+        (2, "2759602620dcd9be", "f48142c54a7b6a1b", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2 --gap-threshold 0", "text"):
         (2, "2759602620dcd9be", "2759602620dcd9be", None, "e3b0c44298fc1c14"),
     ("verify --scene tri.txt --instances 1 --epochs 300 --generations 300", "records"):
