@@ -68,14 +68,14 @@ def test_generate_scene(benchmark):
     assert dist.n == 64 and coords.shape == (64, 2)
 
 
-def solve_fresh(benchmark, solver, n: int, rounds: int):
+def solve_fresh(benchmark, solver, n: int, rounds: int, params: ChannelParams = PARAMS):
     """Time solver on a fresh problem each round, its path loss computed in
-    setup: a problem caches its even split and its bisection, so a second
+    setup: a problem caches its even split and its exact solve, so a second
     solve on one problem would time little more than _finish."""
     dist = problem(n).dist
 
     def setup():
-        fresh = AllocationProblem(PARAMS, dist)
+        fresh = AllocationProblem(params, dist)
         fresh.loss
         return (fresh,), {}
 
@@ -213,10 +213,16 @@ def test_genetic_50_generations(benchmark, n):
     assert result.epochs_used == 50  # no certified or stagnation stop before
 
 
-def test_exact_solve(benchmark):
-    # the bisection and _finish
-    result = solve_fresh(benchmark, exact_pa, 64, rounds=100)
-    assert result.upper_bound >= result.objective_min_snr and result.epochs_used > 0
+# exact's two paths and _finish: at default floors its prediction is
+# certified in two row tests; at n = 16 with 0.3 W floors the floors bind,
+# the prediction's lower end fails and bisection goes on below it
+@pytest.mark.parametrize(
+    "n, p_min, row_tests", [(64, PARAMS.p_min_w, 2), (16, 0.3, 45)], ids=["n64", "n16-floor0.3"]
+)
+def test_exact_solve(benchmark, n, p_min, row_tests):
+    result = solve_fresh(benchmark, exact_pa, n, rounds=100, params=ChannelParams(p_min_w=p_min))
+    assert result.upper_bound >= result.objective_min_snr
+    assert result.epochs_used == row_tests
 
 
 # aoi-fleet's one compute delay for every sender, and one per sender

@@ -12,11 +12,13 @@ Four strategies:
                 reprojecting onto the constraints each epoch.
   genetic_pa  - real-coded GA over the off-diagonal power vector with
                 fitness = minimum SNR.
-  exact_pa    - the exact optimum by bisection on the target SNR; the
-                reference row of `compare` and `verify`.
+  exact_pa    - the exact max-min optimum; the reference row of `compare`
+                and `verify`.  Where no per-link floor binds, the optimum
+                is SIR-balanced and has a closed form, which two row tests
+                certify; elsewhere a bisection on the target SNR finds it.
 
-exact_pa's bisection also ends with an upper bound that no allocation
-reaches, AllocationResult.upper_bound.  genetic_pa stops once its best is
+exact_pa also ends with an upper bound that no allocation reaches,
+AllocationResult.upper_bound.  genetic_pa stops once its best is
 certified within GA_CERTIFIED_GAP of that bound, so a GA result is either
 within 1% of the optimum or was cut by its stagnation or generation limit.
 """
@@ -25,6 +27,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
+from operator import truediv
 
 import numpy as np
 
@@ -35,7 +38,6 @@ from .channel import (
     _offdiag_view,
     _receivers,
     _snr,
-    _snr_list,
     compute_delay_matrix,
     from_offdiag_rows,
     offdiag_rows,
@@ -43,8 +45,8 @@ from .channel import (
 )
 from .errors import DomainError, FeasibilityError, check_integers, is_integer
 
-# exact_pa's bisection stops once its bracket on the target SNR is this
-# narrow, relative to the upper end.
+# exact_pa stops once its bracket on the target SNR is this narrow,
+# relative to the upper end.
 EXACT_REL_TOL = 1e-12
 
 # greedy_pa's plateau stop (_Progress): its relative tol and window in epochs.
@@ -81,7 +83,7 @@ class AllocationProblem:
 
     Three inputs are computed on first use and shared by every solver run
     on the problem: loss (the scene's path loss), even_split (the projected
-    even split) and _max_min (exact_pa's bisection).
+    even split) and _max_min (exact_pa's solve).
     """
 
     params: ChannelParams
@@ -119,8 +121,8 @@ class AllocationProblem:
     @cached_property
     def _max_min(self) -> tuple:
         """_bisect_max_min of the problem: its read-only allocation as
-        offdiag_rows, each row's np.add.reduce at most p_max_w, its step
-        count and its upper bound, for exact_pa and genetic_pa."""
+        offdiag_rows, each row's np.add.reduce at most p_max_w, its count
+        of row tests and its upper bound, for exact_pa and genetic_pa."""
         best, steps, hi = _bisect_max_min(self)
         best.flags.writeable = False
         return best, steps, hi
@@ -455,78 +457,25 @@ def greedy_pa(problem: AllocationProblem, cfg: GreedyConfig | None = None) -> Al
     The solve holds only the n(n-1) off-diagonal powers, links[k] the k-th
     in row-major order, the order of the SNRs, so the first minimum and
     maximum break ties as a row-major scan of the matrix would.  Each epoch
-    clamps the two links it moved and fits the raised link's row (vehicle
-    i's n-1 outgoing powers) to the budget.  Invariant: every row is a
-    fixed point of the projection.  The projected even split's rows are,
-    fitted rows are, and the lowered link's one entry fell or was floored
-    back to at most its old value, so its row's budget sum cannot rise: the
-    bits are those of projecting every row.
+    raises the worst link and lowers the strongest, then clamps both, and
+    fits the raised link's row (vehicle i's n-1 outgoing powers) to the
+    budget.  Invariant: every row is a fixed point of the projection.  The
+    projected even split's rows are, fitted rows are, and the lowered link's
+    one entry fell or was floored back to at most its old value, so its
+    row's budget sum cannot rise: the bits are those of projecting every row.
 
-    The state has two layouts, chosen by the scene's size alone, with one
-    epoch loop, stop rule, tie-break, rung snapshots and _finish.  Above
-    GREEDY_LIST_MAX_N vehicles it is the (n, n-1) NumPy rows, evaluated by
-    _snr, fitted by _fit_row_to_budget and scanned by argmin and argmax.  At
-    or below it, where NumPy's fixed cost per call outweighs the work, links
-    is one flat list of Python floats, evaluated by _snr_list, fitted by
-    _fit_list_row and scanned as lst.index(min(lst)) and
-    lst.index(max(lst)), which keep the first occurrence.  Each layout's
-    extremes() evaluates the SNRs once an epoch and returns the min SNR, the
-    worst link and the strongest one, which the next epoch moves.  Both
-    layouts give the same bits: _snr_list adds each receiver's gains in the
-    order that _snr's np.bincount does, a row of at most 7 links is summed
-    left to right as np.add.reduce sums it, and both fits cap at
-    _fit_level's level, with max, min and math.nextafter for np.maximum,
-    np.minimum and np.nextafter.  A solve allocates the state and the best
-    links once; only a rung's snapshot copies the best links.
+    The state has two layouts, chosen by the scene's size alone, each with
+    its own epoch loop: _greedy_row_epochs above GREEDY_LIST_MAX_N vehicles,
+    _greedy_list_epochs at or below it.  Both give the same bits, and
+    _Progress stops both.
     """
     cfg = cfg or GreedyConfig()
-    params = problem.params
-    n, p_min, p_max, noise_w = problem.n, params.p_min_w, params.p_max_w, params.noise_w
-    m = n - 1
-    if n <= GREEDY_LIST_MAX_N:
-        links = problem.even_split.reshape(-1).tolist()
-        loss, recv = problem.loss.reshape(-1).tolist(), _receivers(1, n).tolist()
-
-        def extremes() -> tuple:
-            snr = _snr_list(loss, links, recv, n, noise_w)
-            low = min(snr)
-            return low, snr.index(low), snr.index(max(snr))
-
-        def fit(i: int) -> None:
-            links[i * m : i * m + m] = _fit_list_row(links[i * m : i * m + m], p_min, p_max)
-
-    else:
-        rows = problem.even_split.copy()
-        links = rows.reshape(-1)
-
-        def extremes() -> tuple:
-            snr = _snr(problem.loss, rows, noise_w).reshape(-1)
-            worst = int(snr.argmin())
-            return snr.item(worst), worst, int(snr.argmax())
-
-        def fit(i: int) -> None:
-            _fit_row_to_budget(rows[i], p_min, p_max)
-
-    low, worst, strongest = extremes()
-    track = _Progress(low, GREEDY_CONVERGENCE_WINDOW, GREEDY_CONVERGENCE_TOL)
-    best = links.copy()  # refreshed in place on improvement
-    snapshots = dict.fromkeys(cfg.rungs)
-    for epoch in range(1, cfg.max_epochs + 1):
-        links[worst] *= 1.0 + cfg.learn_rate
-        links[strongest] *= 1.0 - cfg.learn_rate
-        for k in (worst, strongest):  # as the projection clamps: max, then min
-            links[k] = min(max(links[k], p_min), p_max)
-        fit(worst // m)
-        low, worst, strongest = extremes()
-        if track.step(low):
-            best[:] = links
-        if track.reason != "budget":
-            break
-        if epoch in snapshots:
-            snapshots[epoch] = best.copy()
+    n = problem.n
+    run_epochs = _greedy_list_epochs if n <= GREEDY_LIST_MAX_N else _greedy_row_epochs
+    best, track, snapshots = run_epochs(problem, cfg)
 
     def finish(best_links: list | np.ndarray, epochs: int, reason: str) -> AllocationResult:
-        return _finish(problem, np.reshape(best_links, (n, m)), epochs_used=epochs,
+        return _finish(problem, np.reshape(best_links, (n, n - 1)), epochs_used=epochs,
                        stop_reason=reason, strategy_name="greedy",
                        history=tuple(track.history[1 : epochs + 1]))
 
@@ -535,6 +484,92 @@ def greedy_pa(problem: AllocationProblem, cfg: GreedyConfig | None = None) -> Al
     return replace(final, rungs=tuple(
         final if r >= epochs_used else finish(snapshots[r], r, "budget") for r in cfg.rungs
     ))
+
+
+def _greedy_row_epochs(problem: AllocationProblem, cfg: GreedyConfig) -> tuple:
+    """greedy_pa's epochs on the (n, n-1) NumPy rows: evaluated by _snr,
+    fitted by _fit_row_to_budget and scanned by argmin and argmax.  Returns
+    the best links, the _Progress that stopped the run and the best links
+    at each rung.  The state and the best links are allocated once; only a
+    rung's snapshot copies the best links."""
+    params = problem.params
+    p_min, p_max, noise_w, loss = params.p_min_w, params.p_max_w, params.noise_w, problem.loss
+    m = problem.n - 1
+    rows = problem.even_split.copy()
+    links = rows.reshape(-1)
+    up, down = 1.0 + cfg.learn_rate, 1.0 - cfg.learn_rate
+    snapshots = dict.fromkeys(cfg.rungs)
+    for epoch in range(cfg.max_epochs + 1):  # epoch 0 evaluates the even split
+        if epoch:
+            links[worst] *= up
+            links[strongest] *= down
+            for k in (worst, strongest):  # as the projection clamps: max, then min
+                links[k] = min(max(links[k], p_min), p_max)
+            _fit_row_to_budget(rows[worst // m], p_min, p_max)
+        snr = _snr(loss, rows, noise_w).reshape(-1)
+        worst, strongest = int(snr.argmin()), int(snr.argmax())
+        if not epoch:
+            track = _Progress(snr.item(worst), GREEDY_CONVERGENCE_WINDOW, GREEDY_CONVERGENCE_TOL)
+            best = links.copy()  # refreshed in place on improvement
+        elif track.step(snr.item(worst)):
+            best[:] = links
+        if track.reason != "budget":
+            break
+        if epoch in snapshots:
+            snapshots[epoch] = best.copy()
+    return best, track, snapshots
+
+
+def _greedy_list_epochs(problem: AllocationProblem, cfg: GreedyConfig) -> tuple:
+    """_greedy_row_epochs on one flat list of Python floats, where NumPy's
+    fixed cost per call outweighs the work: bit-identical, and returned the
+    same way.
+
+    gain[k] is links[k] over its path loss.  An epoch re-derives only the
+    gains of the fitted row and of the lowered link, the only powers that
+    moved, then adds each receiver's gains in link order from 0.0, as _snr's
+    np.bincount does, and forms each SNR as the same IEEE expression
+    g / ((S_j - g) + noise_w), whose denominator is at least noise_w > 0.
+    A row of at most 7 links is fitted by _fit_list_row, which sums it left
+    to right as np.add.reduce does.  The scans are lst.index(min(lst)) and
+    lst.index(max(lst)), which keep the first occurrence.
+    """
+    params = problem.params
+    p_min, p_max, noise_w = params.p_min_w, params.p_max_w, params.noise_w
+    n = problem.n
+    m = n - 1
+    links = problem.even_split.reshape(-1).tolist()
+    loss = problem.loss.reshape(-1).tolist()
+    recv = _receivers(1, n).tolist()
+    gain = list(map(truediv, links, loss))
+    up, down = 1.0 + cfg.learn_rate, 1.0 - cfg.learn_rate
+    snapshots = dict.fromkeys(cfg.rungs)
+    for epoch in range(cfg.max_epochs + 1):  # epoch 0 evaluates the even split
+        if epoch:
+            links[worst] *= up
+            links[strongest] *= down
+            for k in (worst, strongest):  # as the projection clamps: max, then min
+                links[k] = min(max(links[k], p_min), p_max)
+            a = worst - worst % m  # the raised link's row: links[a : a + m]
+            links[a : a + m] = fitted = _fit_list_row(links[a : a + m], p_min, p_max)
+            gain[a : a + m] = map(truediv, fitted, loss[a : a + m])
+            gain[strongest] = links[strongest] / loss[strongest]
+        incoming = [0.0] * n
+        for j, g in zip(recv, gain):
+            incoming[j] += g
+        snr = [g / (incoming[j] - g + noise_w) for j, g in zip(recv, gain)]
+        low = min(snr)
+        worst, strongest = snr.index(low), snr.index(max(snr))
+        if not epoch:
+            track = _Progress(low, GREEDY_CONVERGENCE_WINDOW, GREEDY_CONVERGENCE_TOL)
+            best = links.copy()  # refreshed in place on improvement
+        elif track.step(low):
+            best[:] = links
+        if track.reason != "budget":
+            break
+        if epoch in snapshots:
+            snapshots[epoch] = best.copy()
+    return best, track, snapshots
 
 
 def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> AllocationResult:
@@ -565,7 +600,7 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
 
     It stops by _Progress's rule (window stagnation_limit, any gain real,
     certify_at (1 - GA_CERTIFIED_GAP) times the upper bound of the problem's
-    one bisection) or after max_generations.  The certified stop draws
+    one exact solve) or after max_generations.  The certified stop draws
     nothing, so every generation up to it is what a run without it makes.
     """
     cfg = cfg or GeneticConfig()
@@ -642,38 +677,50 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
 # ---------------------------------------------------------------------------
 
 def _bisect_max_min(problem: AllocationProblem) -> tuple:
-    """exact_pa's bisection: the allocation, the step count and the bracket's
-    upper end, a min-SNR that no allocation reaches.  The bracket narrows to
-    EXACT_REL_TOL relative to its upper end, or to float resolution where
-    that is coarser (a subnormal target SNR).
+    """exact_pa's solve: the allocation, the number of row tests it ran and
+    the bracket's upper end, a min-SNR that no allocation reaches.  The
+    bracket narrows to EXACT_REL_TOL relative to its upper end, or to float
+    resolution where that is coarser (a subnormal target SNR).
 
-    For a target gamma every link needs g_ij >= beta * (S_j + N), with
-    g_ij = P_ij / D_ij**alpha its received gain, S_j the total gain arriving
-    at receiver j, N the noise and beta = gamma / (1 + gamma).  Receiver j's
-    smallest gains are g_ij = max(f_ij, c_j), where f_ij is the gain at the
-    per-link floor p_min_w and c_j is the least solution of
-    c = beta * (sum_i max(f_ij, c) + N).  Flooring the k largest f_ij of the
-    column gives the candidate beta * (F_k + N) / (1 - (n-1-k) * beta), the
-    fixed point of a function that lower-bounds the true one, so c_j is the
-    largest candidate.  That point is componentwise minimal, and the budgets
-    only cap sums of powers, so gamma is achievable exactly when every row
-    of the minimal powers P_ij = max(c_j * D_ij**alpha, p_min_w) fits the
-    budget by the one sum, np.add.reduce over the row's n-1 powers.
+    The row test.  For a target gamma every link needs
+    g_ij >= beta * (S_j + N), with g_ij = P_ij / D_ij**alpha its received
+    gain, S_j the total gain arriving at receiver j, N the noise and
+    beta = gamma / (1 + gamma).  Receiver j's smallest gains are
+    g_ij = max(f_ij, c_j), where f_ij is the gain at the per-link floor
+    p_min_w and c_j is the least solution of c = beta * (sum_i max(f_ij, c) + N).
+    Flooring the k largest f_ij of the column gives the candidate
+    beta * (F_k + N) / (1 - (n-1-k) * beta), the fixed point of a function
+    that lower-bounds the true one, so c_j is the largest candidate.  That
+    point is componentwise minimal, and the budgets only cap sums of powers,
+    so gamma is achievable exactly when every row of the minimal powers
+    P_ij = max(c_j * D_ij**alpha, p_min_w) fits the budget by the one sum,
+    np.add.reduce over the row's n-1 powers.
 
-    The bracket runs from the even split's objective (achieved) to
-    1/(n-2), which no allocation reaches: the weakest sender into a
+    The prediction.  Where no floor binds, every receiver's least gain is
+    one common c, so sender i pays c * sum_j D_ij**alpha and the largest
+    feasible c is p_max_w over the largest row sum of the path loss: the
+    SIR-balanced optimum (Zander 1992), gamma = c / (N + (n-2) * c).  Its
+    bracket, gamma * (1 -/+ EXACT_REL_TOL / 4), is tested first, where it
+    lies inside the starting bracket.  If the lower end passes and the upper
+    end fails, the solve ends after two row tests with the certificate a
+    bisection gives: the upper end fails the row test and the bracket is
+    within EXACT_REL_TOL of it.  Where a floor binds, the prediction
+    overshoots and bisection goes on from the bracket the two tests left.
+
+    The bisection's bracket runs from the even split's objective (achieved)
+    to 1/(n-2), which no allocation reaches: the weakest sender into a
     receiver is drowned out by the n-2 others, each at least as strong, so
-    its SNR is below g / ((n-2) * g) = 1/(n-2).  The returned allocation is the
-    minimal point at the achieved end, or the even split itself if no
+    its SNR is below g / ((n-2) * g) = 1/(n-2).  The returned allocation is
+    the minimal point at the achieved end, or the even split itself if no
     higher target was feasible.  With two vehicles there is no
     interference and the even split (both links at p_max_w) is optimal, so
     its objective is returned as the upper end.
     """
     params = problem.params
-    n = problem.n
+    n, p_max, noise_w = problem.n, params.p_max_w, params.noise_w
     best = problem.even_split
     loss = problem.loss
-    lo = float(_snr(loss, best, params.noise_w).min())
+    lo = float(_snr(loss, best, noise_w).min())
     steps = 0
     if n == 2:
         return best, steps, lo
@@ -685,34 +732,53 @@ def _bisect_max_min(problem: AllocationProblem) -> tuple:
     prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(cols[:, :-1], axis=1)], axis=1)
     unfloored = np.arange(n - 1, 0, -1)  # n-1-k for k = 0 .. n-2
 
-    def minimal_power(gamma: float) -> np.ndarray:
+    def row_test(gamma: float) -> np.ndarray | None:
+        """The minimal powers for target gamma if every row fits the budget."""
         beta = gamma / (1.0 + gamma)
-        c = (beta * (prefix + params.noise_w) / (1.0 - unfloored * beta)).max(axis=1)
-        return np.maximum(c.take(recv) * loss, params.p_min_w)
+        c = (beta * (prefix + noise_w) / (1.0 - unfloored * beta)).max(axis=1)
+        p = np.maximum(c.take(recv) * loss, params.p_min_w)
+        return p if (np.add.reduce(p, axis=1) <= p_max).all() else None
 
     hi = 1.0 / (n - 2)
-    # a minimal power that overflows to inf fails the row test: infeasible
+    # a sum or a minimal power that overflows to inf predicts 0 or fails the
+    # row test: infeasible
     with np.errstate(over="ignore"):
+        c = p_max / float(np.add.reduce(loss, axis=1).max())
+        guess = c / (noise_w + (n - 2) * c)
+        ends = (guess * (1.0 - EXACT_REL_TOL / 4), guess * (1.0 + EXACT_REL_TOL / 4))
+        if lo < ends[0] and ends[1] < hi:
+            for target in ends:
+                steps += 1
+                p = row_test(target)
+                if p is None:
+                    hi = target
+                    break
+                lo, best = target, p
         while hi - lo > EXACT_REL_TOL * hi:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:  # a bracket one float step wide, near subnormal
                 break
             steps += 1
-            p = minimal_power(mid)
-            if (np.add.reduce(p, axis=1) <= params.p_max_w).all():
-                lo, best = mid, p
-            else:
+            p = row_test(mid)
+            if p is None:
                 hi = mid
+            else:
+                lo, best = mid, p
     return best, steps, hi
 
 
 def exact_pa(problem: AllocationProblem) -> AllocationResult:
-    """Maximum of the worst link's SNR, by bisection on a target SNR.
+    """Maximum of the worst link's SNR, certified by the row test.
 
-    The allocation is optimal to a relative EXACT_REL_TOL, or to float
-    resolution where that is coarser: upper_bound is a min-SNR that no
-    allocation reaches, and objective_min_snr lies within that tolerance
-    below it.  _bisect_max_min states the argument.
+    Where no per-link floor binds, the optimum is SIR-balanced (every link
+    at one SNR, Zander 1992) and has a closed form: two row tests just
+    below and just above it certify it.  Where a floor binds, the closed
+    form overshoots, and bisection on the target SNR goes on below it.  The
+    allocation is optimal to a relative EXACT_REL_TOL, or to float
+    resolution where that is coarser: upper_bound is a min-SNR that fails
+    the row test, so no allocation reaches it, and objective_min_snr lies
+    within that tolerance below it.  epochs_used counts the row tests, 2
+    where the closed form holds.  _bisect_max_min states the argument.
     """
     best, steps, hi = problem._max_min
     return _finish(problem, best, epochs_used=steps, stop_reason="certified",

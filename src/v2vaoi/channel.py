@@ -11,7 +11,6 @@ holding read-only float64 arrays, safe to share across threads.
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,24 +272,6 @@ def _snr(loss: np.ndarray, powers: np.ndarray, noise_w: float) -> np.ndarray:
     denom -= gain  # drop the k = i term
     denom += noise_w
     return np.divide(gain, denom, out=denom)
-
-
-def _snr_list(loss: list, powers: list, recv: list, n: int, noise_w: float) -> list:
-    """_snr on one scene of n vehicles held as flat lists of Python floats,
-    in row-major link order, with recv the receiver of each link
-    (_receivers(1, n)).
-
-    Bit-identical to _snr: each receiver's gains are added in link order
-    from 0.0, as np.bincount adds them, and each SNR is the same IEEE
-    expression g / ((S_j - g) + noise_w).  The denominator is at least
-    noise_w > 0, so no division fails.  At n = 5 (20 links) it costs about
-    what _snr's NumPy calls do; greedy_pa's small scenes use it.
-    """
-    gain = list(map(operator.truediv, powers, loss))
-    incoming = [0.0] * n
-    for j, g in zip(recv, gain):
-        incoming[j] += g
-    return [g / (incoming[j] - g + noise_w) for j, g in zip(recv, gain)]
 
 
 def compute_snr_matrix(

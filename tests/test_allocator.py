@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from v2vaoi import allocator
 from v2vaoi.allocator import (
+    EXACT_REL_TOL,
     AllocationProblem,
     GA_CERTIFIED_GAP,
     GA_CREEP_SIGMA,
@@ -41,6 +42,8 @@ from v2vaoi.channel import (
     ChannelParams,
     DistanceMatrix,
     PowerMatrix,
+    _receivers,
+    _snr,
     compute_delay_matrix,
     compute_snr_matrix,
     offdiag_rows,
@@ -1196,6 +1199,83 @@ def test_bisection_runs_once_per_problem(monkeypatch):
     assert genetic.history == genetic_pa(random_problem(3, 5), cfg).history
 
 
+def _reference_row_test(problem):
+    """exact_pa's row test as its bisection ran it before the prediction:
+    gamma -> the minimal powers for target gamma if every row fits the
+    budget by np.add.reduce, else None."""
+    params, n, loss = problem.params, problem.n, problem.loss
+    recv = _receivers(1, n).reshape(n, n - 1)
+    into = (params.p_min_w / loss).take(recv.argsort(axis=None)).reshape(n, n - 1)
+    cols = -np.sort(-into, axis=1)
+    prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(cols[:, :-1], axis=1)], axis=1)
+    unfloored = np.arange(n - 1, 0, -1)
+
+    def row_test(gamma):
+        beta = gamma / (1.0 + gamma)
+        c = (beta * (prefix + params.noise_w) / (1.0 - unfloored * beta)).max(axis=1)
+        p = np.maximum(c.take(recv) * loss, params.p_min_w)
+        return p if (np.add.reduce(p, axis=1) <= params.p_max_w).all() else None
+
+    return row_test
+
+
+def _reference_bisection(problem):
+    """exact_pa's solve before the prediction: bisection on the target SNR
+    from the even split's objective to 1/(n-2).  Returns the min SNR it
+    reaches and its step count (n >= 3)."""
+    n, noise_w = problem.n, problem.params.noise_w
+    best = problem.even_split
+    lo, hi, steps = float(_snr(problem.loss, best, noise_w).min()), 1.0 / (n - 2), 0
+    row_test = _reference_row_test(problem)
+    with np.errstate(over="ignore"):
+        while hi - lo > EXACT_REL_TOL * hi:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            steps += 1
+            p = row_test(mid)
+            if p is None:
+                hi = mid
+            else:
+                lo, best = mid, p
+    return float(_snr(problem.loss, best, noise_w).min()), steps
+
+
+def _exact_against_reference(n, p_min, seed):
+    """exact_pa and _reference_bisection on one scene, the result checked
+    for the certificate a bisection gives: its upper bound, a Python float,
+    fails the row test, and its min SNR lies within EXACT_REL_TOL below it
+    and of the reference's."""
+    dist, _ = generate_scene(ScenarioSpec(n, rng_seed=derive_seed(seed, 0)))
+    problem = AllocationProblem(ChannelParams(p_min_w=p_min), dist)
+    result = exact_pa(problem)
+    want, steps = _reference_bisection(problem)
+    hi, got = result.upper_bound, result.objective_min_snr
+    assert type(hi) is float and _reference_row_test(problem)(hi) is None
+    assert 0.0 < hi - got <= EXACT_REL_TOL * hi
+    assert abs(got - want) <= EXACT_REL_TOL * want
+    return result.epochs_used, steps
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 64])
+def test_exact_certifies_its_prediction_in_two_row_tests(n):
+    # no floor binds at the default p_min_w: the SIR-balanced prediction's
+    # bracket passes at its lower end and fails at its upper end
+    for seed in range(3):
+        row_tests, _ = _exact_against_reference(n, PARAMS.p_min_w, seed)
+        assert row_tests == 2
+
+
+@pytest.mark.parametrize("n, p_min", [(8, 0.1), (16, 0.3)])
+def test_exact_falls_back_to_bisection_where_floors_bind(n, p_min):
+    # binding floors lower the optimum below the prediction, whose lower
+    # end then fails: bisection goes on below it, at most two row tests
+    # more than the reference takes
+    for seed in range(3):
+        row_tests, steps = _exact_against_reference(n, p_min, seed)
+        assert 2 < row_tests <= steps + 2
+
+
 _SUBNORMAL_BISECTION = """
 import json
 from v2vaoi.allocator import AllocationProblem, _bisect_max_min
@@ -1222,9 +1302,11 @@ def test_bisection_ends_on_a_subnormal_bracket():
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     steps, hi, top_row = json.loads(proc.stdout)
-    # each step halves the bracket from 1/3 down to about 1e-313, and the
-    # halving stops at the smallest subnormal, 2**-1074
-    assert 1000 < steps <= 1100
+    # the prediction takes at most two row tests; each further step halves
+    # a bracket that starts about 2**32.7 smallest subnormals (2**-1074) wide,
+    # between the even split's 5.6e-314 and the predicted 9.0e-314, and
+    # the halving stops at one such step
+    assert 30 < steps <= 2 + 36
     assert 0.0 < hi < 1e-300
     assert top_row <= PARAMS.p_max_w
 

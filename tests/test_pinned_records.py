@@ -97,21 +97,21 @@ PINNED = {
     ("solve --scene tri.txt", "text"):
         (0, "b7fcc6b710f61b02", "b7fcc6b710f61b02", None, "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400", "records"):
-        (0, "fd2ce784d265e97f", "057f907d3304375a", "8fb9144709872f42", "e3b0c44298fc1c14"),
+        (0, "3e9c807b63663501", "e8939d5ca9e348d0", "f1384417a624a3ee", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400", "text"):
-        (0, "fd2ce784d265e97f", "fd2ce784d265e97f", "8fb9144709872f42", "e3b0c44298fc1c14"),
+        (0, "3e9c807b63663501", "3e9c807b63663501", "f1384417a624a3ee", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400 --jobs 2", "records"):
-        (0, "fd2ce784d265e97f", "057f907d3304375a", "8fb9144709872f42", "e3b0c44298fc1c14"),
+        (0, "3e9c807b63663501", "e8939d5ca9e348d0", "f1384417a624a3ee", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7 --epochs 300 --generations 400 --jobs 2", "text"):
-        (0, "fd2ce784d265e97f", "fd2ce784d265e97f", "8fb9144709872f42", "e3b0c44298fc1c14"),
+        (0, "3e9c807b63663501", "3e9c807b63663501", "f1384417a624a3ee", "e3b0c44298fc1c14"),
     ("compare --n 2 --trials 1 --epochs 20 --generations 20", "records"):
         (0, "accbb37ba8b1db08", "d07c1ee835999576", "0e95038188611d53", "e3b0c44298fc1c14"),
     ("compare --n 2 --trials 1 --epochs 20 --generations 20", "text"):
         (0, "accbb37ba8b1db08", "accbb37ba8b1db08", "0e95038188611d53", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7", "records"):
-        (0, "e85f633b85dfef5e", "ef1a74e5884625d7", "55660581d46a40f9", "e3b0c44298fc1c14"),
+        (0, "4818de84ca713bff", "3f88a1450c683bf6", "c7fe9eb6e519a48d", "e3b0c44298fc1c14"),
     ("compare --n 3,4 --trials 2 --seed 7", "text"):
-        (0, "e85f633b85dfef5e", "e85f633b85dfef5e", "55660581d46a40f9", "e3b0c44298fc1c14"),
+        (0, "4818de84ca713bff", "4818de84ca713bff", "c7fe9eb6e519a48d", "e3b0c44298fc1c14"),
     ("aoi --n 64 --epochs 50 --compute-delay 0.05 --seed 1", "records"):
         (0, "878f6f2a9eac6578", "4d064f30854f5a6c", None, "e3b0c44298fc1c14"),
     ("aoi --n 64 --epochs 50 --compute-delay 0.05 --seed 1", "text"):
@@ -121,13 +121,13 @@ PINNED = {
     ("aoi --n 4 --seed 9 --looptime 0.3 --rate-factor 0.2154", "text"):
         (0, "299d579c38960231", "299d579c38960231", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2", "records"):
-        (0, "94a7973ce5f20adf", "92cc30439df0736d", None, "e3b0c44298fc1c14"),
+        (0, "8528b9599afacac9", "61c3211cea6a3d1c", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2", "text"):
-        (0, "94a7973ce5f20adf", "94a7973ce5f20adf", None, "e3b0c44298fc1c14"),
+        (0, "8528b9599afacac9", "8528b9599afacac9", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2 --gap-threshold 0", "records"):
-        (2, "2759602620dcd9be", "f48142c54a7b6a1b", None, "e3b0c44298fc1c14"),
+        (2, "c9e825fc0f5ebd05", "e16837f4eed02b21", None, "e3b0c44298fc1c14"),
     ("verify --n 5 --instances 2 --seed 2 --gap-threshold 0", "text"):
-        (2, "2759602620dcd9be", "2759602620dcd9be", None, "e3b0c44298fc1c14"),
+        (2, "c9e825fc0f5ebd05", "c9e825fc0f5ebd05", None, "e3b0c44298fc1c14"),
     ("verify --scene tri.txt --instances 1 --epochs 300 --generations 300", "records"):
         (1, "e3b0c44298fc1c14", None, None, "9970ff5f49ef9e0c"),
     ("verify --scene tri.txt --instances 1 --epochs 300 --generations 300", "text"):
