@@ -70,8 +70,8 @@ def test_generate_scene(benchmark):
 
 def solve_fresh(benchmark, solver, n: int, rounds: int, params: ChannelParams = PARAMS):
     """Time solver on a fresh problem each round, its path loss computed in
-    setup: a problem caches its even split and its exact solve, so a second
-    solve on one problem would time little more than _finish."""
+    setup: a problem caches only its loss and its even split, so a second
+    even split on one problem would time little more than _finish."""
     dist = problem(n).dist
 
     def setup():

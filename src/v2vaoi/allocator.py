@@ -12,10 +12,8 @@ Four strategies:
                 reprojecting onto the constraints each epoch.
   genetic_pa  - real-coded GA over the off-diagonal power vector with
                 fitness = minimum SNR.
-  exact_pa    - the exact max-min optimum; the reference row of `compare`
-                and `verify`.  Where no per-link floor binds, the optimum
-                is SIR-balanced and has a closed form, which two row tests
-                certify; elsewhere a bisection on the target SNR finds it.
+  exact_pa    - the exact max-min optimum, the reference row of `compare`
+                and `verify`; _bisect_max_min states the argument.
 
 exact_pa also ends with an upper bound that no allocation reaches,
 AllocationResult.upper_bound.  genetic_pa stops once its best is
@@ -81,9 +79,9 @@ class AllocationProblem:
     """One solvable instance: channel constants plus a scene's distances,
     refused unless n-1 links at p_min_w fit the budget by the one sum.
 
-    Three inputs are computed on first use and shared by every solver run
-    on the problem: loss (the scene's path loss), even_split (the projected
-    even split) and _max_min (exact_pa's solve).
+    Two inputs are computed on first use and shared by every solver run
+    on the problem: loss (the scene's path loss) and even_split (the
+    projected even split).
     """
 
     params: ChannelParams
@@ -117,15 +115,6 @@ class AllocationProblem:
         rows = _project_offdiag_rows(rows, params.p_min_w, params.p_max_w)
         rows.flags.writeable = False
         return rows
-
-    @cached_property
-    def _max_min(self) -> tuple:
-        """_bisect_max_min of the problem: its read-only allocation as
-        offdiag_rows, each row's np.add.reduce at most p_max_w, its count
-        of row tests and its upper bound, for exact_pa and genetic_pa."""
-        best, steps, hi = _bisect_max_min(self)
-        best.flags.writeable = False
-        return best, steps, hi
 
 
 @dataclass(frozen=True)
@@ -599,8 +588,8 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     validated once, in _finish.
 
     It stops by _Progress's rule (window stagnation_limit, any gain real,
-    certify_at (1 - GA_CERTIFIED_GAP) times the upper bound of the problem's
-    one exact solve) or after max_generations.  The certified stop draws
+    certify_at (1 - GA_CERTIFIED_GAP) times exact's upper bound, from
+    _bisect_max_min) or after max_generations.  The certified stop draws
     nothing, so every generation up to it is what a run without it makes.
     """
     cfg = cfg or GeneticConfig()
@@ -635,7 +624,7 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     fit = fitness(pop)
     best_idx = int(fit.argmax())
     best_genes = pop[best_idx].copy()
-    certify_at = (1.0 - GA_CERTIFIED_GAP) * problem._max_min[2]
+    certify_at = (1.0 - GA_CERTIFIED_GAP) * _bisect_max_min(problem)[2]
     track = _Progress(float(fit[best_idx]), cfg.stagnation_limit, 0.0, certify_at)
 
     for _ in range(cfg.max_generations):
@@ -700,14 +689,15 @@ def _bisect_max_min(problem: AllocationProblem) -> tuple:
     one common c, so sender i pays c * sum_j D_ij**alpha and the largest
     feasible c is p_max_w over the largest row sum of the path loss: the
     SIR-balanced optimum (Zander 1992), gamma = c / (N + (n-2) * c).  Its
-    bracket, gamma * (1 -/+ EXACT_REL_TOL / 4), is tested first, where it
-    lies inside the starting bracket.  If the lower end passes and the upper
-    end fails, the solve ends after two row tests with the certificate a
-    bisection gives: the upper end fails the row test and the bracket is
-    within EXACT_REL_TOL of it.  Where a floor binds, the prediction
-    overshoots and bisection goes on from the bracket the two tests left.
+    bracket's ends, gamma * (1 -/+ EXACT_REL_TOL / 4), are the search's first
+    two probes, where they lie inside the starting bracket.  If the lower
+    end passes and the upper end fails, the solve ends after two row tests
+    with the certificate a bisection gives: the upper end fails the row test
+    and the bracket is within EXACT_REL_TOL of it.  Where a floor binds, the
+    prediction overshoots, and the search bisects the bracket the probes
+    left; every other probe is a midpoint.
 
-    The bisection's bracket runs from the even split's objective (achieved)
+    The starting bracket runs from the even split's objective (achieved)
     to 1/(n-2), which no allocation reaches: the weakest sender into a
     receiver is drowned out by the n-2 others, each at least as strong, so
     its SNR is below g / ((n-2) * g) = 1/(n-2).  The returned allocation is
@@ -745,41 +735,27 @@ def _bisect_max_min(problem: AllocationProblem) -> tuple:
     with np.errstate(over="ignore"):
         c = p_max / float(np.add.reduce(loss, axis=1).max())
         guess = c / (noise_w + (n - 2) * c)
-        ends = (guess * (1.0 - EXACT_REL_TOL / 4), guess * (1.0 + EXACT_REL_TOL / 4))
-        if lo < ends[0] and ends[1] < hi:
-            for target in ends:
-                steps += 1
-                p = row_test(target)
-                if p is None:
-                    hi = target
-                    break
-                lo, best = target, p
-        while hi - lo > EXACT_REL_TOL * hi:
-            mid = 0.5 * (lo + hi)
+        a, b = guess * (1.0 - EXACT_REL_TOL / 4), guess * (1.0 + EXACT_REL_TOL / 4)
+        probes = [a, b] if lo < a and b < hi else []  # the prediction's two ends
+        while probes or hi - lo > EXACT_REL_TOL * hi:
+            mid = probes.pop(0) if probes else 0.5 * (lo + hi)
             if not lo < mid < hi:  # a bracket one float step wide, near subnormal
                 break
             steps += 1
             p = row_test(mid)
             if p is None:
-                hi = mid
+                hi, probes = mid, []
             else:
                 lo, best = mid, p
     return best, steps, hi
 
 
 def exact_pa(problem: AllocationProblem) -> AllocationResult:
-    """Maximum of the worst link's SNR, certified by the row test.
-
-    Where no per-link floor binds, the optimum is SIR-balanced (every link
-    at one SNR, Zander 1992) and has a closed form: two row tests just
-    below and just above it certify it.  Where a floor binds, the closed
-    form overshoots, and bisection on the target SNR goes on below it.  The
-    allocation is optimal to a relative EXACT_REL_TOL, or to float
-    resolution where that is coarser: upper_bound is a min-SNR that fails
-    the row test, so no allocation reaches it, and objective_min_snr lies
-    within that tolerance below it.  epochs_used counts the row tests, 2
-    where the closed form holds.  _bisect_max_min states the argument.
+    """Maximum of the worst link's SNR, certified by the row test:
+    upper_bound is a min-SNR that no allocation reaches, and
+    objective_min_snr lies within EXACT_REL_TOL below it.  epochs_used
+    counts the row tests.  _bisect_max_min states the argument.
     """
-    best, steps, hi = problem._max_min
+    best, steps, hi = _bisect_max_min(problem)
     return _finish(problem, best, epochs_used=steps, stop_reason="certified",
                    strategy_name="exact", upper_bound=hi)

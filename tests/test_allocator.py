@@ -1179,19 +1179,12 @@ def test_exact_at_max_scale():
     assert result.objective_min_snr <= 1.0 / 62 * (1 + 1e-9)
 
 
-def test_bisection_runs_once_per_problem(monkeypatch):
-    # exact_pa and genetic_pa (its certified stop) on one problem share one
-    # bisection, whose allocation is read-only
-    calls = []
-    bisect = allocator._bisect_max_min
-    monkeypatch.setattr(
-        allocator, "_bisect_max_min", lambda prob: calls.append(prob) or bisect(prob)
-    )
+def test_exact_and_genetic_repeat_on_one_problem():
+    # exact_pa twice and genetic_pa (its certified stop) on one problem give
+    # what each gives on a fresh problem: no solve changes what the next reads
     cfg = GeneticConfig(max_generations=20)
     prob = random_problem(3, 5)
     genetic, first, again = genetic_pa(prob, cfg), exact_pa(prob), exact_pa(prob)
-    assert len(calls) == 1 and calls[0] is prob
-    assert not prob._max_min[0].flags.writeable
     alone = exact_pa(random_problem(3, 5))
     for result in (first, again):
         assert result.power.p.tobytes() == alone.power.p.tobytes()
@@ -1274,6 +1267,20 @@ def test_exact_falls_back_to_bisection_where_floors_bind(n, p_min):
     for seed in range(3):
         row_tests, steps = _exact_against_reference(n, p_min, seed)
         assert 2 < row_tests <= steps + 2
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_exact_skips_the_prediction_where_the_even_split_is_optimal(n):
+    # on the equilateral scene the even split is already SIR-balanced and
+    # reaches the prediction's lower end, so no predicted probe runs: the
+    # search bisects up from the even split, and no higher target passes
+    problem = problem_for(equilateral(n=n))
+    result = exact_pa(problem)
+    hi, got = result.upper_bound, result.objective_min_snr
+    assert result.epochs_used == 5
+    assert got == default_pa(problem).objective_min_snr
+    assert _reference_row_test(problem)(hi) is None
+    assert 0.0 < hi - got <= EXACT_REL_TOL * hi
 
 
 _SUBNORMAL_BISECTION = """
