@@ -36,6 +36,7 @@ from .channel import (
     _offdiag_view,
     _receivers,
     _snr,
+    _snr_of_gain,
     compute_delay_matrix,
     from_offdiag_rows,
     offdiag_rows,
@@ -53,8 +54,8 @@ GREEDY_CONVERGENCE_WINDOW = 20
 
 # greedy_pa holds a scene of at most this many vehicles as a flat list of
 # Python floats, a larger one as NumPy rows.  The list layout solves
-# 1.87/1.69/1.54/1.18/1.01/0.88 times as fast at n = 3/4/5/6/7/8 (2-core VM,
-# median of 8 scenes, 300 epochs; n = 7 read 0.97-1.09 across runs).  It may
+# 1.72/1.44/1.24/1.05/0.91/0.79 times as fast at n = 3/4/5/6/7/8 (2-core VM,
+# median of 8 scenes, 300 epochs, three runs; n = 6 read 1.05-1.06).  It may
 # not exceed 8: the list sums a row of n-1 links left to right, which is
 # np.add.reduce's order for 7 entries at most, and at n = 9 a fitted row
 # fails the budget check.
@@ -275,8 +276,12 @@ def _fit_row_to_budget(row: np.ndarray, p_min: float, p_max: float) -> None:
     """Project one clamped row in place: fit it if it sums over p_max.
 
     Greedy's fit: _project_offdiag_rows' rescale, floor and cap on one row,
-    bit-identical to it, with the level from _fit_level.
+    bit-identical to it, with the level from _fit_level.  A row of at most
+    7 links is fitted on Python floats by _fit_list_row, in fewer calls.
     """
+    if row.size <= 7:  # np.add.reduce adds up to 7 entries left to right
+        row[:] = _fit_list_row(row.tolist(), p_min, p_max)
+        return
     total = np.add.reduce(row)
     if total <= p_max:
         return
@@ -455,8 +460,8 @@ def greedy_pa(problem: AllocationProblem, cfg: GreedyConfig | None = None) -> Al
 
     The state has two layouts, chosen by the scene's size alone, each with
     its own epoch loop: _greedy_row_epochs above GREEDY_LIST_MAX_N vehicles,
-    _greedy_list_epochs at or below it.  Both give the same bits, and
-    _Progress stops both.
+    _greedy_list_epochs at or below it.  Both keep their gains, fit a row of
+    at most 7 links on floats, give the same bits and stop by _Progress.
     """
     cfg = cfg or GreedyConfig()
     n = problem.n
@@ -476,16 +481,19 @@ def greedy_pa(problem: AllocationProblem, cfg: GreedyConfig | None = None) -> Al
 
 
 def _greedy_row_epochs(problem: AllocationProblem, cfg: GreedyConfig) -> tuple:
-    """greedy_pa's epochs on the (n, n-1) NumPy rows: evaluated by _snr,
-    fitted by _fit_row_to_budget and scanned by argmin and argmax.  Returns
-    the best links, the _Progress that stopped the run and the best links
-    at each rung.  The state and the best links are allocated once; only a
-    rung's snapshot copies the best links."""
+    """greedy_pa's epochs on the (n, n-1) NumPy rows: fitted by
+    _fit_row_to_budget, evaluated by _snr_of_gain on gains rows / loss that
+    an epoch divides again only for the fitted row and the lowered link, the
+    only powers that moved, and scanned by argmin and argmax.  Returns the
+    best links, the _Progress that stopped the run and the best links at
+    each rung.  The state, its gains and the best links are allocated once."""
     params = problem.params
     p_min, p_max, noise_w, loss = params.p_min_w, params.p_max_w, params.noise_w, problem.loss
     m = problem.n - 1
     rows = problem.even_split.copy()
-    links = rows.reshape(-1)
+    gain = rows / loss
+    links, gain_links = rows.reshape(-1), gain.reshape(-1)
+    row_views, loss_rows, gain_rows = list(rows), list(loss), list(gain)  # views, built once
     up, down = 1.0 + cfg.learn_rate, 1.0 - cfg.learn_rate
     snapshots = dict.fromkeys(cfg.rungs)
     for epoch in range(cfg.max_epochs + 1):  # epoch 0 evaluates the even split
@@ -494,8 +502,11 @@ def _greedy_row_epochs(problem: AllocationProblem, cfg: GreedyConfig) -> tuple:
             links[strongest] *= down
             for k in (worst, strongest):  # as the projection clamps: max, then min
                 links[k] = min(max(links[k], p_min), p_max)
-            _fit_row_to_budget(rows[worst // m], p_min, p_max)
-        snr = _snr(loss, rows, noise_w).reshape(-1)
+            i = worst // m
+            _fit_row_to_budget(row_views[i], p_min, p_max)
+            np.divide(row_views[i], loss_rows[i], out=gain_rows[i])
+            gain_links[strongest] = links.item(strongest) / loss.item(strongest)
+        snr = _snr_of_gain(gain, noise_w).reshape(-1)
         worst, strongest = int(snr.argmin()), int(snr.argmax())
         if not epoch:
             track = _Progress(snr.item(worst), GREEDY_CONVERGENCE_WINDOW, GREEDY_CONVERGENCE_TOL)
@@ -511,17 +522,14 @@ def _greedy_row_epochs(problem: AllocationProblem, cfg: GreedyConfig) -> tuple:
 
 def _greedy_list_epochs(problem: AllocationProblem, cfg: GreedyConfig) -> tuple:
     """_greedy_row_epochs on one flat list of Python floats, where NumPy's
-    fixed cost per call outweighs the work: bit-identical, and returned the
-    same way.
+    fixed cost per call outweighs the work: bit-identical, its gains kept
+    and re-derived the same way, and returned the same way.
 
-    gain[k] is links[k] over its path loss.  An epoch re-derives only the
-    gains of the fitted row and of the lowered link, the only powers that
-    moved, then adds each receiver's gains in link order from 0.0, as _snr's
-    np.bincount does, and forms each SNR as the same IEEE expression
-    g / ((S_j - g) + noise_w), whose denominator is at least noise_w > 0.
-    A row of at most 7 links is fitted by _fit_list_row, which sums it left
-    to right as np.add.reduce does.  The scans are lst.index(min(lst)) and
-    lst.index(max(lst)), which keep the first occurrence.
+    An epoch fits the raised row by _fit_list_row, adds each receiver's
+    gains in link order from 0.0, as _snr's np.bincount does, and forms each
+    SNR as the same IEEE expression g / ((S_j - g) + noise_w), whose
+    denominator is at least noise_w > 0.  The scans are lst.index(min(lst))
+    and lst.index(max(lst)), which keep the first occurrence.
     """
     params = problem.params
     p_min, p_max, noise_w = params.p_min_w, params.p_max_w, params.noise_w

@@ -96,10 +96,12 @@ def build_aoi_records(delay_s, cfg: AoiConfig) -> np.ndarray:
         worst = int(np.argmax(total))  # the first to overflow the grid, NaN aside
         if np.isinf(total[worst] / cfg.sample_period_s):
             i, j = divmod(worst, n)
+            own = np.resize(compute, n)[i]  # sender i's; the larger part is named as the cause
+            why = " (payload over its rate in the bandwidth at its SNR)" if comm[i, j] >= own else ""
             raise DomainError(
-                f"link ({i}, {j})'s transmission delay {comm[i, j]:.3g} s plus compute "
-                f"delay {np.resize(compute, n)[i]:.3g} s overflows float64 in sampling "
-                f"periods of {cfg.sample_period_s!r} s"
+                f"link ({i}, {j})'s transmission delay {comm[i, j]:.3g} s{why} plus compute "
+                f"delay {own:.3g} s overflows float64 in sampling periods of "
+                f"{cfg.sample_period_s!r} s"
             )
         offset = _round_offsets(total, cfg.sample_period_s, np.random.default_rng(cfg.rng_seed))
         ages = offset * cfg.sample_period_s

@@ -258,6 +258,12 @@ def _snr(loss: np.ndarray, powers: np.ndarray, noise_w: float) -> np.ndarray:
     (..., n, n-1) (offdiag_rows), given the scene's path loss in the same
     layout.  Returns a fresh array of that shape, which shares no memory
     with loss or powers.
+    """
+    return _snr_of_gain(powers / loss, noise_w)
+
+
+def _snr_of_gain(gain: np.ndarray, noise_w: float) -> np.ndarray:
+    """_snr of the gains powers / loss, which it leaves as they are.
 
     Each receiver's incoming gain is one np.bincount over the links in
     row-major order, which adds a receiver's senders one by one in sender
@@ -265,7 +271,6 @@ def _snr(loss: np.ndarray, powers: np.ndarray, noise_w: float) -> np.ndarray:
     diagonal adds exact zeros.  So the sums are bit-identical to that reduce.
     On a stack, this costs less than a strided column reduce per scene.
     """
-    gain = powers / loss
     n = gain.shape[-2]
     recv = _receivers(gain.size // (n * (n - 1)), n)
     denom = np.bincount(recv, weights=gain.reshape(-1)).take(recv).reshape(gain.shape)

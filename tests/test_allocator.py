@@ -393,7 +393,7 @@ def test_cap_rows_matches_reference_bit_for_bit(m):
         assert got.tobytes() == _cap_rows_to_budget_reference(scaled, p_min, budget).tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 15, 31, 63])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 15, 31, 63])
 def test_fit_row_matches_reference_bit_for_bit(m):
     # one row through the scan against the frozen cap on the same rescaled,
     # reclamped row; m = 1 leaves the scan nothing to iterate.  Rows of at
@@ -706,17 +706,19 @@ def test_greedy_rungs_match_separate_solves(n, seed):
 
 
 def _solve_in_layout(prob, cfg, cut):
-    """greedy_pa with GREEDY_LIST_MAX_N at cut, and how many list fits ran."""
-    fits = []
+    """greedy_pa with GREEDY_LIST_MAX_N at cut, and how many times the list
+    layout's epoch loop ran."""
+    runs = []
+    list_epochs = allocator._greedy_list_epochs
 
     def counted(*args):
-        fits.append(1)
-        return _fit_list_row(*args)
+        runs.append(1)
+        return list_epochs(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(allocator, "GREEDY_LIST_MAX_N", cut)
-        mp.setattr(allocator, "_fit_list_row", counted)
-        return greedy_pa(prob, cfg), len(fits)
+        mp.setattr(allocator, "_greedy_list_epochs", counted)
+        return greedy_pa(prob, cfg), len(runs)
 
 
 # 150 derandomized draws and one explicit example, the same on every run,
@@ -746,9 +748,9 @@ def test_greedy_layouts_agree_bit_for_bit(n, seed, p_max, floor, learn_rate, epo
     # the budget lies above every rung
     budget = max([epochs, *(r + 1 for r in rungs)])
     cfg = GreedyConfig(learn_rate=learn_rate, max_epochs=budget, rungs=tuple(rungs))
-    lists, list_fits = _solve_in_layout(prob, cfg, 8)
-    arrays, array_fits = _solve_in_layout(prob, cfg, 1)
-    assert list_fits == lists.epochs_used and array_fits == 0
+    lists, list_runs = _solve_in_layout(prob, cfg, 8)
+    arrays, array_runs = _solve_in_layout(prob, cfg, 1)
+    assert list_runs == 1 and array_runs == 0
     _assert_same_solve(lists, arrays)
     assert len(lists.rungs) == len(arrays.rungs) == len(rungs)
     for got, want in zip(lists.rungs, arrays.rungs):
@@ -759,9 +761,67 @@ def test_greedy_layout_follows_scene_size():
     # the shipped cut: lists up to GREEDY_LIST_MAX_N vehicles, rows above
     cfg = GreedyConfig(max_epochs=30)
     for n in (GREEDY_LIST_MAX_N, GREEDY_LIST_MAX_N + 1):
-        result, fits = _solve_in_layout(random_problem(1, n), cfg, GREEDY_LIST_MAX_N)
-        assert fits == (result.epochs_used if n <= GREEDY_LIST_MAX_N else 0)
+        _, list_runs = _solve_in_layout(random_problem(1, n), cfg, GREEDY_LIST_MAX_N)
+        assert list_runs == (n <= GREEDY_LIST_MAX_N)
     assert 2 <= GREEDY_LIST_MAX_N <= 8
+
+
+def _reference_row_epochs(problem, cfg):
+    """allocator._greedy_row_epochs as it stood before it kept its gains:
+    every epoch evaluates _snr on the whole state."""
+    params = problem.params
+    p_min, p_max, noise_w, loss = params.p_min_w, params.p_max_w, params.noise_w, problem.loss
+    m = problem.n - 1
+    rows = problem.even_split.copy()
+    links = rows.reshape(-1)
+    up, down = 1.0 + cfg.learn_rate, 1.0 - cfg.learn_rate
+    snapshots = dict.fromkeys(cfg.rungs)
+    for epoch in range(cfg.max_epochs + 1):  # epoch 0 evaluates the even split
+        if epoch:
+            links[worst] *= up
+            links[strongest] *= down
+            for k in (worst, strongest):  # as the projection clamps: max, then min
+                links[k] = min(max(links[k], p_min), p_max)
+            _fit_row_to_budget(rows[worst // m], p_min, p_max)
+        snr = _snr(loss, rows, noise_w).reshape(-1)
+        worst, strongest = int(snr.argmin()), int(snr.argmax())
+        if not epoch:
+            track = _Progress(snr.item(worst), GREEDY_CONVERGENCE_WINDOW, GREEDY_CONVERGENCE_TOL)
+            best = links.copy()  # refreshed in place on improvement
+        elif track.step(snr.item(worst)):
+            best[:] = links
+        if track.reason != "budget":
+            break
+        if epoch in snapshots:
+            snapshots[epoch] = best.copy()
+    return best, track, snapshots
+
+
+# p_min from 1e-6 W to floors that bind: 1 W needs 8 or 15 of the 23 W
+# budget at n = 9 and 16, and 0.3 W needs 18.9 W at n = 64
+@pytest.mark.parametrize("n, p_min", [
+    (9, 1e-6), (9, 0.1), (9, 1.0), (16, 1e-6), (16, 1.0), (64, 1e-6), (64, 0.3),
+])
+@pytest.mark.parametrize("learn_rate", [0.05, 0.9])
+def test_greedy_row_epochs_match_reference_bit_for_bit(n, p_min, learn_rate):
+    # the NumPy rows' loop on kept gains against the loop that evaluates
+    # every gain each epoch, above the list layout's reach (rows of 8 links
+    # and more, fitted on NumPy rows); 3 scenes each, 600 epochs and rungs
+    cfg = GreedyConfig(learn_rate=learn_rate, max_epochs=600, rungs=(1, 37, 300))
+    for seed in range(3):
+        dist, _ = generate_scene(ScenarioSpec(n, rng_seed=derive_seed(seed, n)))
+        prob = AllocationProblem(ChannelParams(p_min_w=p_min), dist)
+        best, track, snapshots = allocator._greedy_row_epochs(prob, cfg)
+        want_best, want_track, want_snapshots = _reference_row_epochs(prob, cfg)
+        assert best.tobytes() == want_best.tobytes()
+        assert np.array(track.history).tobytes() == np.array(want_track.history).tobytes()
+        assert track.reason == want_track.reason
+        assert snapshots.keys() == want_snapshots.keys()
+        for rung, snapshot in snapshots.items():
+            want = want_snapshots[rung]
+            assert (snapshot is None) == (want is None), rung
+            if snapshot is not None:
+                assert snapshot.tobytes() == want.tobytes(), rung
 
 
 def test_greedy_rungs_validated():

@@ -36,11 +36,8 @@ PATHS = {"scene", "config", "plot_out", "out"}
 MAX_DRAWN = 3
 
 # The spellings error messages use for a flag's value, each mapped to the flags
-# that set it.  A derived quantity names every flag it follows from; a
-# transmission delay follows from the whole scene and its solve.
+# that set it.  A derived quantity names every flag it follows from.
 _SCENE = ("box_side", "min_sep")
-_TRANSMISSION = (*_SCENE, "n", "seed", "alpha", "bandwidth", "noise", "p_min", "p_max",
-                 "payload", "rate_factor", "learn_rate", "epochs")
 SPELLINGS = {
     **{key: (key,) for key, _, _, _, _ in _FLAGS if key not in PATHS | {"format"}},
     "p_max_w": ("p_max",),
@@ -64,7 +61,6 @@ SPELLINGS = {
     "looptime_s": ("looptime",),
     "compute_delay_s": ("compute_delay",),
     "compute delay": ("compute_delay",),
-    "transmission delay": _TRANSMISSION,
 }
 
 
@@ -164,3 +160,19 @@ def test_every_flag_at_its_extremes(argv, out_path):
         for line in out_path.read_text().splitlines():
             numbers = list(_numbers(json.loads(line)))
             assert all(math.isfinite(x) for x in numbers), (argv, line[:200])
+
+
+def test_transmission_delay_overflow_names_payload_and_bandwidth():
+    # a finite transmission delay that overflows in sampling periods names
+    # the payload and bandwidth it follows from; a compute delay that
+    # overflows names neither
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["aoi", "--epochs", "2", "--bandwidth", "1e-300"])
+    err = stderr.getvalue()
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert {"bandwidth", "payload"} <= _named_flags(err), err
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["aoi", "--epochs", "2", "--compute-delay", str(sys.float_info.max)])
+    assert code == 1 and _named_flags(stderr.getvalue()) == {"compute_delay", "period"}
