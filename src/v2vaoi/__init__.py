@@ -11,7 +11,6 @@ from .allocator import (
     exact_pa,
     genetic_pa,
     greedy_pa,
-    project_to_feasible,
 )
 from .aoi import AoiConfig, AoiSummary, aoi_summary, build_aoi_records
 from .channel import (

@@ -396,34 +396,47 @@ def _finish(
 
 
 class _Progress:
-    """One iterative solve's stop rule, stepped once per epoch or generation.
+    """One iterative solve's best so far and its stop rule, stepped once per
+    epoch or generation with the allocation that the step reached.
 
     A new best is a real gain when it beats best by at least tol, relative
     (any gain over a zero best).  reason turns from "budget" to "certified"
     once best reaches certify_at, or to "plateau" after window steps in a
-    row without a real gain; the solve stops at the first reason other than
-    "budget", or else at its budget.  history holds best at the start and
-    after each step.
+    row without a real gain (by default greedy's plateau stop); the solve
+    stops at the first reason other than "budget", or else at its budget.
+    history holds best at the start and after each step, and best_at a copy
+    of the allocation that reached best, refreshed in place on each gain.
+    snapshots maps each rung, a step count, to a copy of best_at taken after
+    that step if the solve runs past it, else None.
     """
 
-    def __init__(self, best: float, window: int, tol: float, certify_at: float = np.inf):
-        self.best, self.stall, self.history = best, 0, [best]
+    def __init__(self, best: float, at, window: int = GREEDY_CONVERGENCE_WINDOW,
+                 tol: float = GREEDY_CONVERGENCE_TOL, certify_at: float = np.inf, rungs=()):
+        self.best, self.best_at, self.stall, self.history = best, at.copy(), 0, [best]
         self.window, self.tol, self.certify_at = window, tol, certify_at
+        self.snapshots = dict.fromkeys(rungs)
         self.reason = "certified" if best >= certify_at else "budget"
 
-    def step(self, obj: float) -> bool:
-        """Count one step that reached obj; True when obj is a new best."""
-        gain = obj > self.best
-        real = gain and (self.best == 0.0 or (obj - self.best) / self.best >= self.tol)
-        self.stall = 0 if real else self.stall + 1
-        if gain:
-            self.best = obj
-        self.history.append(self.best)
-        if self.best >= self.certify_at:
+    def step(self, obj: float, at) -> bool:
+        """Count one step that reached obj with allocation at; True if the solve stops."""
+        best = self.best
+        if obj > best:
+            real = best == 0.0 or (obj - best) / best >= self.tol
+            self.stall = 0 if real else self.stall + 1
+            self.best = best = obj
+            self.best_at[:] = at
+        else:
+            self.stall += 1
+        self.history.append(best)
+        if best >= self.certify_at:
             self.reason = "certified"
         elif self.stall >= self.window:
             self.reason = "plateau"
-        return gain
+        else:
+            if (steps := len(self.history) - 1) in self.snapshots:
+                self.snapshots[steps] = self.best_at.copy()
+            return False
+        return True
 
 
 def default_pa(problem: AllocationProblem) -> AllocationResult:
@@ -461,12 +474,14 @@ def greedy_pa(problem: AllocationProblem, cfg: GreedyConfig | None = None) -> Al
     The state has two layouts, chosen by the scene's size alone, each with
     its own epoch loop: _greedy_row_epochs above GREEDY_LIST_MAX_N vehicles,
     _greedy_list_epochs at or below it.  Both keep their gains, fit a row of
-    at most 7 links on floats, give the same bits and stop by _Progress.
+    at most 7 links on floats and give the same bits.  Each returns its
+    _Progress, whose best links and rung snapshots give the final result
+    and the rung results.
     """
     cfg = cfg or GreedyConfig()
     n = problem.n
     run_epochs = _greedy_list_epochs if n <= GREEDY_LIST_MAX_N else _greedy_row_epochs
-    best, track, snapshots = run_epochs(problem, cfg)
+    track = run_epochs(problem, cfg)
 
     def finish(best_links: list | np.ndarray, epochs: int, reason: str) -> AllocationResult:
         return _finish(problem, np.reshape(best_links, (n, n - 1)), epochs_used=epochs,
@@ -474,19 +489,19 @@ def greedy_pa(problem: AllocationProblem, cfg: GreedyConfig | None = None) -> Al
                        history=tuple(track.history[1 : epochs + 1]))
 
     epochs_used = len(track.history) - 1
-    final = finish(best, epochs_used, track.reason)
+    final = finish(track.best_at, epochs_used, track.reason)
     return replace(final, rungs=tuple(
-        final if r >= epochs_used else finish(snapshots[r], r, "budget") for r in cfg.rungs
+        final if r >= epochs_used else finish(track.snapshots[r], r, "budget") for r in cfg.rungs
     ))
 
 
-def _greedy_row_epochs(problem: AllocationProblem, cfg: GreedyConfig) -> tuple:
+def _greedy_row_epochs(problem: AllocationProblem, cfg: GreedyConfig) -> _Progress:
     """greedy_pa's epochs on the (n, n-1) NumPy rows: fitted by
     _fit_row_to_budget, evaluated by _snr_of_gain on gains rows / loss that
     an epoch divides again only for the fitted row and the lowered link, the
     only powers that moved, and scanned by argmin and argmax.  Returns the
-    best links, the _Progress that stopped the run and the best links at
-    each rung.  The state, its gains and the best links are allocated once."""
+    _Progress that stopped the run, stepped with the flat links.  The state
+    and its gains are allocated once."""
     params = problem.params
     p_min, p_max, noise_w, loss = params.p_min_w, params.p_max_w, params.noise_w, problem.loss
     m = problem.n - 1
@@ -495,7 +510,6 @@ def _greedy_row_epochs(problem: AllocationProblem, cfg: GreedyConfig) -> tuple:
     links, gain_links = rows.reshape(-1), gain.reshape(-1)
     row_views, loss_rows, gain_rows = list(rows), list(loss), list(gain)  # views, built once
     up, down = 1.0 + cfg.learn_rate, 1.0 - cfg.learn_rate
-    snapshots = dict.fromkeys(cfg.rungs)
     for epoch in range(cfg.max_epochs + 1):  # epoch 0 evaluates the even split
         if epoch:
             links[worst] *= up
@@ -509,21 +523,16 @@ def _greedy_row_epochs(problem: AllocationProblem, cfg: GreedyConfig) -> tuple:
         snr = _snr_of_gain(gain, noise_w).reshape(-1)
         worst, strongest = int(snr.argmin()), int(snr.argmax())
         if not epoch:
-            track = _Progress(snr.item(worst), GREEDY_CONVERGENCE_WINDOW, GREEDY_CONVERGENCE_TOL)
-            best = links.copy()  # refreshed in place on improvement
-        elif track.step(snr.item(worst)):
-            best[:] = links
-        if track.reason != "budget":
+            track = _Progress(snr.item(worst), links, rungs=cfg.rungs)
+        elif track.step(snr.item(worst), links):
             break
-        if epoch in snapshots:
-            snapshots[epoch] = best.copy()
-    return best, track, snapshots
+    return track
 
 
-def _greedy_list_epochs(problem: AllocationProblem, cfg: GreedyConfig) -> tuple:
+def _greedy_list_epochs(problem: AllocationProblem, cfg: GreedyConfig) -> _Progress:
     """_greedy_row_epochs on one flat list of Python floats, where NumPy's
     fixed cost per call outweighs the work: bit-identical, its gains kept
-    and re-derived the same way, and returned the same way.
+    and re-derived the same way, and its _Progress stepped with the list.
 
     An epoch fits the raised row by _fit_list_row, adds each receiver's
     gains in link order from 0.0, as _snr's np.bincount does, and forms each
@@ -540,7 +549,6 @@ def _greedy_list_epochs(problem: AllocationProblem, cfg: GreedyConfig) -> tuple:
     recv = _receivers(1, n).tolist()
     gain = list(map(truediv, links, loss))
     up, down = 1.0 + cfg.learn_rate, 1.0 - cfg.learn_rate
-    snapshots = dict.fromkeys(cfg.rungs)
     for epoch in range(cfg.max_epochs + 1):  # epoch 0 evaluates the even split
         if epoch:
             links[worst] *= up
@@ -558,15 +566,10 @@ def _greedy_list_epochs(problem: AllocationProblem, cfg: GreedyConfig) -> tuple:
         low = min(snr)
         worst, strongest = snr.index(low), snr.index(max(snr))
         if not epoch:
-            track = _Progress(low, GREEDY_CONVERGENCE_WINDOW, GREEDY_CONVERGENCE_TOL)
-            best = links.copy()  # refreshed in place on improvement
-        elif track.step(low):
-            best[:] = links
-        if track.reason != "budget":
+            track = _Progress(low, links, rungs=cfg.rungs)
+        elif track.step(low, links):
             break
-        if epoch in snapshots:
-            snapshots[epoch] = best.copy()
-    return best, track, snapshots
+    return track
 
 
 def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> AllocationResult:
@@ -592,8 +595,8 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
       4. k standard normals, the creep steps, scaled by GA_CREEP_SIGMA.
     A gene that does not mutate draws no choice, reset or step, and an odd
     last child is never crossed.  The path loss is the problem's, and the
-    work buffers are allocated once per solve; the returned allocation is
-    validated once, in _finish.
+    work buffers are allocated once per solve.  The elite is _Progress's
+    best_at, which is returned and validated once, in _finish.
 
     It stops by _Progress's rule (window stagnation_limit, any gain real,
     certify_at (1 - GA_CERTIFIED_GAP) times exact's upper bound, from
@@ -631,9 +634,8 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
     pop = _project_offdiag_rows(pop, p_min, p_max)
     fit = fitness(pop)
     best_idx = int(fit.argmax())
-    best_genes = pop[best_idx].copy()
     certify_at = (1.0 - GA_CERTIFIED_GAP) * _bisect_max_min(problem)[2]
-    track = _Progress(float(fit[best_idx]), cfg.stagnation_limit, 0.0, certify_at)
+    track = _Progress(float(fit[best_idx]), pop[best_idx], cfg.stagnation_limit, 0.0, certify_at)
 
     for _ in range(cfg.max_generations):
         if track.reason != "budget":
@@ -657,14 +659,13 @@ def genetic_pa(problem: AllocationProblem, cfg: GeneticConfig | None = None) -> 
         creeps = children.take(hit) * np.exp(GA_CREEP_SIGMA * rng.standard_normal(hit.size))
         children.put(hit, np.where(choice_u < 0.5, resets, creeps))
         children = _project_offdiag_rows(children, p_min, p_max)
-        children[0] = best_genes  # elitism
+        children[0] = track.best_at  # elitism
         pop = children
         fit = fitness(pop)
         gen_best = int(fit.argmax())
-        if track.step(float(fit[gen_best])):
-            best_genes = pop[gen_best].copy()
+        track.step(float(fit[gen_best]), pop[gen_best])
 
-    return _finish(problem, best_genes, epochs_used=len(track.history) - 1,
+    return _finish(problem, track.best_at, epochs_used=len(track.history) - 1,
                    stop_reason=track.reason, strategy_name="genetic",
                    history=tuple(track.history))
 

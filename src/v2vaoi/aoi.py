@@ -97,7 +97,8 @@ def build_aoi_records(delay_s, cfg: AoiConfig) -> np.ndarray:
         if np.isinf(total[worst] / cfg.sample_period_s):
             i, j = divmod(worst, n)
             own = np.resize(compute, n)[i]  # sender i's; the larger part is named as the cause
-            why = " (payload over its rate in the bandwidth at its SNR)" if comm[i, j] >= own else ""
+            why = (" (payload over its rate in the bandwidth at its SNR, from noise_w, "
+                   "p_max_w, p_min_w and the path loss)") if comm[i, j] >= own else ""
             raise DomainError(
                 f"link ({i}, {j})'s transmission delay {comm[i, j]:.3g} s{why} plus compute "
                 f"delay {own:.3g} s overflows float64 in sampling periods of "

@@ -254,10 +254,11 @@ def _receivers(count: int, n: int) -> np.ndarray:
 
 def _snr(loss: np.ndarray, powers: np.ndarray, noise_w: float) -> np.ndarray:
     """The SNR formula on a stack of scenes' powers (the GA's population)
-    or on one scene's (greedy's epoch), in off-diagonal row layout
-    (..., n, n-1) (offdiag_rows), given the scene's path loss in the same
-    layout.  Returns a fresh array of that shape, which shares no memory
-    with loss or powers.
+    or on one scene's (a solve's result in _finish, exact's starting
+    bracket), in off-diagonal row layout (..., n, n-1) (offdiag_rows),
+    given the scene's path loss in the same layout.  Returns a fresh array
+    of that shape, which shares no memory with loss or powers.  Greedy's
+    NumPy epoch keeps its gains and calls _snr_of_gain.
     """
     return _snr_of_gain(powers / loss, noise_w)
 

@@ -393,11 +393,12 @@ def test_cap_rows_matches_reference_bit_for_bit(m):
         assert got.tobytes() == _cap_rows_to_budget_reference(scaled, p_min, budget).tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 15, 31, 63])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 31, 63])
 def test_fit_row_matches_reference_bit_for_bit(m):
     # one row through the scan against the frozen cap on the same rescaled,
     # reclamped row; m = 1 leaves the scan nothing to iterate.  Rows of at
-    # most 7 links, greedy's list layout, go through the list fit too.
+    # most 7 links, greedy's list layout, go through the list fit too; rows
+    # of 8 and 9 links, summed pairwise, pin the 7-link cut from above.
     rng = np.random.default_rng(m)
     p_min = 1e-3
     for _ in range(200):
@@ -471,14 +472,49 @@ def test_add_reduce_sums_up_to_seven_entries_left_to_right(m):
     ],
 )
 def test_progress_stop_rule(start, tol, certify_at, objs, want):
-    track = _Progress(start, 3, tol, certify_at)
+    # want holds (gain, stall, reason) per step; step k reaches objs[k - 1]
+    # with the allocation [k], so a gain is a best_at of [k]
+    track = _Progress(start, np.zeros(1), 3, tol, certify_at)
     assert track.reason == ("certified" if start >= certify_at else "budget")
     got = []
-    for obj in objs:
-        got.append((track.step(obj), track.stall, track.reason))
+    for k, obj in enumerate(objs, 1):
+        stop = track.step(obj, np.array([float(k)]))
+        assert stop == (track.reason != "budget")
+        got.append((track.best_at[0] == k, track.stall, track.reason))
     assert got == want
     best = list(accumulate([start, *objs], max))
     assert track.history == best and track.best == best[-1]
+
+
+def test_progress_keeps_best_allocation_and_rung_snapshots():
+    # best_at copies the allocation of each gain and of no other step; a
+    # rung the solve runs past snapshots best_at after that step, and a rung
+    # at or after the stop gets none
+    start = np.zeros(2)
+    track = _Progress(1.0, start, 2, 0.0, rungs=(3, 1, 2, 9))
+    start[:] = 7.0  # the start was copied
+    assert track.best_at.tolist() == [0.0, 0.0]
+    moved = np.array([1.0, 2.0])
+    assert track.step(2.0, moved) is False
+    moved[:] = 5.0  # the gain was copied in place, not bound
+    assert track.step(2.0, moved) is False  # a tie is no gain
+    assert track.step(1.5, np.array([6.0, 6.0])) is True  # the plateau, at rung 3
+    assert track.best_at.tolist() == [1.0, 2.0]
+    assert list(track.snapshots) == [3, 1, 2, 9]
+    assert track.snapshots[3] is None and track.snapshots[9] is None
+    for rung in (1, 2):
+        assert track.snapshots[rung].tolist() == [1.0, 2.0]
+        assert track.snapshots[rung] is not track.best_at
+    assert track.snapshots[1] is not track.snapshots[2]
+    # on a list, as greedy's list layout steps it, from a zero best: the
+    # first gain is a subnormal one, and best_at follows it
+    start = [0.0, 0.0]
+    track = _Progress(0.0, start, 3, 1e-6, rungs=(1, 2))
+    assert track.best_at is not start
+    assert track.step(0.0, [1.0, 1.0]) is False
+    assert track.step(5e-324, [2.0, 2.0]) is False
+    assert track.best_at == [2.0, 2.0] and track.snapshots == {1: [0.0, 0.0], 2: [2.0, 2.0]}
+    assert (track.stall, track.reason) == (0, "budget")
 
 
 def test_greedy_two_vehicles_hits_cap():
@@ -768,14 +804,15 @@ def test_greedy_layout_follows_scene_size():
 
 def _reference_row_epochs(problem, cfg):
     """allocator._greedy_row_epochs as it stood before it kept its gains:
-    every epoch evaluates _snr on the whole state."""
+    every epoch evaluates _snr on the whole state.  Only its _Progress calls
+    follow today's tracker, which holds the best links and the rung
+    snapshots."""
     params = problem.params
     p_min, p_max, noise_w, loss = params.p_min_w, params.p_max_w, params.noise_w, problem.loss
     m = problem.n - 1
     rows = problem.even_split.copy()
     links = rows.reshape(-1)
     up, down = 1.0 + cfg.learn_rate, 1.0 - cfg.learn_rate
-    snapshots = dict.fromkeys(cfg.rungs)
     for epoch in range(cfg.max_epochs + 1):  # epoch 0 evaluates the even split
         if epoch:
             links[worst] *= up
@@ -786,15 +823,10 @@ def _reference_row_epochs(problem, cfg):
         snr = _snr(loss, rows, noise_w).reshape(-1)
         worst, strongest = int(snr.argmin()), int(snr.argmax())
         if not epoch:
-            track = _Progress(snr.item(worst), GREEDY_CONVERGENCE_WINDOW, GREEDY_CONVERGENCE_TOL)
-            best = links.copy()  # refreshed in place on improvement
-        elif track.step(snr.item(worst)):
-            best[:] = links
-        if track.reason != "budget":
+            track = _Progress(snr.item(worst), links, rungs=cfg.rungs)
+        elif track.step(snr.item(worst), links):
             break
-        if epoch in snapshots:
-            snapshots[epoch] = best.copy()
-    return best, track, snapshots
+    return track
 
 
 # p_min from 1e-6 W to floors that bind: 1 W needs 8 or 15 of the 23 W
@@ -811,14 +843,14 @@ def test_greedy_row_epochs_match_reference_bit_for_bit(n, p_min, learn_rate):
     for seed in range(3):
         dist, _ = generate_scene(ScenarioSpec(n, rng_seed=derive_seed(seed, n)))
         prob = AllocationProblem(ChannelParams(p_min_w=p_min), dist)
-        best, track, snapshots = allocator._greedy_row_epochs(prob, cfg)
-        want_best, want_track, want_snapshots = _reference_row_epochs(prob, cfg)
-        assert best.tobytes() == want_best.tobytes()
+        track = allocator._greedy_row_epochs(prob, cfg)
+        want_track = _reference_row_epochs(prob, cfg)
+        assert track.best_at.tobytes() == want_track.best_at.tobytes()
         assert np.array(track.history).tobytes() == np.array(want_track.history).tobytes()
         assert track.reason == want_track.reason
-        assert snapshots.keys() == want_snapshots.keys()
-        for rung, snapshot in snapshots.items():
-            want = want_snapshots[rung]
+        assert track.snapshots.keys() == want_track.snapshots.keys()
+        for rung, snapshot in track.snapshots.items():
+            want = want_track.snapshots[rung]
             assert (snapshot is None) == (want is None), rung
             if snapshot is not None:
                 assert snapshot.tobytes() == want.tobytes(), rung

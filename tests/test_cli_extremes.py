@@ -130,14 +130,16 @@ def test_named_flags():
     assert _named_flags("min SNR 1e-300 overflows a delay") == set()
 
 
-# 300 derandomized draws, the same on every run, and two explicit examples:
-# about 3 s on two cores.  The first is a box whose candidates' distance
-# overflows in placement, the second a compute delay that overflows in
-# sampling periods.
+# 300 derandomized draws, the same on every run, and three explicit
+# examples: about 3 s on two cores.  The first is a box whose candidates'
+# distance overflows in placement, the second a compute delay that
+# overflows in sampling periods, the third a transmission delay that does
+# so at the SNR its noise leaves.
 @settings(max_examples=300, deadline=None, derandomize=True)
 @example(argv=["solve", "--box-side", str(sys.float_info.max)])
 @example(argv=["aoi", "--epochs", "2", "--payload", "100", "--compute-delay",
                str(sys.float_info.max)])
+@example(argv=["aoi", "--epochs", "2", "--noise", "1e303"])
 @given(argv=st.sampled_from(tuple(_COMMANDS)).flatmap(_argv))
 def test_every_flag_at_its_extremes(argv, out_path):
     out_path.unlink(missing_ok=True)
@@ -164,14 +166,16 @@ def test_every_flag_at_its_extremes(argv, out_path):
 
 def test_transmission_delay_overflow_names_payload_and_bandwidth():
     # a finite transmission delay that overflows in sampling periods names
-    # the payload and bandwidth it follows from; a compute delay that
-    # overflows names neither
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(["aoi", "--epochs", "2", "--bandwidth", "1e-300"])
-    err = stderr.getvalue()
-    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
-    assert {"bandwidth", "payload"} <= _named_flags(err), err
+    # the payload and bandwidth it follows from, and the noise, powers and
+    # path loss that set its SNR; a compute delay that overflows names none
+    stdout = io.StringIO()
+    for flag, value in (("bandwidth", "1e-300"), ("noise", "1e303")):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["aoi", "--epochs", "2", f"--{flag}", value])
+        err = stderr.getvalue()
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert {"bandwidth", "payload", "noise", flag} <= _named_flags(err), err
     stderr = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(["aoi", "--epochs", "2", "--compute-delay", str(sys.float_info.max)])

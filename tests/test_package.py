@@ -45,7 +45,6 @@ PUBLIC_NAMES = {
     "greedy_pa",
     "load_distance_matrix",
     "offdiag_values",
-    "project_to_feasible",
     "run_comparison",
     "save_distance_matrix",
     "splitmix64",
